@@ -24,7 +24,7 @@ func BenchmarkStreamServe(b *testing.B) {
 		qos  bool
 	}{{"fifo", false}, {"qos-interactive", true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			h, err := newQoSHarness(testConfig().Params)
+			h, err := newQoSHarness(testParams())
 			if err != nil {
 				b.Fatal(err)
 			}

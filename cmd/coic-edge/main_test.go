@@ -82,7 +82,7 @@ func TestGracefulShutdownOnSIGINT(t *testing.T) {
 		t.Fatal("daemon never announced its listen address")
 	}
 
-	cli, err := coic.DialContext(context.Background(), addr, p, coic.ModeCoIC, "")
+	cli, err := coic.NewClient(context.Background(), addr, coic.WithDialParams(p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,14 +61,11 @@
 //
 // The Run* functions (experiments.go) regenerate every figure of the
 // paper plus this reproduction's ablations; cmd/ holds the deployable
-// daemons. The v1 entry points (New with a Config literal is now
-// NewFromConfig, the per-task System methods, ServeCloud / ServeEdge /
-// Dial / DialContext) remain as thin deprecated wrappers — see
-// docs/MIGRATION.md.
+// daemons. The v1 entry points are gone; docs/MIGRATION.md maps each to
+// its v2 replacement.
 package coic
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -164,28 +161,14 @@ func AnnotationModelID(class Class) string {
 // 231, 1073, 1949, 7050, 13072, 15053).
 func SceneModelID(kb int) string { return core.Fig2bModelID(kb) }
 
-// Config assembles a System.
-//
-// Deprecated: build systems with New and functional options (WithParams,
-// WithClients, ...). Config remains as the carrier those options write
-// into and for NewFromConfig.
-type Config struct {
-	// Params defaults to DefaultParams() when zero-valued.
-	Params Params
-	// Condition defaults to the 200/20 Mbps mid-sweep condition.
-	Condition Condition
-	// CachePolicy selects eviction: "lru" (default), "lfu", "fifo",
-	// "gdsf".
-	CachePolicy string
-	// Index selects the descriptor matcher: "linear" (default) or
-	// "lsh".
-	Index string
-	// Clients is how many mobile clients to attach (default 1).
-	Clients int
-	// PrivacyK enables the k-anonymity sharing gate: cached results are
-	// only shared with strangers once K distinct users have requested
-	// them (0 or 1 disables; see the A-privacy ablation).
-	PrivacyK int
+// config is what the Options write into; New validates it.
+type config struct {
+	params      Params
+	condition   Condition
+	cachePolicy string
+	index       string
+	clients     int
+	privacyK    int
 }
 
 // System is an assembled CoIC deployment in virtual time: clients, one
@@ -202,44 +185,49 @@ type System struct {
 	qos      QoSStats
 }
 
-// NewFromConfig builds a System from cfg. Unset fields default sensibly.
-//
-// Deprecated: use New with functional options; this is the v1
-// constructor kept for mechanical migration (it was named New before
-// v2).
-func NewFromConfig(cfg Config) (*System, error) {
-	p := cfg.Params
+// New assembles a System in virtual time: clients, one edge, one cloud,
+// and the network between them. Unconfigured aspects default sensibly
+// (calibrated Params, the 200/20 Mbps mid-sweep condition, LRU eviction,
+// a linear index, one client).
+func New(opts ...Option) (*System, error) {
+	var cfg config
+	for _, opt := range opts {
+		if err := opt(&cfg); err != nil {
+			return nil, err
+		}
+	}
+	p := cfg.params
 	if p.CameraW == 0 { // zero value: caller wants defaults
 		p = DefaultParams()
 	}
-	cond := cfg.Condition
+	cond := cfg.condition
 	if cond.MobileEdge == 0 {
 		cond = Condition{Name: "200/20", MobileEdge: 200, EdgeCloud: 20}
 	}
-	var opts []core.EdgeOption
-	switch cfg.CachePolicy {
+	var edgeOpts []core.EdgeOption
+	switch cfg.cachePolicy {
 	case "", "lru":
 	case "lfu":
-		opts = append(opts, core.WithCachePolicy(cache.NewLFU()))
+		edgeOpts = append(edgeOpts, core.WithCachePolicy(cache.NewLFU()))
 	case "fifo":
-		opts = append(opts, core.WithCachePolicy(cache.NewFIFO()))
+		edgeOpts = append(edgeOpts, core.WithCachePolicy(cache.NewFIFO()))
 	case "gdsf":
-		opts = append(opts, core.WithCachePolicy(cache.NewGDSF()))
+		edgeOpts = append(edgeOpts, core.WithCachePolicy(cache.NewGDSF()))
 	default:
-		return nil, fmt.Errorf("coic: unknown cache policy %q", cfg.CachePolicy)
+		return nil, fmt.Errorf("coic: unknown cache policy %q", cfg.cachePolicy)
 	}
-	switch cfg.Index {
+	switch cfg.index {
 	case "", "linear":
 	case "lsh":
-		opts = append(opts, core.WithCacheIndex(feature.NewLSH(64, 8, 12, p.Seed)))
+		edgeOpts = append(edgeOpts, core.WithCacheIndex(feature.NewLSH(64, 8, 12, p.Seed)))
 	default:
-		return nil, fmt.Errorf("coic: unknown index %q", cfg.Index)
+		return nil, fmt.Errorf("coic: unknown index %q", cfg.index)
 	}
-	if cfg.PrivacyK > 1 {
-		opts = append(opts, core.WithPrivacyK(cfg.PrivacyK))
+	if cfg.privacyK > 1 {
+		edgeOpts = append(edgeOpts, core.WithPrivacyK(cfg.privacyK))
 	}
 
-	clients := cfg.Clients
+	clients := cfg.clients
 	if clients <= 0 {
 		clients = 1
 	}
@@ -247,7 +235,7 @@ func NewFromConfig(cfg Config) (*System, error) {
 		Params:    p,
 		Condition: cond,
 		cloud:     core.NewCloud(p),
-		edge:      core.NewEdge(p, opts...),
+		edge:      core.NewEdge(p, edgeOpts...),
 		topo:      netsim.NewTopology(cond, p.Seed),
 		now:       time.Date(2018, 8, 20, 9, 0, 0, 0, time.UTC),
 	}
@@ -272,57 +260,11 @@ func (s *System) session(client int) (*core.Session, error) {
 	return s.sessions[client], nil
 }
 
-// Recognize runs one recognition task for the given client.
-//
-// Deprecated: use Do with RecognizeTask, which adds cancellation and
-// per-request deadlines.
-func (s *System) Recognize(client int, class Class, viewSeed uint64, mode Mode) (Breakdown, RecognitionResult, error) {
-	res, err := s.Do(context.Background(), client, Request{
-		Recognize: &RecognizeSpec{Class: class, ViewSeed: viewSeed},
-		Mode:      mode,
-	})
-	if err != nil {
-		return res.Breakdown, RecognitionResult{}, err
-	}
-	return res.Breakdown, *res.Recognition, nil
-}
-
 // RecognitionResult is the public form of a recognition answer.
 type RecognitionResult struct {
 	Label             string
 	Confidence        float64
 	AnnotationModelID string
-}
-
-// Render runs one 3D model load-and-draw task for the given client.
-//
-// Deprecated: use Do with RenderTask.
-func (s *System) Render(client int, modelID string, mode Mode) (Breakdown, error) {
-	res, err := s.Do(context.Background(), client, Request{
-		Render: &RenderSpec{ModelID: modelID},
-		Mode:   mode,
-	})
-	return res.Breakdown, err
-}
-
-// Pano runs one VR panorama fetch-and-crop task for the given client.
-//
-// Deprecated: use Do with PanoTask.
-func (s *System) Pano(client int, videoID string, frame int, vp Viewport, mode Mode) (Breakdown, error) {
-	res, err := s.Do(context.Background(), client, Request{
-		Pano: &PanoSpec{VideoID: videoID, Frame: frame, Viewport: vp},
-		Mode: mode,
-	})
-	return res.Breakdown, err
-}
-
-// CacheStats reports the edge cache's hit ratio and resident bytes.
-//
-// Deprecated: use Stats, which returns every counter coherently
-// (including the similarity-hit counter this method discards).
-func (s *System) CacheStats() (hitRatio float64, usedBytes int64, entries int) {
-	st := s.Stats()
-	return s.edge.Stats().HitRatio(), st.Store.BytesUsed, st.Store.Entries
 }
 
 // SaveCache snapshots the edge cache (all resident IC results with their
@@ -332,49 +274,6 @@ func (s *System) SaveCache(w io.Writer) error { return s.edge.Cache.Snapshot(w) 
 // LoadCache restores a snapshot written by SaveCache into the edge cache,
 // returning how many entries were adopted (oversized ones are skipped).
 func (s *System) LoadCache(r io.Reader) (int, error) { return s.edge.Cache.Restore(r) }
-
-// --- real-socket deployment (v1 wrappers) -----------------------------
-//
-// The v2 deployment surface lives in server.go (NewEdgeServer /
-// NewCloudServer / DialContext). These wrappers keep v1 callers
-// compiling; they serve with a background context, so they never shut
-// down gracefully — only by closing the listener.
-
-// ServeConfig tunes the pipelined TCP servers.
-//
-// Deprecated: pass WithWorkers / WithQueueDepth / WithFetchTimeout to
-// NewEdgeServer / NewCloudServer.
-type ServeConfig struct {
-	// Workers bounds concurrent request processing per connection
-	// (core.DefaultWorkers when 0).
-	Workers int
-	// QueueDepth bounds requests buffered awaiting a worker
-	// (core.DefaultQueueDepth when 0).
-	QueueDepth int
-	// FetchTimeout bounds one edge→cloud fetch, failing any coalesced
-	// waiters fast when the cloud hangs (core.DefaultFetchTimeout when 0;
-	// cloud servers ignore it).
-	FetchTimeout time.Duration
-}
-
-// ServeCloud runs a CoIC cloud on ln until the listener closes.
-//
-// Deprecated: use NewCloudServer(WithListener(ln)).Serve(ctx).
-func ServeCloud(ln net.Listener, p Params) error {
-	return ServeCloudWith(ln, p, ServeConfig{})
-}
-
-// ServeCloudWith runs a CoIC cloud with explicit serving tunables.
-//
-// Deprecated: use NewCloudServer with options.
-func ServeCloudWith(ln net.Listener, p Params, cfg ServeConfig) error {
-	return NewCloudServer(
-		WithListener(ln),
-		WithServeParams(p),
-		WithWorkers(cfg.Workers),
-		WithQueueDepth(cfg.QueueDepth),
-	).Serve(context.Background())
-}
 
 // ShapeSpec is a tc-style link spec ("rate 90mbit delay 5ms"), applied as
 // a token-bucket shaper; empty means unshaped.
@@ -391,49 +290,4 @@ func (s ShapeSpec) wrapper() (core.ConnWrapper, error) {
 	return func(c net.Conn) net.Conn {
 		return netsim.NewShaper(c, cfg.BandwidthBPS, cfg.PropDelay)
 	}, nil
-}
-
-// ServeEdge runs a CoIC edge on ln, forwarding misses to cloudAddr.
-// cloudShape conditions the edge→cloud uplink (the B_E→C knob).
-//
-// Deprecated: use NewEdgeServer(WithListener(ln), WithCloud(cloudAddr),
-// WithCloudShape(cloudShape)).Serve(ctx).
-func ServeEdge(ln net.Listener, p Params, cloudAddr string, cloudShape ShapeSpec) error {
-	return ServeEdgeWith(ln, p, cloudAddr, cloudShape, "", nil, ServeConfig{})
-}
-
-// ServeEdgeFederated runs a CoIC edge that is a member of a cache
-// federation; see WithFederation for the membership rules.
-//
-// Deprecated: use NewEdgeServer with WithFederation.
-func ServeEdgeFederated(ln net.Listener, p Params, cloudAddr string, cloudShape ShapeSpec, self string, peers []string) error {
-	return ServeEdgeWith(ln, p, cloudAddr, cloudShape, self, peers, ServeConfig{})
-}
-
-// ServeEdgeWith is ServeEdgeFederated with explicit serving tunables.
-//
-// Deprecated: use NewEdgeServer with options; the seven positional
-// parameters here are exactly why v2 exists.
-func ServeEdgeWith(ln net.Listener, p Params, cloudAddr string, cloudShape ShapeSpec, self string, peers []string, cfg ServeConfig) error {
-	opts := []ServerOption{
-		WithListener(ln),
-		WithServeParams(p),
-		WithCloud(cloudAddr),
-		WithCloudShape(cloudShape),
-		WithWorkers(cfg.Workers),
-		WithQueueDepth(cfg.QueueDepth),
-		WithFetchTimeout(cfg.FetchTimeout),
-	}
-	if len(peers) > 0 {
-		opts = append(opts, WithFederation(self, peers...))
-	}
-	return NewEdgeServer(opts...).Serve(context.Background())
-}
-
-// Dial connects a mobile client to a running edge. clientShape conditions
-// the client→edge link (the B_M→E knob).
-//
-// Deprecated: use NewClient with DialOptions.
-func Dial(edgeAddr string, p Params, mode Mode, clientShape ShapeSpec) (*Client, error) {
-	return DialContext(context.Background(), edgeAddr, p, mode, clientShape)
 }

@@ -18,7 +18,7 @@ import (
 // address, and a stop function.
 func startStreamStack(t testing.TB, cloudDelay time.Duration, workers, queue int) (*Server, string, func()) {
 	t.Helper()
-	p := testConfig().Params
+	p := testParams()
 	ctx, cancel := context.WithCancel(context.Background())
 
 	cloudLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -51,7 +51,7 @@ func startStreamStack(t testing.TB, cloudDelay time.Duration, workers, queue int
 
 func streamClient(t testing.TB, addr string) *Client {
 	t.Helper()
-	cli, err := NewClient(context.Background(), addr, WithDialParams(testConfig().Params))
+	cli, err := NewClient(context.Background(), addr, WithDialParams(testParams()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,14 +285,14 @@ func TestStreamDeadlineShedInQueue(t *testing.T) {
 	}
 }
 
-// TestLegacyClientMethodsOverMux: the v1/v2 per-task client surface —
-// kept verbatim on the new demultiplexed Client — still works, including
-// the deprecated Dial wrapper and every context-free convenience.
+// TestLegacyClientMethodsOverMux: the per-task client surface — kept
+// verbatim on the demultiplexed Client — still works, including every
+// context-free convenience.
 func TestLegacyClientMethodsOverMux(t *testing.T) {
 	_, addr, stop := startStreamStack(t, 0, 4, 16)
 	defer stop()
 
-	p := testConfig().Params
+	p := testParams()
 	cli, err := NewClient(context.Background(), addr,
 		WithDialParams(p), WithDialMode(ModeCoIC), WithClientID(3))
 	if err != nil {
@@ -320,23 +320,13 @@ func TestLegacyClientMethodsOverMux(t *testing.T) {
 	if _, err := cli.Render("no/such/model"); err == nil {
 		t.Fatal("unknown model succeeded")
 	}
-
-	// The deprecated dial wrappers still produce working clients.
-	old, err := Dial(addr, p, ModeCoIC, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	if _, err := old.Pano("legacy-video", 2, Viewport{FOV: 1.5}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestRunQoSSmoke exercises the ablation end to end with a tiny request
 // count: three rows, fifo strictly slower than the scheduled row at p99
 // is timing-dependent, so only the table's shape is asserted.
 func TestRunQoSSmoke(t *testing.T) {
-	tab, err := RunQoS(testConfig().Params, 3, 80*time.Millisecond)
+	tab, err := RunQoS(testParams(), 3, 80*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

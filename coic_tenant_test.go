@@ -21,7 +21,7 @@ import (
 // isolation column.
 func noisyRows(t *testing.T, victimN int, budget time.Duration) map[string][]string {
 	t.Helper()
-	tab, err := RunNoisyNeighbor(testConfig().Params, victimN, budget)
+	tab, err := RunNoisyNeighbor(testParams(), victimN, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestParseTenantQuota(t *testing.T) {
 // edge with tenants configured, and asserts the connection runs as the
 // default tenant with its traffic admitted and accounted there.
 func TestLegacyHelloRunsAsDefaultTenant(t *testing.T) {
-	p := testConfig().Params
+	p := testParams()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -208,7 +208,7 @@ func TestLegacyHelloRunsAsDefaultTenant(t *testing.T) {
 // traffic lands in its own stats bucket; the wrong token is refused at
 // the handshake.
 func TestTenantTokenHandshake(t *testing.T) {
-	p := testConfig().Params
+	p := testParams()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -252,7 +252,7 @@ func TestTenantTokenHandshake(t *testing.T) {
 // checks the client sees ErrQuotaExceeded while the edge counts the
 // rejections against the tenant.
 func TestTenantQuotaRejectionSurfacesToClient(t *testing.T) {
-	p := testConfig().Params
+	p := testParams()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 

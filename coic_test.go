@@ -2,29 +2,42 @@ package coic
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"strings"
 	"testing"
 	"time"
 )
 
-// testConfig shrinks payloads so public-API tests stay fast (mirrors
+// testParams shrinks payloads so public-API tests stay fast (mirrors
 // internal/core testParams).
-func testConfig() Config {
+func testParams() Params {
 	p := DefaultParams()
 	p.CameraW, p.CameraH = 128, 128
 	p.DNNInput = 32
 	p.PanoWidth = 256
 	p.MobileGFLOPS = 28
-	return Config{Params: p}
+	return p
+}
+
+// do runs one request in virtual time.
+func do(sys *System, client int, req Request) (Breakdown, error) {
+	res, err := sys.Do(context.Background(), client, req)
+	return res.Breakdown, err
+}
+
+// recognize runs one CoIC-mode recognition in virtual time.
+func recognize(sys *System, client int, class Class, viewSeed uint64) (Breakdown, RecognitionResult, error) {
+	res, err := sys.Do(context.Background(), client, RecognizeTask(class, viewSeed))
+	if err != nil {
+		return res.Breakdown, RecognitionResult{}, err
+	}
+	return res.Breakdown, *res.Recognition, nil
 }
 
 func TestSystemQuickPath(t *testing.T) {
-	sys, err := NewFromConfig(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, res1, err := sys.Recognize(0, ClassStopSign, 1, ModeCoIC)
+	sys := testSystem(t)
+	b1, res1, err := recognize(sys, 0, ClassStopSign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +45,7 @@ func TestSystemQuickPath(t *testing.T) {
 		t.Fatalf("empty result %+v", res1)
 	}
 	sys.Advance(time.Second)
-	b2, res2, err := sys.Recognize(0, ClassStopSign, 2, ModeCoIC)
+	b2, res2, err := recognize(sys, 0, ClassStopSign, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,89 +55,72 @@ func TestSystemQuickPath(t *testing.T) {
 	if b2.Total() >= b1.Total() {
 		t.Fatalf("second request (%v) not faster than first (%v)", b2.Total(), b1.Total())
 	}
-	hitRatio, used, entries := sys.CacheStats()
-	if hitRatio <= 0 || used <= 0 || entries == 0 {
-		t.Fatalf("cache stats: %v %v %v", hitRatio, used, entries)
+	st := sys.Stats()
+	if st.Queries.HitRatio() <= 0 || st.Store.BytesUsed <= 0 || st.Store.Entries == 0 {
+		t.Fatalf("cache stats: %+v", st)
 	}
 }
 
 func TestSystemRenderAndPano(t *testing.T) {
-	sys, err := NewFromConfig(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Render(0, AnnotationModelID(ClassCar), ModeCoIC); err != nil {
+	sys := testSystem(t)
+	if _, err := do(sys, 0, RenderTask(AnnotationModelID(ClassCar))); err != nil {
 		t.Fatal(err)
 	}
 	sys.Advance(time.Second)
-	b, err := sys.Render(0, AnnotationModelID(ClassCar), ModeCoIC)
+	b, err := do(sys, 0, RenderTask(AnnotationModelID(ClassCar)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Outcome.String() != "exact" {
 		t.Fatalf("outcome %v", b.Outcome)
 	}
-	if _, err := sys.Pano(0, "v", 1, Viewport{FOV: 1.5}, ModeCoIC); err != nil {
+	if _, err := do(sys, 0, PanoTask("v", 1, Viewport{FOV: 1.5})); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestMultiClientSharing(t *testing.T) {
-	cfg := testConfig()
-	cfg.Clients = 3
-	sys, err := NewFromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sys.Recognize(0, ClassDog, 1, ModeCoIC); err != nil {
+	sys := testSystem(t, WithClients(3))
+	if _, _, err := recognize(sys, 0, ClassDog, 1); err != nil {
 		t.Fatal(err)
 	}
 	sys.Advance(time.Second)
-	b, _, err := sys.Recognize(2, ClassDog, 2, ModeCoIC)
+	b, _, err := recognize(sys, 2, ClassDog, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Outcome.String() == "miss" {
 		t.Fatal("user 2 did not benefit from user 0's work")
 	}
-	if _, _, err := sys.Recognize(9, ClassDog, 3, ModeCoIC); err == nil {
+	if _, _, err := recognize(sys, 9, ClassDog, 3); err == nil {
 		t.Fatal("out-of-range client accepted")
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	if _, err := NewFromConfig(Config{CachePolicy: "belady"}); err == nil {
+func TestOptionValidation(t *testing.T) {
+	if _, err := New(WithCachePolicy("belady")); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := NewFromConfig(Config{Index: "faiss"}); err == nil {
+	if _, err := New(WithIndex("faiss")); err == nil {
 		t.Fatal("unknown index accepted")
 	}
 	for _, policy := range []string{"lru", "lfu", "fifo", "gdsf"} {
-		cfg := testConfig()
-		cfg.CachePolicy = policy
-		if _, err := NewFromConfig(cfg); err != nil {
+		if _, err := New(WithParams(testParams()), WithCachePolicy(policy)); err != nil {
 			t.Fatalf("policy %s rejected: %v", policy, err)
 		}
 	}
-	cfg := testConfig()
-	cfg.Index = "lsh"
-	if _, err := NewFromConfig(cfg); err != nil {
+	if _, err := New(WithParams(testParams()), WithIndex("lsh")); err != nil {
 		t.Fatalf("lsh index rejected: %v", err)
 	}
 }
 
 func TestLSHIndexSystemStillHits(t *testing.T) {
-	cfg := testConfig()
-	cfg.Index = "lsh"
-	sys, err := NewFromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sys.Recognize(0, ClassTree, 1, ModeCoIC); err != nil {
+	sys := testSystem(t, WithIndex("lsh"))
+	if _, _, err := recognize(sys, 0, ClassTree, 1); err != nil {
 		t.Fatal(err)
 	}
 	sys.Advance(time.Second)
-	b, _, err := sys.Recognize(0, ClassTree, 2, ModeCoIC)
+	b, _, err := recognize(sys, 0, ClassTree, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +130,7 @@ func TestLSHIndexSystemStillHits(t *testing.T) {
 }
 
 func TestTablesRender(t *testing.T) {
-	tab := RunThresholdSweep(testConfig().Params, []float64{0.05, 0.12, 0.3}, 4)
+	tab := RunThresholdSweep(testParams(), []float64{0.05, 0.12, 0.3}, 4)
 	var buf bytes.Buffer
 	if err := tab.Render(&buf); err != nil {
 		t.Fatal(err)
@@ -152,7 +148,7 @@ func TestTablesRender(t *testing.T) {
 }
 
 func TestBurstTablePublicAPI(t *testing.T) {
-	tab, err := RunBurst(testConfig().Params, []int{4}, []float64{1})
+	tab, err := RunBurst(testParams(), []int{4}, []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +173,7 @@ func TestIndexAblationTable(t *testing.T) {
 }
 
 func TestFinegrainedTable(t *testing.T) {
-	p := testConfig().Params
+	p := testParams()
 	tab := RunFinegrained(p, []int{2}, 10)
 	rows := tab.Rows()
 	if len(rows) != 1 {
@@ -186,22 +182,22 @@ func TestFinegrainedTable(t *testing.T) {
 }
 
 func TestServeAndDialPublicAPI(t *testing.T) {
-	p := testConfig().Params
+	p := testParams()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	cloudLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cloudLn.Close()
-	go ServeCloud(cloudLn, p)
-
+	go NewCloudServer(WithListener(cloudLn), WithServeParams(p)).Serve(ctx)
 	edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer edgeLn.Close()
-	go ServeEdge(edgeLn, p, cloudLn.Addr().String(), "")
+	go NewEdgeServer(WithListener(edgeLn), WithServeParams(p), WithCloud(cloudLn.Addr().String())).Serve(ctx)
+	edgeAddr := edgeLn.Addr().String()
 
-	cli, err := Dial(edgeLn.Addr().String(), p, ModeCoIC, "")
+	cli, err := NewClient(ctx, edgeAddr, WithDialParams(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +211,7 @@ func TestServeAndDialPublicAPI(t *testing.T) {
 	}
 
 	// A shaped dial with a bad spec must fail loudly.
-	if _, err := Dial(edgeLn.Addr().String(), p, ModeCoIC, "warp 9"); err == nil {
+	if _, err := NewClient(ctx, edgeAddr, WithDialParams(p), WithDialShape("warp 9")); err == nil {
 		t.Fatal("bad shape spec accepted")
 	}
 }
@@ -230,16 +226,12 @@ func TestSceneAndAnnotationIDs(t *testing.T) {
 }
 
 func TestCacheSaveLoadAcrossSystems(t *testing.T) {
-	cfg := testConfig()
-	a, err := NewFromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := testSystem(t)
 	// Warm system A's cache with one of everything.
-	if _, _, err := a.Recognize(0, ClassBuilding, 1, ModeCoIC); err != nil {
+	if _, _, err := recognize(a, 0, ClassBuilding, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Render(0, AnnotationModelID(ClassBuilding), ModeCoIC); err != nil {
+	if _, err := do(a, 0, RenderTask(AnnotationModelID(ClassBuilding))); err != nil {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
@@ -248,10 +240,7 @@ func TestCacheSaveLoadAcrossSystems(t *testing.T) {
 	}
 
 	// A fresh system ("restarted edge") starts warm after LoadCache.
-	b, err := NewFromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := testSystem(t)
 	n, err := b.LoadCache(&snap)
 	if err != nil {
 		t.Fatal(err)
@@ -259,14 +248,14 @@ func TestCacheSaveLoadAcrossSystems(t *testing.T) {
 	if n < 2 {
 		t.Fatalf("restored %d entries, want >= 2", n)
 	}
-	bd, _, err := b.Recognize(0, ClassBuilding, 2, ModeCoIC)
+	bd, _, err := recognize(b, 0, ClassBuilding, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bd.Outcome.String() == "miss" {
 		t.Fatal("restored cache did not serve a warm recognition")
 	}
-	rd, err := b.Render(0, AnnotationModelID(ClassBuilding), ModeCoIC)
+	rd, err := do(b, 0, RenderTask(AnnotationModelID(ClassBuilding)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 
 func testSystem(t *testing.T, opts ...Option) *System {
 	t.Helper()
-	sys, err := New(append([]Option{WithParams(testConfig().Params)}, opts...)...)
+	sys, err := New(append([]Option{WithParams(testParams())}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestNewOptionValidation(t *testing.T) {
 		t.Fatal("unknown index accepted through options")
 	}
 	sys, err := New(
-		WithParams(testConfig().Params),
+		WithParams(testParams()),
 		WithCachePolicy("gdsf"),
 		WithIndex("lsh"),
 		WithClients(3),
@@ -164,14 +164,14 @@ func TestNewOptionValidation(t *testing.T) {
 	if sys.Condition.Name != "90/30" {
 		t.Fatalf("condition = %+v", sys.Condition)
 	}
-	if _, _, err := sys.Recognize(2, ClassCar, 1, ModeCoIC); err != nil {
+	if _, _, err := recognize(sys, 2, ClassCar, 1); err != nil {
 		t.Fatalf("client 2 rejected: %v", err)
 	}
 }
 
 // TestSystemStatsCoversSimilarHits locks in the satellite fix: the
-// similarity-hit counter the deprecated CacheStats discarded is visible
-// in SystemStats, alongside coherent store counters.
+// similarity-hit counter the v1 CacheStats discarded is visible in
+// SystemStats, alongside coherent store counters.
 func TestSystemStatsCoversSimilarHits(t *testing.T) {
 	sys := testSystem(t)
 	ctx := context.Background()
@@ -205,14 +205,11 @@ func TestSystemStatsCoversSimilarHits(t *testing.T) {
 // TestShapeSpecParseErrors covers the bad-tc-spec paths explicitly for
 // every entry point that accepts one.
 func TestShapeSpecParseErrors(t *testing.T) {
-	p := testConfig().Params
+	p := testParams()
 	const bad = ShapeSpec("warp 9")
 
-	if _, err := Dial("127.0.0.1:1", p, ModeCoIC, bad); err == nil {
-		t.Fatal("Dial accepted a bad shape spec")
-	}
-	if _, err := DialContext(context.Background(), "127.0.0.1:1", p, ModeCoIC, bad); err == nil {
-		t.Fatal("DialContext accepted a bad shape spec")
+	if _, err := NewClient(context.Background(), "127.0.0.1:1", WithDialParams(p), WithDialShape(bad)); err == nil {
+		t.Fatal("NewClient accepted a bad shape spec")
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -220,9 +217,6 @@ func TestShapeSpecParseErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	if err := ServeEdge(ln, p, "127.0.0.1:1", bad); err == nil {
-		t.Fatal("ServeEdge accepted a bad shape spec")
-	}
 	if err := NewEdgeServer(WithListener(ln), WithCloudShape(bad)).Serve(context.Background()); err == nil {
 		t.Fatal("NewEdgeServer accepted a bad shape spec")
 	}
@@ -244,10 +238,10 @@ func TestCloudServerRejectsEdgeOnlyOptions(t *testing.T) {
 }
 
 // TestServersV2EndToEnd runs the option-built cloud and edge, drives a
-// client through DialContext with per-request contexts, and shuts both
+// client through NewClient with per-request contexts, and shuts both
 // tiers down gracefully.
 func TestServersV2EndToEnd(t *testing.T) {
-	p := testConfig().Params
+	p := testParams()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -275,7 +269,7 @@ func TestServersV2EndToEnd(t *testing.T) {
 	edgeDone := make(chan error, 1)
 	go func() { edgeDone <- edge.Serve(ctx) }()
 
-	cli, err := DialContext(ctx, edgeLn.Addr().String(), p, ModeCoIC, "")
+	cli, err := NewClient(ctx, edgeLn.Addr().String(), WithDialParams(p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,11 @@ import (
 )
 
 // This file is the streaming client surface: a real Client type over a
-// demultiplexed connection, built by NewClient from DialOptions. The v1
-// Dial / DialContext entry points remain as deprecated wrappers, and the
-// v1 per-task methods (RecognizeContext / RenderContext / PanoContext
-// and their context-free forms) are preserved on the new type — they are
-// one-request windows over the same connection. Continuous workloads
-// should open a Stream (stream.go) instead.
+// demultiplexed connection, built by NewClient from DialOptions. The
+// per-task methods (RecognizeContext / RenderContext / PanoContext and
+// their context-free forms) are one-request windows over that
+// connection. Continuous workloads should open a Stream (stream.go)
+// instead.
 
 // DialOption configures a Client built by NewClient.
 type DialOption func(*dialConfig) error
@@ -77,8 +76,8 @@ func WithTenant(id, token string) DialOption {
 // wall-clock latency (the role of the paper's Pixel phone). The
 // connection is demultiplexed: any number of requests may be in flight,
 // matched to their replies by request ID, so one Client supports both
-// the lock-step per-task methods and any number of concurrent Streams.
-// Build one with NewClient; the exported fields mirror the v1 client.
+// the blocking per-task methods and any number of concurrent Streams.
+// Build one with NewClient.
 type Client struct {
 	// Client is the on-device half: frame capture, descriptor
 	// extraction, model loading and drawing, panorama cropping.

@@ -19,7 +19,7 @@ import (
 )
 
 func TestGossipEdgeExposesMembershipMetrics(t *testing.T) {
-	p := testConfig().Params
+	p := testParams()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -109,7 +109,7 @@ func TestGossipAndFederationAreMutuallyExclusive(t *testing.T) {
 	self := ln.Addr().String()
 	edge := NewEdgeServer(
 		WithListener(ln),
-		WithServeParams(testConfig().Params),
+		WithServeParams(testParams()),
 		WithCloud("localhost:1"),
 		WithFederation(self, "127.0.0.1:2"),
 		WithGossip(self),

@@ -299,12 +299,12 @@ func TestTCPFederationSharesAcrossEdges(t *testing.T) {
 	addrs, edges, stop := startFedStack(t, p, 2)
 	defer stop()
 
-	cliA, err := DialEdge(addrs[0], NewClient(0, p), ModeCoIC, nil)
+	cliA, err := dialEdge(addrs[0], NewClient(0, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cliA.Close()
-	cliB, err := DialEdge(addrs[1], NewClient(1, p), ModeCoIC, nil)
+	cliB, err := dialEdge(addrs[1], NewClient(1, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestTCPFederationPeerDownDegrades(t *testing.T) {
 	}
 	go srv.Serve(edgeLn)
 
-	cli, err := DialEdge(edgeLn.Addr().String(), NewClient(0, p), ModeCoIC, nil)
+	cli, err := dialEdge(edgeLn.Addr().String(), NewClient(0, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

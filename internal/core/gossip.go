@@ -12,8 +12,8 @@ import (
 )
 
 // This file glues the transport-agnostic member.Agent into the TCP
-// EdgeServer: membership frames ride the same peerConn streams as peer
-// cache traffic, every view change deterministically rebuilds the
+// EdgeServer: membership frames ride the same peer links as peer cache
+// traffic, every view change deterministically rebuilds the
 // federation's consistent-hash ring from the sorted alive set, and a
 // background migrator re-homes cached keys whenever ownership moves.
 
@@ -92,32 +92,9 @@ func (s *EdgeServer) SetupGossip(self string, seeds []string) error {
 		return err
 	}
 	g.agent = agent
-	s.mu.Lock()
-	if s.peers == nil {
-		s.peers = map[string]*peerConn{}
-	}
-	s.mu.Unlock()
 	s.gossip = g
 	s.Edge.SetFederation(fed, true)
 	return nil
-}
-
-// memberConn returns the persistent connection to addr, creating it on
-// first use. Gossip shares peerConn streams with peer cache traffic —
-// membership frames are tiny, and sharing means the failure detector
-// exercises exactly the path data traffic needs alive.
-func (s *EdgeServer) memberConn(addr string) *peerConn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.peers == nil {
-		s.peers = map[string]*peerConn{}
-	}
-	pc := s.peers[addr]
-	if pc == nil {
-		pc = &peerConn{addr: addr, wrap: s.WrapPeer}
-		s.peers[addr] = pc
-	}
-	return pc
 }
 
 // memberProbe is the member.ProbeFunc transport: one membership frame
@@ -135,9 +112,7 @@ func (s *EdgeServer) memberProbe(ctx context.Context, addr string, kind member.K
 	case member.KindLeave:
 		mt = wire.MsgMemberLeave
 	}
-	pctx, cancel := context.WithTimeout(ctx, peerDialTimeout)
-	defer cancel()
-	reply, err := s.memberConn(addr).roundTrip(pctx, wire.Message{Type: mt, Body: body})
+	reply, err := s.peerLink(addr).roundTrip(ctx, wire.Message{Type: mt, Body: body}, time.Now().Add(peerTimeout))
 	if err != nil {
 		return member.Digest{}, err
 	}
@@ -179,10 +154,10 @@ func (s *EdgeServer) syncMembership() {
 		if id == g.fed.Self() {
 			continue
 		}
-		pc := s.memberConn(id)
+		pl := s.peerLink(id)
 		g.fed.AddPeer(id, cache.Peer{
-			Probe:  s.probePeer(pc),
-			Insert: s.insertPeer(pc),
+			Probe:  s.probePeer(pl),
+			Insert: s.insertPeer(pl),
 		})
 	}
 	g.fed.SetRing(cache.NewRingVersion(members, 0, view.Epoch()))

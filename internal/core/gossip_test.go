@@ -136,7 +136,7 @@ func waitFleetAlive(t *testing.T, fleet []*gossipEdge, want int) {
 // owner, so later assertions see a fully replicated fleet.
 func warmModels(t *testing.T, p Params, fleet []*gossipEdge, via int, rf int) []string {
 	t.Helper()
-	cli, err := DialEdge(fleet[via].addr, NewClient(100+via, p), ModeCoIC, nil)
+	cli, err := dialEdge(fleet[via].addr, NewClient(100+via, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestGossipFleetConvergesFromOneSeed(t *testing.T) {
 
 	// The discovered federation routes like a declared one: a render
 	// through any member works and is cached.
-	cli, err := DialEdge(fleet[1].addr, NewClient(0, p), ModeCoIC, nil)
+	cli, err := dialEdge(fleet[1].addr, NewClient(0, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestGossipJoinMigratesOwnershipWithoutKeyLoss(t *testing.T) {
 	// other original member stays inside the fleet — zero new cloud
 	// round trips across every edge.
 	before := fleet[0].srv.CloudFetches() + fleet[1].srv.CloudFetches() + joiner.srv.CloudFetches()
-	cli, err := DialEdge(fleet[1].addr, NewClient(7, p), ModeCoIC, nil)
+	cli, err := dialEdge(fleet[1].addr, NewClient(7, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestGossipDeathConvergesAndLosesNoKeys(t *testing.T) {
 	for _, g := range survivors {
 		before += g.srv.CloudFetches()
 	}
-	cli, err := DialEdge(fleet[1].addr, NewClient(8, p), ModeCoIC, nil)
+	cli, err := dialEdge(fleet[1].addr, NewClient(8, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

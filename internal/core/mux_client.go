@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"github.com/edge-immersion/coic/internal/pano"
@@ -15,29 +12,14 @@ import (
 
 // MuxClient is the demultiplexed mobile-side connection under the public
 // streaming API: any number of requests in flight on one TCP connection,
-// replies matched to waiters by RequestID on a background read loop. It
-// subsumes the lock-step TCPClient — a sync round trip is just a
-// one-request window — and adds what streams need: out-of-order
-// completion, per-request service class and wall-clock deadline, and
-// cancellation of one in-flight request without disturbing the others.
+// replies matched to waiters by RequestID. It is a link that never
+// re-dials — a lost connection fails everything in flight and stays lost
+// — plus the on-device half of each task (the Build*/Finish* methods).
 type MuxClient struct {
 	Client *Client
 	Mode   Mode
 
-	conn net.Conn
-	wmu  sync.Mutex // serialises frame writes
-
-	mu      sync.Mutex
-	pending map[uint64]chan wire.Message
-	seq     uint64
-	closed  bool
-
-	// onPush, when set, receives server-initiated frames (scene events)
-	// before the pending-reply lookup. It runs on the read loop and must
-	// not block; handlers hand the frame to their own pump. onClose runs
-	// once when the read loop exits, after pending waiters are failed.
-	onPush  func(wire.Message)
-	onClose func()
+	link *link
 }
 
 // SetPushHandler installs the handler for server-initiated frames
@@ -45,15 +27,8 @@ type MuxClient struct {
 // before the first push can arrive — in practice, before any scene
 // join is sent. The handler runs on the read loop: it must not block.
 func (m *MuxClient) SetPushHandler(onPush func(wire.Message), onClose func()) {
-	m.mu.Lock()
-	m.onPush = onPush
-	m.onClose = onClose
-	m.mu.Unlock()
+	m.link.setHandlers(onPush, onClose)
 }
-
-// ErrConnClosed reports a request whose connection died before its reply
-// arrived.
-var ErrConnClosed = errors.New("core: connection closed")
 
 // RemoteError is a protocol-level error reply surfaced to the caller,
 // carrying the wire error code so upper layers can map well-known codes
@@ -67,10 +42,13 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("core: remote error %d: %s", e.Code, e.Msg)
 }
 
-// DialMuxEdge connects to an edge, announces the execution mode, and
-// starts the demultiplexing read loop. ctx bounds the dial and the hello
-// exchange only. The connection runs as the default tenant; see
-// DialMuxEdgeTenant to authenticate one.
+// clientDialTimeout bounds a client's connect plus hello exchange when
+// the dial context carries no tighter deadline.
+const clientDialTimeout = 10 * time.Second
+
+// DialMuxEdge connects to an edge and announces the execution mode. ctx
+// bounds the dial and the hello exchange only. The connection runs as
+// the default tenant; see DialMuxEdgeTenant to authenticate one.
 func DialMuxEdge(ctx context.Context, addr string, client *Client, mode Mode, wrap ConnWrapper) (*MuxClient, error) {
 	return DialMuxEdgeTenant(ctx, addr, client, mode, wrap, "", "")
 }
@@ -80,97 +58,29 @@ func DialMuxEdge(ctx context.Context, addr string, client *Client, mode Mode, wr
 // any request is served, and a rejected claim fails the dial with the
 // server's error. An empty tenant runs as the default tenant.
 func DialMuxEdgeTenant(ctx context.Context, addr string, client *Client, mode Mode, wrap ConnWrapper, tenant, token string) (*MuxClient, error) {
-	helloBody, err := (wire.Hello{
-		Version: wire.HelloVersion,
-		Mode:    uint8(mode),
-		Flags:   wire.HelloFlagUnordered,
-		Tenant:  tenant,
-		Token:   token,
-	}).Marshal()
-	if err != nil {
-		return nil, fmt.Errorf("core: hello: %w", err)
+	l := &link{
+		addr: addr, name: "edge", wrap: wrap,
+		hello: wire.Hello{
+			Version: wire.HelloVersion,
+			Mode:    uint8(mode),
+			Flags:   wire.HelloFlagUnordered,
+			Tenant:  tenant,
+			Token:   token,
+		},
+		dialCap: clientDialTimeout,
 	}
-	d := net.Dialer{Timeout: 10 * time.Second}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("core: dial edge: %w", err)
-	}
-	if wrap != nil {
-		conn = wrap(conn)
-	}
-	if deadline, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(deadline)
-		defer conn.SetDeadline(time.Time{})
-	}
-	m := &MuxClient{Client: client, Mode: mode, conn: conn, pending: map[uint64]chan wire.Message{}}
-	// HelloFlagUnordered requests completion-order replies: this client
-	// matches replies by RequestID, so a finished interactive reply must
-	// never wait behind a queued best-effort one.
-	hello := wire.Message{Type: wire.MsgHello, RequestID: 1, Body: helloBody}
-	m.seq = 1
-	if err := wire.WriteMessage(conn, hello); err != nil {
-		conn.Close()
+	l.mu.Lock()
+	if err := l.connect(ctx, time.Time{}); err != nil {
 		return nil, err
 	}
-	ack, err := wire.ReadMessage(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := ReplyError(ack); err != nil {
-		// The server refused the handshake (bad token, malformed hello)
-		// and is dropping the connection; surface its reason.
-		conn.Close()
-		return nil, err
-	}
-	go m.readLoop()
-	return m, nil
+	return &MuxClient{Client: client, Mode: mode, link: l}, nil
 }
 
 // Close releases the connection; every in-flight request fails with
 // ErrConnClosed (its reply channel closes).
-func (m *MuxClient) Close() error { return m.conn.Close() }
-
-func (m *MuxClient) readLoop() {
-	for {
-		reply, err := wire.ReadMessage(m.conn)
-		if err != nil {
-			m.mu.Lock()
-			m.closed = true
-			for id, ch := range m.pending {
-				delete(m.pending, id)
-				close(ch)
-			}
-			onClose := m.onClose
-			m.mu.Unlock()
-			m.conn.Close()
-			if onClose != nil {
-				onClose()
-			}
-			return
-		}
-		// Server-initiated frames (scene pushes ride RequestID 0, which
-		// Start never assigns) are demuxed by type before the pending
-		// lookup — they answer no request.
-		if reply.Type == wire.MsgSceneEvent {
-			m.mu.Lock()
-			onPush := m.onPush
-			m.mu.Unlock()
-			if onPush != nil {
-				onPush(reply)
-			}
-			continue
-		}
-		m.mu.Lock()
-		ch := m.pending[reply.RequestID]
-		delete(m.pending, reply.RequestID)
-		m.mu.Unlock()
-		if ch != nil {
-			ch <- reply // buffered; never blocks the read loop
-		}
-		// Replies nobody waits for — forgotten (cancelled) requests,
-		// cancel acks — are dropped.
-	}
+func (m *MuxClient) Close() error {
+	m.link.close()
+	return nil
 }
 
 // Start registers a reply slot and ships msg, returning the assigned
@@ -178,86 +88,33 @@ func (m *MuxClient) readLoop() {
 // on connection loss) will arrive on.
 func (m *MuxClient) Start(msg wire.Message) (uint64, <-chan wire.Message, error) {
 	ch := make(chan wire.Message, 1)
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return 0, nil, ErrConnClosed
-	}
-	m.seq++
-	id := m.seq
-	m.pending[id] = ch
-	m.mu.Unlock()
-
-	msg.RequestID = id
-	m.wmu.Lock()
-	err := wire.WriteMessage(m.conn, msg)
-	m.wmu.Unlock()
-	if err != nil {
-		m.mu.Lock()
-		delete(m.pending, id)
-		m.mu.Unlock()
-		m.conn.Close() // a broken write poisons the framing; fail everything
-		return 0, nil, err
-	}
-	return id, ch, nil
+	_, id, err := m.link.start(context.Background(), msg, ch, time.Time{})
+	return id, ch, err
 }
 
 // Forget withdraws interest in a reply: if it has not arrived yet, the
 // read loop will drop it on arrival.
-func (m *MuxClient) Forget(id uint64) {
-	m.mu.Lock()
-	delete(m.pending, id)
-	m.mu.Unlock()
-}
+func (m *MuxClient) Forget(id uint64) { m.link.forget(id) }
 
 // SendCancel asks the server to abort the named in-flight request. The
 // target still answers in its reply slot — CodeCanceled, or its result
 // if the cancel lost the race — so a waiter that keeps listening observes
 // the outcome; the cancel's own ack is dropped by the read loop.
-func (m *MuxClient) SendCancel(target uint64) error {
-	body, err := (wire.CancelRequest{TargetID: target}).Marshal()
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return ErrConnClosed
-	}
-	m.seq++
-	id := m.seq
-	m.mu.Unlock()
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	return wire.WriteMessage(m.conn, wire.Message{Type: wire.MsgCancel, RequestID: id, Body: body})
-}
+func (m *MuxClient) SendCancel(target uint64) error { return m.link.sendCancel(target) }
 
 // RoundTrip ships one request and awaits its reply. When ctx dies first
 // the request is cancelled server-side (best effort) and ctx.Err()
 // returns; the eventual reply is dropped. Error replies surface as
 // *RemoteError.
 func (m *MuxClient) RoundTrip(ctx context.Context, msg wire.Message) (wire.Message, error) {
-	if err := ctx.Err(); err != nil {
-		return wire.Message{}, err
+	reply, err := m.link.roundTrip(ctx, msg, time.Time{})
+	if err == nil {
+		err = ReplyError(reply)
 	}
-	id, ch, err := m.Start(msg)
 	if err != nil {
 		return wire.Message{}, err
 	}
-	select {
-	case reply, ok := <-ch:
-		if !ok {
-			return wire.Message{}, ErrConnClosed
-		}
-		if err := ReplyError(reply); err != nil {
-			return wire.Message{}, err
-		}
-		return reply, nil
-	case <-ctx.Done():
-		m.Forget(id)
-		m.SendCancel(id)
-		return wire.Message{}, ctx.Err()
-	}
+	return reply, nil
 }
 
 // ReplyError converts an error reply into a *RemoteError (nil for any

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,9 +11,7 @@ import (
 
 	"github.com/edge-immersion/coic/internal/cache"
 	"github.com/edge-immersion/coic/internal/feature"
-	"github.com/edge-immersion/coic/internal/pano"
 	"github.com/edge-immersion/coic/internal/scene"
-	"github.com/edge-immersion/coic/internal/vision"
 	"github.com/edge-immersion/coic/internal/wire"
 )
 
@@ -873,8 +870,9 @@ type EdgeServer struct {
 	MigrateRate    int
 
 	mu     sync.Mutex
-	cloud  *cloudMux
-	peers  map[string]*peerConn
+	gate   *upstreamGate
+	cloud  *link
+	peers  map[string]*link
 	scenes *scene.Registry
 	gossip *gossipState
 
@@ -916,331 +914,49 @@ func (s *EdgeServer) QuotaRejections() uint64 { return s.sched.quota.Load() }
 // TenantCounts snapshots the per-tenant admission ledger.
 func (s *EdgeServer) TenantCounts() map[string]TenantCounters { return s.sched.tenantCounts() }
 
-// cloudDialTimeout bounds establishing the upstream connection.
-const cloudDialTimeout = 10 * time.Second
-
-// cloudMux is the pipelined, multiplexed upstream connection: many
-// workers issue fetches concurrently over one TCP stream, a reader
-// goroutine matches replies to waiters by RequestID, and each fetch is
-// bounded by timeout. The seed implementation held a mutex across the
-// whole cloud round trip, so concurrent misses on *different* keys
-// serialised on the WAN RTT; here they overlap.
-type cloudMux struct {
-	addr    string
-	wrap    ConnWrapper
-	timeout time.Duration
-	// gate caps concurrent round trips so the edge never exceeds the
-	// cloud's per-connection admission budget (which would surface as
-	// hard overload errors to coalesced waiters), and partitions the
-	// slots across tenants by weighted share — the upstream link is the
-	// one bottleneck every tenant's misses meet, and the per-connection
-	// scheduler cannot see across connections.
-	gate  *upstreamGate
-	limit int
-
-	mu  sync.Mutex
-	cur *muxConn
-	seq uint64
-}
-
-// muxConn is one generation of the upstream connection with its in-flight
-// request table. A new generation replaces it after any failure.
-type muxConn struct {
-	conn net.Conn
-	wmu  sync.Mutex // serialises frame writes
-
-	mu      sync.Mutex
-	pending map[uint64]chan wire.Message
-	closed  bool
-}
-
-// get returns the live generation, dialing a fresh one if needed. The
-// dial is bounded by the caller's remaining fetch budget (capped at
-// cloudDialTimeout) so dialing cannot extend a fetch past its deadline.
-func (m *cloudMux) get(budget time.Duration) (*muxConn, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cur != nil {
-		return m.cur, nil
-	}
-	dialTimeout := cloudDialTimeout
-	if budget < dialTimeout {
-		dialTimeout = budget
-	}
-	if dialTimeout <= 0 {
-		return nil, fmt.Errorf("core: cloud fetch budget exhausted before dialing")
-	}
-	conn, err := net.DialTimeout("tcp", m.addr, dialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("core: edge cannot reach cloud: %w", err)
-	}
-	if m.wrap != nil {
-		conn = m.wrap(conn)
-	}
-	// First frame: request completion-order replies. This mux matches by
-	// RequestID, and in-order delivery would head-of-line block an
-	// interactive fetch's reply behind earlier best-effort ones, undoing
-	// the cloud scheduler's prioritisation. The edge speaks the versioned
-	// hello upstream and runs as the cloud's default tenant — per-client
-	// tenancy is enforced at the edge, not re-litigated per fetch. The ack
-	// is dropped by the read loop (no pending entry for id 0).
-	helloBody, _ := (wire.Hello{
-		Version: wire.HelloVersion,
-		Mode:    wire.HelloModeCoIC,
-		Flags:   wire.HelloFlagUnordered,
-	}).Marshal()
-	hello := wire.Message{Type: wire.MsgHello, Body: helloBody}
-	if err := wire.WriteMessage(conn, hello); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("core: cloud hello: %w", err)
-	}
-	mc := &muxConn{conn: conn, pending: map[uint64]chan wire.Message{}}
-	m.cur = mc
-	go m.readLoop(mc)
-	return mc, nil
-}
-
-// drop retires a generation: every pending fetch fails fast (closed
-// channel), and the next roundTrip re-dials.
-func (m *cloudMux) drop(mc *muxConn) {
-	m.mu.Lock()
-	if m.cur == mc {
-		m.cur = nil
-	}
-	m.mu.Unlock()
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if mc.closed {
-		return
-	}
-	mc.closed = true
-	mc.conn.Close()
-	for id, ch := range mc.pending {
-		delete(mc.pending, id)
-		close(ch)
-	}
-}
-
-func (m *cloudMux) readLoop(mc *muxConn) {
-	for {
-		reply, err := wire.ReadMessage(mc.conn)
-		if err != nil {
-			m.drop(mc)
-			return
-		}
-		mc.mu.Lock()
-		ch := mc.pending[reply.RequestID]
-		delete(mc.pending, reply.RequestID)
-		mc.mu.Unlock()
-		if ch != nil {
-			ch <- reply // buffered; never blocks the read loop
-		}
-		// Replies to abandoned (cancelled or timed-out) requests are
-		// dropped.
-	}
-}
-
-// abandon withdraws one pending fetch whose caller's context died: the
-// reply slot is forgotten and a best-effort MsgCancel tells the cloud to
-// skip work it has not started. Unlike a timeout, an abandonment says
-// nothing about the connection's health, so the generation survives.
-func (m *cloudMux) abandon(mc *muxConn, id uint64) {
-	mc.mu.Lock()
-	_, pending := mc.pending[id]
-	delete(mc.pending, id)
-	mc.mu.Unlock()
-	if !pending {
-		return // reply already arrived (and was or will be delivered)
-	}
-	m.mu.Lock()
-	m.seq++
-	cancelID := m.seq
-	m.mu.Unlock()
-	body, _ := (wire.CancelRequest{TargetID: id}).Marshal()
-	mc.wmu.Lock()
-	wire.WriteMessage(mc.conn, wire.Message{Type: wire.MsgCancel, RequestID: cancelID, Body: body})
-	mc.wmu.Unlock()
-	// The cloud acks the cancel and answers the target with CodeCanceled
-	// (or its completed result); both land on the read loop, which drops
-	// replies without a pending entry.
-}
-
-// roundTrip sends one fetch upstream and awaits its reply. One deadline
-// of m.timeout covers the whole fetch — waiting for an upstream slot,
-// dialing, and the round trip itself — so the caller (and any coalesced
-// group behind it) is never wedged longer than the configured timeout.
-// ctx aborts the fetch early: for a coalesced miss it is the flight
-// context, which dies only when the last interested waiter departs
-// (last-waiter-cancels), and its death withdraws the fetch and forwards
-// the cancellation upstream. tenant is who the slot wait is charged to:
-// the flight leader's tenant for coalesced misses, so the gate's fair
-// share follows whoever's quota paid for the fetch.
-func (m *cloudMux) roundTrip(ctx context.Context, tenant string, msg wire.Message) (wire.Message, error) {
-	deadline := time.Now().Add(m.timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	slotTimer := time.NewTimer(time.Until(deadline))
-	defer slotTimer.Stop()
-	if err := m.gate.acquire(ctx, tenant, slotTimer.C); err != nil {
-		if errors.Is(err, errUpstreamSaturated) {
-			return wire.Message{}, fmt.Errorf("core: upstream saturated for %v (%d fetches in flight)", m.timeout, m.limit)
-		}
-		return wire.Message{}, err
-	}
-	defer m.gate.release(tenant)
-
-	mc, err := m.get(time.Until(deadline))
-	if err != nil {
-		return wire.Message{}, err
-	}
-	m.mu.Lock()
-	m.seq++
-	id := m.seq
-	m.mu.Unlock()
-
-	ch := make(chan wire.Message, 1)
-	mc.mu.Lock()
-	if mc.closed {
-		mc.mu.Unlock()
-		return wire.Message{}, fmt.Errorf("core: cloud connection lost")
-	}
-	mc.pending[id] = ch
-	mc.mu.Unlock()
-
-	msg.RequestID = id
-	mc.wmu.Lock()
-	err = wire.WriteMessage(mc.conn, msg)
-	mc.wmu.Unlock()
-	if err != nil {
-		m.drop(mc)
-		return wire.Message{}, fmt.Errorf("core: cloud write: %w", err)
-	}
-
-	wait := time.Until(deadline)
-	if wait <= 0 {
-		m.drop(mc)
-		return wire.Message{}, fmt.Errorf("core: cloud fetch timed out after %v", m.timeout)
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case reply, ok := <-ch:
-		if !ok {
-			return wire.Message{}, fmt.Errorf("core: cloud connection lost mid-fetch")
-		}
-		return reply, nil
-	case <-ctx.Done():
-		m.abandon(mc, id)
-		return wire.Message{}, ctx.Err()
-	case <-timer.C:
-		// A hung cloud must not wedge the coalesced group waiting on this
-		// fetch: tear the generation down (failing every other pending
-		// fetch fast too) and let the next miss re-dial.
-		m.drop(mc)
-		return wire.Message{}, fmt.Errorf("core: cloud fetch timed out after %v", m.timeout)
-	}
-}
-
-// peerConn is one lazily dialed, persistent edge↔edge connection.
-// Requests to the same peer serialise on its mutex (peer probes are small
-// and rare relative to client traffic); a dial failure backs the peer off
-// so an unreachable edge degrades this one to single-edge behaviour
-// instead of stalling every miss on dial timeouts.
-type peerConn struct {
-	addr string
-	wrap ConnWrapper
-
-	mu      sync.Mutex
-	conn    net.Conn
-	seq     uint64
-	downTil time.Time
-}
-
-// peerDialTimeout bounds how long a miss waits for an unresponsive peer
-// (both dialing and the round trip itself); peerBackoff is how long a
-// failed peer is left alone afterwards.
+// Link constants: the only ways the edge's two outbound link kinds
+// differ (MuxClient, the third user, caps its dial at clientDialTimeout
+// and never re-dials). cloudDialTimeout bounds establishing the upstream
+// connection, and a lost cloud link is re-dialed by the very next miss —
+// there is nowhere else to send it. peerTimeout bounds how long a miss
+// waits for an unresponsive peer (dialing and the round trip together);
+// peerBackoff is how long a failed peer is then left alone, so an
+// unreachable edge degrades this one to single-edge behaviour instead of
+// stalling every miss on dial timeouts.
 const (
-	peerDialTimeout = 2 * time.Second
-	peerBackoff     = 10 * time.Second
+	cloudDialTimeout = 10 * time.Second
+	peerTimeout      = 2 * time.Second
+	peerBackoff      = 10 * time.Second
 )
 
-// roundTrip sends one frame to the peer and awaits its reply. The whole
-// exchange runs under a deadline — peerDialTimeout, tightened further by
-// ctx's deadline if it has one, and interrupted outright if ctx is
-// cancelled mid-flight (a coalesced flight whose last waiter departed
-// must not hold the connection mutex and stall every other miss probing
-// this peer). A peer that accepted the connection but stopped responding
-// is treated exactly like one that refused it — close, back off, let the
-// caller degrade to the cloud; a probe cut short by *our own*
-// cancellation also closes the connection (its reply is now orphaned on
-// the lock-step stream) but does not back the healthy peer off. Because
-// concurrent misses on one key coalesce (cache.Federation's in-flight
-// table), at most one waiter group rides on any single probe.
-func (p *peerConn) roundTrip(ctx context.Context, msg wire.Message) (wire.Message, error) {
-	if err := ctx.Err(); err != nil {
-		return wire.Message{}, err
+// edgeHello opens the edge's outbound links: completion-order replies,
+// and no tenant claim — the edge runs as the far end's default tenant,
+// since per-client tenancy is enforced here, not re-litigated per fetch.
+var edgeHello = wire.Hello{
+	Version: wire.HelloVersion,
+	Mode:    wire.HelloModeCoIC,
+	Flags:   wire.HelloFlagUnordered,
+}
+
+// peerLink returns the persistent link to a fellow edge, creating it on
+// first use. Cache probes, publishes and membership gossip all share it,
+// pipelined — so the failure detector exercises exactly the path data
+// traffic needs alive, and a ping never waits behind a probe.
+func (s *EdgeServer) peerLink(addr string) *link {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.peers == nil {
+		s.peers = map[string]*link{}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.downTil.IsZero() && time.Now().Before(p.downTil) {
-		return wire.Message{}, fmt.Errorf("core: peer %s backing off", p.addr)
-	}
-	deadline := time.Now().Add(peerDialTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	if p.conn == nil {
-		conn, err := net.DialTimeout("tcp", p.addr, time.Until(deadline))
-		if err != nil {
-			p.downTil = time.Now().Add(peerBackoff)
-			return wire.Message{}, fmt.Errorf("core: edge cannot reach peer %s: %w", p.addr, err)
+	pl := s.peers[addr]
+	if pl == nil {
+		pl = &link{
+			addr: addr, name: "peer " + addr, wrap: s.WrapPeer, hello: edgeHello,
+			dialCap: peerTimeout, backoff: peerBackoff, redial: true,
 		}
-		if p.wrap != nil {
-			conn = p.wrap(conn)
-		}
-		p.conn = conn
-		p.downTil = time.Time{}
+		s.peers[addr] = pl
 	}
-	conn := p.conn
-	drop := func() {
-		conn.Close()
-		p.conn = nil
-	}
-	fail := func(err error) (wire.Message, error) {
-		drop()
-		p.downTil = time.Now().Add(peerBackoff)
-		return wire.Message{}, err
-	}
-	p.seq++
-	msg.RequestID = p.seq
-	conn.SetDeadline(deadline)
-	defer conn.SetDeadline(time.Time{}) // no-op on a closed conn
-	// Cancellation mid-exchange yanks the deadline so the blocking
-	// write/read below returns promptly instead of waiting it out.
-	stopWatch := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
-	if err := wire.WriteMessage(conn, msg); err != nil {
-		if !stopWatch() || ctx.Err() != nil {
-			drop()
-			return wire.Message{}, ctx.Err()
-		}
-		return fail(err)
-	}
-	reply, err := wire.ReadMessage(conn)
-	// stopWatch()==false means the cancellation callback has started: the
-	// connection's deadline is (or is about to be) clobbered, so it must
-	// be retired either way — but without backing off the healthy peer.
-	if !stopWatch() {
-		drop()
-		if err != nil {
-			return wire.Message{}, ctx.Err()
-		}
-		return reply, nil // the answer beat the cancellation; use it
-	}
-	if err != nil {
-		return fail(err)
-	}
-	return reply, nil
+	return pl
 }
 
 // SetupFederation joins this edge to a federation: self is this edge's
@@ -1268,13 +984,11 @@ func (s *EdgeServer) SetupFederation(self string, peerAddrs []string) error {
 	ring := cache.NewRing(nodes, 0)
 	fed := cache.NewFederation(self, ring)
 	fed.SetReplication(s.Replication)
-	s.peers = map[string]*peerConn{}
 	for _, addr := range peerAddrs {
-		pc := &peerConn{addr: addr, wrap: s.WrapPeer}
-		s.peers[addr] = pc
+		pl := s.peerLink(addr)
 		fed.AddPeer(addr, cache.Peer{
-			Probe:  s.probePeer(pc),
-			Insert: s.insertPeer(pc),
+			Probe:  s.probePeer(pl),
+			Insert: s.insertPeer(pl),
 		})
 	}
 	s.Edge.SetFederation(fed, true)
@@ -1286,14 +1000,14 @@ func (s *EdgeServer) SetupFederation(self string, peerAddrs []string) error {
 // corrupt reply, expired caller) read as misses — the caller falls back
 // to the cloud, degrading to single-edge behaviour. Cost is zero because
 // TCP mode measures wall-clock time, not virtual time.
-func (s *EdgeServer) probePeer(pc *peerConn) cache.PeerProbe {
+func (s *EdgeServer) probePeer(pl *link) cache.PeerProbe {
 	return func(ctx context.Context, requester int, task uint8, desc feature.Descriptor) ([]byte, cache.LookupResult, time.Duration) {
 		miss := cache.LookupResult{Outcome: cache.OutcomeMiss}
 		body, err := (wire.PeerLookup{Task: wire.Task(task), Desc: desc}).Marshal()
 		if err != nil {
 			return nil, miss, 0
 		}
-		reply, err := pc.roundTrip(ctx, wire.Message{Type: wire.MsgPeerLookup, Body: body})
+		reply, err := pl.roundTrip(ctx, wire.Message{Type: wire.MsgPeerLookup, Body: body}, time.Now().Add(peerTimeout))
 		if err != nil || reply.Type != wire.MsgPeerReply {
 			return nil, miss, 0
 		}
@@ -1308,20 +1022,21 @@ func (s *EdgeServer) probePeer(pc *peerConn) cache.PeerProbe {
 	}
 }
 
-// insertPeer builds the publish path to one peer: a MsgPeerInsert round
-// trip run on its own goroutine, keeping replication off the client's
-// miss reply path (the result is already cached locally; the client must
-// not wait on a peer RTT). Publishing is deliberately detached from the
-// requesting context — the request that computed the value may be long
-// gone. Publish failures are dropped silently — replication is
-// best-effort.
-func (s *EdgeServer) insertPeer(pc *peerConn) cache.PeerInsert {
+// insertPeer builds the publish path to one peer: a MsgPeerInsert posted
+// on the peer link — written and forgotten, its ack dropped by the read
+// loop. The write runs on its own goroutine, keeping replication off the
+// client's miss reply path (the result is already cached locally; the
+// client must not wait out a peer dial or a shaped transfer), and is
+// deliberately detached from the requesting context — the request that
+// computed the value may be long gone. Publish failures are dropped
+// silently — replication is best-effort.
+func (s *EdgeServer) insertPeer(pl *link) cache.PeerInsert {
 	return func(desc feature.Descriptor, value []byte, cost float64) {
 		body, err := (wire.PeerInsert{Desc: desc, Cost: cost, Value: value}).Marshal()
 		if err != nil {
 			return
 		}
-		go pc.roundTrip(context.Background(), wire.Message{Type: wire.MsgPeerInsert, Body: body})
+		go pl.post(wire.Message{Type: wire.MsgPeerInsert, Body: body}, time.Now().Add(peerTimeout))
 	}
 }
 
@@ -1355,8 +1070,18 @@ func (s *EdgeServer) ServeContext(ctx context.Context, ln net.Listener) error {
 }
 
 // roundTripCloud forwards one message upstream over the multiplexed
-// connection and awaits its reply, bounded by FetchTimeout and ctx.
-// tenant is charged for the upstream slot wait (see upstreamGate).
+// cloud link and awaits its reply. One deadline of FetchTimeout covers
+// the whole fetch — waiting for an upstream slot, dialing, and the round
+// trip itself — so the caller (and any coalesced group behind it) is
+// never wedged longer than the configured timeout; on expiry the link
+// retires its connection, failing every other pending fetch fast too,
+// and the next miss re-dials. There is no automatic retry. ctx aborts
+// the fetch early: for a coalesced miss it is the flight context, which
+// dies only when the last interested waiter departs
+// (last-waiter-cancels), and its death withdraws the fetch and forwards
+// the cancellation upstream. tenant is who the slot wait is charged to:
+// the flight leader's tenant for coalesced misses, so the gate's fair
+// share follows whoever's quota paid for the fetch.
 func (s *EdgeServer) roundTripCloud(ctx context.Context, tenant string, msg wire.Message) (wire.Message, error) {
 	s.mu.Lock()
 	if s.cloud == nil {
@@ -1364,18 +1089,34 @@ func (s *EdgeServer) roundTripCloud(ctx context.Context, tenant string, msg wire
 		if limit <= 0 {
 			limit = DefaultWorkers + DefaultQueueDepth
 		}
-		s.cloud = &cloudMux{
-			addr:    s.CloudAddr,
-			wrap:    s.WrapCloud,
-			timeout: s.fetchTimeout(),
-			gate:    newUpstreamGate(limit, s.Tenants),
-			limit:   limit,
+		// The gate caps concurrent round trips so the edge never exceeds
+		// the cloud's per-connection admission budget (which would surface
+		// as hard overload errors to coalesced waiters), and partitions
+		// the slots across tenants by weighted share — the upstream link
+		// is the one bottleneck every tenant's misses meet, and the
+		// per-connection scheduler cannot see across connections.
+		s.gate = newUpstreamGate(limit, s.Tenants)
+		s.cloud = &link{
+			addr: s.CloudAddr, name: "cloud", wrap: s.WrapCloud, hello: edgeHello,
+			dialCap: cloudDialTimeout, redial: true,
 		}
 	}
-	mux := s.cloud
+	gate, cloud := s.gate, s.cloud
 	s.mu.Unlock()
 	s.cloudFetches.Add(1)
-	return mux.roundTrip(ctx, tenant, msg)
+
+	timeout := s.fetchTimeout()
+	deadline := time.Now().Add(timeout)
+	slotTimer := time.NewTimer(timeout)
+	defer slotTimer.Stop()
+	if err := gate.acquire(ctx, tenant, slotTimer.C); err != nil {
+		if errors.Is(err, errUpstreamSaturated) {
+			return wire.Message{}, fmt.Errorf("core: upstream saturated for %v (%d fetches in flight)", timeout, gate.slots)
+		}
+		return wire.Message{}, err
+	}
+	defer gate.release(tenant)
+	return cloud.roundTrip(ctx, msg, deadline)
 }
 
 func (s *EdgeServer) handle(ctx context.Context, conn net.Conn) {
@@ -1638,231 +1379,4 @@ func (s *EdgeServer) dispatch(ctx context.Context, msg wire.Message, mode Mode, 
 	default:
 		return fail(wire.CodeBadRequest, "edge cannot handle %v", msg.Type)
 	}
-}
-
-// TCPClient is the lock-step, positional reference client: one request
-// in flight, replies matched by arrival order — the ordered reply mode
-// every pre-streaming client speaks, which servers must keep supporting.
-// The public API now rides MuxClient (demultiplexed, completion-order
-// replies); TCPClient remains as the in-repo exerciser of the ordered
-// path and its cancel/drain protocol — the *Context methods abort a
-// pending request when ctx dies by sending a MsgCancel frame and
-// draining the cancelled reply plus its ack, so the connection stays
-// usable afterwards. Pipelined load generators write sequence-numbered
-// frames directly — see docs/PROTOCOL.md.
-type TCPClient struct {
-	Client *Client
-	Mode   Mode
-
-	conn  net.Conn
-	reqID uint64
-}
-
-// DialEdge connects a client to an edge server and announces its mode.
-func DialEdge(addr string, client *Client, mode Mode, wrap ConnWrapper) (*TCPClient, error) {
-	return DialEdgeContext(context.Background(), addr, client, mode, wrap)
-}
-
-// DialEdgeContext is DialEdge bounded by ctx (dial and hello exchange).
-func DialEdgeContext(ctx context.Context, addr string, client *Client, mode Mode, wrap ConnWrapper) (*TCPClient, error) {
-	d := net.Dialer{Timeout: 10 * time.Second}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("core: dial edge: %w", err)
-	}
-	if wrap != nil {
-		conn = wrap(conn)
-	}
-	if deadline, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(deadline)
-		defer conn.SetDeadline(time.Time{})
-	}
-	t := &TCPClient{Client: client, Mode: mode, conn: conn}
-	hello := wire.Message{Type: wire.MsgHello, RequestID: t.next(), Body: []byte{byte(mode)}}
-	if err := wire.WriteMessage(conn, hello); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if _, err := wire.ReadMessage(conn); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return t, nil
-}
-
-// Close releases the connection.
-func (t *TCPClient) Close() error { return t.conn.Close() }
-
-func (t *TCPClient) next() uint64 {
-	t.reqID++
-	return t.reqID
-}
-
-// cancelDrainTimeout bounds how long a cancelling client waits for the
-// edge to flush the cancelled reply and the cancel ack; a server that
-// cannot manage even that forfeits the connection.
-const cancelDrainTimeout = 5 * time.Second
-
-// errRemote converts an error reply into a client-side error.
-func errRemote(reply wire.Message) error {
-	if reply.Type != wire.MsgError {
-		return nil
-	}
-	er, uerr := wire.UnmarshalErrorReply(reply.Body)
-	if uerr != nil {
-		return fmt.Errorf("core: malformed error reply: %v", uerr)
-	}
-	return fmt.Errorf("core: remote error %d: %s", er.Code, er.Msg)
-}
-
-// roundTrip ships one request and awaits its reply, aborting through the
-// cancel protocol when ctx dies first. An already-expired ctx costs no
-// round trip at all.
-func (t *TCPClient) roundTrip(ctx context.Context, msg wire.Message) (wire.Message, error) {
-	if err := ctx.Err(); err != nil {
-		return wire.Message{}, err
-	}
-	if err := wire.WriteMessage(t.conn, msg); err != nil {
-		return wire.Message{}, err
-	}
-	if ctx.Done() == nil {
-		// Uncancellable context: plain blocking read (the v1 path).
-		reply, err := wire.ReadMessage(t.conn)
-		if err != nil {
-			return wire.Message{}, err
-		}
-		if err := errRemote(reply); err != nil {
-			return wire.Message{}, err
-		}
-		return reply, nil
-	}
-
-	type readResult struct {
-		msg wire.Message
-		err error
-	}
-	ch := make(chan readResult, 1)
-	go func() {
-		m, err := wire.ReadMessage(t.conn)
-		ch <- readResult{m, err}
-	}()
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return wire.Message{}, r.err
-		}
-		if err := errRemote(r.msg); err != nil {
-			return wire.Message{}, err
-		}
-		return r.msg, nil
-	case <-ctx.Done():
-	}
-
-	// Abort: tell the edge, then drain our (now cancelled) reply and the
-	// cancel ack so the lock-step connection stays aligned.
-	body, _ := (wire.CancelRequest{TargetID: msg.RequestID}).Marshal()
-	cancelMsg := wire.Message{Type: wire.MsgCancel, RequestID: t.next(), Body: body}
-	if err := wire.WriteMessage(t.conn, cancelMsg); err != nil {
-		t.conn.Close()
-		return wire.Message{}, ctx.Err()
-	}
-	t.conn.SetReadDeadline(time.Now().Add(cancelDrainTimeout))
-	defer t.conn.SetReadDeadline(time.Time{})
-	if r := <-ch; r.err != nil { // the aborted request's reply
-		t.conn.Close()
-		return wire.Message{}, ctx.Err()
-	}
-	if _, err := wire.ReadMessage(t.conn); err != nil { // the cancel ack
-		t.conn.Close()
-	}
-	return wire.Message{}, ctx.Err()
-}
-
-// RecognizeContext captures a frame, extracts the descriptor (CoIC mode),
-// ships the request and returns the result with measured wall-clock
-// latency, honouring ctx for cancellation and deadline.
-func (t *TCPClient) RecognizeContext(ctx context.Context, class vision.Class, viewSeed uint64) (wire.RecognitionResult, time.Duration, error) {
-	frame := t.Client.CaptureFrame(class, viewSeed)
-	start := time.Now()
-	desc := originDescriptor
-	if t.Mode == ModeCoIC {
-		desc, _ = t.Client.Extract(frame)
-	}
-	body, err := (wire.ExecRequest{Task: wire.TaskRecognize, Desc: desc, Payload: frame.Bytes()}).Marshal()
-	if err != nil {
-		return wire.RecognitionResult{}, 0, err
-	}
-	reply, err := t.roundTrip(ctx, wire.Message{Type: wire.MsgExec, RequestID: t.next(), Body: body})
-	if err != nil {
-		return wire.RecognitionResult{}, 0, err
-	}
-	er, err := wire.UnmarshalExecReply(reply.Body)
-	if err != nil {
-		return wire.RecognitionResult{}, 0, err
-	}
-	res, err := wire.UnmarshalRecognitionResult(er.Result)
-	return res, time.Since(start), err
-}
-
-// Recognize is RecognizeContext without cancellation.
-func (t *TCPClient) Recognize(class vision.Class, viewSeed uint64) (wire.RecognitionResult, time.Duration, error) {
-	return t.RecognizeContext(context.Background(), class, viewSeed)
-}
-
-// RenderContext fetches, loads and draws a model, returning measured
-// latency, honouring ctx for cancellation and deadline.
-func (t *TCPClient) RenderContext(ctx context.Context, modelID string) (time.Duration, error) {
-	start := time.Now()
-	body, err := (wire.ModelFetch{ModelID: modelID, Format: wire.FormatCMF}).Marshal()
-	if err != nil {
-		return 0, err
-	}
-	reply, err := t.roundTrip(ctx, wire.Message{Type: wire.MsgModelFetch, RequestID: t.next(), Body: body})
-	if err != nil {
-		return 0, err
-	}
-	mr, err := wire.UnmarshalModelReply(reply.Body)
-	if err != nil {
-		return 0, err
-	}
-	m, _, err := t.Client.LoadModel(mr.Data)
-	if err != nil {
-		return 0, err
-	}
-	if st, _ := t.Client.Draw(m); st.Pixels == 0 {
-		return 0, fmt.Errorf("core: %q drew nothing", modelID)
-	}
-	return time.Since(start), nil
-}
-
-// Render is RenderContext without cancellation.
-func (t *TCPClient) Render(modelID string) (time.Duration, error) {
-	return t.RenderContext(context.Background(), modelID)
-}
-
-// PanoContext fetches a panoramic frame and crops the viewport, returning
-// measured latency, honouring ctx for cancellation and deadline.
-func (t *TCPClient) PanoContext(ctx context.Context, videoID string, frameIdx int, vp pano.Viewport) (time.Duration, error) {
-	start := time.Now()
-	body, err := (wire.PanoFetch{VideoID: videoID, FrameIndex: uint32(frameIdx)}).Marshal()
-	if err != nil {
-		return 0, err
-	}
-	reply, err := t.roundTrip(ctx, wire.Message{Type: wire.MsgPanoFetch, RequestID: t.next(), Body: body})
-	if err != nil {
-		return 0, err
-	}
-	pr, err := wire.UnmarshalPanoReply(reply.Body)
-	if err != nil {
-		return 0, err
-	}
-	if _, _, err := t.Client.CropPano(pr.Data, vp, 256, 256); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
-}
-
-// Pano is PanoContext without cancellation.
-func (t *TCPClient) Pano(videoID string, frameIdx int, vp pano.Viewport) (time.Duration, error) {
-	return t.PanoContext(context.Background(), videoID, frameIdx, vp)
 }

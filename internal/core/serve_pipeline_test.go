@@ -75,9 +75,9 @@ func TestTCPSimultaneousClientsOneCloudFetch(t *testing.T) {
 
 	const clients = 2
 	vp := pano.Viewport{Yaw: 0.3, FOV: 1.5}
-	clis := make([]*TCPClient, clients)
+	clis := make([]*taskClient, clients)
 	for i := range clis {
-		cli, err := DialEdge(addr, NewClient(i, p), ModeCoIC, nil)
+		cli, err := dialEdge(addr, NewClient(i, p), ModeCoIC, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,8 +116,9 @@ func TestTCPSimultaneousClientsOneCloudFetch(t *testing.T) {
 	}
 }
 
-// rawEdgeConn dials the edge and completes the hello exchange, returning
-// the bare connection for pipelined frame-level tests.
+// rawEdgeConn dials the edge and completes the legacy (version-0,
+// one-byte) hello exchange, returning the bare connection for pipelined
+// frame-level tests. Replies on such a connection are positional.
 func rawEdgeConn(t testing.TB, addr string, mode Mode) net.Conn {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
@@ -146,31 +147,40 @@ func panoFetchMsg(t testing.TB, reqID uint64, video string, frame int) wire.Mess
 // TestTCPPipelinedRepliesInOrder writes a burst of requests back-to-back
 // before reading anything; the replies must come back complete and in
 // arrival order even though the misses resolve concurrently upstream.
+// Both positional dialects are covered: a connection that sent the
+// legacy version-0 hello and one that sent no hello at all.
 func TestTCPPipelinedRepliesInOrder(t *testing.T) {
 	p := testParams()
 	addr, _, stop := startSlowStack(t, p, 30*time.Millisecond, nil)
 	defer stop()
 
-	conn := rawEdgeConn(t, addr, ModeCoIC)
-	defer conn.Close()
-
-	const requests = 6
-	for i := 1; i <= requests; i++ {
-		// Distinct frames: every request is a miss with its own fetch.
-		if err := wire.WriteMessage(conn, panoFetchMsg(t, uint64(i), "pipeline-video", i)); err != nil {
-			t.Fatal(err)
-		}
+	helloLess, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i <= requests; i++ {
-		reply, err := wire.ReadMessage(conn)
-		if err != nil {
-			t.Fatalf("reply %d: %v", i, err)
+	for name, conn := range map[string]net.Conn{
+		"version-0 hello": rawEdgeConn(t, addr, ModeCoIC),
+		"no hello":        helloLess,
+	} {
+		defer conn.Close()
+		const requests = 6
+		for i := 1; i <= requests; i++ {
+			// Distinct frames: every request is a miss with its own fetch.
+			if err := wire.WriteMessage(conn, panoFetchMsg(t, uint64(i), "pipeline-video/"+name, i)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if reply.RequestID != uint64(i) {
-			t.Fatalf("reply %d carries request id %d — out of order", i, reply.RequestID)
-		}
-		if reply.Type != wire.MsgPanoReply {
-			t.Fatalf("reply %d type = %v", i, reply.Type)
+		for i := 1; i <= requests; i++ {
+			reply, err := wire.ReadMessage(conn)
+			if err != nil {
+				t.Fatalf("%s: reply %d: %v", name, i, err)
+			}
+			if reply.RequestID != uint64(i) {
+				t.Fatalf("%s: reply %d carries request id %d — out of order", name, i, reply.RequestID)
+			}
+			if reply.Type != wire.MsgPanoReply {
+				t.Fatalf("%s: reply %d type = %v", name, i, reply.Type)
+			}
 		}
 	}
 }
@@ -279,7 +289,7 @@ func TestTCPHungCloudFailsCoalescedGroup(t *testing.T) {
 	done.Add(clients)
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
-		cli, err := DialEdge(ln.Addr().String(), NewClient(i, p), ModeCoIC, nil)
+		cli, err := dialEdge(ln.Addr().String(), NewClient(i, p), ModeCoIC, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,42 +368,71 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestTCPClientCancelAbortsFetchAndKeepsConnection: a client whose
-// context dies mid-fetch gets ctx.Err() promptly, the edge aborts the
-// now-waiterless coalesced flight (last-waiter-cancels), and the same
-// connection serves the next request cleanly thanks to the cancel/ack
-// drain protocol.
-func TestTCPClientCancelAbortsFetchAndKeepsConnection(t *testing.T) {
+// TestTCPOrderedCancelAbortsFetchAndKeepsConnection: on a positional
+// (ordered) connection a MsgCancel naming an in-flight fetch aborts the
+// now-waiterless coalesced flight (last-waiter-cancels), the cancelled
+// request still answers in its own slot — CodeCanceled, before the
+// cancel's ack, in arrival order — and once a lock-step client has
+// drained those two frames the same connection serves the next request
+// cleanly.
+func TestTCPOrderedCancelAbortsFetchAndKeepsConnection(t *testing.T) {
 	p := testParams()
 	addr, es, stop := startSlowStack(t, p, 400*time.Millisecond, nil)
 	defer stop()
 
-	cli, err := DialEdge(addr, NewClient(0, p), ModeCoIC, nil)
+	conn := rawEdgeConn(t, addr, ModeCoIC)
+	defer conn.Close()
+
+	if err := wire.WriteMessage(conn, panoFetchMsg(t, 2, "cancel-video", 3)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the fetch to start", func() bool { return es.Edge.Inflight().Len() == 1 })
+	body, err := (wire.CancelRequest{TargetID: 2}).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-
-	vp := pano.Viewport{Yaw: 0.2, FOV: 1.5}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		waitFor(t, "the fetch to start", func() bool { return es.Edge.Inflight().Len() == 1 })
-		cancel()
-	}()
 	start := time.Now()
-	if _, err := cli.PanoContext(ctx, "cancel-video", 3, vp); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled request returned %v, want context.Canceled", err)
+	if err := wire.WriteMessage(conn, wire.Message{Type: wire.MsgCancel, RequestID: 3, Body: body}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Drain, in order: the aborted request's reply, then the cancel ack.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := wire.ReadMessage(conn)
+	if err != nil {
+		t.Fatalf("cancelled request's reply: %v", err)
+	}
+	if reply.RequestID != 2 || reply.Type != wire.MsgError {
+		t.Fatalf("first drained frame = %v id %d, want the cancelled request's error", reply.Type, reply.RequestID)
+	}
+	if er, err := wire.UnmarshalErrorReply(reply.Body); err != nil || er.Code != wire.CodeCanceled {
+		t.Fatalf("cancelled request answered %+v (%v), want CodeCanceled", er, err)
+	}
+	ack, err := wire.ReadMessage(conn)
+	if err != nil {
+		t.Fatalf("cancel ack: %v", err)
+	}
+	if ack.RequestID != 3 || ack.Type != wire.MsgCancel {
+		t.Fatalf("second drained frame = %v id %d, want the cancel ack", ack.Type, ack.RequestID)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v — the client waited out the fetch instead of aborting", elapsed)
+		t.Fatalf("cancellation took %v — the edge waited out the fetch instead of aborting", elapsed)
 	}
+	conn.SetReadDeadline(time.Time{})
 	waitFor(t, "the abandoned flight to abort", func() bool {
 		return es.Edge.Inflight().Stats().Canceled == 1 && es.Edge.Inflight().Len() == 0
 	})
 
-	// The connection must still be aligned: the next request round-trips.
-	if _, err := cli.Pano("cancel-video", 4, vp); err != nil {
+	// The connection is still aligned: the next request round-trips.
+	if err := wire.WriteMessage(conn, panoFetchMsg(t, 4, "cancel-video", 4)); err != nil {
+		t.Fatal(err)
+	}
+	next, err := wire.ReadMessage(conn)
+	if err != nil {
 		t.Fatalf("post-cancel request failed: %v", err)
+	}
+	if next.RequestID != 4 || next.Type != wire.MsgPanoReply {
+		t.Fatalf("post-cancel reply = %v id %d", next.Type, next.RequestID)
 	}
 }
 
@@ -406,12 +445,12 @@ func TestTCPCoalescedFetchSurvivesOneWaiterCancel(t *testing.T) {
 	addr, es, stop := startSlowStack(t, p, 400*time.Millisecond, nil)
 	defer stop()
 
-	survivor, err := DialEdge(addr, NewClient(0, p), ModeCoIC, nil)
+	survivor, err := dialEdge(addr, NewClient(0, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer survivor.Close()
-	quitter, err := DialEdge(addr, NewClient(1, p), ModeCoIC, nil)
+	quitter, err := dialEdge(addr, NewClient(1, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +557,7 @@ func TestTCPGracefulShutdownDrains(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- es.ServeContext(ctx, edgeLn) }()
 
-	cli, err := DialEdge(edgeLn.Addr().String(), NewClient(0, p), ModeCoIC, nil)
+	cli, err := dialEdge(edgeLn.Addr().String(), NewClient(0, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

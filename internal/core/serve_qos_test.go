@@ -34,6 +34,11 @@ func startRecordingCloud(t testing.TB, firstDelay time.Duration) (string, func()
 					if err != nil {
 						return
 					}
+					if msg.Type == wire.MsgHello {
+						// The edge's upstream link awaits its hello ack.
+						wire.WriteMessage(conn, wire.Message{Type: wire.MsgHello, RequestID: msg.RequestID})
+						continue
+					}
 					if msg.Type != wire.MsgPanoFetch {
 						continue
 					}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -36,12 +37,71 @@ func startStack(t *testing.T, p Params) (string, *Edge, func()) {
 	}
 }
 
+// taskClient drives whole tasks over a MuxClient — build, round trip,
+// finish — with measured wall-clock latency: the one-request-at-a-time
+// convenience these tests speak.
+type taskClient struct{ *MuxClient }
+
+func dialEdge(addr string, client *Client, mode Mode, wrap ConnWrapper) (*taskClient, error) {
+	m, err := DialMuxEdge(context.Background(), addr, client, mode, wrap)
+	if err != nil {
+		return nil, err
+	}
+	return &taskClient{m}, nil
+}
+
+func (c *taskClient) Recognize(class vision.Class, viewSeed uint64) (wire.RecognitionResult, time.Duration, error) {
+	start := time.Now()
+	msg, err := c.BuildRecognize(class, viewSeed, wire.QoSBestEffort, time.Time{}, 0)
+	if err != nil {
+		return wire.RecognitionResult{}, 0, err
+	}
+	reply, err := c.RoundTrip(context.Background(), msg)
+	if err != nil {
+		return wire.RecognitionResult{}, 0, err
+	}
+	res, _, err := c.FinishRecognize(reply)
+	return res, time.Since(start), err
+}
+
+func (c *taskClient) Render(modelID string) (time.Duration, error) {
+	start := time.Now()
+	msg, err := c.BuildRender(modelID, wire.QoSBestEffort, time.Time{}, 0)
+	if err != nil {
+		return 0, err
+	}
+	reply, err := c.RoundTrip(context.Background(), msg)
+	if err != nil {
+		return 0, err
+	}
+	_, err = c.FinishRender(reply)
+	return time.Since(start), err
+}
+
+func (c *taskClient) PanoContext(ctx context.Context, videoID string, frameIdx int, vp pano.Viewport) (time.Duration, error) {
+	start := time.Now()
+	msg, err := c.BuildPano(videoID, frameIdx, wire.QoSBestEffort, time.Time{}, 0)
+	if err != nil {
+		return 0, err
+	}
+	reply, err := c.RoundTrip(ctx, msg)
+	if err != nil {
+		return 0, err
+	}
+	_, err = c.FinishPano(reply, vp)
+	return time.Since(start), err
+}
+
+func (c *taskClient) Pano(videoID string, frameIdx int, vp pano.Viewport) (time.Duration, error) {
+	return c.PanoContext(context.Background(), videoID, frameIdx, vp)
+}
+
 func TestTCPRecognizeMissThenHit(t *testing.T) {
 	p := testParams()
 	addr, edge, stop := startStack(t, p)
 	defer stop()
 
-	cli, err := DialEdge(addr, NewClient(0, p), ModeCoIC, nil)
+	cli, err := dialEdge(addr, NewClient(0, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +137,7 @@ func TestTCPRenderAndPano(t *testing.T) {
 	addr, edge, stop := startStack(t, p)
 	defer stop()
 
-	cli, err := DialEdge(addr, NewClient(0, p), ModeCoIC, nil)
+	cli, err := dialEdge(addr, NewClient(0, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +170,7 @@ func TestTCPOriginModeBypassesCache(t *testing.T) {
 	addr, edge, stop := startStack(t, p)
 	defer stop()
 
-	cli, err := DialEdge(addr, NewClient(0, p), ModeOrigin, nil)
+	cli, err := dialEdge(addr, NewClient(0, p), ModeOrigin, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +193,7 @@ func TestTCPUnknownModelError(t *testing.T) {
 	addr, _, stop := startStack(t, p)
 	defer stop()
 
-	cli, err := DialEdge(addr, NewClient(0, p), ModeCoIC, nil)
+	cli, err := dialEdge(addr, NewClient(0, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +215,7 @@ func TestTCPShapedConnectionStillCorrect(t *testing.T) {
 
 	// Client uplink shaped to 20 Mbit: the 64KB frame takes ~25ms extra.
 	wrap := func(c net.Conn) net.Conn { return netsim.NewShaper(c, 20_000_000, time.Millisecond) }
-	cli, err := DialEdge(addr, NewClient(0, p), ModeCoIC, wrap)
+	cli, err := dialEdge(addr, NewClient(0, p), ModeCoIC, wrap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +243,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		go func() {
-			cli, err := DialEdge(addr, NewClient(i, p), ModeCoIC, nil)
+			cli, err := dialEdge(addr, NewClient(i, p), ModeCoIC, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -235,7 +295,7 @@ func TestTCPCloudUnreachable(t *testing.T) {
 	es := &EdgeServer{Edge: edge, CloudAddr: "127.0.0.1:1"} // nothing listens there
 	go es.Serve(ln)
 
-	cli, err := DialEdge(ln.Addr().String(), NewClient(0, p), ModeCoIC, nil)
+	cli, err := dialEdge(ln.Addr().String(), NewClient(0, p), ModeCoIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func TestOpsMetricsEndToEnd(t *testing.T) {
 // and watches /readyz flip to 503: the edge is alive (healthz) but
 // cannot serve misses, which is exactly what a load balancer must see.
 func TestOpsReadinessFlipsWhenCloudDrops(t *testing.T) {
-	p := testConfig().Params
+	p := testParams()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 

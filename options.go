@@ -1,55 +1,36 @@
 package coic
 
-// This file is the v2 constructor: functional options over the same
-// validated configuration the deprecated Config struct carries, so both
-// construction styles share one code path (New applies options into a
-// Config and defers to the v1 validation logic).
-
-// Option configures a System built by New.
-type Option func(*Config) error
+// Option configures a System built by New (coic.go).
+type Option func(*config) error
 
 // WithParams overrides the calibrated reproduction parameters.
 func WithParams(p Params) Option {
-	return func(c *Config) error { c.Params = p; return nil }
+	return func(c *config) error { c.params = p; return nil }
 }
 
 // WithCondition selects the (B_M→E, B_E→C) network condition.
 func WithCondition(cond Condition) Option {
-	return func(c *Config) error { c.Condition = cond; return nil }
+	return func(c *config) error { c.condition = cond; return nil }
 }
 
 // WithCachePolicy selects eviction: "lru" (default), "lfu", "fifo" or
 // "gdsf". Unknown names surface as an error from New.
 func WithCachePolicy(policy string) Option {
-	return func(c *Config) error { c.CachePolicy = policy; return nil }
+	return func(c *config) error { c.cachePolicy = policy; return nil }
 }
 
 // WithIndex selects the descriptor matcher: "linear" (default) or "lsh".
 func WithIndex(index string) Option {
-	return func(c *Config) error { c.Index = index; return nil }
+	return func(c *config) error { c.index = index; return nil }
 }
 
 // WithClients attaches n mobile clients (default 1).
 func WithClients(n int) Option {
-	return func(c *Config) error { c.Clients = n; return nil }
+	return func(c *config) error { c.clients = n; return nil }
 }
 
 // WithPrivacyK enables the k-anonymity sharing gate: cached results are
 // only shared with strangers once k distinct users have requested them.
 func WithPrivacyK(k int) Option {
-	return func(c *Config) error { c.PrivacyK = k; return nil }
-}
-
-// New assembles a System in virtual time: clients, one edge, one cloud,
-// and the network between them. Unconfigured aspects default sensibly
-// (calibrated Params, the 200/20 Mbps mid-sweep condition, LRU eviction,
-// a linear index, one client).
-func New(opts ...Option) (*System, error) {
-	var cfg Config
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
-	}
-	return NewFromConfig(cfg)
+	return func(c *config) error { c.privacyK = k; return nil }
 }

@@ -10,8 +10,7 @@ import (
 // This file is the v2 task API: one context-first entry point for every
 // IC workload. A Request is a tagged union over the three task kinds with
 // per-request Mode and Deadline; System.Do executes one, System.DoBatch a
-// sequence. The v1 per-task methods (System.Recognize / Render / Pano)
-// remain as deprecated wrappers.
+// sequence.
 
 // RecognizeSpec is the recognition variant of a Request: observe an
 // object of Class from a viewpoint derived from ViewSeed and resolve its

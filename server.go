@@ -697,17 +697,3 @@ func (s *Server) Ready(ctx context.Context) error {
 	conn.Close()
 	return nil
 }
-
-// DialContext connects a mobile client to a running edge, bounded by
-// ctx. clientShape conditions the client→edge link (the B_M→E knob).
-// The returned Client's *Context methods honour per-request contexts:
-// cancelling one sends a MsgCancel frame and the connection stays
-// usable.
-//
-// Deprecated: use NewClient with DialOptions (WithDialParams,
-// WithDialMode, WithDialShape), which also opens the streaming surface
-// (Client.Stream).
-func DialContext(ctx context.Context, edgeAddr string, p Params, mode Mode, clientShape ShapeSpec) (*Client, error) {
-	return NewClient(ctx, edgeAddr,
-		WithDialParams(p), WithDialMode(mode), WithDialShape(clientShape))
-}

@@ -36,10 +36,9 @@ type StoreStats struct {
 }
 
 // QueryStats counts logical cache lookups — one outcome per query, which
-// is what hit ratios are computed from. SimilarHits is the counter the
-// deprecated CacheStats discarded: queries answered by a *different*
-// descriptor within the similarity threshold, the cross-user redundancy
-// the paper is built around.
+// is what hit ratios are computed from. SimilarHits counts queries
+// answered by a *different* descriptor within the similarity threshold,
+// the cross-user redundancy the paper is built around.
 type QueryStats struct {
 	Queries     uint64
 	ExactHits   uint64
