@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -26,28 +24,29 @@ import (
 // up to the deadline-capped slack window, for more arrivals; an
 // interactive head never waits — its batch is whatever was already there.
 
-// batchJob is one live member of a drained batch. The batch dispatcher
-// (batchPlan.run) must set reply for every member before returning.
-type batchJob struct {
-	ctx    context.Context
-	msg    wire.Message
-	mode   Mode
-	tenant string
-	reply  wire.Message
-}
-
-// batchPlan configures batching for one connection pipeline. A nil plan
-// (or max <= 1) means serial dispatch.
+// batchPlan configures batching for one connection. A nil plan (or
+// max <= 1) means serial dispatch.
 type batchPlan struct {
 	max   int           // largest batch a worker may assemble
 	slack time.Duration // longest a best-effort head waits for fill
-	match func(*schedJob) bool
-	run   func([]*batchJob)
 }
+
+// batchPlan returns the server's batching configuration: exec requests
+// batch (cloud-side into one ForwardBatch pass); model/pano fetches stay
+// serial.
+func (s *ServerCore) batchPlan() *batchPlan {
+	if s.Batch <= 1 {
+		return nil
+	}
+	return &batchPlan{max: s.Batch, slack: s.BatchSlack}
+}
+
+// execJob is the batch membership test, also what tryDrain matches on.
+func execJob(j *schedJob) bool { return j.msg.Type == wire.MsgExec }
 
 // batchable reports whether a job may join a batch on this plan.
 func (p *batchPlan) batchable(j *schedJob) bool {
-	return p != nil && p.max > 1 && p.match(j)
+	return p != nil && p.max > 1 && execJob(j)
 }
 
 // waitBudget caps the slack window by the head's wall-clock deadline:
@@ -68,76 +67,38 @@ func (p *batchPlan) waitBudget(head *schedJob, now time.Time) time.Duration {
 	return budget
 }
 
-// errorReply builds an error frame, the batch dispatchers' counterpart of
-// the serial dispatchers' local fail closures.
-func errorReply(reqID uint64, code uint16, format string, args ...any) wire.Message {
-	body, _ := (wire.ErrorReply{Code: code, Msg: fmt.Sprintf(format, args...)}).Marshal()
-	return wire.Message{Type: wire.MsgError, RequestID: reqID, Body: body}
-}
-
-// batchPlan returns the cloud's batching configuration: exec requests
-// batch into one ForwardBatch pass; model/pano fetches stay serial.
-func (s *CloudServer) batchPlan() *batchPlan {
-	if s.Batch <= 1 {
-		return nil
-	}
-	return &batchPlan{
-		max:   s.Batch,
-		slack: s.BatchSlack,
-		match: func(j *schedJob) bool { return j.msg.Type == wire.MsgExec },
-		run:   s.runBatch,
-	}
-}
-
 // runBatch dispatches a batch of exec requests through one batched
 // recognition pass. Per-member decode failures answer individually —
 // one malformed frame must not poison its batchmates.
-func (s *CloudServer) runBatch(jobs []*batchJob) {
+func (s *CloudServer) runBatch(jobs []schedJob) []wire.Message {
+	replies := make([]wire.Message, len(jobs))
 	payloads := make([][]byte, 0, len(jobs))
-	members := make([]*batchJob, 0, len(jobs))
-	for _, bj := range jobs {
-		decodeStart := time.Now()
-		req, err := wire.UnmarshalExecRequest(bj.msg.Body)
-		s.Obs.observeDecode(time.Since(decodeStart))
-		switch {
-		case err != nil:
-			bj.reply = errorReply(bj.msg.RequestID, wire.CodeBadRequest, "bad exec: %v", err)
-		case req.Task != wire.TaskRecognize:
-			bj.reply = errorReply(bj.msg.RequestID, wire.CodeBadRequest,
-				"cloud exec supports recognition only, got %v", req.Task)
-		default:
-			payloads = append(payloads, req.Payload)
-			members = append(members, bj)
+	members := make([]int, 0, len(jobs)) // payloads[n] is jobs[members[n]]'s
+	for i, j := range jobs {
+		payload, err := s.recognizePayload(j.msg.Body)
+		if err != nil {
+			replies[i] = errorReply(j.msg.RequestID, wire.CodeBadRequest, "%v", err)
+			continue
 		}
+		payloads = append(payloads, payload)
+		members = append(members, i)
 	}
 	if len(members) == 0 {
-		return
+		return replies
 	}
 	results, errs, _ := s.Cloud.RecognizeBatch(payloads)
-	for i, bj := range members {
+	for n, i := range members {
+		id := jobs[i].msg.RequestID
 		switch {
-		case errs[i] != nil:
-			bj.reply = errorReply(bj.msg.RequestID, wire.CodeInternal, "recognize: %v", errs[i])
-		case bj.ctx.Err() != nil:
-			bj.reply = canceledReply(bj.msg.RequestID)
+		case errs[n] != nil:
+			replies[i] = errorReply(id, wire.CodeInternal, "recognize: %v", errs[n])
+		case jobs[i].ctx.Err() != nil:
+			replies[i] = errorReply(id, wire.CodeCanceled, "request canceled")
 		default:
-			body, _ := (wire.ExecReply{Source: wire.SourceCloud, Result: results[i]}).Marshal()
-			bj.reply = wire.Message{Type: wire.MsgExecReply, RequestID: bj.msg.RequestID, Body: body}
+			replies[i] = taskKinds[wire.MsgExec].replyWith(id, wire.SourceCloud, results[n])
 		}
 	}
-}
-
-// batchPlan returns the edge's batching configuration for exec requests.
-func (s *EdgeServer) batchPlan() *batchPlan {
-	if s.Batch <= 1 {
-		return nil
-	}
-	return &batchPlan{
-		max:   s.Batch,
-		slack: s.BatchSlack,
-		match: func(j *schedJob) bool { return j.msg.Type == wire.MsgExec },
-		run:   s.runBatch,
-	}
+	return replies
 }
 
 // runBatch on the edge dispatches the members concurrently: the edge
@@ -145,19 +106,20 @@ func (s *EdgeServer) batchPlan() *batchPlan {
 // identical descriptors coalesce into one upstream fetch via the
 // inflight table, and distinct misses reach the cloud as one burst the
 // cloud-side batcher can drain into a single ForwardBatch pass.
-func (s *EdgeServer) runBatch(jobs []*batchJob) {
+func (s *EdgeServer) runBatch(jobs []schedJob) []wire.Message {
+	replies := make([]wire.Message, len(jobs))
 	if len(jobs) == 1 {
-		jobs[0].reply = s.dispatch(jobs[0].ctx, jobs[0].msg, jobs[0].mode, jobs[0].tenant)
-		return
+		replies[0] = s.dispatch(jobs[0].ctx, jobs[0].msg, jobs[0].mode, jobs[0].tenant)
+		return replies
 	}
 	var wg sync.WaitGroup
-	for _, bj := range jobs {
-		bj := bj
+	for i, j := range jobs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bj.reply = s.dispatch(bj.ctx, bj.msg, bj.mode, bj.tenant)
+			replies[i] = s.dispatch(j.ctx, j.msg, j.mode, j.tenant)
 		}()
 	}
 	wg.Wait()
+	return replies
 }

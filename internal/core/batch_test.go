@@ -84,10 +84,9 @@ func execMsg(t testing.TB, cli *Client, reqID uint64, class vision.Class, viewSe
 func TestTCPCloudBatchGolden(t *testing.T) {
 	p := testParams()
 	cs := &CloudServer{
-		Cloud:      NewCloud(p),
-		Workers:    1, // one worker so the burst lands in its drain window
-		Batch:      8,
-		BatchSlack: 200 * time.Millisecond,
+		Cloud: NewCloud(p),
+		// One worker so the burst lands in its drain window.
+		ServerCore: ServerCore{Workers: 1, Batch: 8, BatchSlack: 200 * time.Millisecond},
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -157,9 +156,7 @@ func TestTCPEdgeBatchCoalesces(t *testing.T) {
 	es := &EdgeServer{
 		Edge:       NewEdge(p),
 		CloudAddr:  cloudLn.Addr().String(),
-		Workers:    1,
-		Batch:      4,
-		BatchSlack: 200 * time.Millisecond,
+		ServerCore: ServerCore{Workers: 1, Batch: 4, BatchSlack: 200 * time.Millisecond},
 	}
 	edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

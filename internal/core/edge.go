@@ -287,18 +287,12 @@ type LookupResult struct {
 // Hit reports whether a usable cached value was found.
 func (r LookupResult) Hit() bool { return r.Outcome != cache.OutcomeMiss }
 
-// Lookup queries the cache anonymously (no privacy gating) under the
-// default tenant; it is the path pre-tenant TCP callers use. ctx bounds
-// any federation probe the lookup makes on a local miss.
-func (e *Edge) Lookup(ctx context.Context, task wire.Task, desc feature.Descriptor) LookupResult {
-	return e.LookupAs(ctx, anonymousUser, task, desc)
-}
-
-// LookupTenant is Lookup with the requesting tenant named: the tenant's
-// cache ledger counts the query and any hit, and a peer hit adopted into
-// the local cache charges the tenant's byte share (their traffic pulled
-// it in). The match itself is tenant-blind — cross-tenant reuse is the
-// point of the shared edge cache.
+// LookupTenant queries the cache anonymously (no privacy gating) for the
+// TCP path, with the requesting tenant named: the tenant's cache ledger
+// counts the query and any hit, and a peer hit adopted into the local
+// cache charges the tenant's byte share (their traffic pulled it in). The
+// match itself is tenant-blind — cross-tenant reuse is the point of the
+// shared edge cache.
 func (e *Edge) LookupTenant(ctx context.Context, tenant string, task wire.Task, desc feature.Descriptor) LookupResult {
 	return e.lookupAtAs(ctx, anonymousUser, tenant, task, desc, time.Time{})
 }
@@ -306,13 +300,6 @@ func (e *Edge) LookupTenant(ctx context.Context, tenant string, task wire.Task, 
 // anonymousUser marks lookups without an authenticated identity; the
 // privacy gate treats every anonymous request as a fresh stranger.
 const anonymousUser = -1
-
-// LookupAs queries the cache with no virtual timestamp; in-flight
-// awareness is bypassed (wall-clock callers coalesce through Inflight()
-// instead).
-func (e *Edge) LookupAs(ctx context.Context, user int, task wire.Task, desc feature.Descriptor) LookupResult {
-	return e.LookupAtAs(ctx, user, task, desc, time.Time{})
-}
 
 // LookupAtAs is the virtual-time lookup under the default tenant; see
 // lookupAtAs for the full semantics.

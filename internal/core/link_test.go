@@ -280,8 +280,8 @@ func TestLinkRejectedHelloSurfacesAsDialError(t *testing.T) {
 		go srv.Serve(ln)
 		return ln.Addr().String()
 	}
-	cloudAddr := serve(&CloudServer{Cloud: NewCloud(p), Tenants: locked})
-	edgeAddr := serve(&EdgeServer{Edge: NewEdge(p), Tenants: locked})
+	cloudAddr := serve(&CloudServer{Cloud: NewCloud(p), ServerCore: ServerCore{Tenants: locked}})
+	edgeAddr := serve(&EdgeServer{Edge: NewEdge(p), ServerCore: ServerCore{Tenants: locked}})
 	wantRejected := func(what string, err error) {
 		t.Helper()
 		var re *RemoteError
@@ -359,7 +359,7 @@ func TestFederationUnderDefaultTenantQuota(t *testing.T) {
 		defer lns[i].Close()
 		stingy := NewTenantPolicy(nil)
 		stingy.Set(DefaultTenant, TenantLimit{Rate: 0.001, Burst: 1})
-		srvs[i] = &EdgeServer{Edge: NewEdge(p), CloudAddr: cloudLn.Addr().String(), Tenants: stingy}
+		srvs[i] = &EdgeServer{Edge: NewEdge(p), CloudAddr: cloudLn.Addr().String(), ServerCore: ServerCore{Tenants: stingy}}
 	}
 	addrs := []string{lns[0].Addr().String(), lns[1].Addr().String()}
 	for i, srv := range srvs {

@@ -69,12 +69,11 @@ type ServerObs struct {
 	reqLog *obs.RequestLog
 }
 
-// tenantObs is one tenant's counter set: request outcomes, scheduler
-// admissions, and quota rejections.
+// tenantObs is one tenant's request outcome counters. Its scheduler
+// admissions and quota rejections are not counted here: bridgeTenant
+// exposes the server ledger's own counters.
 type tenantObs struct {
 	requests [wire.NumQoSClasses][numOutcomes]*obs.Counter
-	admitted [wire.NumQoSClasses]*obs.Counter
-	quota    *obs.Counter
 }
 
 // NewServerObs registers the serving-path metric families on reg and
@@ -117,13 +116,7 @@ func (o *ServerObs) registerTenant(tenant string) *tenantObs {
 				"Requests completed, by tenant, service class and outcome.",
 				obs.L("tenant", tenant), obs.L("class", wire.QoS(c).String()), obs.L("outcome", name))
 		}
-		t.admitted[c] = o.reg.Counter("coic_tenant_admitted_total",
-			"Requests admitted to the scheduler, by tenant and service class.",
-			obs.L("tenant", tenant), obs.L("class", wire.QoS(c).String()))
 	}
-	t.quota = o.reg.Counter("coic_tenant_quota_rejections_total",
-		"Requests rejected by per-tenant admission quota, by tenant.",
-		obs.L("tenant", tenant))
 	o.tenantMu.Lock()
 	defer o.tenantMu.Unlock()
 	if existing := o.byTenant[tenant]; existing != nil {
@@ -144,20 +137,24 @@ func (o *ServerObs) tenant(tenant string) *tenantObs {
 	return o.registerTenant(tenant)
 }
 
-// observeTenantAdmit counts one scheduler admission for tenant.
-func (o *ServerObs) observeTenantAdmit(tenant string, class wire.QoS) {
+// bridgeTenant exposes one tenant's ledger counters as scrape-time
+// series: they are read on demand rather than double counted on the hot
+// path, so /metrics and Stats cannot disagree.
+func (o *ServerObs) bridgeTenant(tenant string, tc *tenantCounters) {
 	if o == nil {
 		return
 	}
-	o.tenant(tenant).admitted[classIndex(class)].Inc()
-}
-
-// observeTenantQuota counts one quota rejection for tenant.
-func (o *ServerObs) observeTenantQuota(tenant string) {
-	if o == nil {
-		return
+	for c := range tc.admitted {
+		admitted := &tc.admitted[c]
+		o.reg.CounterFunc("coic_tenant_admitted_total",
+			"Requests admitted to the scheduler, by tenant and service class.",
+			func() float64 { return float64(admitted.Load()) },
+			obs.L("tenant", tenant), obs.L("class", wire.QoS(c).String()))
 	}
-	o.tenant(tenant).quota.Inc()
+	o.reg.CounterFunc("coic_tenant_quota_rejections_total",
+		"Requests rejected by per-tenant admission quota, by tenant.",
+		func() float64 { return float64(tc.quota.Load()) },
+		obs.L("tenant", tenant))
 }
 
 func (o *ServerObs) connOpened() {

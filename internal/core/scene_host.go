@@ -111,7 +111,8 @@ func scenePusher(out *pushOutbox) scene.Pusher {
 }
 
 // dispatchScene serves one scene request frame (join/publish/leave) for
-// a connection. It runs on a worker like any other dispatch, after the
+// the connection; a server without a registry rejects them here rather
+// than learning about scenes. It runs on a worker like any other dispatch, after the
 // reader has already spent the tenant's admission token — publish rates
 // are metered by the same bucket as every other request type.
 //
@@ -121,30 +122,28 @@ func scenePusher(out *pushOutbox) scene.Pusher {
 // the real capability gate — a version-0 hello without it never
 // receives a push, it just gets the join rejected up front instead of
 // silently missing events.
-func dispatchScene(reg *scene.Registry, tenants *TenantPolicy, obsv *ServerObs,
-	connID uint64, out *pushOutbox, unordered *atomic.Bool,
-	msg wire.Message, tenant string) wire.Message {
-
-	fail := func(code uint16, format string, args ...any) wire.Message {
-		return errorReply(msg.RequestID, code, format, args...)
+func (c *conn) dispatchScene(msg wire.Message, tenant string) wire.Message {
+	reg := c.scenes
+	if reg == nil {
+		return errorReply(msg.RequestID, wire.CodeBadRequest, "this server hosts no scenes")
 	}
 	switch msg.Type {
 	case wire.MsgSceneJoin:
 		req, err := wire.UnmarshalSceneJoin(msg.Body)
 		if err != nil {
-			return fail(wire.CodeBadRequest, "bad scene join: %v", err)
+			return errorReply(msg.RequestID, wire.CodeBadRequest, "bad scene join: %v", err)
 		}
-		if !unordered.Load() {
-			return fail(wire.CodeBadRequest,
+		if !c.unordered.Load() {
+			return errorReply(msg.RequestID, wire.CodeBadRequest,
 				"scene frames need completion-order replies: hello with HelloFlagUnordered first")
 		}
-		entries, version, err := reg.Join(tenant, req.Scene, connID,
-			tenants.SceneMemberCap(tenant), scenePusher(out))
+		entries, version, err := reg.Join(tenant, req.Scene, c.id,
+			c.srv.Tenants.SceneMemberCap(tenant), scenePusher(c.outbox))
 		if err != nil {
 			if errors.Is(err, scene.ErrMemberQuota) {
-				return fail(wire.CodeQuotaExceeded, "%v", err)
+				return errorReply(msg.RequestID, wire.CodeQuotaExceeded, "%v", err)
 			}
-			return fail(wire.CodeBadRequest, "scene join: %v", err)
+			return errorReply(msg.RequestID, wire.CodeBadRequest, "scene join: %v", err)
 		}
 		snap := wire.SceneSnapshot{Scene: req.Scene, Version: version}
 		for _, e := range entries {
@@ -152,18 +151,18 @@ func dispatchScene(reg *scene.Registry, tenants *TenantPolicy, obsv *ServerObs,
 		}
 		body, err := snap.Marshal()
 		if err != nil {
-			return fail(wire.CodeInternal, "scene snapshot: %v", err)
+			return errorReply(msg.RequestID, wire.CodeInternal, "scene snapshot: %v", err)
 		}
 		return wire.Message{Type: wire.MsgSceneJoin, RequestID: msg.RequestID, Body: body}
 
 	case wire.MsgScenePublish:
 		req, err := wire.UnmarshalScenePublish(msg.Body)
 		if err != nil {
-			return fail(wire.CodeBadRequest, "bad scene publish: %v", err)
+			return errorReply(msg.RequestID, wire.CodeBadRequest, "bad scene publish: %v", err)
 		}
-		seq, version, _, err := reg.Publish(tenant, req.Scene, connID, req.Key, req.Value, req.TraceID)
+		seq, version, _, err := reg.Publish(tenant, req.Scene, c.id, req.Key, req.Value, req.TraceID)
 		if err != nil {
-			return fail(wire.CodeBadRequest, "scene publish: %v", err)
+			return errorReply(msg.RequestID, wire.CodeBadRequest, "scene publish: %v", err)
 		}
 		body, _ := (wire.ScenePublishAck{Seq: seq, Version: version}).Marshal()
 		return wire.Message{Type: wire.MsgScenePublish, RequestID: msg.RequestID, Body: body}
@@ -171,12 +170,12 @@ func dispatchScene(reg *scene.Registry, tenants *TenantPolicy, obsv *ServerObs,
 	case wire.MsgSceneLeave:
 		req, err := wire.UnmarshalSceneLeave(msg.Body)
 		if err != nil {
-			return fail(wire.CodeBadRequest, "bad scene leave: %v", err)
+			return errorReply(msg.RequestID, wire.CodeBadRequest, "bad scene leave: %v", err)
 		}
-		reg.Leave(tenant, req.Scene, connID)
+		reg.Leave(tenant, req.Scene, c.id)
 		return wire.Message{Type: wire.MsgSceneLeave, RequestID: msg.RequestID}
 
 	default:
-		return fail(wire.CodeInternal, "dispatchScene got %v", msg.Type)
+		return errorReply(msg.RequestID, wire.CodeInternal, "dispatchScene got %v", msg.Type)
 	}
 }

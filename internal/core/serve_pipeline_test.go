@@ -11,6 +11,7 @@ import (
 
 	"github.com/edge-immersion/coic/internal/netsim"
 	"github.com/edge-immersion/coic/internal/pano"
+	"github.com/edge-immersion/coic/internal/vision"
 	"github.com/edge-immersion/coic/internal/wire"
 )
 
@@ -65,54 +66,181 @@ func startHungCloud(t *testing.T) (string, func()) {
 	return ln.Addr().String(), func() { ln.Close() }
 }
 
+// serveEdge serves es on a fresh loopback listener until the test ends
+// and returns its address.
+func serveEdge(t *testing.T, es *EdgeServer) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go es.Serve(ln)
+	return ln.Addr().String()
+}
+
 // TestTCPSimultaneousClientsOneCloudFetch is the coalescing acceptance
-// test: two clients missing on the same descriptor at the same moment
-// must cost exactly one cloud computation.
+// test, over every cacheable task type: clients missing on the same
+// descriptor at the same moment must cost exactly one cloud computation
+// (the leader answers SourceCloud, the waiters SourceEdge); a cloud
+// failure reaches every one of them with the cloud's own error code; and
+// in origin mode the same requests are forwarded one for one, touching
+// neither the cache nor the in-flight table.
 func TestTCPSimultaneousClientsOneCloudFetch(t *testing.T) {
 	p := testParams()
-	addr, es, stop := startSlowStack(t, p, 150*time.Millisecond, nil)
-	defer stop()
-
 	const clients = 2
 	vp := pano.Viewport{Yaw: 0.3, FOV: 1.5}
-	clis := make([]*taskClient, clients)
-	for i := range clis {
-		cli, err := dialEdge(addr, NewClient(i, p), ModeCoIC, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, task := range []struct {
+		name    string
+		build   func(c *taskClient) (wire.Message, error)
+		source  func(c *taskClient, reply wire.Message) (uint8, error)
+		errCode uint16 // what the failing cloud answers this task with
+	}{
+		{"recognize",
+			func(c *taskClient) (wire.Message, error) {
+				return c.BuildRecognize(vision.ClassCar, 7, wire.QoSBestEffort, time.Time{}, 0)
+			},
+			func(c *taskClient, reply wire.Message) (uint8, error) {
+				_, src, err := c.FinishRecognize(reply)
+				return src, err
+			},
+			wire.CodeInternal},
+		{"render",
+			func(c *taskClient) (wire.Message, error) {
+				return c.BuildRender(AnnotationModelID("dog"), wire.QoSBestEffort, time.Time{}, 0)
+			},
+			func(c *taskClient, reply wire.Message) (uint8, error) { return c.FinishRender(reply) },
+			wire.CodeUnknownModel},
+		{"pano",
+			func(c *taskClient) (wire.Message, error) {
+				return c.BuildPano("coalesce-video", 7, wire.QoSBestEffort, time.Time{}, 0)
+			},
+			func(c *taskClient, reply wire.Message) (uint8, error) { return c.FinishPano(reply, vp) },
+			wire.CodeUnavailable},
+	} {
+		// together sends the task's request from `clients` connections in
+		// the given mode at the same moment, returning each reply's source
+		// or error.
+		together := func(t *testing.T, addr string, mode Mode) ([]uint8, []error) {
+			t.Helper()
+			clis := make([]*taskClient, clients)
+			msgs := make([]wire.Message, clients)
+			for i := range clis {
+				// The same client identity: identical frames, hence
+				// identical recognition descriptors.
+				cli, err := dialEdge(addr, NewClient(0, p), mode, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { cli.Close() })
+				clis[i] = cli
+				if msgs[i], err = task.build(cli); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sources, errs := make([]uint8, clients), make([]error, clients)
+			var start, done sync.WaitGroup
+			start.Add(1)
+			for i := range clis {
+				done.Add(1)
+				go func() {
+					defer done.Done()
+					start.Wait()
+					reply, err := clis[i].RoundTrip(context.Background(), msgs[i])
+					if err == nil {
+						sources[i], err = task.source(clis[i], reply)
+					}
+					errs[i] = err
+				}()
+			}
+			start.Done()
+			done.Wait()
+			return sources, errs
 		}
-		defer cli.Close()
-		clis[i] = cli
-	}
 
-	var start, done sync.WaitGroup
-	start.Add(1)
-	done.Add(clients)
-	errs := make(chan error, clients)
-	for _, cli := range clis {
-		cli := cli
-		go func() {
-			defer done.Done()
-			start.Wait()
-			_, err := cli.Pano("coalesce-video", 7, vp)
-			errs <- err
-		}()
-	}
-	start.Done()
-	done.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+		t.Run(task.name+"/coalesce", func(t *testing.T) {
+			t.Parallel()
+			addr, es, stop := startSlowStack(t, p, 150*time.Millisecond, nil)
+			defer stop()
+			sources, errs := together(t, addr, ModeCoIC)
+			fromCloud := 0
+			for i, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch sources[i] {
+				case wire.SourceCloud:
+					fromCloud++
+				case wire.SourceEdge:
+				default:
+					t.Fatalf("reply %d source = %d", i, sources[i])
+				}
+			}
+			if fromCloud != 1 {
+				t.Fatalf("%d replies report SourceCloud, want exactly 1 (the flight's leader)", fromCloud)
+			}
+			if got := es.CloudFetches(); got != 1 {
+				t.Fatalf("cloud fetches = %d, want exactly 1 (the other request must coalesce)", got)
+			}
+			st := es.Edge.Inflight().Stats()
+			if st.Fetches != 1 || st.Coalesced != clients-1 {
+				t.Fatalf("inflight stats = %+v, want 1 fetch and %d coalesced", st, clients-1)
+			}
+			if got := es.Edge.Stats().Inserts; got != 1 {
+				t.Fatalf("inserts = %d, want 1 (the leader's)", got)
+			}
+		})
 
-	if got := es.CloudFetches(); got != 1 {
-		t.Fatalf("cloud fetches = %d, want exactly 1 (the other request must coalesce)", got)
-	}
-	st := es.Edge.Inflight().Stats()
-	if st.Fetches != 1 || st.Coalesced != clients-1 {
-		t.Fatalf("inflight stats = %+v, want 1 fetch and %d coalesced", st, clients-1)
+		t.Run(task.name+"/cloud error", func(t *testing.T) {
+			t.Parallel()
+			failing := startFakeEnd(t, func(msg wire.Message, reply func(wire.Message)) {
+				go func() {
+					time.Sleep(300 * time.Millisecond) // hold the flight open for the waiters
+					reply(errorReply(msg.RequestID, task.errCode, "the cloud says no"))
+				}()
+			})
+			es := &EdgeServer{Edge: NewEdge(p), CloudAddr: failing.addr}
+			_, errs := together(t, serveEdge(t, es), ModeCoIC)
+			for i, err := range errs {
+				var re *RemoteError
+				if !errors.As(err, &re) || re.Code != task.errCode || re.Msg != "the cloud says no" {
+					t.Fatalf("client %d got %v, want the cloud's error code %d unchanged", i, err, task.errCode)
+				}
+			}
+			if got := es.CloudFetches(); got != 1 {
+				t.Fatalf("cloud fetches = %d, want 1 (the failure is shared, not retried)", got)
+			}
+			if es.Edge.Inflight().Len() != 0 || es.Edge.Stats().Inserts != 0 {
+				t.Fatal("a failed fetch left the descriptor in flight or cached something")
+			}
+		})
+
+		t.Run(task.name+"/origin", func(t *testing.T) {
+			t.Parallel()
+			addr, es, stop := startSlowStack(t, p, 0, nil)
+			defer stop()
+			sources, errs := together(t, addr, ModeOrigin)
+			for i, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sources[i] != wire.SourceCloud {
+					t.Fatalf("origin reply %d source = %d, want the cloud's reply forwarded as is", i, sources[i])
+				}
+			}
+			if got := es.CloudFetches(); got != clients {
+				t.Fatalf("origin cloud fetches = %d, want %d (no coalescing)", got, clients)
+			}
+			est, ist := es.Edge.Stats(), es.Edge.Inflight().Stats()
+			if est.Inserts != 0 || ist.Fetches != 0 {
+				t.Fatalf("origin mode touched the cache or the in-flight table: %+v %+v", est, ist)
+			}
+			for tk, n := range est.Lookups {
+				if n != 0 {
+					t.Fatalf("origin mode looked task %v up %d times", tk, n)
+				}
+			}
+		})
 	}
 }
 
@@ -197,8 +325,7 @@ func TestTCPOverloadReply(t *testing.T) {
 	es := &EdgeServer{
 		Edge:         NewEdge(p),
 		CloudAddr:    cloudAddr,
-		Workers:      1,
-		QueueDepth:   1,
+		ServerCore:   ServerCore{Workers: 1, QueueDepth: 1},
 		FetchTimeout: 400 * time.Millisecond,
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -323,8 +450,10 @@ func TestTCPHungCloudFailsCoalescedGroup(t *testing.T) {
 	}
 }
 
-// TestTCPOriginModeStillForwards covers the origin passthrough on the
-// reworked dispatch: no cache reads, no coalescing, plain forwarding.
+// TestTCPOriginModeStillForwards covers the origin passthrough — no cache
+// reads, no coalescing, plain forwarding — and that a later hello switches
+// the same connection's mode in either direction, while a hello naming an
+// unknown mode is refused and changes nothing.
 func TestTCPOriginModeStillForwards(t *testing.T) {
 	p := testParams()
 	addr, es, stop := startSlowStack(t, p, 0, nil)
@@ -332,28 +461,73 @@ func TestTCPOriginModeStillForwards(t *testing.T) {
 
 	conn := rawEdgeConn(t, addr, ModeOrigin)
 	defer conn.Close()
-	for i := 1; i <= 2; i++ {
-		if err := wire.WriteMessage(conn, panoFetchMsg(t, uint64(i), "origin-video", 5)); err != nil {
+	nextID := uint64(1)
+	// fetch round-trips the one panorama frame this test asks for and
+	// returns the reply's source.
+	fetch := func() uint8 {
+		t.Helper()
+		nextID++
+		if err := wire.WriteMessage(conn, panoFetchMsg(t, nextID, "origin-video", 5)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 1; i <= 2; i++ {
 		reply, err := wire.ReadMessage(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reply.Type != wire.MsgPanoReply {
-			t.Fatalf("reply type = %v", reply.Type)
+		if reply.Type != wire.MsgPanoReply || reply.RequestID != nextID {
+			t.Fatalf("reply = %v id %d, want the pano reply to request %d", reply.Type, reply.RequestID, nextID)
+		}
+		pr, err := wire.UnmarshalPanoReply(reply.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr.Source
+	}
+	// hello sends a legacy one-byte hello and returns the answer's type.
+	hello := func(mode byte) wire.Message {
+		t.Helper()
+		nextID++
+		if err := wire.WriteMessage(conn, wire.Message{Type: wire.MsgHello, RequestID: nextID, Body: []byte{mode}}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := wire.ReadMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	expect := func(step string, source, wantSource uint8, wantFetches uint64) {
+		t.Helper()
+		if source != wantSource || es.CloudFetches() != wantFetches {
+			t.Fatalf("%s: source %d with %d cloud fetches so far, want source %d with %d",
+				step, source, es.CloudFetches(), wantSource, wantFetches)
 		}
 	}
+
 	// Identical origin requests must both hit the cloud (no cache, no
 	// coalescing on the origin path).
-	if got := es.CloudFetches(); got != 2 {
-		t.Fatalf("origin cloud fetches = %d, want 2", got)
-	}
+	expect("origin", fetch(), wire.SourceCloud, 1)
+	expect("origin again", fetch(), wire.SourceCloud, 2)
 	if got := es.Edge.Stats().Inserts; got != 0 {
 		t.Fatalf("origin mode inserted %d entries into the cache", got)
 	}
+
+	if ack := hello(wire.HelloModeCoIC); ack.Type != wire.MsgHello {
+		t.Fatalf("switch to CoIC answered %v", ack.Type)
+	}
+	expect("CoIC miss", fetch(), wire.SourceCloud, 3)
+	expect("CoIC hit", fetch(), wire.SourceEdge, 3)
+
+	refusal := hello(7)
+	if er, err := wire.UnmarshalErrorReply(refusal.Body); refusal.Type != wire.MsgError || err != nil || er.Code != wire.CodeBadRequest {
+		t.Fatalf("hello with unknown mode 7 answered %v %+v (%v), want CodeBadRequest", refusal.Type, er, err)
+	}
+	expect("still CoIC after the refused hello", fetch(), wire.SourceEdge, 3)
+
+	if ack := hello(wire.HelloModeOrigin); ack.Type != wire.MsgHello {
+		t.Fatalf("switch back to origin answered %v", ack.Type)
+	}
+	expect("origin once more", fetch(), wire.SourceCloud, 4)
 }
 
 // waitFor polls cond until it holds or the deadline passes.

@@ -72,8 +72,7 @@ func startQoSEdge(t testing.TB, cloudAddr string, workers, queue int) (string, *
 	es := &EdgeServer{
 		Edge:       NewEdge(testParams()),
 		CloudAddr:  cloudAddr,
-		Workers:    workers,
-		QueueDepth: queue,
+		ServerCore: ServerCore{Workers: workers, QueueDepth: queue},
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

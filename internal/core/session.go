@@ -42,6 +42,78 @@ func (s *Session) nextID() uint64 {
 // looks at it.
 var originDescriptor = feature.NewHash([]byte("origin"))
 
+// fetch carries one request from the client to the edge and its result
+// back, in virtual time — the counterpart of EdgeServer.cacheOrFetch,
+// stage for stage. body is the marshalled request of frame type reqType,
+// desc its cache descriptor, and compute the cloud's work for it. b
+// (whose Task and Mode are set) accumulates the breakdown from instant t;
+// fetch returns the result payload and the instant the reply reaches the
+// client. A ctx that expires before the cloud round trip abandons the
+// request instead of paying for work nobody will read.
+func (s *Session) fetch(ctx context.Context, b *Breakdown, t time.Time, reqType wire.MsgType, desc feature.Descriptor, body []byte, compute func() ([]byte, time.Duration, error)) ([]byte, time.Time, error) {
+	k := &taskKinds[reqType]
+	replySize := func(source uint8, payload []byte) int {
+		return k.replyWith(0, source, payload).WireSize()
+	}
+	upSize := (wire.Message{Type: reqType, RequestID: s.nextID(), Body: body}).WireSize()
+	b.BytesUp = upSize
+
+	tEdge := s.Topo.MobileEdge.Up.Transfer(t, upSize)
+	b.UpME = tEdge.Sub(t)
+	t = tEdge
+
+	var payload []byte
+	source := wire.SourceCloud
+	if b.Mode == ModeCoIC {
+		lr := s.Edge.LookupAtAs(ctx, s.Client.ID, b.Task, desc, t)
+		b.EdgeProc += lr.Cost - lr.PeerCost
+		b.PeerHop += lr.PeerCost
+		b.Wait += lr.Wait
+		t = t.Add(lr.Cost + lr.Wait)
+		if lr.Hit() {
+			b.Outcome = lr.Outcome
+			b.Coalesced = lr.Coalesced
+			payload = lr.Value
+			source = wire.SourceEdge
+		}
+	}
+
+	if payload == nil { // miss or origin: forward the request to the cloud
+		if err := ctx.Err(); err != nil {
+			return nil, t, err
+		}
+		tCloud := s.Topo.EdgeCloud.Up.Transfer(t, upSize)
+		b.UpEC = tCloud.Sub(t)
+		t = tCloud
+
+		data, cloudCost, err := compute()
+		if err != nil {
+			return nil, t, err
+		}
+		b.Cloud = cloudCost
+		t = t.Add(cloudCost)
+		payload = data
+
+		tBack := s.Topo.EdgeCloud.Down.Transfer(t, replySize(wire.SourceCloud, payload))
+		b.DownEC = tBack.Sub(t)
+		t = tBack
+
+		if b.Mode == ModeCoIC {
+			// The edge caches what the cloud computed (for a model, its
+			// loaded form): the next user skips both the WAN hop and the
+			// cloud-side work.
+			insertCost := s.Edge.InsertAtAs(s.Client.ID, desc, payload, cloudCost.Seconds()*1000, t)
+			b.EdgeProc += insertCost
+			t = t.Add(insertCost)
+		}
+	}
+
+	b.BytesDown = replySize(source, payload)
+	tClient := s.Topo.MobileEdge.Down.Transfer(t, b.BytesDown)
+	b.DownME = tClient.Sub(t)
+	return payload, tClient, nil
+}
+
 // Recognize executes one recognition request and returns the latency
 // breakdown plus the (validated) recognition result. ctx gates the
 // expensive stages: an expired context returns promptly — before the
@@ -56,73 +128,20 @@ func (s *Session) Recognize(ctx context.Context, at time.Time, class vision.Clas
 	desc := originDescriptor
 	t := at
 	if mode == ModeCoIC {
-		var extractCost time.Duration
-		desc, extractCost = s.Client.Extract(frame)
-		b.Extract = extractCost
-		t = t.Add(extractCost)
+		desc, b.Extract = s.Client.Extract(frame)
+		t = t.Add(b.Extract)
 	}
 
-	req := wire.ExecRequest{Task: wire.TaskRecognize, Desc: desc, Payload: frame.Bytes()}
-	body, err := req.Marshal()
+	body, err := (wire.ExecRequest{Task: wire.TaskRecognize, Desc: desc, Payload: frame.Bytes()}).Marshal()
 	if err != nil {
 		return b, wire.RecognitionResult{}, err
 	}
-	upMsg := wire.Message{Type: wire.MsgExec, RequestID: s.nextID(), Body: body}
-	b.BytesUp = upMsg.WireSize()
-
-	tEdge := s.Topo.MobileEdge.Up.Transfer(t, upMsg.WireSize())
-	b.UpME = tEdge.Sub(t)
-	t = tEdge
-
-	var resultBytes []byte
-	if mode == ModeCoIC {
-		lr := s.Edge.LookupAtAs(ctx, s.Client.ID, wire.TaskRecognize, desc, t)
-		b.EdgeProc += lr.Cost - lr.PeerCost
-		b.PeerHop += lr.PeerCost
-		b.Wait += lr.Wait
-		t = t.Add(lr.Cost + lr.Wait)
-		if lr.Hit() {
-			b.Outcome = lr.Outcome
-			b.Coalesced = lr.Coalesced
-			resultBytes = lr.Value
-		}
+	resultBytes, t, err := s.fetch(ctx, &b, t, wire.MsgExec, desc, body, func() ([]byte, time.Duration, error) {
+		return s.Cloud.Recognize(frame.Bytes())
+	})
+	if err != nil {
+		return b, wire.RecognitionResult{}, err
 	}
-
-	if resultBytes == nil { // miss or origin: forward the request to the cloud
-		if err := ctx.Err(); err != nil {
-			// The caller departed before the cloud round trip: abandon the
-			// request instead of paying for work nobody will read.
-			return b, wire.RecognitionResult{}, err
-		}
-		tCloud := s.Topo.EdgeCloud.Up.Transfer(t, upMsg.WireSize())
-		b.UpEC = tCloud.Sub(t)
-		t = tCloud
-
-		res, cloudCost, err := s.Cloud.Recognize(frame.Bytes())
-		if err != nil {
-			return b, wire.RecognitionResult{}, err
-		}
-		b.Cloud = cloudCost
-		t = t.Add(cloudCost)
-		resultBytes = res
-
-		replySize := replyWireSize(wire.SourceCloud, resultBytes)
-		tBack := s.Topo.EdgeCloud.Down.Transfer(t, replySize)
-		b.DownEC = tBack.Sub(t)
-		t = tBack
-
-		if mode == ModeCoIC {
-			insertCost := s.Edge.InsertAtAs(s.Client.ID, desc, resultBytes, cloudCost.Seconds()*1000, t)
-			b.EdgeProc += insertCost
-			t = t.Add(insertCost)
-		}
-	}
-
-	replySize := replyWireSize(wire.SourceEdge, resultBytes)
-	b.BytesDown = replySize
-	tClient := s.Topo.MobileEdge.Down.Transfer(t, replySize)
-	b.DownME = tClient.Sub(t)
-	t = tClient
 
 	b.End = t
 	result, err := wire.UnmarshalRecognitionResult(resultBytes)
@@ -130,15 +149,6 @@ func (s *Session) Recognize(ctx context.Context, at time.Time, class vision.Clas
 		return b, result, fmt.Errorf("core: recognition result corrupt: %w", err)
 	}
 	return b, result, nil
-}
-
-// replyWireSize computes the framed size of an ExecReply carrying result.
-func replyWireSize(source uint8, result []byte) int {
-	body, err := (wire.ExecReply{Source: source, Result: result}).Marshal()
-	if err != nil {
-		panic(err) // length-checked inputs only
-	}
-	return (wire.Message{Type: wire.MsgExecReply, Body: body}).WireSize()
 }
 
 // ModelDescriptor is the cache key for a rendering task: the hash of the
@@ -156,70 +166,16 @@ func (s *Session) Render(ctx context.Context, at time.Time, modelID string, mode
 	if err := ctx.Err(); err != nil {
 		return b, err
 	}
-	desc := ModelDescriptor(modelID)
-
-	fetch := wire.ModelFetch{ModelID: modelID, Format: wire.FormatCMF}
-	body, err := fetch.Marshal()
+	body, err := (wire.ModelFetch{ModelID: modelID, Format: wire.FormatCMF}).Marshal()
 	if err != nil {
 		return b, err
 	}
-	upMsg := wire.Message{Type: wire.MsgModelFetch, RequestID: s.nextID(), Body: body}
-	b.BytesUp = upMsg.WireSize()
-
-	t := s.Topo.MobileEdge.Up.Transfer(at, upMsg.WireSize())
-	b.UpME = t.Sub(at)
-
-	var cmf []byte
-	var source uint8 = wire.SourceCloud
-	if mode == ModeCoIC {
-		lr := s.Edge.LookupAtAs(ctx, s.Client.ID, wire.TaskRender, desc, t)
-		b.EdgeProc += lr.Cost - lr.PeerCost
-		b.PeerHop += lr.PeerCost
-		b.Wait += lr.Wait
-		t = t.Add(lr.Cost + lr.Wait)
-		if lr.Hit() {
-			b.Outcome = lr.Outcome
-			b.Coalesced = lr.Coalesced
-			cmf = lr.Value
-			source = wire.SourceEdge
-		}
+	cmf, t, err := s.fetch(ctx, &b, at, wire.MsgModelFetch, ModelDescriptor(modelID), body, func() ([]byte, time.Duration, error) {
+		return s.Cloud.FetchModel(modelID)
+	})
+	if err != nil {
+		return b, err
 	}
-
-	if cmf == nil {
-		if err := ctx.Err(); err != nil {
-			return b, err
-		}
-		tCloud := s.Topo.EdgeCloud.Up.Transfer(t, upMsg.WireSize())
-		b.UpEC = tCloud.Sub(t)
-		t = tCloud
-
-		data, cloudCost, err := s.Cloud.FetchModel(modelID)
-		if err != nil {
-			return b, err
-		}
-		b.Cloud = cloudCost
-		t = t.Add(cloudCost)
-		cmf = data
-
-		replySize := modelReplyWireSize(wire.SourceCloud, cmf)
-		tBack := s.Topo.EdgeCloud.Down.Transfer(t, replySize)
-		b.DownEC = tBack.Sub(t)
-		t = tBack
-
-		if mode == ModeCoIC {
-			// The edge caches the loaded (parsed) form: next user skips
-			// both the WAN hop and the cloud-side load.
-			insertCost := s.Edge.InsertAtAs(s.Client.ID, desc, cmf, cloudCost.Seconds()*1000, t)
-			b.EdgeProc += insertCost
-			t = t.Add(insertCost)
-		}
-	}
-
-	replySize := modelReplyWireSize(source, cmf)
-	b.BytesDown = replySize
-	tClient := s.Topo.MobileEdge.Down.Transfer(t, replySize)
-	b.DownME = tClient.Sub(t)
-	t = tClient
 
 	// Client-side: load into memory, then draw.
 	m, loadCost, err := s.Client.LoadModel(cmf)
@@ -233,14 +189,6 @@ func (s *Session) Render(ctx context.Context, at time.Time, modelID string, mode
 	b.ClientProc = loadCost + drawCost
 	b.End = t.Add(b.ClientProc)
 	return b, nil
-}
-
-func modelReplyWireSize(source uint8, cmf []byte) int {
-	body, err := (wire.ModelReply{Format: wire.FormatCMF, Source: source, Data: cmf}).Marshal()
-	if err != nil {
-		panic(err)
-	}
-	return (wire.Message{Type: wire.MsgModelReply, Body: body}).WireSize()
 }
 
 // PanoDescriptor is the cache key for a VR streaming task: the hash of
@@ -257,68 +205,16 @@ func (s *Session) Pano(ctx context.Context, at time.Time, videoID string, frameI
 	if err := ctx.Err(); err != nil {
 		return b, err
 	}
-	desc := PanoDescriptor(videoID, frameIdx)
-
-	fetch := wire.PanoFetch{VideoID: videoID, FrameIndex: uint32(frameIdx)}
-	body, err := fetch.Marshal()
+	body, err := (wire.PanoFetch{VideoID: videoID, FrameIndex: uint32(frameIdx)}).Marshal()
 	if err != nil {
 		return b, err
 	}
-	upMsg := wire.Message{Type: wire.MsgPanoFetch, RequestID: s.nextID(), Body: body}
-	b.BytesUp = upMsg.WireSize()
-
-	t := s.Topo.MobileEdge.Up.Transfer(at, upMsg.WireSize())
-	b.UpME = t.Sub(at)
-
-	var rle []byte
-	var source uint8 = wire.SourceCloud
-	if mode == ModeCoIC {
-		lr := s.Edge.LookupAtAs(ctx, s.Client.ID, wire.TaskPano, desc, t)
-		b.EdgeProc += lr.Cost - lr.PeerCost
-		b.PeerHop += lr.PeerCost
-		b.Wait += lr.Wait
-		t = t.Add(lr.Cost + lr.Wait)
-		if lr.Hit() {
-			b.Outcome = lr.Outcome
-			b.Coalesced = lr.Coalesced
-			rle = lr.Value
-			source = wire.SourceEdge
-		}
+	rle, t, err := s.fetch(ctx, &b, at, wire.MsgPanoFetch, PanoDescriptor(videoID, frameIdx), body, func() ([]byte, time.Duration, error) {
+		return s.Cloud.FetchPano(videoID, frameIdx)
+	})
+	if err != nil {
+		return b, err
 	}
-
-	if rle == nil {
-		if err := ctx.Err(); err != nil {
-			return b, err
-		}
-		tCloud := s.Topo.EdgeCloud.Up.Transfer(t, upMsg.WireSize())
-		b.UpEC = tCloud.Sub(t)
-		t = tCloud
-
-		data, cloudCost, err := s.Cloud.FetchPano(videoID, frameIdx)
-		if err != nil {
-			return b, err
-		}
-		b.Cloud = cloudCost
-		t = t.Add(cloudCost)
-		rle = data
-
-		replySize := panoReplyWireSize(wire.SourceCloud, rle)
-		tBack := s.Topo.EdgeCloud.Down.Transfer(t, replySize)
-		b.DownEC = tBack.Sub(t)
-		t = tBack
-
-		if mode == ModeCoIC {
-			insertCost := s.Edge.InsertAtAs(s.Client.ID, desc, rle, cloudCost.Seconds()*1000, t)
-			b.EdgeProc += insertCost
-			t = t.Add(insertCost)
-		}
-	}
-
-	replySize := panoReplyWireSize(source, rle)
-	b.BytesDown = replySize
-	tClient := s.Topo.MobileEdge.Down.Transfer(t, replySize)
-	b.DownME = tClient.Sub(t)
-	t = tClient
 
 	out, cropCost, err := s.Client.CropPano(rle, vp, 256, 256)
 	if err != nil {
@@ -330,12 +226,4 @@ func (s *Session) Pano(ctx context.Context, at time.Time, videoID string, frameI
 	b.ClientProc = cropCost
 	b.End = t.Add(cropCost)
 	return b, nil
-}
-
-func panoReplyWireSize(source uint8, rle []byte) int {
-	body, err := (wire.PanoReply{Source: source, Data: rle}).Marshal()
-	if err != nil {
-		panic(err)
-	}
-	return (wire.Message{Type: wire.MsgPanoReply, Body: body}).WireSize()
 }

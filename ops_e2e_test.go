@@ -8,6 +8,7 @@ package coic
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/edge-immersion/coic/internal/obs"
 )
@@ -151,6 +153,127 @@ func TestOpsMetricsEndToEnd(t *testing.T) {
 	}
 	if status, _ := scrape(t, ops.URL, "/readyz"); status != http.StatusOK {
 		t.Errorf("/readyz = %d, want 200 with the cloud up", status)
+	}
+}
+
+// TestOpsLedgerAgreesWithStats drives a mixed run — two tenants, one of
+// them rate-limited, both service classes, an overload, a deadline shed
+// and a quota rejection — and checks that Stats and /metrics are two
+// views of one ledger: every scheduler total and every per-tenant series
+// scrapes to exactly the value ServerStats reports.
+func TestOpsLedgerAgreesWithStats(t *testing.T) {
+	p := testParams()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	cloudLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go NewCloudServer(WithListener(cloudLn), WithServeParams(p)).Serve(ctx)
+	edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One worker and one queue slot per connection, misses in flight for
+	// ~400ms: the second request on a connection queues behind the first
+	// and the third finds the queue full.
+	edge := NewEdgeServer(
+		WithListener(edgeLn),
+		WithServeParams(p),
+		WithCloud(cloudLn.Addr().String()),
+		WithCloudShape("rate 1000mbit delay 200ms"),
+		WithWorkers(1),
+		WithQueueDepth(1),
+		WithTenantQuota("metered", TenantConfig{Rate: 0.001, Burst: 2}),
+	)
+	go edge.Serve(ctx)
+	ops := httptest.NewServer(edge.OpsHandler())
+	defer ops.Close()
+
+	// Each tenant's connection: one request holds the worker, a second
+	// (interactive) queues behind it, a third is refused.
+	var tickets []*Ticket
+	for i, tenant := range []string{"acme", "metered"} {
+		cli, err := NewClient(ctx, edgeLn.Addr().String(), WithDialParams(p), WithTenant(tenant, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		st, err := cli.Stream(ctx, WithWindow(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		queued := PanoTask("ledger-"+tenant, 2, Viewport{FOV: 1.5}).WithQoS(QoSInteractive)
+		if tenant == "metered" {
+			// Expires long before the worker frees up: shed, not served.
+			// (Its bucket's burst of 2 then refuses the third request
+			// before the queue is even consulted.)
+			queued = queued.WithDeadline(50 * time.Millisecond)
+		}
+		for j, req := range []Request{
+			PanoTask("ledger-"+tenant, 1, Viewport{FOV: 1.5}),
+			queued,
+			PanoTask("ledger-"+tenant, 3, Viewport{FOV: 1.5}),
+		} {
+			tk, err := st.Submit(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tickets = append(tickets, tk)
+			switch j {
+			case 0:
+				waitForStats(t, "the first fetch to hold the worker", func() bool {
+					return edge.Stats().CloudFetches == uint64(i+1)
+				})
+			case 1:
+				waitForStats(t, "the second request to queue", func() bool {
+					return edge.Stats().AdmittedInteractive == uint64(i+1)
+				})
+			}
+		}
+	}
+	wantErrs := []error{nil, nil, ErrOverloaded, nil, ErrDeadlineExceeded, ErrQuotaExceeded}
+	for i, tk := range tickets {
+		if _, err := tk.Await(ctx); !errors.Is(err, wantErrs[i]) {
+			t.Fatalf("request %d completed with %v, want %v", i, err, wantErrs[i])
+		}
+	}
+
+	stats := edge.Stats()
+	if stats.Overloads != 1 || stats.DeadlineSheds != 1 || stats.QuotaRejections != 1 ||
+		stats.AdmittedBestEffort != 2 || stats.AdmittedInteractive != 2 || len(stats.Tenants) != 2 {
+		t.Fatalf("the run was not the mixed one intended: %+v", stats)
+	}
+	status, body := scrape(t, ops.URL, "/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("/metrics status = %d", status)
+	}
+	metrics := parseMetrics(t, body)
+	want := map[string]uint64{
+		`coic_sched_admitted_total{class="best-effort"}`: stats.AdmittedBestEffort,
+		`coic_sched_admitted_total{class="interactive"}`: stats.AdmittedInteractive,
+		`coic_sched_deadline_sheds_total`:                stats.DeadlineSheds,
+		`coic_sched_overloads_total`:                     stats.Overloads,
+	}
+	var quota uint64
+	for tenant, ts := range stats.Tenants {
+		want[`coic_tenant_admitted_total{tenant="`+tenant+`",class="best-effort"}`] = ts.AdmittedBestEffort
+		want[`coic_tenant_admitted_total{tenant="`+tenant+`",class="interactive"}`] = ts.AdmittedInteractive
+		want[`coic_tenant_quota_rejections_total{tenant="`+tenant+`"}`] = ts.QuotaRejections
+		quota += ts.QuotaRejections
+	}
+	if quota != stats.QuotaRejections {
+		t.Errorf("per-tenant quota rejections sum to %d, total says %d", quota, stats.QuotaRejections)
+	}
+	for sample, v := range want {
+		if got, ok := metrics[sample]; !ok || got != float64(v) {
+			t.Errorf("%s = %v (present=%v), ServerStats says %d", sample, got, ok, v)
+		}
+	}
+	if problems := obs.Lint(strings.NewReader(body)); len(problems) > 0 {
+		t.Errorf("metrics payload fails lint: %v", problems)
 	}
 }
 

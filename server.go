@@ -322,10 +322,12 @@ type Server struct {
 	reg  *obs.Registry
 	rlog *obs.RequestLog
 
-	mu    sync.Mutex
-	ln    net.Listener
-	edge  *core.EdgeServer
-	cloud *core.CloudServer
+	// core is the running tier's shared serving core (set by Serve); edge
+	// is additionally set when that tier is an edge.
+	mu   sync.Mutex
+	ln   net.Listener
+	core *core.ServerCore
+	edge *core.EdgeServer
 }
 
 // NewEdgeServer assembles the mobile-edge tier: the IC cache plus miss
@@ -475,43 +477,29 @@ func tenantStats(counts map[string]core.TenantCounters) map[string]TenantStats {
 // Stats snapshots the server's counters.
 func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
-	es, cs := s.edge, s.cloud
+	sc, es := s.core, s.edge
 	s.mu.Unlock()
-	switch {
-	case es != nil:
-		rooms, members, publishes := es.SceneStats()
-		alive, _, _ := es.MemberCounts()
-		return ServerStats{
-			RingVersion:         es.RingVersion(),
-			MembersAlive:        alive,
-			MigratedKeys:        es.MigratedKeys(),
-			CloudFetches:        es.CloudFetches(),
-			Overloads:           es.Overloads(),
-			DeadlineSheds:       es.DeadlineSheds(),
-			AdmittedInteractive: es.Admitted(QoSInteractive),
-			AdmittedBestEffort:  es.Admitted(QoSBestEffort),
-			Batches:             es.Batches(),
-			BatchedRequests:     es.BatchedRequests(),
-			QuotaRejections:     es.QuotaRejections(),
-			SceneRooms:          rooms,
-			SceneMembers:        members,
-			ScenePublishes:      publishes,
-			Tenants:             tenantStats(es.TenantCounts()),
-		}
-	case cs != nil:
-		return ServerStats{
-			Overloads:           cs.Overloads(),
-			DeadlineSheds:       cs.DeadlineSheds(),
-			AdmittedInteractive: cs.Admitted(QoSInteractive),
-			AdmittedBestEffort:  cs.Admitted(QoSBestEffort),
-			Batches:             cs.Batches(),
-			BatchedRequests:     cs.BatchedRequests(),
-			QuotaRejections:     cs.QuotaRejections(),
-			Tenants:             tenantStats(cs.TenantCounts()),
-		}
-	default:
+	if sc == nil {
 		return ServerStats{}
 	}
+	st := ServerStats{
+		Overloads:           sc.Overloads(),
+		DeadlineSheds:       sc.DeadlineSheds(),
+		AdmittedInteractive: sc.Admitted(QoSInteractive),
+		AdmittedBestEffort:  sc.Admitted(QoSBestEffort),
+		Batches:             sc.Batches(),
+		BatchedRequests:     sc.BatchedRequests(),
+		QuotaRejections:     sc.QuotaRejections(),
+		Tenants:             tenantStats(sc.TenantCounts()),
+	}
+	if es != nil {
+		st.CloudFetches = es.CloudFetches()
+		st.SceneRooms, st.SceneMembers, st.ScenePublishes = es.SceneStats()
+		st.RingVersion = es.RingVersion()
+		st.MembersAlive, _, _ = es.MemberCounts()
+		st.MigratedKeys = es.MigratedKeys()
+	}
+	return st
 }
 
 // Serve binds (unless WithListener supplied one) and serves until ctx is
@@ -542,23 +530,13 @@ func (s *Server) Serve(ctx context.Context) error {
 		s.ln = nil
 		s.mu.Unlock()
 	}()
-	sobs := core.NewServerObs(s.reg, s.rlog)
-	tenants := s.tenantPolicy()
 
 	if s.role == "cloud" {
-		srv := &core.CloudServer{
-			Cloud:      core.NewCloud(p),
-			Workers:    s.cfg.workers,
-			QueueDepth: s.cfg.queueDepth,
-			Batch:      s.cfg.batch,
-			BatchSlack: s.cfg.batchSlack,
-			Tenants:    tenants,
-			Obs:        sobs,
-		}
-		s.registerSchedBridges(srv.Admitted, srv.DeadlineSheds, srv.Overloads)
+		srv := &core.CloudServer{Cloud: core.NewCloud(p)}
+		s.configureCore(&srv.ServerCore)
 		s.mu.Lock()
 		s.ln = ln
-		s.cloud = srv
+		s.core = &srv.ServerCore
 		s.mu.Unlock()
 		return srv.ServeContext(ctx, ln)
 	}
@@ -571,16 +549,11 @@ func (s *Server) Serve(ctx context.Context) error {
 		Edge:         core.NewEdge(p),
 		CloudAddr:    s.cfg.cloudAddr,
 		WrapCloud:    wrap,
-		Workers:      s.cfg.workers,
-		QueueDepth:   s.cfg.queueDepth,
-		Batch:        s.cfg.batch,
-		BatchSlack:   s.cfg.batchSlack,
 		FetchTimeout: s.cfg.fetchTimeout,
 		MaxUpstream:  s.cfg.maxUpstream,
-		Tenants:      tenants,
-		Obs:          sobs,
 	}
-	for t, capBytes := range tenants.CacheShares() {
+	s.configureCore(&srv.ServerCore)
+	for t, capBytes := range srv.Tenants.CacheShares() {
 		srv.Edge.Cache.SetTenantCap(t, capBytes)
 	}
 	srv.Replication = s.cfg.replication
@@ -596,7 +569,6 @@ func (s *Server) Serve(ctx context.Context) error {
 			return err
 		}
 	}
-	s.registerSchedBridges(srv.Admitted, srv.DeadlineSheds, srv.Overloads)
 	s.reg.CounterFunc("coic_cloud_fetches_total",
 		"Upstream edge-to-cloud round trips issued (after coalescing).",
 		func() float64 { return float64(srv.CloudFetches()) })
@@ -642,28 +614,41 @@ func (s *Server) Serve(ctx context.Context) error {
 	}
 	s.mu.Lock()
 	s.ln = ln
-	s.edge = srv
+	s.core, s.edge = &srv.ServerCore, srv
 	s.mu.Unlock()
 	return srv.ServeContext(ctx, ln)
+}
+
+// configureCore applies the options both tiers share to the tier's
+// serving core (in place: the core holds its counters and must not be
+// copied) and bridges its ledger to the metrics registry.
+func (s *Server) configureCore(sc *core.ServerCore) {
+	sc.Workers = s.cfg.workers
+	sc.QueueDepth = s.cfg.queueDepth
+	sc.Batch = s.cfg.batch
+	sc.BatchSlack = s.cfg.batchSlack
+	sc.Tenants = s.tenantPolicy()
+	sc.Obs = core.NewServerObs(s.reg, s.rlog)
+	s.registerSchedBridges(sc)
 }
 
 // registerSchedBridges exposes the scheduler's existing counters as
 // scrape-time metrics. They are read on demand rather than double
 // counted on the hot path.
-func (s *Server) registerSchedBridges(admitted func(QoS) uint64, sheds, overloads func() uint64) {
+func (s *Server) registerSchedBridges(sc *core.ServerCore) {
 	for _, class := range []QoS{QoSBestEffort, QoSInteractive} {
 		class := class
 		s.reg.CounterFunc("coic_sched_admitted_total",
 			"Requests admitted into the per-connection scheduler by service class.",
-			func() float64 { return float64(admitted(class)) },
+			func() float64 { return float64(sc.Admitted(class)) },
 			obs.L("class", class.String()))
 	}
 	s.reg.CounterFunc("coic_sched_deadline_sheds_total",
 		"Queued requests dropped unexecuted because their deadline passed.",
-		func() float64 { return float64(sheds()) })
+		func() float64 { return float64(sc.DeadlineSheds()) })
 	s.reg.CounterFunc("coic_sched_overloads_total",
 		"Requests rejected by admission control with an overloaded error.",
-		func() float64 { return float64(overloads()) })
+		func() float64 { return float64(sc.Overloads()) })
 }
 
 // OpsHandler returns the live operations plane: Prometheus text metrics
