@@ -7,7 +7,7 @@ API_BASELINE_FILE := .github/api-baseline-ref
 # The apidiff version CI pins; bump deliberately alongside Go bumps.
 APIDIFF_VERSION := v0.0.0-20240909161429-701f63a606c0
 
-.PHONY: all build lint test bench cover api smoke smoke-gossip fuzz ci
+.PHONY: all build lint loc test bench cover api smoke smoke-gossip fuzz ci
 
 # How long each fuzz target mutates (the CI fuzz-smoke duration).
 FUZZ_TIME ?= 30s
@@ -29,6 +29,11 @@ lint:
 	else \
 		echo "staticcheck not installed (go install honnef.co/go/tools/cmd/staticcheck@2025.1.1, the version CI pins); skipping"; \
 	fi
+
+# loc = the size figure simplicity PRs quote: non-test Go lines outside
+# bench/ (the benchmark harness is not the system).
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
 
 # test = the CI test job: race detector + coverage profile + baseline gate.
 test:

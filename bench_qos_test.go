@@ -29,7 +29,7 @@ func BenchmarkStreamServe(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer h.Close()
-			stopBG, err := h.StartBackground(bc.qos)
+			stopBG, err := h.flood(h.Client, bc.qos, 6)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,6 @@
 // Command coic-bench regenerates every table and figure of the CoIC
 // reproduction: Figure 2a, Figure 2b, and the ablation experiments listed
-// in DESIGN.md. Output is aligned text by default, CSV with -csv, or
+// in README.md ("Experiments ↔ paper figures"). Output is aligned text by default, CSV with -csv, or
 // machine-readable JSON with -json (one array of {title, columns, rows,
 // notes} objects — what CI uploads as the pinned bench artifact).
 //

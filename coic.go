@@ -145,7 +145,7 @@ func (s *System) CaptureFrame(client int, class Class, viewSeed uint64) (*Frame,
 }
 
 // DefaultParams returns the calibrated reproduction parameters
-// (see DESIGN.md for the calibration rationale).
+// (each Params field documents how its value was chosen).
 func DefaultParams() Params { return core.DefaultParams() }
 
 // Fig2aConditions returns the five network conditions of Figure 2a.
@@ -202,7 +202,7 @@ func New(opts ...Option) (*System, error) {
 	}
 	cond := cfg.condition
 	if cond.MobileEdge == 0 {
-		cond = Condition{Name: "200/20", MobileEdge: 200, EdgeCloud: 20}
+		cond = core.MidSweep
 	}
 	var edgeOpts []core.EdgeOption
 	switch cfg.cachePolicy {

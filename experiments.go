@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,12 +45,10 @@ type TaskMix = trace.TaskMix
 func RunFig2a(p Params) ([]Fig2aRow, error) { return core.RunFig2a(p) }
 
 // RunFig2b regenerates Figure 2b (model load latency across sizes).
-func RunFig2b(p Params) ([]Fig2bRow, error) { return core.RunFig2b(p) }
+func RunFig2b(p Params) ([]Fig2bRow, error) { return core.RunFig2b(p, core.Fig2bModelKB) }
 
 // RunFig2bSizes runs Figure 2b over a subset of the size ladder.
-func RunFig2bSizes(p Params, sizesKB []int) ([]Fig2bRow, error) {
-	return core.RunFig2bSizes(p, sizesKB)
-}
+func RunFig2bSizes(p Params, sizesKB []int) ([]Fig2bRow, error) { return core.RunFig2b(p, sizesKB) }
 
 func msCol(d time.Duration) string {
 	return fmt.Sprintf("%.1f", float64(d)/float64(time.Millisecond))
@@ -110,14 +109,8 @@ func RunHitRatio(p Params, userCounts []int, locality float64, seed uint64) (*Ta
 		if err != nil {
 			return nil, err
 		}
-		coicRes, err := core.RunTrace(p, cond200, events, ModeCoIC)
-		if err != nil {
-			return nil, err
-		}
-		originRes, err := core.RunTrace(p, cond200, events, ModeOrigin)
-		if err != nil {
-			return nil, err
-		}
+		coicRes := core.RunTrace(p, core.MidSweep, events, ModeCoIC)
+		originRes := core.RunTrace(p, core.MidSweep, events, ModeOrigin)
 		speedup := float64(originRes.All.Mean()) / float64(coicRes.All.Mean())
 		t.AddRow(users, coicRes.Events,
 			fmt.Sprintf("%.3f", coicRes.HitRatio()),
@@ -126,8 +119,6 @@ func RunHitRatio(p Params, userCounts []int, locality float64, seed uint64) (*Ta
 	}
 	return t, nil
 }
-
-var cond200 = Condition{Name: "200/20", MobileEdge: 200, EdgeCloud: 20}
 
 // RunPolicyAblation compares eviction policies on one trace across cache
 // capacities (the paper's "simple cache management policy" axis).
@@ -155,14 +146,11 @@ func RunPolicyAblation(p Params, capacitiesMB []int, seed uint64) (*Table, error
 		for _, pol := range policies {
 			pp := p
 			pp.EdgeCacheBytes = int64(mb) << 20
-			res, err := core.RunTrace(pp, cond200, events, ModeCoIC, core.WithCachePolicy(pol.mk()))
-			if err != nil {
-				return nil, err
-			}
+			res := core.RunTrace(pp, core.MidSweep, events, ModeCoIC, core.WithCachePolicy(pol.mk()))
 			t.AddRow(mb, pol.name,
 				fmt.Sprintf("%.3f", res.HitRatio()),
 				msCol(res.All.Mean()),
-				res.Events-res.Errors)
+				res.Cache.Evictions)
 		}
 	}
 	return t, nil
@@ -247,17 +235,17 @@ func RunCooperation(p Params, edgeCounts []int, requestsPerEdge int) (*Table, er
 		"edges", "peered", "hit_ratio", "peer_hits", "cloud_fetches")
 	for _, n := range edgeCounts {
 		for _, peered := range []bool{false, true} {
-			hitRatio, peerHits, cloudFetches, err := runCoop(p, n, requestsPerEdge, peered)
+			fleet, cloudFetches, err := runCoop(p, n, requestsPerEdge, peered)
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(n, peered, fmt.Sprintf("%.3f", hitRatio), peerHits, cloudFetches)
+			t.AddRow(n, peered, fmt.Sprintf("%.3f", fleet.HitRatio()), fleet.PeerHits, cloudFetches)
 		}
 	}
 	return t, nil
 }
 
-func runCoop(p Params, edges, requestsPerEdge int, peered bool) (float64, uint64, int, error) {
+func runCoop(p Params, edges, requestsPerEdge int, peered bool) (core.FleetStats, int, error) {
 	cloud := core.NewCloud(p)
 	es := make([]*core.Edge, edges)
 	for i := range es {
@@ -275,44 +263,37 @@ func runCoop(p Params, edges, requestsPerEdge int, peered bool) (float64, uint64
 	at := time.Date(2018, 8, 20, 9, 0, 0, 0, time.UTC)
 	cloudFetches := 0
 	modelIDs := []string{AnnotationModelID(ClassCar), AnnotationModelID(ClassTree), AnnotationModelID(ClassDog)}
-	var totalLookups, totalHits uint64
 	for i := 0; i < edges; i++ {
-		topo := netsim.NewTopology(cond200, p.Seed+uint64(i))
+		topo := netsim.NewTopology(core.MidSweep, p.Seed+uint64(i))
 		sess := core.NewSession(core.NewClient(i, p), es[i], cloud, topo)
 		for r := 0; r < requestsPerEdge; r++ {
 			// Every edge's users want the same popular content.
 			b, err := sess.Render(context.Background(), at.Add(time.Duration(r)*time.Second), modelIDs[r%len(modelIDs)], ModeCoIC)
 			if err != nil {
-				return 0, 0, 0, err
+				return core.FleetStats{}, 0, err
 			}
 			if b.Cloud > 0 {
 				cloudFetches++
 			}
 		}
 	}
-	var peerHits uint64
-	for _, e := range es {
-		st := e.Stats()
-		peerHits += st.PeerHits
-		for _, v := range st.Lookups {
-			totalLookups += v
-		}
-		for _, v := range st.Exact {
-			totalHits += v
-		}
-		for _, v := range st.Similar {
-			totalHits += v
-		}
-	}
-	ratio := 0.0
-	if totalLookups > 0 {
-		ratio = float64(totalHits) / float64(totalLookups)
-	}
-	return ratio, peerHits, cloudFetches, nil
+	return core.RollUp(es), cloudFetches, nil
 }
 
 // FederationRow is one point of the multi-edge federation ablation.
 type FederationRow = core.FederationRow
+
+// fleetTrace is the workload of overlapping user interest the federation
+// and churn ablations share.
+func fleetTrace(users int, seed uint64) ([]trace.Event, error) {
+	return trace.Generate(trace.Config{
+		Users: users, Cells: 8, Duration: 40 * time.Second,
+		RatePerUser: 1, Objects: 96, ZipfAlpha: 0.8,
+		Locality: 0.7, HotSetSize: 12,
+		TaskMix: trace.TaskMix{Recognize: 0.4, Render: 0.4, Pano: 0.2},
+		Seed:    seed,
+	})
+}
 
 // RunFederation is the multi-edge ablation: one workload of overlapping
 // user interest replayed over 1..N edges × client placement, with edges
@@ -324,25 +305,22 @@ type FederationRow = core.FederationRow
 // so the aggregate hit ratio rises and cloud fetches fall as edges are
 // added.
 func RunFederation(p Params, edgeCounts []int, users, capacityMB int, seed uint64) (*Table, error) {
-	events, err := trace.Generate(trace.Config{
-		Users: users, Cells: 8, Duration: 40 * time.Second,
-		RatePerUser: 1, Objects: 96, ZipfAlpha: 0.8,
-		Locality: 0.7, HotSetSize: 12,
-		TaskMix: trace.TaskMix{Recognize: 0.4, Render: 0.4, Pano: 0.2},
-		Seed:    seed,
-	})
+	events, err := fleetTrace(users, seed)
 	if err != nil {
 		return nil, err
 	}
-	pp := p
-	pp.EdgeCacheBytes = int64(capacityMB) << 20
-	rows, err := core.RunFederation(pp, core.FederationConfigExp{
-		EdgeCounts: edgeCounts,
-		Events:     events,
-		Baseline:   true,
-	})
-	if err != nil {
-		return nil, err
+	p.EdgeCacheBytes = int64(capacityMB) << 20
+	var rows []FederationRow
+	for _, n := range edgeCounts {
+		if n < 1 {
+			return nil, fmt.Errorf("coic: federation of %d edges", n)
+		}
+		for _, placement := range []core.Placement{core.PlaceByCell, core.PlaceScatter} {
+			rows = append(rows, core.FederationPoint(p, core.MidSweep, events, n, placement, false))
+			if n > 1 { // a single edge has nobody to federate with
+				rows = append(rows, core.FederationPoint(p, core.MidSweep, events, n, placement, true))
+			}
+		}
 	}
 	return FederationTable(rows), nil
 }
@@ -372,27 +350,20 @@ type ChurnRow = core.ChurnRow
 // degrades to cloud fetches until it returns. The hit-ratio and p99 gap
 // between the rows is what gossip-driven membership buys the fleet.
 func RunChurn(p Params, cycleCounts []int, edges, rf, users, capacityMB int, seed uint64) (*Table, error) {
-	events, err := trace.Generate(trace.Config{
-		Users: users, Cells: 8, Duration: 40 * time.Second,
-		RatePerUser: 1, Objects: 96, ZipfAlpha: 0.8,
-		Locality: 0.7, HotSetSize: 12,
-		TaskMix: trace.TaskMix{Recognize: 0.4, Render: 0.4, Pano: 0.2},
-		Seed:    seed,
-	})
+	if edges < 2 {
+		return nil, fmt.Errorf("coic: churn needs a stable seed and a victim, got %d edges", edges)
+	}
+	events, err := fleetTrace(users, seed)
 	if err != nil {
 		return nil, err
 	}
-	pp := p
-	pp.EdgeCacheBytes = int64(capacityMB) << 20
-	rows, err := core.RunChurn(pp, core.ChurnConfigExp{
-		Edges:       edges,
-		RF:          rf,
-		CycleCounts: cycleCounts,
-		Events:      events,
-		Baseline:    true,
-	})
-	if err != nil {
-		return nil, err
+	p.EdgeCacheBytes = int64(capacityMB) << 20
+	var rows []ChurnRow
+	for _, cycles := range cycleCounts {
+		if cycles > 0 { // a stable fleet makes both modes identical
+			rows = append(rows, core.ChurnPoint(p, core.MidSweep, events, edges, rf, cycles, false))
+		}
+		rows = append(rows, core.ChurnPoint(p, core.MidSweep, events, edges, rf, cycles, true))
 	}
 	return ChurnTable(rows), nil
 }
@@ -425,19 +396,35 @@ type BurstRow = core.BurstRow
 // (and fetches saved) plus p50/p99 latency — the virtual-time counterpart
 // of the TCP edge's singleflight table.
 func RunBurst(p Params, userCounts []int, dupRatios []float64) (*Table, error) {
-	rows, err := core.RunBurstExp(p, core.BurstConfig{
-		UserCounts: userCounts,
-		DupRatios:  dupRatios,
-	})
-	if err != nil {
-		return nil, err
+	cloud := core.NewCloud(p)
+	var rows []BurstRow
+	for _, users := range userCounts {
+		for _, dup := range dupRatios {
+			for _, mode := range []core.InflightMode{core.InflightSerial, core.InflightCoalesce} {
+				row, err := core.BurstPoint(p, core.MidSweep, cloud, users, dup, mode)
+				if err != nil {
+					return nil, fmt.Errorf("burst users=%d dup=%.2f %s: %w", users, dup, mode, err)
+				}
+				rows = append(rows, row)
+			}
+		}
 	}
 	return BurstTable(rows), nil
 }
 
-// BurstTable renders burst ablation rows.
+// BurstTable renders burst ablation rows ordered by users, then
+// duplication ratio, then mode (serial before coalesce).
 func BurstTable(rows []BurstRow) *Table {
-	core.SortBurstRows(rows)
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if a.Users != b.Users {
+			return a.Users < b.Users
+		}
+		if a.DupRatio != b.DupRatio {
+			return a.DupRatio < b.DupRatio
+		}
+		return a.Mode < b.Mode
+	})
 	t := metrics.NewTable(
 		"A-burst — concurrent-miss coalescing under correlated bursts",
 		"users", "dup_ratio", "mode", "distinct", "cloud_fetches", "saved", "coalesced", "p50_ms", "p99_ms")
@@ -539,20 +526,17 @@ func RunBatch(p Params, batchSizes []int, rounds int) *Table {
 func RunPanoStreaming(p Params, users, framesPerUser int) (*Table, error) {
 	t := metrics.NewTable("A-pano — shared VR panorama streaming",
 		"mode", "users", "frames", "mean_ms", "p95_ms", "hit_ratio")
+	events, err := trace.Generate(trace.Config{
+		Users: users, Cells: 1, Duration: time.Duration(framesPerUser) * 200 * time.Millisecond,
+		RatePerUser: 5, Objects: 2, Locality: 1, HotSetSize: 2,
+		TaskMix: trace.TaskMix{Pano: 1},
+		Seed:    p.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
 	for _, mode := range []Mode{ModeOrigin, ModeCoIC} {
-		events, err := trace.Generate(trace.Config{
-			Users: users, Cells: 1, Duration: time.Duration(framesPerUser) * 200 * time.Millisecond,
-			RatePerUser: 5, Objects: 2, Locality: 1, HotSetSize: 2,
-			TaskMix: trace.TaskMix{Pano: 1},
-			Seed:    p.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.RunTrace(p, cond200, events, mode)
-		if err != nil {
-			return nil, err
-		}
+		res := core.RunTrace(p, core.MidSweep, events, mode)
 		t.AddRow(mode.String(), users, res.Events,
 			msCol(res.All.Mean()), msCol(res.All.P95()),
 			fmt.Sprintf("%.3f", res.HitRatio()))
@@ -578,14 +562,7 @@ func RunPrivacy(p Params, ks []int, seed uint64) (*Table, error) {
 	t := metrics.NewTable("A-privacy — k-anonymity sharing gate vs cache utility",
 		"privacy_k", "hit_ratio", "blocked", "mean_ms")
 	for _, k := range ks {
-		var opts []core.EdgeOption
-		if k > 1 {
-			opts = append(opts, core.WithPrivacyK(k))
-		}
-		res, err := core.RunTrace(p, cond200, events, ModeCoIC, opts...)
-		if err != nil {
-			return nil, err
-		}
+		res := core.RunTrace(p, core.MidSweep, events, ModeCoIC, core.WithPrivacyK(k))
 		t.AddRow(k,
 			fmt.Sprintf("%.3f", res.HitRatio()),
 			res.Edge.PrivacyBlocked,
@@ -614,14 +591,8 @@ func RunQoE(p Params, users int, seed uint64) (*Table, error) {
 	t := metrics.NewTable(
 		fmt.Sprintf("QoE — mean opinion score (1-5) per task, %d users", users),
 		"task", "origin_qoe", "coic_qoe", "origin_p95_ms", "coic_p95_ms")
-	coicRes, err := core.RunTrace(p, cond200, events, ModeCoIC)
-	if err != nil {
-		return nil, err
-	}
-	originRes, err := core.RunTrace(p, cond200, events, ModeOrigin)
-	if err != nil {
-		return nil, err
-	}
+	coicRes := core.RunTrace(p, core.MidSweep, events, ModeCoIC)
+	originRes := core.RunTrace(p, core.MidSweep, events, ModeOrigin)
 	rows := []struct {
 		task wire.Task
 		q    metrics.QoE
@@ -761,26 +732,15 @@ func (h *qosHarness) Close() {
 	h.cancel()
 }
 
-// StartBackground floods the connection with distinct (always-miss)
-// pano fetches through a standing window; each one costs a shaped cloud
-// fetch, building a backlog in the edge's scheduler. tagged submits
-// them as QoSBestEffort; untagged carries no QoS metadata (the pre-QoS
-// FIFO baseline). The returned stop function ends the load, drains the
-// stream, and reports how many background fetches completed. It also
-// waits ~300ms so callers measure against an established backlog.
-func (h *qosHarness) StartBackground(tagged bool) (stop func() int, err error) {
-	stopOn, err := h.startBackgroundOn(h.Client, tagged, 6)
-	if err != nil {
-		return nil, err
-	}
-	return func() int { n, _ := stopOn(); return n }, nil
-}
-
-// startBackgroundOn is StartBackground through an arbitrary client
-// connection (the noisy-neighbor ablation floods through its own tenant
-// connection). The returned stop reports how many background fetches
-// completed and how many were rejected by per-tenant admission quota.
-func (h *qosHarness) startBackgroundOn(cli *Client, tagged bool, window int) (stop func() (completed, rejected int), err error) {
+// flood saturates cli's connection with distinct (always-miss) pano
+// fetches through a standing window; each one costs a shaped cloud
+// fetch, building a backlog in the edge's scheduler. tagged submits them
+// as QoSBestEffort; untagged carries no QoS metadata (the pre-QoS FIFO
+// baseline). It waits ~300ms so callers measure against an established
+// backlog. The returned stop (idempotent, so it can be both called and
+// deferred) ends the load, drains the stream, and reports how many
+// fetches completed.
+func (h *qosHarness) flood(cli *Client, tagged bool, window int) (stop func() int, err error) {
 	bgCtx, bgStop := context.WithCancel(h.ctx)
 	bg, err := cli.Stream(bgCtx, WithWindow(window))
 	if err != nil {
@@ -788,16 +748,12 @@ func (h *qosHarness) startBackgroundOn(cli *Client, tagged bool, window int) (st
 		return nil, err
 	}
 	results := bg.Results()
-	type tally struct{ completed, rejected int }
-	done := make(chan tally, 1)
+	done := make(chan int, 1)
 	go func() {
-		var n tally
+		n := 0
 		for comp := range results {
-			switch {
-			case comp.Err == nil:
-				n.completed++
-			case errors.Is(comp.Err, ErrQuotaExceeded):
-				n.rejected++
+			if comp.Err == nil {
+				n++
 			}
 		}
 		done <- n
@@ -814,12 +770,51 @@ func (h *qosHarness) startBackgroundOn(cli *Client, tagged bool, window int) (st
 		}
 	}()
 	time.Sleep(300 * time.Millisecond) // let the backlog build
-	return func() (int, int) {
-		bgStop()
-		bg.Close()
-		n := <-done
-		return n.completed, n.rejected
+	var once sync.Once
+	completed := 0
+	return func() int {
+		once.Do(func() {
+			bgStop()
+			bg.Close()
+			completed = <-done
+		})
+		return completed
 	}, nil
+}
+
+// noFlood is the stop of a row that runs without background load.
+func noFlood() int { return 0 }
+
+// paced measures n foreground requests on cli, one at a time at display
+// rate. It returns their latencies and how many were late: shed at the
+// edge on their wire deadline or, when budget is nonzero, slower than it
+// (scored client-side).
+func (h *qosHarness) paced(cli *Client, n int, budget time.Duration, request func(i int) Request) (*metrics.Histogram, int, error) {
+	fg, err := cli.Stream(h.ctx, WithWindow(1))
+	if err != nil {
+		return nil, 0, err
+	}
+	defer fg.Close()
+	hist := &metrics.Histogram{}
+	late := 0
+	for i := 0; i < n; i++ {
+		ticket, err := fg.Submit(h.ctx, request(i))
+		if err != nil {
+			return nil, 0, err
+		}
+		comp, err := ticket.Await(h.ctx)
+		switch {
+		case errors.Is(err, ErrDeadlineExceeded):
+			late++
+		case err != nil:
+			return nil, 0, err
+		case budget > 0 && comp.Latency > budget:
+			late++
+		}
+		hist.Record(comp.Latency)
+		time.Sleep(2 * time.Millisecond) // display-rate pacing
+	}
+	return hist, late, nil
 }
 
 func runQoSRow(p Params, t *Table, name string, load, qos bool, interactiveN int, deadline time.Duration) error {
@@ -829,53 +824,30 @@ func runQoSRow(p Params, t *Table, name string, load, qos bool, interactiveN int
 	}
 	defer h.Close()
 
-	bgCompleted := 0
-	stopBG := func() {}
+	stopBG := noFlood
 	if load {
-		stop, err := h.StartBackground(qos)
-		if err != nil {
+		if stopBG, err = h.flood(h.Client, qos, 6); err != nil {
 			return err
-		}
-		stopped := false
-		stopBG = func() { // idempotent: called explicitly and deferred
-			if !stopped {
-				stopped = true
-				bgCompleted = stop()
-			}
 		}
 		defer stopBG()
 	}
 
-	fg, err := h.Client.Stream(h.ctx, WithWindow(1))
-	if err != nil {
-		return err
+	budget := deadline // fifo row: score the same budget client-side
+	if qos {
+		budget = 0 // the deadline rides the wire; the edge sheds
 	}
-	defer fg.Close()
-	hist := &metrics.Histogram{}
-	late := 0
-	for i := 0; i < interactiveN; i++ {
+	hist, late, err := h.paced(h.Client, interactiveN, budget, func(i int) Request {
 		req := PanoTask("qos-fg", i, Viewport{FOV: 1.6})
 		if qos {
 			req = req.WithQoS(QoSInteractive).WithDeadline(deadline)
 		}
-		ticket, err := fg.Submit(h.ctx, req)
-		if err != nil {
-			return err
-		}
-		comp, err := ticket.Await(h.ctx)
-		switch {
-		case errors.Is(err, ErrDeadlineExceeded):
-			late++
-		case err != nil:
-			return fmt.Errorf("coic: qos row %s: %w", name, err)
-		case !qos && comp.Latency > deadline:
-			late++ // fifo row: score the same budget client-side
-		}
-		hist.Record(comp.Latency)
-		time.Sleep(2 * time.Millisecond) // display-rate pacing
+		return req
+	})
+	if err != nil {
+		return fmt.Errorf("coic: qos row %s: %w", name, err)
 	}
 
-	stopBG() // drain the background stream so bg_completed is final
+	bgCompleted := stopBG() // drain the background stream so bg_completed is final
 	stats := h.Edge.Stats()
 	t.AddRow(name, interactiveN,
 		msCol(hist.Median()), msCol(hist.P99()),
@@ -973,66 +945,35 @@ func runNoisyRow(p Params, t *Table, name string, load, tenants, quota bool, vic
 	// One unrecorded warmup fetch before the flood exists: it pays the
 	// lazy upstream-mux dial so the solo floor (and every other row)
 	// measures steady-state service, not connection setup.
-	warm, err := victim.Stream(h.ctx, WithWindow(1))
-	if err != nil {
-		return err
-	}
-	ticket, err := warm.Submit(h.ctx, PanoTask("noisy-warm", 0, Viewport{FOV: 1.6}))
-	if err != nil {
-		return err
-	}
-	if _, err := ticket.Await(h.ctx); err != nil {
+	if _, _, err := h.paced(victim, 1, 0, func(int) Request {
+		return PanoTask("noisy-warm", 0, Viewport{FOV: 1.6})
+	}); err != nil {
 		return fmt.Errorf("coic: noisy row %s warmup: %w", name, err)
 	}
-	warm.Close()
 
-	bgCompleted := 0
-	stopBG := func() {}
+	stopBG := noFlood
 	if load {
 		noisy, err := h.Dial(noisyDial...)
 		if err != nil {
 			return err
 		}
 		defer noisy.Close()
-		stop, err := h.startBackgroundOn(noisy, true, 12)
-		if err != nil {
+		if stopBG, err = h.flood(noisy, true, 12); err != nil {
 			return err
-		}
-		stopped := false
-		stopBG = func() { // idempotent: called explicitly and deferred
-			if !stopped {
-				stopped = true
-				bgCompleted, _ = stop()
-			}
 		}
 		defer stopBG()
 	}
 
-	fg, err := victim.Stream(h.ctx, WithWindow(1))
+	// Victim requests carry no wire deadline, so none is ever shed: over
+	// is purely the client-side budget check.
+	hist, over, err := h.paced(victim, victimN, budget, func(i int) Request {
+		return PanoTask("noisy-fg", i, Viewport{FOV: 1.6}).WithQoS(QoSInteractive)
+	})
 	if err != nil {
-		return err
-	}
-	defer fg.Close()
-	hist := &metrics.Histogram{}
-	over := 0
-	for i := 0; i < victimN; i++ {
-		req := PanoTask("noisy-fg", i, Viewport{FOV: 1.6}).WithQoS(QoSInteractive)
-		ticket, err := fg.Submit(h.ctx, req)
-		if err != nil {
-			return err
-		}
-		comp, err := ticket.Await(h.ctx)
-		if err != nil {
-			return fmt.Errorf("coic: noisy row %s: %w", name, err)
-		}
-		if comp.Latency > budget {
-			over++
-		}
-		hist.Record(comp.Latency)
-		time.Sleep(2 * time.Millisecond) // display-rate pacing
+		return fmt.Errorf("coic: noisy row %s: %w", name, err)
 	}
 
-	stopBG() // drain the flood so noisy_completed is final
+	bgCompleted := stopBG() // drain the flood so noisy_completed is final
 	stats := h.Edge.Stats()
 	t.AddRow(name, victimN,
 		msCol(hist.Median()), msCol(hist.P99()), over,

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,10 +12,13 @@ import (
 
 // ForEachResident visits every resident entry whose descriptor was
 // retained (the same population Snapshot persists), stopping early when
-// fn returns false. The key list is snapshotted once, then each entry is
-// read under its own lock epoch, so concurrent inserts and evictions
-// never block behind the walk; an entry evicted mid-walk is simply
-// skipped. This is the residency source for ring-change key migration.
+// fn returns false. The key list is snapshotted once and walked in key
+// order — migration pushes into capacity-bound peers, so a map-order
+// walk would make what survives there differ from run to run — then each
+// entry is read under its own lock epoch, so concurrent inserts and
+// evictions never block behind the walk; an entry evicted mid-walk is
+// simply skipped. This is the residency source for ring-change key
+// migration.
 func (sc *SimilarityCache) ForEachResident(fn func(desc feature.Descriptor, value []byte, cost float64) bool) {
 	sc.mu.Lock()
 	keys := make([]string, 0, len(sc.descs))
@@ -22,6 +26,7 @@ func (sc *SimilarityCache) ForEachResident(fn func(desc feature.Descriptor, valu
 		keys = append(keys, k)
 	}
 	sc.mu.Unlock()
+	sort.Strings(keys)
 
 	for _, k := range keys {
 		sc.mu.Lock()

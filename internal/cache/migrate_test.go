@@ -22,10 +22,16 @@ func migratorCache(t *testing.T, n int) *SimilarityCache {
 func TestForEachResidentVisitsAll(t *testing.T) {
 	sc := migratorCache(t, 16)
 	seen := map[string]bool{}
+	last := ""
 	sc.ForEachResident(func(desc feature.Descriptor, value []byte, cost float64) bool {
 		if len(value) != 1 || cost != 1 {
 			t.Fatalf("entry %q: value %v cost %v", desc.Key(), value, cost)
 		}
+		// Key order, not map order: migration must replay identically.
+		if desc.Key() <= last {
+			t.Fatalf("visited %q after %q: walk is not in key order", desc.Key(), last)
+		}
+		last = desc.Key()
 		seen[desc.Key()] = true
 		return true
 	})

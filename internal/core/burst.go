@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
-	"github.com/edge-immersion/coic/internal/dnn"
 	"github.com/edge-immersion/coic/internal/metrics"
 	"github.com/edge-immersion/coic/internal/netsim"
 	"github.com/edge-immersion/coic/internal/pano"
@@ -17,26 +15,11 @@ import (
 // This file is the burst ablation: what happens when K users fire
 // requests at the edge in the same instant — the correlated-arrival
 // pattern of multi-user immersive workloads (a crowd at one landmark, an
-// audience scrubbing to the same VR scene). The experiment replays one
+// audience scrubbing to the same VR scene). The sweep replays each
 // burst under the honest serial miss policy (every in-flight duplicate
 // pays its own cloud fetch) and under miss coalescing (duplicates join
 // the one in-flight fetch), quantifying the cloud fetches saved and the
 // tail-latency effect.
-
-// BurstConfig parameterises RunBurstExp.
-type BurstConfig struct {
-	// Cond is the network condition (200/20 mid-sweep when zero).
-	Cond netsim.Condition
-	// UserCounts sweeps the burst size (concurrent users).
-	UserCounts []int
-	// DupRatios sweeps content duplication: 0 means every user wants a
-	// distinct result, 1 means the whole burst wants the same one. The
-	// burst uses max(1, round(users·(1−dup))) distinct descriptors.
-	DupRatios []float64
-	// Spacing separates consecutive arrivals (default 10µs — effectively
-	// simultaneous relative to a cloud round trip, but deterministic).
-	Spacing time.Duration
-}
 
 // BurstRow is one (users, duplication, mode) point of the sweep.
 type BurstRow struct {
@@ -61,45 +44,20 @@ type BurstRow struct {
 // non-fetching request was either coalesced or (serial mode) zero.
 func (r BurstRow) SavedFetches() int { return r.Events - r.CloudFetches }
 
-// RunBurstExp sweeps burst size × duplication ratio, running every point
-// once with coalescing off (InflightSerial: the honest serial baseline)
-// and once with coalescing on (InflightCoalesce). All requests are VR
-// panorama fetches — the task whose descriptor space is unbounded, so any
-// duplication level is expressible — against a cold edge.
-func RunBurstExp(p Params, cfg BurstConfig) ([]BurstRow, error) {
-	if cfg.Cond.MobileEdge == 0 {
-		cfg.Cond = netsim.Condition{Name: "200/20", MobileEdge: 200, EdgeCloud: 20}
+// BurstPoint fires one cold-edge burst: users VR panorama fetches — the
+// task whose descriptor space is unbounded, so any duplication level is
+// expressible — 10µs apart (effectively simultaneous relative to a cloud
+// round trip, but deterministic), under the given virtual in-flight
+// policy. dup is the content duplication: 0 means every user wants a
+// distinct result, 1 means the whole burst wants the same one; the burst
+// uses max(1, round(users·(1−dup))) distinct descriptors.
+func BurstPoint(p Params, cond netsim.Condition, cloud *Cloud, users int, dup float64, mode InflightMode) (BurstRow, error) {
+	if users <= 0 {
+		return BurstRow{}, fmt.Errorf("core: burst with %d users", users)
 	}
-	if cfg.Spacing <= 0 {
-		cfg.Spacing = 10 * time.Microsecond
+	if dup < 0 || dup > 1 {
+		return BurstRow{}, fmt.Errorf("core: duplication ratio %v outside [0,1]", dup)
 	}
-	cloud := NewCloud(p)
-	// Pano tasks never touch the DNN trunk, but Client requires one;
-	// build it once and share across all burst users.
-	trunk := dnn.NewEdgeNet(p.Classes(), p.DNNInput, p.Seed).Trunk()
-
-	var rows []BurstRow
-	for _, users := range cfg.UserCounts {
-		if users <= 0 {
-			return nil, fmt.Errorf("core: burst with %d users", users)
-		}
-		for _, dup := range cfg.DupRatios {
-			if dup < 0 || dup > 1 {
-				return nil, fmt.Errorf("core: duplication ratio %v outside [0,1]", dup)
-			}
-			for _, mode := range []InflightMode{InflightSerial, InflightCoalesce} {
-				row, err := runBurstPoint(p, cfg, cloud, trunk, users, dup, mode)
-				if err != nil {
-					return nil, fmt.Errorf("burst users=%d dup=%.2f %s: %w", users, dup, mode, err)
-				}
-				rows = append(rows, row)
-			}
-		}
-	}
-	return rows, nil
-}
-
-func runBurstPoint(p Params, cfg BurstConfig, cloud *Cloud, trunk *dnn.Network, users int, dup float64, mode InflightMode) (BurstRow, error) {
 	distinct := int(math.Round(float64(users) * (1 - dup)))
 	if distinct < 1 {
 		distinct = 1
@@ -107,15 +65,15 @@ func runBurstPoint(p Params, cfg BurstConfig, cloud *Cloud, trunk *dnn.Network, 
 	row := BurstRow{Users: users, DupRatio: dup, Mode: mode, Distinct: distinct}
 
 	edge := NewEdge(p, WithInflightMode(mode))
-	topo := netsim.NewTopology(cfg.Cond, p.Seed)
+	topo := netsim.NewTopology(cond, p.Seed)
 	hist := &metrics.Histogram{}
 	eng := sim.New(epoch)
 	var firstErr error
 	for i := 0; i < users; i++ {
 		i := i
-		sess := NewSession(&Client{ID: i, Params: p, Trunk: trunk}, edge, cloud, topo)
-		at := epoch.Add(time.Duration(i) * cfg.Spacing)
-		eng.Schedule(at, func() {
+		// Pano tasks never touch the DNN trunk, so the clients carry none.
+		sess := NewSession(&Client{ID: i, Params: p}, edge, cloud, topo)
+		eng.Schedule(epoch.Add(time.Duration(i)*10*time.Microsecond), func() {
 			// User i wants frame i%distinct: the duplication knob decides
 			// how many users collide on each descriptor.
 			vp := pano.Viewport{Yaw: float64(i%6) / 2, FOV: 1.6}
@@ -141,19 +99,4 @@ func runBurstPoint(p Params, cfg BurstConfig, cloud *Cloud, trunk *dnn.Network, 
 	row.CoalescedJoins = edge.Stats().Coalesced
 	row.P50, row.P99 = hist.Median(), hist.P99()
 	return row, nil
-}
-
-// SortBurstRows orders rows for stable rendering: users, then dup ratio,
-// then mode (serial before coalesce).
-func SortBurstRows(rows []BurstRow) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Users != b.Users {
-			return a.Users < b.Users
-		}
-		if a.DupRatio != b.DupRatio {
-			return a.DupRatio < b.DupRatio
-		}
-		return a.Mode < b.Mode
-	})
 }

@@ -25,15 +25,24 @@ func burstRowFor(t *testing.T, rows []BurstRow, users int, dup float64, mode Inf
 func TestRunBurstCoalesces(t *testing.T) {
 	p := testParams()
 	const users = 8
-	rows, err := RunBurstExp(p, BurstConfig{
-		UserCounts: []int{users},
-		DupRatios:  []float64{0, 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	cloud := NewCloud(p)
+	var rows []BurstRow
+	for _, dup := range []float64{0, 1} {
+		for _, mode := range []InflightMode{InflightSerial, InflightCoalesce} {
+			row, err := BurstPoint(p, testCond, cloud, users, dup, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, row)
+		}
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
+	for _, bad := range []struct {
+		users int
+		dup   float64
+	}{{0, 0}, {users, -0.1}, {users, 1.1}} {
+		if _, err := BurstPoint(p, testCond, cloud, bad.users, bad.dup, InflightSerial); err == nil {
+			t.Fatalf("BurstPoint accepted users=%d dup=%v", bad.users, bad.dup)
+		}
 	}
 
 	serial := burstRowFor(t, rows, users, 1, InflightSerial)

@@ -37,7 +37,7 @@ func NewClient(id int, p Params) *Client {
 
 // CaptureFrame renders the camera input for observing `class` under the
 // viewpoint drawn from viewSeed: the stand-in for pointing a phone at a
-// real object (see DESIGN.md substitution table).
+// real object.
 func (c *Client) CaptureFrame(class vision.Class, viewSeed uint64) *vision.Frame {
 	view := vision.RandomView(xrand.New(viewSeed))
 	return vision.RenderObject(class, view, c.Params.CameraW, c.Params.CameraH)

@@ -42,10 +42,6 @@ type Cloud struct {
 
 	mu     sync.Mutex
 	models map[string]*modelEntry
-
-	// ComputeBusy accumulates virtual compute time for utilisation
-	// reporting.
-	computeBusy time.Duration
 }
 
 type modelEntry struct {
@@ -179,7 +175,6 @@ func (c *Cloud) Recognize(payload []byte) ([]byte, time.Duration, error) {
 		return nil, 0, err
 	}
 	cost := c.Params.flopsTime(c.Net.TotalFLOPs(), c.Params.CloudGFLOPS)
-	c.addBusy(cost)
 	return body, cost, nil
 }
 
@@ -226,7 +221,6 @@ func (c *Cloud) RecognizeBatch(payloads [][]byte) (results [][]byte, errs []erro
 		results[i] = body
 	}
 	cost = time.Duration(len(unique)) * c.Params.flopsTime(c.Net.TotalFLOPs(), c.Params.CloudGFLOPS)
-	c.addBusy(cost)
 	return results, errs, cost
 }
 
@@ -280,7 +274,6 @@ func (c *Cloud) FetchModel(id string) ([]byte, time.Duration, error) {
 		entry.cmf = cmf
 		c.mu.Unlock()
 	}
-	c.addBusy(cost)
 	return cmf, cost, nil
 }
 
@@ -307,19 +300,5 @@ func (c *Cloud) FetchPano(videoID string, frameIdx int) ([]byte, time.Duration, 
 	p := pano.Synthesize(videoID, frameIdx, c.Params.PanoWidth)
 	data := pano.EncodeRLE(p.Frame)
 	cost := c.Params.CloudPanoRenderTime
-	c.addBusy(cost)
 	return data, cost, nil
-}
-
-func (c *Cloud) addBusy(d time.Duration) {
-	c.mu.Lock()
-	c.computeBusy += d
-	c.mu.Unlock()
-}
-
-// ComputeBusy reports accumulated virtual compute time.
-func (c *Cloud) ComputeBusy() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.computeBusy
 }

@@ -277,14 +277,8 @@ func TestRunTraceCoICBeatsOrigin(t *testing.T) {
 		t.Fatalf("trace too small: %d events", len(events))
 	}
 
-	coic, err := RunTrace(p, testCond, events, ModeCoIC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	origin, err := RunTrace(p, testCond, events, ModeOrigin)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coic := RunTrace(p, testCond, events, ModeCoIC)
+	origin := RunTrace(p, testCond, events, ModeOrigin)
 	if coic.Errors != 0 || origin.Errors != 0 {
 		t.Fatalf("errors: coic=%d origin=%d", coic.Errors, origin.Errors)
 	}
@@ -309,14 +303,8 @@ func TestRunTraceDeterministic(t *testing.T) {
 		Users: 3, Cells: 2, Duration: 10 * time.Second,
 		RatePerUser: 1, Objects: 8, Locality: 0.7, Seed: 3,
 	})
-	a, err := RunTrace(p, testCond, events, ModeCoIC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunTrace(p, testCond, events, ModeCoIC)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := RunTrace(p, testCond, events, ModeCoIC)
+	b := RunTrace(p, testCond, events, ModeCoIC)
 	if a.All.Mean() != b.All.Mean() || a.HitRatio() != b.HitRatio() {
 		t.Fatal("trace replay not deterministic")
 	}
@@ -339,16 +327,12 @@ func TestCloudErrorPaths(t *testing.T) {
 	}
 }
 
-func TestEdgeStatsHitRatio(t *testing.T) {
-	s := newEdgeStats()
-	if s.HitRatio() != 0 {
+func TestFleetStatsHitRatio(t *testing.T) {
+	if (FleetStats{}).HitRatio() != 0 {
 		t.Fatal("empty ratio")
 	}
-	s.Lookups[wire.TaskRender] = 4
-	s.Exact[wire.TaskRender] = 2
-	s.Similar[wire.TaskRender] = 1
-	if s.HitRatio() != 0.75 {
-		t.Fatalf("ratio = %v", s.HitRatio())
+	if r := (FleetStats{Lookups: 4, Hits: 3}).HitRatio(); r != 0.75 {
+		t.Fatalf("ratio = %v", r)
 	}
 }
 

@@ -148,17 +148,6 @@ func WithCacheIndex(idx feature.Index) EdgeOption {
 	}
 }
 
-// WithCacheCapacity overrides the capacity in bytes.
-func WithCacheCapacity(capacity int64) EdgeOption {
-	return func(e *Edge) {
-		e.Params.EdgeCacheBytes = capacity
-		e.Cache = cache.NewSimilarity(cache.SimilarityConfig{
-			Capacity:  capacity,
-			Threshold: e.Params.Threshold,
-		})
-	}
-}
-
 // WithPrivacyK enables the k-anonymity sharing gate.
 func WithPrivacyK(k int) EdgeOption {
 	return func(e *Edge) { e.PrivacyK = k }
@@ -411,9 +400,6 @@ func (e *Edge) virtualPending(key string, now time.Time) (time.Duration, bool) {
 // (or similar) descriptor trigger exactly one upstream fetch.
 func (e *Edge) Inflight() *cache.InflightTable { return e.inflight }
 
-// InflightModeSet reports the configured virtual-time in-flight policy.
-func (e *Edge) InflightModeSet() InflightMode { return e.inflightMode }
-
 // PeerProbe is the lookup a federated peer performs on this edge's
 // behalf: local cache only — never this edge's own peers, never the
 // cloud — so a federated lookup is bounded at one hop and cannot loop.
@@ -565,22 +551,4 @@ func (e *Edge) Stats() EdgeStats {
 	out.RemoteInserts = e.stats.RemoteInserts
 	out.PrivacyBlocked = e.stats.PrivacyBlocked
 	return out
-}
-
-// HitRatio reports (exact+similar)/lookups across all tasks.
-func (s EdgeStats) HitRatio() float64 {
-	var hits, total uint64
-	for _, v := range s.Lookups {
-		total += v
-	}
-	for _, v := range s.Exact {
-		hits += v
-	}
-	for _, v := range s.Similar {
-		hits += v
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
 }

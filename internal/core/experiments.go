@@ -6,19 +6,11 @@ import (
 	"time"
 
 	"github.com/edge-immersion/coic/internal/cache"
-	"github.com/edge-immersion/coic/internal/dnn"
 	"github.com/edge-immersion/coic/internal/feature"
-	"github.com/edge-immersion/coic/internal/metrics"
 	"github.com/edge-immersion/coic/internal/netsim"
-	"github.com/edge-immersion/coic/internal/pano"
-	"github.com/edge-immersion/coic/internal/sim"
 	"github.com/edge-immersion/coic/internal/trace"
 	"github.com/edge-immersion/coic/internal/vision"
-	"github.com/edge-immersion/coic/internal/wire"
 )
-
-// epoch anchors all virtual-time experiments.
-var epoch = time.Date(2018, 8, 20, 9, 0, 0, 0, time.UTC)
 
 // Fig2aRow is one network condition of Figure 2a: recognition latency for
 // the Origin baseline, a CoIC cache hit and a CoIC cache miss.
@@ -31,60 +23,61 @@ type Fig2aRow struct {
 
 // Reduction is the paper's headline metric: the relative latency saving
 // of a cache hit over the origin baseline.
-func (r Fig2aRow) Reduction() float64 {
-	o := r.Origin.Total()
-	if o == 0 {
+func (r Fig2aRow) Reduction() float64 { return reduction(r.Origin, r.Hit) }
+
+func reduction(origin, hit Breakdown) float64 {
+	if origin.Total() == 0 {
 		return 0
 	}
-	return 1 - float64(r.Hit.Total())/float64(o)
+	return 1 - float64(hit.Total())/float64(origin.Total())
+}
+
+// threeBars measures one request the three ways both figures plot it, in
+// this order: cold (the Cache Miss bar — it fills the cache), warm (the
+// Cache Hit bar) and in Origin mode, which bypasses the cache. run's nth
+// argument is that position. Each measurement runs on freshly reset
+// links so queueing from one mode cannot pollute another.
+func threeBars(topo *netsim.Topology, run func(nth int, mode Mode) (Breakdown, error)) (bars [3]Breakdown, err error) {
+	for nth, mode := range []Mode{ModeCoIC, ModeCoIC, ModeOrigin} {
+		if nth > 0 {
+			topo.Reset()
+		}
+		if bars[nth], err = run(nth, mode); err != nil {
+			return bars, fmt.Errorf("%s request: %w", [...]string{"miss", "hit", "origin"}[nth], err)
+		}
+	}
+	if bars[0].Outcome != cache.OutcomeMiss {
+		return bars, fmt.Errorf("cold request was not a miss (%v)", bars[0].Outcome)
+	}
+	if bars[1].Outcome == cache.OutcomeMiss {
+		return bars, fmt.Errorf("warm request missed")
+	}
+	return bars, nil
 }
 
 // RunFig2a regenerates Figure 2a: one recognition request per mode per
-// network condition. The "miss" request runs first on a cold cache (and
-// fills it); the "hit" request observes the same object from a different
-// viewpoint, exercising the similarity match; the origin request bypasses
-// the cache. Each measurement runs on freshly reset links so queueing
-// from one mode cannot pollute another.
+// network condition. The hit request observes the same object as the
+// miss from a different viewpoint, exercising the similarity match.
 func RunFig2a(p Params) ([]Fig2aRow, error) {
 	cloud := NewCloud(p)
 	var rows []Fig2aRow
 	for _, cond := range netsim.Fig2aConditions() {
 		topo := netsim.NewTopology(cond, p.Seed)
-		edge := NewEdge(p)
-		client := NewClient(0, p)
-		sess := NewSession(client, edge, cloud, topo)
-
-		const class = vision.ClassStopSign
-		// Cold cache: this is the Cache Miss bar (and it fills the cache).
-		miss, missRes, err := sess.Recognize(context.Background(), epoch, class, 1001, ModeCoIC)
+		sess := NewSession(NewClient(0, p), NewEdge(p), cloud, topo)
+		var labels [3]string
+		bars, err := threeBars(topo, func(nth int, mode Mode) (Breakdown, error) {
+			viewSeed := uint64(1001 * (nth + 1))
+			b, res, err := sess.Recognize(context.Background(), epoch, vision.ClassStopSign, viewSeed, mode)
+			labels[nth] = res.Label
+			return b, err
+		})
 		if err != nil {
-			return nil, fmt.Errorf("fig2a %s miss: %w", cond.Name, err)
+			return nil, fmt.Errorf("fig2a %s (threshold %v): %w", cond.Name, p.Threshold, err)
 		}
-		if miss.Outcome != cache.OutcomeMiss {
-			return nil, fmt.Errorf("fig2a %s: cold request was not a miss (%v)", cond.Name, miss.Outcome)
+		if labels[1] != labels[0] {
+			return nil, fmt.Errorf("fig2a %s: cached label %q != cloud label %q", cond.Name, labels[1], labels[0])
 		}
-
-		// Same object, different viewpoint: the Cache Hit bar.
-		topo.Reset()
-		hit, hitRes, err := sess.Recognize(context.Background(), epoch, class, 2002, ModeCoIC)
-		if err != nil {
-			return nil, fmt.Errorf("fig2a %s hit: %w", cond.Name, err)
-		}
-		if hit.Outcome == cache.OutcomeMiss {
-			return nil, fmt.Errorf("fig2a %s: warm request missed — threshold %v too tight", cond.Name, p.Threshold)
-		}
-		if hitRes.Label != missRes.Label {
-			return nil, fmt.Errorf("fig2a %s: cached label %q != cloud label %q", cond.Name, hitRes.Label, missRes.Label)
-		}
-
-		// Origin baseline.
-		topo.Reset()
-		origin, _, err := sess.Recognize(context.Background(), epoch, class, 3003, ModeOrigin)
-		if err != nil {
-			return nil, fmt.Errorf("fig2a %s origin: %w", cond.Name, err)
-		}
-
-		rows = append(rows, Fig2aRow{Condition: cond, Origin: origin, Hit: hit, Miss: miss})
+		rows = append(rows, Fig2aRow{Condition: cond, Miss: bars[0], Hit: bars[1], Origin: bars[2]})
 	}
 	return rows, nil
 }
@@ -101,166 +94,42 @@ type Fig2bRow struct {
 }
 
 // Reduction mirrors Fig2aRow.Reduction for the rendering task.
-func (r Fig2bRow) Reduction() float64 {
-	o := r.Origin.Total()
-	if o == 0 {
-		return 0
-	}
-	return 1 - float64(r.Hit.Total())/float64(o)
-}
+func (r Fig2bRow) Reduction() float64 { return reduction(r.Origin, r.Hit) }
 
-// Fig2bCondition is the fixed network condition used for Figure 2b
-// (the paper does not vary the network in 2b; 200/20 sits mid-sweep).
-var Fig2bCondition = netsim.Condition{Name: "200/20", MobileEdge: 200, EdgeCloud: 20}
+// MidSweep is the 200/20 Mbps condition in the middle of Figure 2a's
+// sweep: the fixed network of Figure 2b (the paper does not vary it
+// there) and the default of every ablation and of an unconfigured System.
+var MidSweep = netsim.Condition{Name: "200/20", MobileEdge: 200, EdgeCloud: 20}
 
-// RunFig2b regenerates Figure 2b: load latency of the full model-size
-// ladder under Origin / Cache Hit / Cache Miss.
-func RunFig2b(p Params) ([]Fig2bRow, error) {
-	return RunFig2bSizes(p, Fig2bModelKB)
-}
-
-// RunFig2bSizes runs the Figure 2b experiment over a custom subset of the
-// ladder (tests use a trimmed one; the harness runs all six sizes).
-func RunFig2bSizes(p Params, sizesKB []int) ([]Fig2bRow, error) {
+// RunFig2b regenerates Figure 2b — load latency under Origin / Cache Hit
+// / Cache Miss — over the given rungs of the model-size ladder
+// (Fig2bModelKB is all six).
+func RunFig2b(p Params, sizesKB []int) ([]Fig2bRow, error) {
 	cloud := NewCloud(p)
 	var rows []Fig2bRow
 	for _, kb := range sizesKB {
 		id := Fig2bModelID(kb)
-		topo := netsim.NewTopology(Fig2bCondition, p.Seed)
-		edge := NewEdge(p)
-		client := NewClient(0, p)
-		sess := NewSession(client, edge, cloud, topo)
-
-		miss, err := sess.Render(context.Background(), epoch, id, ModeCoIC)
+		topo := netsim.NewTopology(MidSweep, p.Seed)
+		sess := NewSession(NewClient(0, p), NewEdge(p), cloud, topo)
+		bars, err := threeBars(topo, func(_ int, mode Mode) (Breakdown, error) {
+			return sess.Render(context.Background(), epoch, id, mode)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("fig2b %dKB miss: %w", kb, err)
+			return nil, fmt.Errorf("fig2b %dKB: %w", kb, err)
 		}
-		if miss.Outcome != cache.OutcomeMiss {
-			return nil, fmt.Errorf("fig2b %dKB: cold request was not a miss", kb)
+		if bars[1].Outcome != cache.OutcomeExact {
+			return nil, fmt.Errorf("fig2b %dKB: warm request was %v, want exact hit", kb, bars[1].Outcome)
 		}
-
-		topo.Reset()
-		hit, err := sess.Render(context.Background(), epoch, id, ModeCoIC)
-		if err != nil {
-			return nil, fmt.Errorf("fig2b %dKB hit: %w", kb, err)
-		}
-		if hit.Outcome != cache.OutcomeExact {
-			return nil, fmt.Errorf("fig2b %dKB: warm request was %v, want exact hit", kb, hit.Outcome)
-		}
-
-		topo.Reset()
-		origin, err := sess.Render(context.Background(), epoch, id, ModeOrigin)
-		if err != nil {
-			return nil, fmt.Errorf("fig2b %dKB origin: %w", kb, err)
-		}
-
 		objx, cmf, err := cloud.ModelSizes(id)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Fig2bRow{
 			ModelKB: kb, OBJXBytes: objx, CMFBytes: cmf,
-			Origin: origin, Hit: hit, Miss: miss,
+			Miss: bars[0], Hit: bars[1], Origin: bars[2],
 		})
 	}
 	return rows, nil
-}
-
-// SimResult aggregates a trace-driven multi-user simulation.
-type SimResult struct {
-	Events   int
-	Errors   int
-	PerTask  map[wire.Task]*metrics.Histogram
-	All      *metrics.Histogram
-	Outcomes map[cache.Outcome]int
-	Edge     EdgeStats
-	// SimulatedSpan is the virtual time covered by the trace replay.
-	SimulatedSpan time.Duration
-}
-
-// HitRatio reports the share of CoIC lookups answered from cache.
-func (r *SimResult) HitRatio() float64 { return r.Edge.HitRatio() }
-
-// RunTrace replays a workload trace through one edge with any number of
-// users, using the discrete-event engine so requests contend for links
-// and share the cache in timestamp order.
-func RunTrace(p Params, cond netsim.Condition, events []trace.Event, mode Mode, opts ...EdgeOption) (*SimResult, error) {
-	cloud := NewCloud(p)
-	edge := NewEdge(p, opts...)
-	topo := netsim.NewTopology(cond, p.Seed)
-
-	// All clients share trunk weights (one network build, many users).
-	full := dnn.NewEdgeNet(p.Classes(), p.DNNInput, p.Seed)
-	trunk := full.Trunk()
-	clients := map[int]*Client{}
-	sessions := map[int]*Session{}
-	clientFor := func(user int) *Session {
-		if s, ok := sessions[user]; ok {
-			return s
-		}
-		c := &Client{ID: user, Params: p, Trunk: trunk}
-		clients[user] = c
-		s := NewSession(c, edge, cloud, topo)
-		sessions[user] = s
-		return s
-	}
-
-	res := &SimResult{
-		PerTask:  map[wire.Task]*metrics.Histogram{},
-		All:      &metrics.Histogram{},
-		Outcomes: map[cache.Outcome]int{},
-	}
-	for _, task := range []wire.Task{wire.TaskRecognize, wire.TaskRender, wire.TaskPano} {
-		res.PerTask[task] = &metrics.Histogram{}
-	}
-
-	eng := sim.New(epoch)
-	// Traces render the per-class annotation models: realistic AR
-	// overlays, and small enough that a long trace stays cheap to
-	// replay (the Figure 2b ladder is exercised by RunFig2b).
-	renderModels := cloud.AnnotationModelIDs()
-	var lastEnd time.Time
-	for _, ev := range events {
-		ev := ev
-		eng.Schedule(epoch.Add(ev.At), func() {
-			sess := clientFor(ev.User)
-			var (
-				b   Breakdown
-				err error
-			)
-			switch ev.Task {
-			case wire.TaskRecognize:
-				class := vision.Class(ev.Object % int(vision.NumClasses))
-				b, _, err = sess.Recognize(context.Background(), eng.Now(), class, ev.ViewSeed, mode)
-			case wire.TaskRender:
-				id := renderModels[ev.Object%len(renderModels)]
-				b, err = sess.Render(context.Background(), eng.Now(), id, mode)
-			case wire.TaskPano:
-				video := fmt.Sprintf("video-%d", ev.Object%4)
-				vp := pano.Viewport{Yaw: float64(ev.ViewSeed%628) / 100, FOV: 1.6}
-				b, err = sess.Pano(context.Background(), eng.Now(), video, ev.Frame, vp, mode)
-			default:
-				err = fmt.Errorf("core: unknown task %v", ev.Task)
-			}
-			res.Events++
-			if err != nil {
-				res.Errors++
-				return
-			}
-			res.PerTask[ev.Task].Record(b.Total())
-			res.All.Record(b.Total())
-			res.Outcomes[b.Outcome]++
-			if b.End.After(lastEnd) {
-				lastEnd = b.End
-			}
-		})
-	}
-	eng.Run()
-	res.Edge = edge.Stats()
-	if !lastEnd.IsZero() {
-		res.SimulatedSpan = lastEnd.Sub(epoch)
-	}
-	return res, nil
 }
 
 // Placement decides which edge serves which user in a multi-edge
@@ -309,164 +178,36 @@ type FederationRow struct {
 	P50, P99     time.Duration
 }
 
-// FederationConfigExp parameterises RunFederation.
-type FederationConfigExp struct {
-	// Cond is the per-edge client/cloud network condition (the 200/20
-	// mid-sweep when zero).
-	Cond netsim.Condition
-	// PeerCond shapes the edge↔edge mesh (DefaultPeerCondition when
-	// zero).
-	PeerCond netsim.PeerCondition
-	// EdgeCounts sweeps the federation size (e.g. 1,2,4,8).
-	EdgeCounts []int
-	// Placements sweeps client placement (both when empty).
-	Placements []Placement
-	// Events is the shared workload replayed at every point, so rows are
-	// comparable.
-	Events []trace.Event
-	// Baseline also runs each point with federation disabled (isolated
-	// edges), quantifying what cooperation buys.
-	Baseline bool
-}
-
-// RunFederation is the multi-edge ablation: the same workload replayed
-// over 1..N edges × client placement, with edges federated via consistent
-// hashing (and, optionally, isolated as a baseline). As edges are added,
+// FederationPoint is one point of the multi-edge ablation: events
+// replayed over n edges under the given client placement, the edges
+// federated via consistent hashing or left isolated. As edges are added,
 // aggregate cache capacity grows; federation keeps the keyspace unified
 // (one peer hop instead of a cloud round trip), so the aggregate hit
 // ratio rises and cloud traffic falls — the multi-edge extension of the
-// paper's single-edge cooperative claim.
-func RunFederation(p Params, cfg FederationConfigExp) ([]FederationRow, error) {
-	if cfg.Cond.MobileEdge == 0 {
-		cfg.Cond = netsim.Condition{Name: "200/20", MobileEdge: 200, EdgeCloud: 20}
-	}
-	if cfg.PeerCond.BandwidthMbps == 0 {
-		cfg.PeerCond = netsim.DefaultPeerCondition()
-	}
-	if len(cfg.Placements) == 0 {
-		cfg.Placements = []Placement{PlaceByCell, PlaceScatter}
-	}
-	var rows []FederationRow
-	for _, n := range cfg.EdgeCounts {
-		for _, placement := range cfg.Placements {
-			modes := []bool{true}
-			if cfg.Baseline {
-				modes = []bool{false, true}
-			}
-			if n == 1 {
-				// A single edge has nobody to federate with; one row.
-				modes = []bool{false}
-			}
-			for _, federated := range modes {
-				row, err := runFederationPoint(p, cfg, n, placement, federated)
-				if err != nil {
-					return nil, fmt.Errorf("federation %d edges %s federated=%v: %w", n, placement, federated, err)
-				}
-				rows = append(rows, row)
-			}
-		}
-	}
-	return rows, nil
-}
-
-func runFederationPoint(p Params, cfg FederationConfigExp, n int, placement Placement, federated bool) (FederationRow, error) {
-	cloud := NewCloud(p)
-	edges := make([]*Edge, n)
-	topos := make([]*netsim.Topology, n)
-	for i := range edges {
-		edges[i] = NewEdge(p)
-		topos[i] = netsim.NewTopology(cfg.Cond, p.Seed+uint64(i))
-	}
-	if federated && n > 1 {
-		Federate(edges, FederationConfig{
-			Mesh:        netsim.NewMesh(n, cfg.PeerCond, p.Seed),
+// paper's single-edge cooperative claim. A single edge has nobody to
+// federate with and always runs isolated.
+func FederationPoint(p Params, cond netsim.Condition, events []trace.Event, n int, placement Placement, federated bool) FederationRow {
+	federated = federated && n > 1
+	f := newFleet(p, cond, n)
+	if federated {
+		Federate(f.edges, FederationConfig{
+			Mesh:        netsim.NewMesh(n, netsim.DefaultPeerCondition(), p.Seed),
 			Partitioned: true,
 			Replicate:   true,
 		})
 	}
-
-	edgeFor := func(ev trace.Event) int {
+	res := f.replay(events, ModeCoIC, func(ev trace.Event) int {
 		if placement == PlaceByCell {
 			return ev.Cell % n
 		}
 		return ev.User % n
+	}, nil)
+	return FederationRow{
+		Edges: n, Placement: placement, Federated: federated,
+		Events: res.Events, Errors: res.Errors,
+		HitRatio: res.Fleet.HitRatio(), PeerHits: res.Fleet.PeerHits, Published: res.Fleet.Published,
+		CloudFetches: res.CloudFetches, P50: res.All.Median(), P99: res.All.P99(),
 	}
-
-	// All clients share trunk weights (one network build, many users).
-	full := dnn.NewEdgeNet(p.Classes(), p.DNNInput, p.Seed)
-	trunk := full.Trunk()
-	sessions := map[int]*Session{}
-	sessionFor := func(user, edge int) *Session {
-		if s, ok := sessions[user]; ok {
-			return s
-		}
-		c := &Client{ID: user, Params: p, Trunk: trunk}
-		s := NewSession(c, edges[edge], cloud, topos[edge])
-		sessions[user] = s
-		return s
-	}
-
-	row := FederationRow{Edges: n, Placement: placement, Federated: federated && n > 1}
-	all := &metrics.Histogram{}
-	renderModels := cloud.AnnotationModelIDs()
-	eng := sim.New(epoch)
-	for _, ev := range cfg.Events {
-		ev := ev
-		eng.Schedule(epoch.Add(ev.At), func() {
-			sess := sessionFor(ev.User, edgeFor(ev))
-			var (
-				b   Breakdown
-				err error
-			)
-			switch ev.Task {
-			case wire.TaskRecognize:
-				class := vision.Class(ev.Object % int(vision.NumClasses))
-				b, _, err = sess.Recognize(context.Background(), eng.Now(), class, ev.ViewSeed, ModeCoIC)
-			case wire.TaskRender:
-				id := renderModels[ev.Object%len(renderModels)]
-				b, err = sess.Render(context.Background(), eng.Now(), id, ModeCoIC)
-			case wire.TaskPano:
-				video := fmt.Sprintf("video-%d", ev.Object%4)
-				vp := pano.Viewport{Yaw: float64(ev.ViewSeed%628) / 100, FOV: 1.6}
-				b, err = sess.Pano(context.Background(), eng.Now(), video, ev.Frame, vp, ModeCoIC)
-			default:
-				err = fmt.Errorf("core: unknown task %v", ev.Task)
-			}
-			row.Events++
-			if err != nil {
-				row.Errors++
-				return
-			}
-			if b.Cloud > 0 {
-				row.CloudFetches++
-			}
-			all.Record(b.Total())
-		})
-	}
-	eng.Run()
-
-	var lookups, hits uint64
-	for _, e := range edges {
-		st := e.Stats()
-		row.PeerHits += st.PeerHits
-		for _, v := range st.Lookups {
-			lookups += v
-		}
-		for _, v := range st.Exact {
-			hits += v
-		}
-		for _, v := range st.Similar {
-			hits += v
-		}
-		if fed := e.Federation(); fed != nil {
-			row.Published += fed.Stats().Published
-		}
-	}
-	if lookups > 0 {
-		row.HitRatio = float64(hits) / float64(lookups)
-	}
-	row.P50, row.P99 = all.Median(), all.P99()
-	return row, nil
 }
 
 // ThresholdPoint is one row of the A-threshold ablation: true-hit and
@@ -485,51 +226,33 @@ type ThresholdPoint struct {
 // experiment that justifies DefaultParams().Threshold.
 func RunThresholdSweep(p Params, thresholds []float64, pairs int) []ThresholdPoint {
 	client := NewClient(0, p)
-	type sample struct {
-		same bool
-		dist float64
+	describe := func(class vision.Class, viewSeed uint64) []float32 {
+		desc, _ := client.Extract(client.CaptureFrame(class, viewSeed))
+		return desc.Vec
 	}
-	var samples []sample
+	var same, different []float64
 	for i := 0; i < pairs; i++ {
-		classA := vision.Class(i % int(vision.NumClasses))
-		frameA := client.CaptureFrame(classA, uint64(9000+i))
-		descA, _ := client.Extract(frameA)
-
-		// Same object, new viewpoint.
-		frameB := client.CaptureFrame(classA, uint64(50000+i))
-		descB, _ := client.Extract(frameB)
-		samples = append(samples, sample{same: true, dist: dist(descA, descB)})
-
-		// Different object.
-		classC := vision.Class((i + 1 + i/int(vision.NumClasses)) % int(vision.NumClasses))
-		frameC := client.CaptureFrame(classC, uint64(90000+i))
-		descC, _ := client.Extract(frameC)
-		samples = append(samples, sample{same: false, dist: dist(descA, descC)})
+		class := vision.Class(i % int(vision.NumClasses))
+		other := vision.Class((i + 1 + i/int(vision.NumClasses)) % int(vision.NumClasses))
+		a := describe(class, uint64(9000+i))
+		// Same object, new viewpoint; then a different object.
+		same = append(same, feature.L2Distance(a, describe(class, uint64(50000+i))))
+		different = append(different, feature.L2Distance(a, describe(other, uint64(90000+i))))
 	}
-
-	var out []ThresholdPoint
-	for _, th := range thresholds {
-		var tp, tpn, fp, fpn float64
-		for _, s := range samples {
-			if s.same {
-				tpn++
-				if s.dist <= th {
-					tp++
-				}
-			} else {
-				fpn++
-				if s.dist <= th {
-					fp++
-				}
+	within := func(dists []float64, th float64) float64 {
+		n := 0
+		for _, d := range dists {
+			if d <= th {
+				n++
 			}
 		}
-		out = append(out, ThresholdPoint{Threshold: th, TruePositive: tp / tpn, FalsePositive: fp / fpn})
+		return float64(n) / float64(len(dists))
+	}
+	var out []ThresholdPoint
+	for _, th := range thresholds {
+		out = append(out, ThresholdPoint{Threshold: th, TruePositive: within(same, th), FalsePositive: within(different, th)})
 	}
 	return out
-}
-
-func dist(a, b feature.Descriptor) float64 {
-	return feature.L2Distance(a.Vec, b.Vec)
 }
 
 // ChurnRow is one point of the membership-churn ablation.
@@ -562,90 +285,29 @@ type ChurnRow struct {
 	P50, P99     time.Duration
 }
 
-// ChurnConfigExp parameterises RunChurn.
-type ChurnConfigExp struct {
-	// Cond is the per-edge client/cloud network condition (the 200/20
-	// mid-sweep when zero); PeerCond shapes the edge↔edge mesh.
-	Cond     netsim.Condition
-	PeerCond netsim.PeerCondition
-	// Edges is the fleet size (4 when 0); RF the replication factor
-	// (2 when 0).
-	Edges int
-	RF    int
-	// CycleCounts sweeps how many crash+rejoin cycles are spread across
-	// the run (0 = stable fleet).
-	CycleCounts []int
-	// Events is the shared workload replayed at every point.
-	Events []trace.Event
-	// Baseline also runs each point against a static ring.
-	Baseline bool
-}
-
-// RunChurn is the dynamic-membership ablation: the same workload
-// replayed over a replicated federation while members crash and rejoin
-// mid-run. In dynamic mode the ring is rebuilt on every change and
-// migration sweeps re-home the moved keys (what the gossip protocol
-// automates over TCP); the static baseline keeps the boot-time ring, so
-// a dead member's arc of the keyspace degrades to cloud fetches until it
-// returns. The gap between the two rows is what dynamic membership buys.
-func RunChurn(p Params, cfg ChurnConfigExp) ([]ChurnRow, error) {
-	if cfg.Cond.MobileEdge == 0 {
-		cfg.Cond = netsim.Condition{Name: "200/20", MobileEdge: 200, EdgeCloud: 20}
-	}
-	if cfg.PeerCond.BandwidthMbps == 0 {
-		cfg.PeerCond = netsim.DefaultPeerCondition()
-	}
-	if cfg.Edges <= 0 {
-		cfg.Edges = 4
-	}
-	if cfg.RF <= 0 {
-		cfg.RF = 2
-	}
-	if len(cfg.CycleCounts) == 0 {
-		cfg.CycleCounts = []int{0, 1, 2}
-	}
-	var rows []ChurnRow
-	for _, cycles := range cfg.CycleCounts {
-		modes := []bool{true}
-		if cfg.Baseline && cycles > 0 {
-			// A stable fleet makes both modes identical; one row suffices.
-			modes = []bool{false, true}
-		}
-		for _, dynamic := range modes {
-			row, err := runChurnPoint(p, cfg, cycles, dynamic)
-			if err != nil {
-				return nil, fmt.Errorf("churn %d cycles dynamic=%v: %w", cycles, dynamic, err)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-func runChurnPoint(p Params, cfg ChurnConfigExp, cycles int, dynamic bool) (ChurnRow, error) {
-	n := cfg.Edges
-	cloud := NewCloud(p)
-	edges := make([]*Edge, n)
-	topos := make([]*netsim.Topology, n)
-	for i := range edges {
-		edges[i] = NewEdge(p)
-		topos[i] = netsim.NewTopology(cfg.Cond, p.Seed+uint64(i))
-	}
-	mesh := netsim.NewMesh(n, cfg.PeerCond, p.Seed)
+// ChurnPoint is one point of the dynamic-membership ablation: events
+// replayed over n edges replicating rf ways while members crash and
+// rejoin mid-run. 2*cycles membership changes are spread evenly through
+// the run: cycle k crashes member 1+k%(n-1) (member 0 is the stable
+// seed) and rejoins it one slot later, so n must be at least 2. In
+// dynamic mode the ring is rebuilt on every change and migration sweeps
+// re-home the moved keys (what the gossip protocol automates over TCP);
+// the static baseline keeps the boot-time ring, so a dead member's arc of
+// the keyspace degrades to cloud fetches until it returns.
+func ChurnPoint(p Params, cond netsim.Condition, events []trace.Event, n, rf, cycles int, dynamic bool) ChurnRow {
+	f := newFleet(p, cond, n)
+	mesh := netsim.NewMesh(n, netsim.DefaultPeerCondition(), p.Seed)
 	ids := make([]string, n)
+	alive := make([]bool, n)
 	for i := range ids {
 		ids[i] = EdgeID(i)
-	}
-
-	alive := make([]bool, n)
-	for i := range alive {
 		alive[i] = true
 	}
-	row := ChurnRow{Edges: n, Cycles: cycles, Dynamic: dynamic, RF: cfg.RF}
-	staticRing := cache.NewRing(ids, 0)
-	curRing := staticRing
+	ring := cache.NewRing(ids, 0)
 	version := uint64(1)
-	var published, repaired uint64
+	migrated := 0
+	// retired keeps the counters of federation views a change replaced.
+	var retired FleetStats
 
 	// deadPeer keeps a crashed member addressable on the static ring:
 	// probes miss and publishes vanish, exactly what routing to a dead
@@ -669,64 +331,63 @@ func runChurnPoint(p Params, cfg ChurnConfigExp, cycles int, dynamic bool) (Chur
 					liveIDs = append(liveIDs, ids[i])
 				}
 			}
-			curRing = cache.NewRingVersion(liveIDs, 0, version)
+			ring = cache.NewRingVersion(liveIDs, 0, version)
 		}
-		for i, e := range edges {
+		for i, e := range f.edges {
 			if dynamic && !alive[i] {
 				continue // a crashed member routes nothing until it rejoins
 			}
-			fed := cache.NewFederation(ids[i], curRing)
-			fed.SetReplication(cfg.RF)
-			for j, pe := range edges {
+			fed := cache.NewFederation(ids[i], ring)
+			fed.SetReplication(rf)
+			for j, pe := range f.edges {
 				if j == i {
 					continue
 				}
 				if alive[j] {
-					link := mesh.Link(i, j)
-					fed.AddPeer(ids[j], cache.Peer{
-						Probe:  peerProbe(pe, link),
-						Insert: peerInsert(pe, link),
-					})
+					fed.AddPeer(ids[j], virtualPeer(pe, mesh.Link(i, j)))
 				} else if !dynamic {
 					fed.AddPeer(ids[j], deadPeer)
 				}
 			}
-			if old := e.Federation(); old != nil {
-				st := old.Stats()
-				published += st.Published
-				repaired += st.Repaired
-			}
+			retired.addFederation(e.Federation())
 			e.SetFederation(fed, true)
 		}
 	}
 	refederate()
 
+	var last time.Duration
+	for _, ev := range events {
+		if ev.At > last {
+			last = ev.At
+		}
+	}
 	// Crash drops a member without warning (no drain — that is the
 	// graceful path); in dynamic mode the survivors rebuild the ring and
 	// sweep their residents so keys the dead member owned re-home from
 	// surviving replicas. Rejoin brings it back warm (a restart that kept
 	// its disk cache); survivors sweep again to hand over its arc.
-	applyChange := func(victim int, up bool) {
-		alive[victim] = up
-		if !dynamic {
-			refederate()
-			return
-		}
-		version++
-		prev := curRing
-		refederate()
-		for i, e := range edges {
-			if !alive[i] {
-				continue
-			}
-			mig := cache.NewMigrator(e.Cache, e.Federation(), 0)
-			row.Migrated += mig.Sweep(context.Background(), prev)
+	changes := make([]intervention, 2*cycles)
+	for j := range changes {
+		victim, up := 1+(j/2)%(n-1), j%2 == 1
+		changes[j] = intervention{
+			at: last * time.Duration(j+1) / time.Duration(2*cycles+1),
+			do: func() {
+				alive[victim] = up
+				version++
+				prev := ring
+				refederate()
+				for i, e := range f.edges {
+					if dynamic && alive[i] {
+						migrated += cache.NewMigrator(e.Cache, e.Federation(), 0).Sweep(context.Background(), prev)
+					}
+				}
+			},
 		}
 	}
 
 	// Route each client to its cell's edge, falling over to the next
 	// live one while it is down (the client reconnects elsewhere).
-	edgeFor := func(ev trace.Event) int {
+	res := f.replay(events, ModeCoIC, func(ev trace.Event) int {
 		base := ev.Cell % n
 		for k := 0; k < n; k++ {
 			if alive[(base+k)%n] {
@@ -734,100 +395,14 @@ func runChurnPoint(p Params, cfg ChurnConfigExp, cycles int, dynamic bool) (Chur
 			}
 		}
 		return base
+	}, changes)
+	return ChurnRow{
+		Edges: n, Cycles: cycles, Dynamic: dynamic, RF: rf,
+		Events: res.Events, Errors: res.Errors,
+		HitRatio: res.Fleet.HitRatio(), PeerHits: res.Fleet.PeerHits,
+		Published: res.Fleet.Published + retired.Published,
+		Repaired:  res.Fleet.Repaired + retired.Repaired,
+		Migrated:  migrated, RingVersion: ring.Version(),
+		CloudFetches: res.CloudFetches, P50: res.All.Median(), P99: res.All.P99(),
 	}
-
-	full := dnn.NewEdgeNet(p.Classes(), p.DNNInput, p.Seed)
-	trunk := full.Trunk()
-	sessions := map[int]*Session{}
-	sessionFor := func(user, edge int) *Session {
-		key := user*n + edge
-		if s, ok := sessions[key]; ok {
-			return s
-		}
-		c := &Client{ID: user, Params: p, Trunk: trunk}
-		s := NewSession(c, edges[edge], cloud, topos[edge])
-		sessions[key] = s
-		return s
-	}
-
-	var last time.Duration
-	for _, ev := range cfg.Events {
-		if ev.At > last {
-			last = ev.At
-		}
-	}
-
-	all := &metrics.Histogram{}
-	renderModels := cloud.AnnotationModelIDs()
-	eng := sim.New(epoch)
-	// Spread 2*cycles membership changes evenly through the run: cycle k
-	// crashes member 1+k%(n-1) (member 0 is the stable seed) and rejoins
-	// it one slot later.
-	for j := 0; j < 2*cycles; j++ {
-		victim := 1 + (j/2)%(n-1)
-		up := j%2 == 1
-		at := last * time.Duration(j+1) / time.Duration(2*cycles+1)
-		eng.Schedule(epoch.Add(at), func() { applyChange(victim, up) })
-	}
-	for _, ev := range cfg.Events {
-		ev := ev
-		eng.Schedule(epoch.Add(ev.At), func() {
-			sess := sessionFor(ev.User, edgeFor(ev))
-			var (
-				b   Breakdown
-				err error
-			)
-			switch ev.Task {
-			case wire.TaskRecognize:
-				class := vision.Class(ev.Object % int(vision.NumClasses))
-				b, _, err = sess.Recognize(context.Background(), eng.Now(), class, ev.ViewSeed, ModeCoIC)
-			case wire.TaskRender:
-				id := renderModels[ev.Object%len(renderModels)]
-				b, err = sess.Render(context.Background(), eng.Now(), id, ModeCoIC)
-			case wire.TaskPano:
-				video := fmt.Sprintf("video-%d", ev.Object%4)
-				vp := pano.Viewport{Yaw: float64(ev.ViewSeed%628) / 100, FOV: 1.6}
-				b, err = sess.Pano(context.Background(), eng.Now(), video, ev.Frame, vp, ModeCoIC)
-			default:
-				err = fmt.Errorf("core: unknown task %v", ev.Task)
-			}
-			row.Events++
-			if err != nil {
-				row.Errors++
-				return
-			}
-			if b.Cloud > 0 {
-				row.CloudFetches++
-			}
-			all.Record(b.Total())
-		})
-	}
-	eng.Run()
-
-	var lookups, hits uint64
-	for _, e := range edges {
-		st := e.Stats()
-		row.PeerHits += st.PeerHits
-		for _, v := range st.Lookups {
-			lookups += v
-		}
-		for _, v := range st.Exact {
-			hits += v
-		}
-		for _, v := range st.Similar {
-			hits += v
-		}
-		if fed := e.Federation(); fed != nil {
-			fst := fed.Stats()
-			published += fst.Published
-			repaired += fst.Repaired
-		}
-	}
-	row.Published, row.Repaired = published, repaired
-	if lookups > 0 {
-		row.HitRatio = float64(hits) / float64(lookups)
-	}
-	row.RingVersion = curRing.Version()
-	row.P50, row.P99 = all.Median(), all.P99()
-	return row, nil
 }

@@ -66,13 +66,15 @@ func Federate(edges []*Edge, cfg FederationConfig) {
 			if cfg.Mesh != nil {
 				link = cfg.Mesh.Link(i, j)
 			}
-			fed.AddPeer(EdgeID(j), cache.Peer{
-				Probe:  peerProbe(p, link),
-				Insert: peerInsert(p, link),
-			})
+			fed.AddPeer(EdgeID(j), virtualPeer(p, link))
 		}
 		e.SetFederation(fed, cfg.Replicate)
 	}
+}
+
+// virtualPeer is the virtual-time transport to remote edge p over link.
+func virtualPeer(p *Edge, link *netsim.Duplex) cache.Peer {
+	return cache.Peer{Probe: peerProbe(p, link), Insert: peerInsert(p)}
 }
 
 // peerProbe builds the virtual-time probe of remote edge p over link:
@@ -102,7 +104,7 @@ func peerProbe(p *Edge, link *netsim.Duplex) cache.PeerProbe {
 // peerInsert builds the publish path to remote edge p. Publishing is off
 // the requester's critical path, so no cost is returned; the transfer
 // itself is modelled as background replication traffic.
-func peerInsert(p *Edge, link *netsim.Duplex) cache.PeerInsert {
+func peerInsert(p *Edge) cache.PeerInsert {
 	return func(desc feature.Descriptor, value []byte, cost float64) {
 		p.AdoptRemote(desc, value, cost)
 	}

@@ -175,27 +175,19 @@ func TestRunFederationCooperationWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunFederation(p, FederationConfigExp{
-		EdgeCounts: []int{1, 4},
-		Placements: []Placement{PlaceByCell},
-		Events:     events,
-		Baseline:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := map[string]FederationRow{}
-	for _, r := range rows {
+	point := func(n int, federated bool) FederationRow {
+		r := FederationPoint(p, testCond, events, n, PlaceByCell, federated)
 		if r.Errors > 0 {
 			t.Fatalf("row %+v has errors", r)
 		}
-		key := "iso"
-		if r.Federated {
-			key = "fed"
-		}
-		byKey[fmtKey(r.Edges, key)] = r
+		return r
 	}
-	one, iso4, fed4 := byKey[fmtKey(1, "iso")], byKey[fmtKey(4, "iso")], byKey[fmtKey(4, "fed")]
+	// A single edge has nobody to federate with: asking changes nothing
+	// (the determinism pass below replays it isolated and compares).
+	one, iso4, fed4 := point(1, true), point(4, false), point(4, true)
+	if one.Federated || iso4.Federated || !fed4.Federated {
+		t.Fatalf("federated flags: one=%v iso4=%v fed4=%v", one.Federated, iso4.Federated, fed4.Federated)
+	}
 	if fed4.HitRatio <= iso4.HitRatio {
 		t.Fatalf("federation did not beat isolation at 4 edges: %.3f vs %.3f", fed4.HitRatio, iso4.HitRatio)
 	}
@@ -212,25 +204,12 @@ func TestRunFederationCooperationWins(t *testing.T) {
 		t.Fatalf("federation ran but never cooperated: %+v", fed4)
 	}
 
-	// Determinism: the whole sweep replays identically.
-	again, err := RunFederation(p, FederationConfigExp{
-		EdgeCounts: []int{1, 4},
-		Placements: []Placement{PlaceByCell},
-		Events:     events,
-		Baseline:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if rows[i] != again[i] {
-			t.Fatalf("row %d not deterministic:\n%+v\n%+v", i, rows[i], again[i])
+	// Determinism: every point replays identically.
+	for i, r := range []FederationRow{one, iso4, fed4} {
+		if again := point(r.Edges, r.Federated); again != r {
+			t.Fatalf("point %d not deterministic:\n%+v\n%+v", i, r, again)
 		}
 	}
-}
-
-func fmtKey(edges int, mode string) string {
-	return mode + string(rune('0'+edges))
 }
 
 func TestSetupFederationRejectsBadMembership(t *testing.T) {

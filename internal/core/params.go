@@ -16,8 +16,8 @@ import (
 // Params carries every calibration constant in one place. The paper's
 // testbed (Pixel phone, two Linux machines, 802.11ac, an unnamed DNN) is
 // not available, so absolute speeds are modelled; every value below is a
-// named, documented knob rather than a magic number in a pipeline.
-// DESIGN.md and EXPERIMENTS.md discuss how they were chosen.
+// named knob rather than a magic number in a pipeline, and its comment
+// says how the value was chosen.
 type Params struct {
 	// --- recognition task -------------------------------------------
 

@@ -1,8 +1,8 @@
 package core
 
 // Shape tests: assertions that the regenerated figures reproduce the
-// paper's qualitative results. EXPERIMENTS.md records the quantitative
-// comparison; these tests keep the shape from regressing.
+// paper's qualitative results; `coic-bench -experiment fig2a,fig2b`
+// prints the quantitative comparison.
 
 import (
 	"testing"
@@ -50,8 +50,9 @@ func TestFigure2aShape(t *testing.T) {
 		}
 	}
 	// Paper: "up to 52.28% recognition latency reduction". Our
-	// calibration lands the maximum in the 45-70% band (see
-	// EXPERIMENTS.md for why the exact figure is not recoverable).
+	// calibration lands the maximum in the 45-70% band (the testbed's
+	// absolute speeds are modelled, so the exact figure is not
+	// recoverable).
 	if maxRed < 0.45 || maxRed > 0.70 {
 		t.Errorf("max recognition reduction %.1f%% outside the expected band", maxRed*100)
 	}
@@ -68,7 +69,7 @@ func TestFigure2bShape(t *testing.T) {
 	p := DefaultParams()
 	// Trimmed ladder keeps the test under a few seconds; the harness
 	// runs all six sizes.
-	rows, err := RunFig2bSizes(p, []int{231, 1949, 7050})
+	rows, err := RunFig2b(p, []int{231, 1949, 7050})
 	if err != nil {
 		t.Fatal(err)
 	}

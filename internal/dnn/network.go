@@ -38,19 +38,6 @@ func (n *Network) Forward(in *tensor.Tensor) *tensor.Tensor {
 	return x
 }
 
-// ForwardAll runs the full network and returns every intermediate output,
-// outs[i] being the output of Layers[i]. Used by the fine-grained layer
-// cache and by tests.
-func (n *Network) ForwardAll(in *tensor.Tensor) []*tensor.Tensor {
-	outs := make([]*tensor.Tensor, len(n.Layers))
-	x := in
-	for i, l := range n.Layers {
-		x = l.Forward(x)
-		outs[i] = x
-	}
-	return outs
-}
-
 // Features runs the trunk (layers up to and including FeatureLayer) and
 // returns the mean-centred, L2-normalised feature vector. Centring
 // matters: ReLU activations are non-negative, so uncentred descriptors

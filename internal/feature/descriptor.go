@@ -50,10 +50,6 @@ func NewHash(content []byte) Descriptor {
 	return Descriptor{Kind: KindHash, Sum: sha256.Sum256(content)}
 }
 
-// HashOf returns the raw digest used by NewHash, for callers that already
-// track content identity separately.
-func HashOf(content []byte) [32]byte { return sha256.Sum256(content) }
-
 // Key returns a compact string form usable as an exact-match map key.
 // Vector descriptors hash their exact bit pattern — exact duplicates
 // short-circuit without a similarity search.

@@ -43,9 +43,9 @@ func TestHistogramConcurrencyContract(t *testing.T) {
 		t.Fatalf("Count = %d, want %d (samples lost under external locking)", got, goroutines*perG)
 	}
 	n := goroutines * perG
-	want := time.Duration(n*(n-1)/2) * time.Microsecond
-	if got := h.Sum(); got != want {
-		t.Fatalf("Sum = %v, want %v", got, want)
+	want := time.Duration(n*(n-1)/2) * time.Microsecond / time.Duration(n)
+	if got := h.Mean(); got != want {
+		t.Fatalf("Mean = %v, want %v", got, want)
 	}
 }
 

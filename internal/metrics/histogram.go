@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -20,14 +19,12 @@ import (
 // Quantile/Median/P95/P99, which lazily sort the sample slice in place —
 // behind their own mutex. Live servers should not use this type on hot
 // paths at all; that is what obs.Histogram (atomic bounded buckets,
-// approximate quantiles) exists for. TestHistogramConcurrencyContract
+// quantiles left to the scraper) exists for. TestHistogramConcurrencyContract
 // guards this contract.
 type Histogram struct {
 	samples []time.Duration
 	sorted  bool
 	sum     time.Duration
-	min     time.Duration
-	max     time.Duration
 }
 
 // Record adds one sample. Negative durations are clamped to zero: they can
@@ -36,12 +33,6 @@ func (h *Histogram) Record(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	if len(h.samples) == 0 || d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
 	h.sum += d
 	h.samples = append(h.samples, d)
 	h.sorted = false
@@ -49,15 +40,6 @@ func (h *Histogram) Record(d time.Duration) {
 
 // Count reports the number of recorded samples.
 func (h *Histogram) Count() int { return len(h.samples) }
-
-// Sum reports the sum of all samples.
-func (h *Histogram) Sum() time.Duration { return h.sum }
-
-// Min reports the smallest sample, or 0 if empty.
-func (h *Histogram) Min() time.Duration { return h.min }
-
-// Max reports the largest sample, or 0 if empty.
-func (h *Histogram) Max() time.Duration { return h.max }
 
 // Mean reports the arithmetic mean, or 0 if empty.
 func (h *Histogram) Mean() time.Duration {
@@ -103,53 +85,9 @@ func (h *Histogram) P95() time.Duration { return h.Quantile(0.95) }
 // P99 is shorthand for Quantile(0.99).
 func (h *Histogram) P99() time.Duration { return h.Quantile(0.99) }
 
-// StdDev reports the population standard deviation, or 0 if fewer than two
-// samples were recorded.
-func (h *Histogram) StdDev() time.Duration {
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := float64(h.sum) / float64(n)
-	var ss float64
-	for _, s := range h.samples {
-		d := float64(s) - mean
-		ss += d * d
-	}
-	return time.Duration(math.Sqrt(ss / float64(n)))
-}
-
-// Merge folds other's samples into h. other is left untouched.
-func (h *Histogram) Merge(other *Histogram) {
-	for _, s := range other.samples {
-		h.Record(s)
-	}
-}
-
 // Reset discards all samples.
 func (h *Histogram) Reset() {
 	h.samples = h.samples[:0]
 	h.sorted = false
-	h.sum, h.min, h.max = 0, 0, 0
-}
-
-// Summary returns a one-line human-readable digest, handy in examples.
-func (h *Histogram) Summary() string {
-	if h.Count() == 0 {
-		return "no samples"
-	}
-	return fmt.Sprintf("n=%d mean=%s p50=%s p95=%s p99=%s max=%s",
-		h.Count(), round(h.Mean()), round(h.Median()), round(h.P95()), round(h.P99()), round(h.Max()))
-}
-
-// round trims durations to a display-friendly precision.
-func round(d time.Duration) time.Duration {
-	switch {
-	case d >= time.Second:
-		return d.Round(time.Millisecond)
-	case d >= time.Millisecond:
-		return d.Round(10 * time.Microsecond)
-	default:
-		return d.Round(time.Microsecond)
-	}
+	h.sum = 0
 }

@@ -89,7 +89,3 @@ func (s *Shaper) waitFor(bytes int64) {
 		s.clk.Sleep(wait)
 	}
 }
-
-// EffectiveRate reports the configured rate in bits per second (0 =
-// unshaped), for logging.
-func (s *Shaper) EffectiveRate() int64 { return s.rateBPS }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -115,35 +114,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum reports the total observed time.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
-// ApproxQuantile reports the q-quantile (0 ≤ q ≤ 1) as the upper bound of
-// the bucket the quantile rank falls in — the standard bucketed
-// approximation. Returns 0 with no samples; a rank in the +Inf bucket
-// reports the highest finite bound (there is no better estimate).
-func (h *Histogram) ApproxQuantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return time.Duration(h.bounds[i] * float64(time.Second))
-			}
-			break
-		}
-	}
-	return time.Duration(h.bounds[len(h.bounds)-1] * float64(time.Second))
-}
 
 // snapshot returns cumulative bucket counts (le semantics, +Inf last),
 // the count and the sum — read without a lock; buckets may trail count by

@@ -47,29 +47,6 @@ func TestHistogramObserve(t *testing.T) {
 	}
 }
 
-func TestHistogramApproxQuantile(t *testing.T) {
-	h := newHistogram([]float64{0.001, 0.01, 0.1})
-	if q := h.ApproxQuantile(0.5); q != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", q)
-	}
-	for i := 0; i < 90; i++ {
-		h.Observe(500 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(50 * time.Millisecond)
-	}
-	if q := h.ApproxQuantile(0.5); q != time.Millisecond {
-		t.Fatalf("p50 = %v, want upper bound 1ms", q)
-	}
-	if q := h.ApproxQuantile(0.99); q != 100*time.Millisecond {
-		t.Fatalf("p99 = %v, want upper bound 100ms", q)
-	}
-	h.Observe(time.Minute) // +Inf bucket
-	if q := h.ApproxQuantile(1); q != 100*time.Millisecond {
-		t.Fatalf("p100 in +Inf bucket = %v, want highest finite bound", q)
-	}
-}
-
 func TestHistogramConcurrent(t *testing.T) {
 	h := newHistogram(nil)
 	const goroutines, per = 8, 1000
