@@ -62,7 +62,7 @@ bench:
 # go test takes one -fuzz pattern per invocation, hence the three runs.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadMessage -fuzztime=$(FUZZ_TIME) ./internal/wire/
-	$(GO) test -run=NONE -fuzz=FuzzExecRequestTrailer -fuzztime=$(FUZZ_TIME) ./internal/wire/
+	$(GO) test -run=NONE -fuzz=FuzzBodyRoundTrip -fuzztime=$(FUZZ_TIME) ./internal/wire/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeModel -fuzztime=$(FUZZ_TIME) ./internal/dnn/
 
 # smoke = the CI ops-smoke job: boot the real daemons with the ops

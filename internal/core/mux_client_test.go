@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +83,31 @@ func TestMuxClientTasksRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(re.Error(), "remote error") {
 		t.Fatalf("RemoteError.Error() = %q", re.Error())
+	}
+
+	// The longest legal model ID makes the cloud's "unknown model <id>"
+	// text outgrow an error frame; the code must still arrive, through
+	// both tiers, instead of an empty error body the edge calls malformed.
+	msg, err = m.BuildRender(strings.Repeat("m", math.MaxUint16), wire.QoSBestEffort, time.Time{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.RoundTrip(ctx, msg)
+	if !errors.As(err, &re) || re.Code != wire.CodeUnknownModel {
+		t.Fatalf("unknown 65535-byte model error = %.80v, want RemoteError{CodeUnknownModel}", err)
+	}
+}
+
+// TestErrorReplyFitsItsFrame: an error text longer than ErrorReply can
+// carry is cut, not dropped — the frame still decodes and keeps its code.
+func TestErrorReplyFitsItsFrame(t *testing.T) {
+	reply := errorReply(7, wire.CodeUnknownModel, "core: unknown model %q", strings.Repeat("m", math.MaxUint16))
+	er, err := wire.UnmarshalErrorReply(reply.Body)
+	if err != nil {
+		t.Fatalf("oversize error text produced an undecodable %d-byte body: %v", len(reply.Body), err)
+	}
+	if er.Code != wire.CodeUnknownModel || len(er.Msg) != math.MaxUint16 || !strings.HasPrefix(er.Msg, "core: unknown model") {
+		t.Fatalf("reply = code %d, %d-byte text %.40q", er.Code, len(er.Msg), er.Msg)
 	}
 }
 

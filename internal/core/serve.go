@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -59,9 +60,16 @@ func isCanceled(err error) bool {
 }
 
 // errorReply builds the error frame that takes request reqID's place in
-// the connection's reply order.
+// the connection's reply order. The text can echo request input (a model
+// ID may be 65535 bytes by itself), so it is cut to what ErrorReply's u16
+// length prefix can carry: the code is what peers act on, and a reply the
+// encoder refused would reach them as an empty, malformed error body.
 func errorReply(reqID uint64, code uint16, format string, args ...any) wire.Message {
-	body, _ := (wire.ErrorReply{Code: code, Msg: fmt.Sprintf(format, args...)}).Marshal()
+	text := fmt.Sprintf(format, args...)
+	if len(text) > math.MaxUint16 {
+		text = text[:math.MaxUint16]
+	}
+	body, _ := (wire.ErrorReply{Code: code, Msg: text}).Marshal() // cannot fail: text fits its prefix
 	return wire.Message{Type: wire.MsgError, RequestID: reqID, Body: body}
 }
 

@@ -44,3 +44,22 @@ func BenchmarkExecRequestMarshal(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExecRequestUnmarshal measures decoding a camera-frame-sized
+// exec body on its own: with the payload aliased rather than copied, the
+// cost must not grow with the payload.
+func BenchmarkExecRequestUnmarshal(b *testing.B) {
+	req := ExecRequest{Task: TaskRecognize, Desc: feature.NewVector(make([]float32, 64)), Payload: make([]byte, 2<<20)}
+	body, err := req.Marshal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := UnmarshalExecRequest(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -16,23 +16,30 @@
 //
 // # Message catalogue
 //
-// Client ↔ edge ↔ cloud (the paper's Figure 1 protocol):
+// The frame-type table in frame.go (frameTypes) is the list of all 22
+// types; AllMsgTypes and MsgType.String read it. By conversation:
 //
-//   - MsgProbe / MsgProbeReply — descriptor-only cache probe;
-//   - MsgExec / MsgExecReply — full IC task execution (recognition);
-//   - MsgModelFetch / MsgModelReply — 3D model retrieval;
-//   - MsgPanoFetch / MsgPanoReply — VR panorama frame retrieval;
-//   - MsgError, MsgHello — failure reporting and connection preamble.
+//   - client ↔ edge ↔ cloud, the paper's Figure 1 protocol: MsgProbe /
+//     MsgProbeReply (descriptor-only cache probe), MsgExec / MsgExecReply
+//     (full IC task execution), MsgModelFetch / MsgModelReply (3D models),
+//     MsgPanoFetch / MsgPanoReply (VR panorama frames), plus MsgError,
+//     MsgHello (connection preamble) and MsgCancel;
+//   - edge ↔ edge, the cache federation: MsgPeerLookup / MsgPeerReply (one
+//     edge probing another's cache on a local miss — answered from the
+//     local cache only, which bounds federated lookups at a single hop)
+//     and MsgPeerInsert (publishing a result to the descriptor's
+//     consistent-hash home edge);
+//   - client ↔ edge, shared scenes: MsgSceneJoin, MsgScenePublish,
+//     MsgSceneLeave, and MsgSceneEvent, the protocol's only server push;
+//   - edge ↔ edge, gossip membership: MsgMemberPing, MsgMemberAck,
+//     MsgMemberGossip, MsgMemberLeave, all carrying a Membership body.
 //
-// Edge ↔ edge (the cache federation):
+// # Bodies
 //
-//   - MsgPeerLookup / MsgPeerReply — one edge probing another's cache on
-//     a local miss. The receiver answers from its local cache only, never
-//     re-forwarding to its own peers or the cloud, which bounds federated
-//     lookups at a single hop;
-//   - MsgPeerInsert — publishing a freshly computed result to the
-//     descriptor's consistent-hash home edge (acknowledged with an empty
-//     MsgPeerReply).
-//
-// docs/PROTOCOL.md documents every body layout byte by byte.
+// Each body type states its layout once, as a fields method over the
+// field codec in codec.go; Marshal, Unmarshal*, PeekQoS and PeekTrace are
+// walks of that one description, and decoded []byte fields alias the
+// frame body (codec.go has the ownership rule). docs/PROTOCOL.md documents
+// every body layout byte by byte, and testdata/golden_bodies.txt pins one
+// encoded value of each.
 package wire

@@ -87,71 +87,65 @@ const (
 // reorder buffer.
 const HelloFlagUnordered uint8 = 1 << 0
 
+// frameType is one row of the frame-type table.
+type frameType struct {
+	name string // String(), and the type's key in docs and golden files
+	// peek, set for the request types whose body ends in the scheduling
+	// trailer, skips through a body by the type's field description and
+	// returns the trailer it ends on (see PeekQoS).
+	peek func(body []byte) peeked
+}
+
+// frameTypes is the one list of protocol frame types, indexed by wire
+// value: AllMsgTypes, String and the trailer peekers all read it, so a
+// new frame is one row here (plus its golden body — TestGoldenBodies
+// fails for a row without one).
+var frameTypes = [...]frameType{
+	MsgProbe:      {name: "probe"},
+	MsgProbeReply: {name: "probe-reply"},
+	MsgExec:       {"exec", func(b []byte) peeked { c := skipper(b); new(ExecRequest).fields(&c); return c.trailerSeen() }},
+	MsgExecReply:  {name: "exec-reply"},
+	MsgModelFetch: {"model-fetch", func(b []byte) peeked { c := skipper(b); new(ModelFetch).fields(&c); return c.trailerSeen() }},
+	MsgModelReply: {name: "model-reply"},
+	MsgPanoFetch:  {"pano-fetch", func(b []byte) peeked { c := skipper(b); new(PanoFetch).fields(&c); return c.trailerSeen() }},
+	MsgPanoReply:  {name: "pano-reply"},
+	MsgError:      {name: "error"},
+	MsgHello:      {name: "hello"},
+	MsgPeerLookup: {name: "peer-lookup"},
+	MsgPeerReply:  {name: "peer-reply"},
+	MsgPeerInsert: {name: "peer-insert"},
+	MsgCancel:     {name: "cancel"},
+
+	MsgSceneJoin:    {"scene-join", func(b []byte) peeked { c := skipper(b); new(SceneJoin).fields(&c); return c.trailerSeen() }},
+	MsgScenePublish: {"scene-publish", func(b []byte) peeked { c := skipper(b); new(ScenePublish).fields(&c); return c.trailerSeen() }},
+	MsgSceneEvent:   {"scene-event", func(b []byte) peeked { c := skipper(b); new(SceneEvent).fields(&c); return c.trailerSeen() }},
+	MsgSceneLeave:   {"scene-leave", func(b []byte) peeked { c := skipper(b); new(SceneLeave).fields(&c); return c.trailerSeen() }},
+
+	MsgMemberPing:   {name: "member-ping"},
+	MsgMemberAck:    {name: "member-ack"},
+	MsgMemberGossip: {name: "member-gossip"},
+	MsgMemberLeave:  {name: "member-leave"},
+}
+
 // AllMsgTypes is the canonical list of every protocol frame type, in wire
 // order. Tests iterate it so a new frame cannot ship without a String
-// name and round-trip coverage; keep it in sync with the constants above
-// (the wire tests cross-check it against the String method).
+// name and round-trip coverage.
 func AllMsgTypes() []MsgType {
-	return []MsgType{
-		MsgProbe, MsgProbeReply, MsgExec, MsgExecReply,
-		MsgModelFetch, MsgModelReply, MsgPanoFetch, MsgPanoReply,
-		MsgError, MsgHello, MsgPeerLookup, MsgPeerReply, MsgPeerInsert,
-		MsgCancel, MsgSceneJoin, MsgScenePublish, MsgSceneEvent,
-		MsgSceneLeave, MsgMemberPing, MsgMemberAck, MsgMemberGossip,
-		MsgMemberLeave,
+	all := make([]MsgType, 0, len(frameTypes)-1)
+	for t := range frameTypes {
+		if frameTypes[t].name != "" {
+			all = append(all, MsgType(t))
+		}
 	}
+	return all
 }
 
 // String names the message type for logs.
 func (t MsgType) String() string {
-	switch t {
-	case MsgProbe:
-		return "probe"
-	case MsgProbeReply:
-		return "probe-reply"
-	case MsgExec:
-		return "exec"
-	case MsgExecReply:
-		return "exec-reply"
-	case MsgModelFetch:
-		return "model-fetch"
-	case MsgModelReply:
-		return "model-reply"
-	case MsgPanoFetch:
-		return "pano-fetch"
-	case MsgPanoReply:
-		return "pano-reply"
-	case MsgError:
-		return "error"
-	case MsgHello:
-		return "hello"
-	case MsgPeerLookup:
-		return "peer-lookup"
-	case MsgPeerReply:
-		return "peer-reply"
-	case MsgPeerInsert:
-		return "peer-insert"
-	case MsgCancel:
-		return "cancel"
-	case MsgSceneJoin:
-		return "scene-join"
-	case MsgScenePublish:
-		return "scene-publish"
-	case MsgSceneEvent:
-		return "scene-event"
-	case MsgSceneLeave:
-		return "scene-leave"
-	case MsgMemberPing:
-		return "member-ping"
-	case MsgMemberAck:
-		return "member-ack"
-	case MsgMemberGossip:
-		return "member-gossip"
-	case MsgMemberLeave:
-		return "member-leave"
-	default:
-		return fmt.Sprintf("unknown(%d)", uint8(t))
+	if int(t) < len(frameTypes) && frameTypes[t].name != "" {
+		return frameTypes[t].name
 	}
+	return fmt.Sprintf("unknown(%d)", uint8(t))
 }
 
 // Message is one protocol frame.

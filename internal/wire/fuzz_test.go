@@ -2,9 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
+	"strings"
 	"testing"
-
-	"github.com/edge-immersion/coic/internal/feature"
 )
 
 // FuzzReadMessage feeds arbitrary bytes to the frame decoder. The
@@ -81,60 +82,100 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
-// FuzzExecRequestTrailer cross-checks the zero-copy trailer peekers
-// against the full decoder: for any body, PeekQoS/PeekTrace must never
-// panic, and when the body is a valid ExecRequest they must agree with
-// UnmarshalExecRequest. Valid requests must also round-trip through
-// their canonical marshalled form.
-func FuzzExecRequestTrailer(f *testing.F) {
-	desc := feature.NewVector([]float32{1, 0})
-	for _, e := range []ExecRequest{
-		{Task: TaskRecognize, Desc: desc, Payload: []byte("frame")},
-		{Task: TaskRecognize, Desc: desc, Payload: []byte("frame"), QoS: QoSInteractive, Deadline: 1234567},
-		{Task: TaskRender, Desc: desc, Payload: []byte("x"), QoS: QoSBestEffort, Deadline: 99, TraceID: 0xfeed},
-	} {
-		body, err := e.Marshal()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(body)
+// FuzzBodyRoundTrip feeds arbitrary bytes to every body decoder: kind
+// picks a goldenCase (so every body type, and through TestGoldenBodies
+// every frame type, is covered) and body is decoded as that type. The
+// invariants: the decoder and the trailer peekers never panic; a rejected
+// body is rejected with ErrBadMessage; an accepted one decodes to a value
+// no bigger than a small multiple of the body (a hostile count cannot
+// make the decoder allocate), whose canonical re-encoding is a fixed
+// point of decode∘encode; and for the types that carry the scheduling
+// trailer, PeekQoS/PeekTrace agree with the decoder on both the input and
+// the canonical form.
+//
+// The seeds are the golden bodies; testdata/fuzz/FuzzBodyRoundTrip also
+// holds the corpus of the exec-only target this one replaced.
+func FuzzBodyRoundTrip(f *testing.F) {
+	bodies := loadGoldenBodies(f)
+	for i, gc := range goldenCases {
+		f.Add(uint8(i), bodies[gc.name].bytes)
+		f.Add(uint8(i), []byte{})
 	}
-	f.Add([]byte{})
-	f.Add([]byte{byte(TaskRecognize), 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, body []byte) {
-		qos, deadline := PeekQoS(MsgExec, body)
-		trace := PeekTrace(MsgExec, body)
-		req, err := UnmarshalExecRequest(body)
-		if err != nil {
-			return
+	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
+		gc := goldenCases[int(kind)%len(goldenCases)]
+		frame, _, _ := strings.Cut(gc.name, "/")
+		var mt MsgType // stays 0 for the bodies that are not frames
+		for _, candidate := range AllMsgTypes() {
+			if candidate.String() == frame {
+				mt = candidate
+			}
 		}
-		if req.QoS != qos || req.Deadline != deadline {
-			t.Fatalf("PeekQoS = (%v, %d), decoder says (%v, %d)", qos, deadline, req.QoS, req.Deadline)
-		}
-		if req.TraceID != trace {
-			t.Fatalf("PeekTrace = %d, decoder says %d", trace, req.TraceID)
+		agree := func(stage string, b []byte, v any) {
+			rv := reflect.ValueOf(v)
+			class, deadline := PeekQoS(mt, b)
+			trace := PeekTrace(mt, b)
+			if frameTypes[mt].peek == nil {
+				if class != QoSBestEffort || deadline != 0 || trace != 0 {
+					t.Fatalf("%s: %s: peeked (%v, %d, %x) from a type with no trailer", gc.name, stage, class, deadline, trace)
+				}
+				return
+			}
+			if want := QoS(rv.FieldByName("QoS").Uint()); class != want {
+				t.Fatalf("%s: %s: PeekQoS class = %v, decoder says %v", gc.name, stage, class, want)
+			}
+			if f := rv.FieldByName("Deadline"); f.IsValid() && deadline != f.Int() {
+				t.Fatalf("%s: %s: PeekQoS deadline = %d, decoder says %d", gc.name, stage, deadline, f.Int())
+			}
+			if want := rv.FieldByName("TraceID").Uint(); trace != want {
+				t.Fatalf("%s: %s: PeekTrace = %x, decoder says %x", gc.name, stage, trace, want)
+			}
 		}
 
-		// Canonical round trip: marshal, re-decode, and the peekers must
-		// agree on the canonical form too (the trailer may be re-encoded
-		// shorter, never with different meaning).
-		canon, err := req.Marshal()
+		PeekQoS(mt, body) // must not panic, whatever the decoder says
+		PeekTrace(mt, body)
+		v, err := gc.decode(body)
 		if err != nil {
-			t.Fatalf("decoded request fails to marshal: %v", err)
+			if !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("%s: rejected with %v, want an ErrBadMessage", gc.name, err)
+			}
+			return
 		}
-		req2, err := UnmarshalExecRequest(canon)
+		if got, limit := footprint(reflect.ValueOf(v)), 8*len(body)+256; got > limit {
+			t.Fatalf("%s: a %d-byte body decoded to a %d-byte value (limit %d)", gc.name, len(body), got, limit)
+		}
+		agree("input", body, v)
+
+		canon, err := v.(interface{ Marshal() ([]byte, error) }).Marshal()
 		if err != nil {
-			t.Fatalf("canonical form fails to decode: %v", err)
+			t.Fatalf("%s: decoded value fails to marshal: %v", gc.name, err)
 		}
-		if req2.Task != req.Task || !bytes.Equal(req2.Payload, req.Payload) ||
-			req2.QoS != req.QoS || req2.Deadline != req.Deadline || req2.TraceID != req.TraceID {
-			t.Fatal("round trip through canonical form changed the request")
+		v2, err := gc.decode(canon)
+		if err != nil {
+			t.Fatalf("%s: canonical form fails to decode: %v", gc.name, err)
 		}
-		if q2, d2 := PeekQoS(MsgExec, canon); q2 != req.QoS || d2 != req.Deadline {
-			t.Fatalf("PeekQoS on canonical form = (%v, %d), want (%v, %d)", q2, d2, req.QoS, req.Deadline)
-		}
-		if tr2 := PeekTrace(MsgExec, canon); tr2 != req.TraceID {
-			t.Fatalf("PeekTrace on canonical form = %d, want %d", tr2, req.TraceID)
+		agree("canonical form", canon, v2)
+		canon2, err := v2.(interface{ Marshal() ([]byte, error) }).Marshal()
+		if err != nil || !bytes.Equal(canon, canon2) {
+			t.Fatalf("%s: decode∘encode is not a fixed point (%v)\n first %x\nsecond %x", gc.name, err, canon, canon2)
 		}
 	})
+}
+
+// footprint is the memory a decoded value holds: its own size plus
+// everything its strings and slices point at.
+func footprint(v reflect.Value) int {
+	n := int(v.Type().Size())
+	switch v.Kind() {
+	case reflect.String:
+		n += v.Len()
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			n += footprint(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			n += footprint(v.Field(i)) - int(v.Field(i).Type().Size())
+		}
+	}
+	return n
 }

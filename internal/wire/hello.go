@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // HelloVersion is the current structured hello version. Version 0 is the
 // legacy ad-hoc form: a 0–2 byte body of [mode[, flags]] with no tenant.
@@ -32,17 +29,22 @@ type Hello struct {
 	Token   string
 }
 
-// maxHelloString bounds Tenant and Token (u8 length prefix).
-const maxHelloString = math.MaxUint8
+// The structured (version >= 1) form. Tenant and Token are limited to
+// 255 bytes by their u8 length prefixes.
+func (h *Hello) fields(c *cursor) {
+	c.u8(&h.Version)
+	if h.Version == 0 {
+		c.fail("structured hello with version 0")
+	}
+	c.u8(&h.Mode)
+	c.u8(&h.Flags)
+	c.str8(&h.Tenant)
+	c.str8(&h.Token)
+}
 
-// Marshal encodes the hello body.
-//
-// Version >= 1 (structured):
-//
-//	version u8 | mode u8 | flags u8 | tenantLen u8 | tenant | tokenLen u8 | token
-//
-// Version 0 (legacy): [mode] when Flags is zero, [mode, flags] otherwise —
-// byte-identical to what pre-tenant clients send.
+// Marshal encodes the hello body. Version 0 is the legacy form: [mode]
+// when Flags is zero, [mode, flags] otherwise — byte-identical to what
+// pre-tenant clients send.
 func (h Hello) Marshal() ([]byte, error) {
 	if h.Version == 0 {
 		if h.Tenant != "" || h.Token != "" {
@@ -53,18 +55,10 @@ func (h Hello) Marshal() ([]byte, error) {
 		}
 		return []byte{h.Mode}, nil
 	}
-	if len(h.Tenant) > maxHelloString {
-		return nil, fmt.Errorf("%w: tenant id too long", ErrBadMessage)
-	}
-	if len(h.Token) > maxHelloString {
-		return nil, fmt.Errorf("%w: tenant token too long", ErrBadMessage)
-	}
-	out := make([]byte, 0, 5+len(h.Tenant)+len(h.Token))
-	out = append(out, h.Version, h.Mode, h.Flags, uint8(len(h.Tenant)))
-	out = append(out, h.Tenant...)
-	out = append(out, uint8(len(h.Token)))
-	out = append(out, h.Token...)
-	return out, nil
+	var c cursor
+	h.fields(&c)
+	h.fields(c.encoder())
+	return c.bytes()
 }
 
 // UnmarshalHello decodes a MsgHello body, accepting both forms. Bodies of
@@ -73,9 +67,9 @@ func (h Hello) Marshal() ([]byte, error) {
 // byte (version >= 1) can never collide with a legacy length: the only
 // 1-byte legacy bodies are a bare mode byte, which decode as version 0
 // here, never as a truncated structured frame.
-func UnmarshalHello(body []byte) (Hello, error) {
+func UnmarshalHello(body []byte) (h Hello, err error) {
 	if len(body) <= 2 {
-		h := Hello{Version: 0, Mode: HelloModeCoIC}
+		h = Hello{Version: 0, Mode: HelloModeCoIC}
 		if len(body) >= 1 {
 			h.Mode = body[0]
 		}
@@ -84,23 +78,7 @@ func UnmarshalHello(body []byte) (Hello, error) {
 		}
 		return h, nil
 	}
-	if body[0] == 0 {
-		return Hello{}, fmt.Errorf("%w: structured hello with version 0", ErrBadMessage)
-	}
-	if len(body) < 5 {
-		return Hello{}, fmt.Errorf("%w: hello too short", ErrBadMessage)
-	}
-	h := Hello{Version: body[0], Mode: body[1], Flags: body[2]}
-	tn := int(body[3])
-	off := 4 + tn
-	if off+1 > len(body) {
-		return Hello{}, fmt.Errorf("%w: hello tenant overruns", ErrBadMessage)
-	}
-	h.Tenant = string(body[4:off])
-	kn := int(body[off])
-	if off+1+kn != len(body) {
-		return Hello{}, fmt.Errorf("%w: hello token length", ErrBadMessage)
-	}
-	h.Token = string(body[off+1 : off+1+kn])
-	return h, nil
+	c := decoder("hello", body)
+	h.fields(&c)
+	return h, c.end()
 }

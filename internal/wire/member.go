@@ -1,11 +1,5 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
-
 // Membership bodies. All four membership frames (member-ping, member-ack,
 // member-gossip, member-leave) carry the same body: the sender's full
 // epoch-versioned member list. SWIM-style dissemination usually piggybacks
@@ -42,95 +36,36 @@ type Membership struct {
 	Members []MemberEntry
 }
 
-// Marshal encodes the body:
-//
-//	fromLen u16 | from | epoch u64 | count u16
-//	per member: idLen u16 | id | incarnation u64 | status u8
-func (m Membership) Marshal() ([]byte, error) {
-	if len(m.From) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: member id too long", ErrBadMessage)
-	}
-	if len(m.Members) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: member list too long", ErrBadMessage)
-	}
-	size := 2 + len(m.From) + 8 + 2
-	for _, e := range m.Members {
-		size += 2 + len(e.ID) + 8 + 1
-	}
-	out := make([]byte, 0, size)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(m.From)))
-	out = append(out, m.From...)
-	out = binary.LittleEndian.AppendUint64(out, m.Epoch)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(m.Members)))
-	for _, e := range m.Members {
-		if len(e.ID) > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: member id too long", ErrBadMessage)
-		}
+// minMemberEntry is the encoded size of an entry with an empty ID:
+// idLen u16 | incarnation u64 | status u8.
+const minMemberEntry = 2 + 8 + 1
+
+func (m *Membership) fields(c *cursor) {
+	c.str16(&m.From)
+	c.u64(&m.Epoch)
+	members := repeat(c, 2, &m.Members, minMemberEntry)
+	for i := range members {
+		e := &members[i]
+		c.str16(&e.ID)
+		c.u64(&e.Incarnation)
+		c.u8(&e.Status)
 		if e.Status > MemberDead {
-			return nil, fmt.Errorf("%w: bad member status %d", ErrBadMessage, e.Status)
+			c.fail("bad member status %d", e.Status)
 		}
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(e.ID)))
-		out = append(out, e.ID...)
-		out = binary.LittleEndian.AppendUint64(out, e.Incarnation)
-		out = append(out, e.Status)
 	}
-	return out, nil
+}
+
+// Marshal encodes the body.
+func (m Membership) Marshal() ([]byte, error) {
+	var c cursor
+	m.fields(&c)
+	m.fields(c.encoder())
+	return c.bytes()
 }
 
 // UnmarshalMembership decodes a membership body.
-func UnmarshalMembership(body []byte) (Membership, error) {
-	var m Membership
-	off := 0
-	takeString := func(what string) (string, error) {
-		if off+2 > len(body) {
-			return "", fmt.Errorf("%w: membership truncated at %s length", ErrBadMessage, what)
-		}
-		n := int(binary.LittleEndian.Uint16(body[off:]))
-		off += 2
-		if off+n > len(body) {
-			return "", fmt.Errorf("%w: membership truncated in %s", ErrBadMessage, what)
-		}
-		s := string(body[off : off+n])
-		off += n
-		return s, nil
-	}
-	from, err := takeString("from")
-	if err != nil {
-		return Membership{}, err
-	}
-	m.From = from
-	if off+8+2 > len(body) {
-		return Membership{}, fmt.Errorf("%w: membership too short", ErrBadMessage)
-	}
-	m.Epoch = binary.LittleEndian.Uint64(body[off:])
-	off += 8
-	count := int(binary.LittleEndian.Uint16(body[off:]))
-	off += 2
-	// Each entry needs at least 11 bytes; reject counts the body cannot
-	// hold before allocating.
-	if count*11 > len(body)-off {
-		return Membership{}, fmt.Errorf("%w: membership count %d exceeds body", ErrBadMessage, count)
-	}
-	m.Members = make([]MemberEntry, 0, count)
-	for i := 0; i < count; i++ {
-		id, err := takeString("member id")
-		if err != nil {
-			return Membership{}, err
-		}
-		if off+9 > len(body) {
-			return Membership{}, fmt.Errorf("%w: membership entry %d truncated", ErrBadMessage, i)
-		}
-		inc := binary.LittleEndian.Uint64(body[off:])
-		off += 8
-		status := body[off]
-		off++
-		if status > MemberDead {
-			return Membership{}, fmt.Errorf("%w: bad member status %d", ErrBadMessage, status)
-		}
-		m.Members = append(m.Members, MemberEntry{ID: id, Incarnation: inc, Status: status})
-	}
-	if off != len(body) {
-		return Membership{}, fmt.Errorf("%w: %d trailing membership bytes", ErrBadMessage, len(body)-off)
-	}
-	return m, nil
+func UnmarshalMembership(body []byte) (m Membership, err error) {
+	c := decoder("membership", body)
+	m.fields(&c)
+	return m, c.end()
 }

@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/edge-immersion/coic/internal/feature"
 )
@@ -68,104 +66,6 @@ func (q QoS) String() string {
 	}
 }
 
-// The optional scheduling trailer carried at the end of ExecRequest,
-// ModelFetch and PanoFetch bodies comes in two encoded sizes:
-//
-//	qosTrailerLen:   class u8 | deadline u64 (unix microseconds UTC, 0 = none)
-//	traceTrailerLen: class u8 | deadline u64 | trace u64
-//
-// The long form adds the client-minted trace ID; a request with no trace
-// marshals to the short (or absent) form so pre-trace servers keep
-// accepting frames from upgraded clients.
-const (
-	qosTrailerLen   = 9
-	traceTrailerLen = 17
-)
-
-// appendQoSTrailer encodes the trailer only when it says something: a
-// zero class with no deadline and no trace marshals to the pre-QoS body,
-// so old servers keep accepting frames from upgraded clients that don't
-// use the feature.
-func appendQoSTrailer(out []byte, class QoS, deadline int64, trace uint64) []byte {
-	if class == QoSBestEffort && deadline == 0 && trace == 0 {
-		return out
-	}
-	out = append(out, byte(class))
-	out = binary.LittleEndian.AppendUint64(out, uint64(deadline))
-	if trace == 0 {
-		return out
-	}
-	return binary.LittleEndian.AppendUint64(out, trace)
-}
-
-// splitQoSTrailer validates rest as either empty or exactly one trailer
-// (short or traced form).
-func splitQoSTrailer(rest []byte) (QoS, int64, uint64, error) {
-	switch len(rest) {
-	case 0:
-		return QoSBestEffort, 0, 0, nil
-	case qosTrailerLen:
-		return QoS(rest[0]), int64(binary.LittleEndian.Uint64(rest[1:])), 0, nil
-	case traceTrailerLen:
-		return QoS(rest[0]), int64(binary.LittleEndian.Uint64(rest[1:])),
-			binary.LittleEndian.Uint64(rest[9:]), nil
-	default:
-		return 0, 0, 0, fmt.Errorf("%w: trailing %d bytes are not a QoS trailer", ErrBadMessage, len(rest))
-	}
-}
-
-// trailerBase finds the offset where a request body's trailer would start
-// (the end of the fixed payload), or -1 when the type carries no trailer
-// or the body is malformed.
-func trailerBase(t MsgType, body []byte) int {
-	switch t {
-	case MsgExec:
-		if len(body) < 5 {
-			return -1
-		}
-		dn := int(binary.LittleEndian.Uint32(body[1:]))
-		off := 5 + dn
-		if off+4 > len(body) {
-			return -1
-		}
-		return off + 4 + int(binary.LittleEndian.Uint32(body[off:]))
-	case MsgModelFetch:
-		if len(body) < 3 {
-			return -1
-		}
-		return 3 + int(binary.LittleEndian.Uint16(body[1:]))
-	case MsgPanoFetch:
-		if len(body) < 6 {
-			return -1
-		}
-		return 6 + int(binary.LittleEndian.Uint16(body[4:]))
-	case MsgSceneJoin, MsgSceneLeave:
-		if len(body) < 2 {
-			return -1
-		}
-		return 2 + int(binary.LittleEndian.Uint16(body[0:]))
-	case MsgScenePublish, MsgSceneEvent:
-		if len(body) < 8 {
-			return -1
-		}
-		so := 2 + int(binary.LittleEndian.Uint16(body[0:]))
-		if so+2 > len(body) {
-			return -1
-		}
-		ko := so + 2 + int(binary.LittleEndian.Uint16(body[so:]))
-		if ko+4 > len(body) {
-			return -1
-		}
-		end := ko + 4 + int(binary.LittleEndian.Uint32(body[ko:]))
-		if t == MsgSceneEvent {
-			end += 16 // seq u64 | version u64 follow the value blob
-		}
-		return end
-	default:
-		return -1
-	}
-}
-
 // PeekQoS extracts the scheduling metadata — service class and absolute
 // deadline in unix microseconds (0 = none) — from a request body without
 // decoding the payload, so the serving tiers can order and shed queued
@@ -173,11 +73,8 @@ func trailerBase(t MsgType, body []byte) int {
 // bodies (the dispatcher will reject them anyway), read as best-effort
 // with no deadline.
 func PeekQoS(t MsgType, body []byte) (QoS, int64) {
-	base := trailerBase(t, body)
-	if base < 0 || (base+qosTrailerLen != len(body) && base+traceTrailerLen != len(body)) {
-		return QoSBestEffort, 0
-	}
-	return QoS(body[base]), int64(binary.LittleEndian.Uint64(body[base+1:]))
+	p := peek(t, body)
+	return p.class, p.deadline
 }
 
 // PeekTrace extracts the client-minted trace ID from a request body
@@ -185,11 +82,16 @@ func PeekQoS(t MsgType, body []byte) (QoS, int64) {
 // path. Requests without the traced trailer (and malformed bodies) read
 // as 0.
 func PeekTrace(t MsgType, body []byte) uint64 {
-	base := trailerBase(t, body)
-	if base < 0 || base+traceTrailerLen != len(body) {
-		return 0
+	return peek(t, body).trace
+}
+
+// peek skips through body by its frame type's field description to the
+// trailer; a type that carries none has nothing to peek at.
+func peek(t MsgType, body []byte) peeked {
+	if int(t) >= len(frameTypes) || frameTypes[t].peek == nil {
+		return peeked{}
 	}
-	return binary.LittleEndian.Uint64(body[base+qosTrailerLen:])
+	return frameTypes[t].peek(body)
 }
 
 // Cache outcomes carried in ProbeReply.
@@ -208,32 +110,24 @@ type ProbeRequest struct {
 	Desc feature.Descriptor
 }
 
+func (p *ProbeRequest) fields(c *cursor) {
+	c.u8((*uint8)(&p.Task))
+	c.desc(&p.Desc)
+}
+
 // Marshal encodes the body.
 func (p ProbeRequest) Marshal() ([]byte, error) {
-	desc, err := p.Desc.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, 1+4+len(desc))
-	out = append(out, byte(p.Task))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(desc)))
-	return append(out, desc...), nil
+	var c cursor
+	p.fields(&c)
+	p.fields(c.encoder())
+	return c.bytes()
 }
 
 // UnmarshalProbeRequest decodes a ProbeRequest body.
-func UnmarshalProbeRequest(body []byte) (ProbeRequest, error) {
-	if len(body) < 5 {
-		return ProbeRequest{}, fmt.Errorf("%w: probe too short", ErrBadMessage)
-	}
-	n := binary.LittleEndian.Uint32(body[1:])
-	if int(n) != len(body)-5 {
-		return ProbeRequest{}, fmt.Errorf("%w: probe descriptor length", ErrBadMessage)
-	}
-	desc, err := feature.Unmarshal(body[5:])
-	if err != nil {
-		return ProbeRequest{}, fmt.Errorf("%w: %v", ErrBadMessage, err)
-	}
-	return ProbeRequest{Task: Task(body[0]), Desc: desc}, nil
+func UnmarshalProbeRequest(body []byte) (p ProbeRequest, err error) {
+	c := decoder("probe", body)
+	p.fields(&c)
+	return p, c.end()
 }
 
 // ProbeReply answers a probe; Result is present only on a hit.
@@ -243,29 +137,25 @@ type ProbeReply struct {
 	Result   []byte
 }
 
-// Marshal encodes the body.
-func (p ProbeReply) Marshal() ([]byte, error) {
-	out := make([]byte, 0, 1+8+4+len(p.Result))
-	out = append(out, p.Outcome)
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(p.Distance))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(p.Result)))
-	return append(out, p.Result...), nil
+func (p *ProbeReply) fields(c *cursor) {
+	c.u8(&p.Outcome)
+	c.f64(&p.Distance)
+	c.blob(&p.Result)
 }
 
-// UnmarshalProbeReply decodes a ProbeReply body.
-func UnmarshalProbeReply(body []byte) (ProbeReply, error) {
-	if len(body) < 13 {
-		return ProbeReply{}, fmt.Errorf("%w: probe-reply too short", ErrBadMessage)
-	}
-	n := binary.LittleEndian.Uint32(body[9:])
-	if int(n) != len(body)-13 {
-		return ProbeReply{}, fmt.Errorf("%w: probe-reply result length", ErrBadMessage)
-	}
-	return ProbeReply{
-		Outcome:  body[0],
-		Distance: math.Float64frombits(binary.LittleEndian.Uint64(body[1:])),
-		Result:   append([]byte(nil), body[13:]...),
-	}, nil
+// Marshal encodes the body.
+func (p ProbeReply) Marshal() ([]byte, error) {
+	var c cursor
+	p.fields(&c)
+	p.fields(c.encoder())
+	return c.bytes()
+}
+
+// UnmarshalProbeReply decodes a ProbeReply body. Result aliases body.
+func UnmarshalProbeReply(body []byte) (p ProbeReply, err error) {
+	c := decoder("probe-reply", body)
+	p.fields(&c)
+	return p, c.end()
 }
 
 // PeerLookup is the edge-to-edge flavour of ProbeRequest: one federated
@@ -279,18 +169,24 @@ type PeerLookup struct {
 	Desc feature.Descriptor
 }
 
-// Marshal encodes the body (same layout as ProbeRequest).
+func (p *PeerLookup) fields(c *cursor) {
+	c.u8((*uint8)(&p.Task))
+	c.desc(&p.Desc)
+}
+
+// Marshal encodes the body.
 func (p PeerLookup) Marshal() ([]byte, error) {
-	return ProbeRequest{Task: p.Task, Desc: p.Desc}.Marshal()
+	var c cursor
+	p.fields(&c)
+	p.fields(c.encoder())
+	return c.bytes()
 }
 
 // UnmarshalPeerLookup decodes a PeerLookup body.
-func UnmarshalPeerLookup(body []byte) (PeerLookup, error) {
-	pr, err := UnmarshalProbeRequest(body)
-	if err != nil {
-		return PeerLookup{}, err
-	}
-	return PeerLookup{Task: pr.Task, Desc: pr.Desc}, nil
+func UnmarshalPeerLookup(body []byte) (p PeerLookup, err error) {
+	c := decoder("peer-lookup", body)
+	p.fields(&c)
+	return p, c.end()
 }
 
 // PeerReply answers a PeerLookup; Result is present only on a hit. It
@@ -301,18 +197,25 @@ type PeerReply struct {
 	Result   []byte
 }
 
-// Marshal encodes the body (same layout as ProbeReply).
-func (p PeerReply) Marshal() ([]byte, error) {
-	return ProbeReply{Outcome: p.Outcome, Distance: p.Distance, Result: p.Result}.Marshal()
+func (p *PeerReply) fields(c *cursor) {
+	c.u8(&p.Outcome)
+	c.f64(&p.Distance)
+	c.blob(&p.Result)
 }
 
-// UnmarshalPeerReply decodes a PeerReply body.
-func UnmarshalPeerReply(body []byte) (PeerReply, error) {
-	pr, err := UnmarshalProbeReply(body)
-	if err != nil {
-		return PeerReply{}, err
-	}
-	return PeerReply{Outcome: pr.Outcome, Distance: pr.Distance, Result: pr.Result}, nil
+// Marshal encodes the body.
+func (p PeerReply) Marshal() ([]byte, error) {
+	var c cursor
+	p.fields(&c)
+	p.fields(c.encoder())
+	return c.bytes()
+}
+
+// UnmarshalPeerReply decodes a PeerReply body. Result aliases body.
+func UnmarshalPeerReply(body []byte) (p PeerReply, err error) {
+	c := decoder("peer-reply", body)
+	p.fields(&c)
+	return p, c.end()
 }
 
 // PeerInsert publishes a computed result to the descriptor's home edge
@@ -327,43 +230,25 @@ type PeerInsert struct {
 	Value []byte
 }
 
-// Marshal encodes the body.
-func (p PeerInsert) Marshal() ([]byte, error) {
-	desc, err := p.Desc.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, 8+4+len(desc)+4+len(p.Value))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(p.Cost))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(desc)))
-	out = append(out, desc...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(p.Value)))
-	return append(out, p.Value...), nil
+func (p *PeerInsert) fields(c *cursor) {
+	c.f64(&p.Cost)
+	c.desc(&p.Desc)
+	c.blob(&p.Value)
 }
 
-// UnmarshalPeerInsert decodes a PeerInsert body.
-func UnmarshalPeerInsert(body []byte) (PeerInsert, error) {
-	if len(body) < 12 {
-		return PeerInsert{}, fmt.Errorf("%w: peer-insert too short", ErrBadMessage)
-	}
-	dn := binary.LittleEndian.Uint32(body[8:])
-	off := 12 + int(dn)
-	if off+4 > len(body) {
-		return PeerInsert{}, fmt.Errorf("%w: peer-insert descriptor overruns", ErrBadMessage)
-	}
-	desc, err := feature.Unmarshal(body[12:off])
-	if err != nil {
-		return PeerInsert{}, fmt.Errorf("%w: %v", ErrBadMessage, err)
-	}
-	vn := binary.LittleEndian.Uint32(body[off:])
-	if int(vn) != len(body)-off-4 {
-		return PeerInsert{}, fmt.Errorf("%w: peer-insert value length", ErrBadMessage)
-	}
-	return PeerInsert{
-		Cost:  math.Float64frombits(binary.LittleEndian.Uint64(body[0:])),
-		Desc:  desc,
-		Value: append([]byte(nil), body[off+4:]...),
-	}, nil
+// Marshal encodes the body.
+func (p PeerInsert) Marshal() ([]byte, error) {
+	var c cursor
+	p.fields(&c)
+	p.fields(c.encoder())
+	return c.bytes()
+}
+
+// UnmarshalPeerInsert decodes a PeerInsert body. Value aliases body.
+func UnmarshalPeerInsert(body []byte) (p PeerInsert, err error) {
+	c := decoder("peer-insert", body)
+	p.fields(&c)
+	return p, c.end()
 }
 
 // ExecRequest carries a full IC task: the input payload plus the
@@ -387,52 +272,26 @@ type ExecRequest struct {
 	TraceID uint64
 }
 
-// Marshal encodes the body.
-func (e ExecRequest) Marshal() ([]byte, error) {
-	desc, err := e.Desc.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, 1+4+len(desc)+4+len(e.Payload)+qosTrailerLen)
-	out = append(out, byte(e.Task))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(desc)))
-	out = append(out, desc...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(e.Payload)))
-	out = append(out, e.Payload...)
-	return appendQoSTrailer(out, e.QoS, e.Deadline, e.TraceID), nil
+func (e *ExecRequest) fields(c *cursor) {
+	c.u8((*uint8)(&e.Task))
+	c.desc(&e.Desc)
+	c.blob(&e.Payload)
+	c.trailer(&e.QoS, &e.Deadline, &e.TraceID)
 }
 
-// UnmarshalExecRequest decodes an ExecRequest body.
-func UnmarshalExecRequest(body []byte) (ExecRequest, error) {
-	if len(body) < 5 {
-		return ExecRequest{}, fmt.Errorf("%w: exec too short", ErrBadMessage)
-	}
-	dn := binary.LittleEndian.Uint32(body[1:])
-	off := 5 + int(dn)
-	if off+4 > len(body) {
-		return ExecRequest{}, fmt.Errorf("%w: exec descriptor overruns", ErrBadMessage)
-	}
-	desc, err := feature.Unmarshal(body[5:off])
-	if err != nil {
-		return ExecRequest{}, fmt.Errorf("%w: %v", ErrBadMessage, err)
-	}
-	pn := int(binary.LittleEndian.Uint32(body[off:]))
-	end := off + 4 + pn
-	if pn < 0 || end > len(body) {
-		return ExecRequest{}, fmt.Errorf("%w: exec payload length", ErrBadMessage)
-	}
-	qos, deadline, trace, err := splitQoSTrailer(body[end:])
-	if err != nil {
-		return ExecRequest{}, err
-	}
-	return ExecRequest{
-		Task:     Task(body[0]),
-		Desc:     desc,
-		Payload:  append([]byte(nil), body[off+4:end]...),
-		QoS:      qos,
-		Deadline: deadline,
-		TraceID:  trace,
-	}, nil
+// Marshal encodes the body.
+func (e ExecRequest) Marshal() ([]byte, error) {
+	var c cursor
+	e.fields(&c)
+	e.fields(c.encoder())
+	return c.bytes()
+}
+
+// UnmarshalExecRequest decodes an ExecRequest body. Payload aliases body.
+func UnmarshalExecRequest(body []byte) (e ExecRequest, err error) {
+	c := decoder("exec", body)
+	e.fields(&c)
+	return e, c.end()
 }
 
 // Result sources carried in ExecReply.
@@ -447,24 +306,24 @@ type ExecReply struct {
 	Result []byte
 }
 
-// Marshal encodes the body.
-func (e ExecReply) Marshal() ([]byte, error) {
-	out := make([]byte, 0, 1+4+len(e.Result))
-	out = append(out, e.Source)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(e.Result)))
-	return append(out, e.Result...), nil
+func (e *ExecReply) fields(c *cursor) {
+	c.u8(&e.Source)
+	c.blob(&e.Result)
 }
 
-// UnmarshalExecReply decodes an ExecReply body.
-func UnmarshalExecReply(body []byte) (ExecReply, error) {
-	if len(body) < 5 {
-		return ExecReply{}, fmt.Errorf("%w: exec-reply too short", ErrBadMessage)
-	}
-	n := binary.LittleEndian.Uint32(body[1:])
-	if int(n) != len(body)-5 {
-		return ExecReply{}, fmt.Errorf("%w: exec-reply result length", ErrBadMessage)
-	}
-	return ExecReply{Source: body[0], Result: append([]byte(nil), body[5:]...)}, nil
+// Marshal encodes the body.
+func (e ExecReply) Marshal() ([]byte, error) {
+	var c cursor
+	e.fields(&c)
+	e.fields(c.encoder())
+	return c.bytes()
+}
+
+// UnmarshalExecReply decodes an ExecReply body. Result aliases body.
+func UnmarshalExecReply(body []byte) (e ExecReply, err error) {
+	c := decoder("exec-reply", body)
+	e.fields(&c)
+	return e, c.end()
 }
 
 // ModelFetch requests a 3D model in a given format. QoS and Deadline are
@@ -477,32 +336,25 @@ type ModelFetch struct {
 	TraceID  uint64
 }
 
+func (m *ModelFetch) fields(c *cursor) {
+	c.u8(&m.Format)
+	c.str16(&m.ModelID)
+	c.trailer(&m.QoS, &m.Deadline, &m.TraceID)
+}
+
 // Marshal encodes the body.
 func (m ModelFetch) Marshal() ([]byte, error) {
-	if len(m.ModelID) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: model id too long", ErrBadMessage)
-	}
-	out := make([]byte, 0, 1+2+len(m.ModelID)+qosTrailerLen)
-	out = append(out, m.Format)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(m.ModelID)))
-	out = append(out, m.ModelID...)
-	return appendQoSTrailer(out, m.QoS, m.Deadline, m.TraceID), nil
+	var c cursor
+	m.fields(&c)
+	m.fields(c.encoder())
+	return c.bytes()
 }
 
 // UnmarshalModelFetch decodes a ModelFetch body.
-func UnmarshalModelFetch(body []byte) (ModelFetch, error) {
-	if len(body) < 3 {
-		return ModelFetch{}, fmt.Errorf("%w: model-fetch too short", ErrBadMessage)
-	}
-	end := 3 + int(binary.LittleEndian.Uint16(body[1:]))
-	if end > len(body) {
-		return ModelFetch{}, fmt.Errorf("%w: model id length", ErrBadMessage)
-	}
-	qos, deadline, trace, err := splitQoSTrailer(body[end:])
-	if err != nil {
-		return ModelFetch{}, err
-	}
-	return ModelFetch{Format: body[0], ModelID: string(body[3:end]), QoS: qos, Deadline: deadline, TraceID: trace}, nil
+func UnmarshalModelFetch(body []byte) (m ModelFetch, err error) {
+	c := decoder("model-fetch", body)
+	m.fields(&c)
+	return m, c.end()
 }
 
 // ModelReply carries model bytes in the named format.
@@ -512,24 +364,25 @@ type ModelReply struct {
 	Data   []byte
 }
 
-// Marshal encodes the body.
-func (m ModelReply) Marshal() ([]byte, error) {
-	out := make([]byte, 0, 2+4+len(m.Data))
-	out = append(out, m.Format, m.Source)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(m.Data)))
-	return append(out, m.Data...), nil
+func (m *ModelReply) fields(c *cursor) {
+	c.u8(&m.Format)
+	c.u8(&m.Source)
+	c.blob(&m.Data)
 }
 
-// UnmarshalModelReply decodes a ModelReply body.
-func UnmarshalModelReply(body []byte) (ModelReply, error) {
-	if len(body) < 6 {
-		return ModelReply{}, fmt.Errorf("%w: model-reply too short", ErrBadMessage)
-	}
-	n := binary.LittleEndian.Uint32(body[2:])
-	if int(n) != len(body)-6 {
-		return ModelReply{}, fmt.Errorf("%w: model data length", ErrBadMessage)
-	}
-	return ModelReply{Format: body[0], Source: body[1], Data: append([]byte(nil), body[6:]...)}, nil
+// Marshal encodes the body.
+func (m ModelReply) Marshal() ([]byte, error) {
+	var c cursor
+	m.fields(&c)
+	m.fields(c.encoder())
+	return c.bytes()
+}
+
+// UnmarshalModelReply decodes a ModelReply body. Data aliases body.
+func UnmarshalModelReply(body []byte) (m ModelReply, err error) {
+	c := decoder("model-reply", body)
+	m.fields(&c)
+	return m, c.end()
 }
 
 // PanoFetch requests one panoramic frame of a VR video. QoS and Deadline
@@ -542,38 +395,25 @@ type PanoFetch struct {
 	TraceID    uint64
 }
 
+func (p *PanoFetch) fields(c *cursor) {
+	c.u32(&p.FrameIndex)
+	c.str16(&p.VideoID)
+	c.trailer(&p.QoS, &p.Deadline, &p.TraceID)
+}
+
 // Marshal encodes the body.
 func (p PanoFetch) Marshal() ([]byte, error) {
-	if len(p.VideoID) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: video id too long", ErrBadMessage)
-	}
-	out := make([]byte, 0, 4+2+len(p.VideoID)+qosTrailerLen)
-	out = binary.LittleEndian.AppendUint32(out, p.FrameIndex)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(p.VideoID)))
-	out = append(out, p.VideoID...)
-	return appendQoSTrailer(out, p.QoS, p.Deadline, p.TraceID), nil
+	var c cursor
+	p.fields(&c)
+	p.fields(c.encoder())
+	return c.bytes()
 }
 
 // UnmarshalPanoFetch decodes a PanoFetch body.
-func UnmarshalPanoFetch(body []byte) (PanoFetch, error) {
-	if len(body) < 6 {
-		return PanoFetch{}, fmt.Errorf("%w: pano-fetch too short", ErrBadMessage)
-	}
-	end := 6 + int(binary.LittleEndian.Uint16(body[4:]))
-	if end > len(body) {
-		return PanoFetch{}, fmt.Errorf("%w: video id length", ErrBadMessage)
-	}
-	qos, deadline, trace, err := splitQoSTrailer(body[end:])
-	if err != nil {
-		return PanoFetch{}, err
-	}
-	return PanoFetch{
-		FrameIndex: binary.LittleEndian.Uint32(body[0:]),
-		VideoID:    string(body[6:end]),
-		QoS:        qos,
-		Deadline:   deadline,
-		TraceID:    trace,
-	}, nil
+func UnmarshalPanoFetch(body []byte) (p PanoFetch, err error) {
+	c := decoder("pano-fetch", body)
+	p.fields(&c)
+	return p, c.end()
 }
 
 // PanoReply carries an RLE-encoded panoramic frame.
@@ -582,24 +422,24 @@ type PanoReply struct {
 	Data   []byte
 }
 
-// Marshal encodes the body.
-func (p PanoReply) Marshal() ([]byte, error) {
-	out := make([]byte, 0, 1+4+len(p.Data))
-	out = append(out, p.Source)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(p.Data)))
-	return append(out, p.Data...), nil
+func (p *PanoReply) fields(c *cursor) {
+	c.u8(&p.Source)
+	c.blob(&p.Data)
 }
 
-// UnmarshalPanoReply decodes a PanoReply body.
-func UnmarshalPanoReply(body []byte) (PanoReply, error) {
-	if len(body) < 5 {
-		return PanoReply{}, fmt.Errorf("%w: pano-reply too short", ErrBadMessage)
-	}
-	n := binary.LittleEndian.Uint32(body[1:])
-	if int(n) != len(body)-5 {
-		return PanoReply{}, fmt.Errorf("%w: pano data length", ErrBadMessage)
-	}
-	return PanoReply{Source: body[0], Data: append([]byte(nil), body[5:]...)}, nil
+// Marshal encodes the body.
+func (p PanoReply) Marshal() ([]byte, error) {
+	var c cursor
+	p.fields(&c)
+	p.fields(c.encoder())
+	return c.bytes()
+}
+
+// UnmarshalPanoReply decodes a PanoReply body. Data aliases body.
+func UnmarshalPanoReply(body []byte) (p PanoReply, err error) {
+	c := decoder("pano-reply", body)
+	p.fields(&c)
+	return p, c.end()
 }
 
 // ErrorReply reports a protocol-level failure.
@@ -640,30 +480,24 @@ const (
 	CodeQuotaExceeded uint16 = 8
 )
 
-// Marshal encodes the body.
+func (e *ErrorReply) fields(c *cursor) {
+	c.u16(&e.Code)
+	c.str16(&e.Msg)
+}
+
+// Marshal encodes the body. Msg is limited to 65535 bytes.
 func (e ErrorReply) Marshal() ([]byte, error) {
-	if len(e.Msg) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: error message too long", ErrBadMessage)
-	}
-	out := make([]byte, 0, 2+2+len(e.Msg))
-	out = binary.LittleEndian.AppendUint16(out, e.Code)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(e.Msg)))
-	return append(out, e.Msg...), nil
+	var c cursor
+	e.fields(&c)
+	e.fields(c.encoder())
+	return c.bytes()
 }
 
 // UnmarshalErrorReply decodes an ErrorReply body.
-func UnmarshalErrorReply(body []byte) (ErrorReply, error) {
-	if len(body) < 4 {
-		return ErrorReply{}, fmt.Errorf("%w: error-reply too short", ErrBadMessage)
-	}
-	n := binary.LittleEndian.Uint16(body[2:])
-	if int(n) != len(body)-4 {
-		return ErrorReply{}, fmt.Errorf("%w: error message length", ErrBadMessage)
-	}
-	return ErrorReply{
-		Code: binary.LittleEndian.Uint16(body[0:]),
-		Msg:  string(body[4:]),
-	}, nil
+func UnmarshalErrorReply(body []byte) (e ErrorReply, err error) {
+	c := decoder("error", body)
+	e.fields(&c)
+	return e, c.end()
 }
 
 // CancelRequest is the body of a MsgCancel frame: the RequestID (on the
@@ -672,18 +506,23 @@ type CancelRequest struct {
 	TargetID uint64
 }
 
+func (r *CancelRequest) fields(c *cursor) {
+	c.u64(&r.TargetID)
+}
+
 // Marshal encodes the body.
-func (c CancelRequest) Marshal() ([]byte, error) {
-	out := make([]byte, 0, 8)
-	return binary.LittleEndian.AppendUint64(out, c.TargetID), nil
+func (r CancelRequest) Marshal() ([]byte, error) {
+	var c cursor
+	r.fields(&c)
+	r.fields(c.encoder())
+	return c.bytes()
 }
 
 // UnmarshalCancelRequest decodes a CancelRequest body.
-func UnmarshalCancelRequest(body []byte) (CancelRequest, error) {
-	if len(body) != 8 {
-		return CancelRequest{}, fmt.Errorf("%w: cancel body length %d", ErrBadMessage, len(body))
-	}
-	return CancelRequest{TargetID: binary.LittleEndian.Uint64(body)}, nil
+func UnmarshalCancelRequest(body []byte) (r CancelRequest, err error) {
+	c := decoder("cancel", body)
+	r.fields(&c)
+	return r, c.end()
 }
 
 // RecognitionResult is the application-level result of a recognition
@@ -698,39 +537,24 @@ type RecognitionResult struct {
 	AnnotationModelID string
 }
 
+func (r *RecognitionResult) fields(c *cursor) {
+	c.i32(&r.ClassIndex)
+	c.f32(&r.Confidence)
+	c.str16(&r.Label)
+	c.str16(&r.AnnotationModelID)
+}
+
 // Marshal encodes the result for caching and transport.
 func (r RecognitionResult) Marshal() ([]byte, error) {
-	if len(r.Label) > math.MaxUint16 || len(r.AnnotationModelID) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: recognition strings too long", ErrBadMessage)
-	}
-	out := make([]byte, 0, 4+4+2+len(r.Label)+2+len(r.AnnotationModelID))
-	out = binary.LittleEndian.AppendUint32(out, uint32(r.ClassIndex))
-	out = binary.LittleEndian.AppendUint32(out, math.Float32bits(r.Confidence))
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(r.Label)))
-	out = append(out, r.Label...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(r.AnnotationModelID)))
-	return append(out, r.AnnotationModelID...), nil
+	var c cursor
+	r.fields(&c)
+	r.fields(c.encoder())
+	return c.bytes()
 }
 
 // UnmarshalRecognitionResult decodes a RecognitionResult.
-func UnmarshalRecognitionResult(body []byte) (RecognitionResult, error) {
-	if len(body) < 12 {
-		return RecognitionResult{}, fmt.Errorf("%w: recognition result too short", ErrBadMessage)
-	}
-	r := RecognitionResult{
-		ClassIndex: int32(binary.LittleEndian.Uint32(body[0:])),
-		Confidence: math.Float32frombits(binary.LittleEndian.Uint32(body[4:])),
-	}
-	ln := int(binary.LittleEndian.Uint16(body[8:]))
-	off := 10 + ln
-	if off+2 > len(body) {
-		return RecognitionResult{}, fmt.Errorf("%w: label overruns", ErrBadMessage)
-	}
-	r.Label = string(body[10:off])
-	an := int(binary.LittleEndian.Uint16(body[off:]))
-	if off+2+an != len(body) {
-		return RecognitionResult{}, fmt.Errorf("%w: annotation id length", ErrBadMessage)
-	}
-	r.AnnotationModelID = string(body[off+2:])
-	return r, nil
+func UnmarshalRecognitionResult(body []byte) (r RecognitionResult, err error) {
+	c := decoder("recognition-result", body)
+	r.fields(&c)
+	return r, c.end()
 }

@@ -1,11 +1,5 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
-
 // Shared-scene bodies. A scene is an edge-hosted room: members join by
 // name, publish per-key values into a shared document, and the edge fans
 // every applied write back out to all members as MsgSceneEvent pushes.
@@ -28,18 +22,24 @@ type SceneJoin struct {
 	TraceID  uint64
 }
 
-// Marshal encodes the body: sceneLen u16 | scene | trailer.
+func (s *SceneJoin) fields(c *cursor) {
+	c.str16(&s.Scene)
+	c.trailer(&s.QoS, &s.Deadline, &s.TraceID)
+}
+
+// Marshal encodes the body.
 func (s SceneJoin) Marshal() ([]byte, error) {
-	return marshalSceneName(s.Scene, s.QoS, s.Deadline, s.TraceID)
+	var c cursor
+	s.fields(&c)
+	s.fields(c.encoder())
+	return c.bytes()
 }
 
 // UnmarshalSceneJoin decodes a SceneJoin body.
-func UnmarshalSceneJoin(body []byte) (SceneJoin, error) {
-	name, qos, deadline, trace, err := unmarshalSceneName(body, "scene-join")
-	if err != nil {
-		return SceneJoin{}, err
-	}
-	return SceneJoin{Scene: name, QoS: qos, Deadline: deadline, TraceID: trace}, nil
+func UnmarshalSceneJoin(body []byte) (s SceneJoin, err error) {
+	c := decoder("scene-join", body)
+	s.fields(&c)
+	return s, c.end()
 }
 
 // SceneLeave removes this connection from a scene it joined. The reply
@@ -52,43 +52,24 @@ type SceneLeave struct {
 	TraceID  uint64
 }
 
-// Marshal encodes the body (same layout as SceneJoin).
+func (s *SceneLeave) fields(c *cursor) {
+	c.str16(&s.Scene)
+	c.trailer(&s.QoS, &s.Deadline, &s.TraceID)
+}
+
+// Marshal encodes the body.
 func (s SceneLeave) Marshal() ([]byte, error) {
-	return marshalSceneName(s.Scene, s.QoS, s.Deadline, s.TraceID)
+	var c cursor
+	s.fields(&c)
+	s.fields(c.encoder())
+	return c.bytes()
 }
 
 // UnmarshalSceneLeave decodes a SceneLeave body.
-func UnmarshalSceneLeave(body []byte) (SceneLeave, error) {
-	name, qos, deadline, trace, err := unmarshalSceneName(body, "scene-leave")
-	if err != nil {
-		return SceneLeave{}, err
-	}
-	return SceneLeave{Scene: name, QoS: qos, Deadline: deadline, TraceID: trace}, nil
-}
-
-func marshalSceneName(name string, qos QoS, deadline int64, trace uint64) ([]byte, error) {
-	if len(name) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: scene name too long", ErrBadMessage)
-	}
-	out := make([]byte, 0, 2+len(name)+traceTrailerLen)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(name)))
-	out = append(out, name...)
-	return appendQoSTrailer(out, qos, deadline, trace), nil
-}
-
-func unmarshalSceneName(body []byte, what string) (string, QoS, int64, uint64, error) {
-	if len(body) < 2 {
-		return "", 0, 0, 0, fmt.Errorf("%w: %s too short", ErrBadMessage, what)
-	}
-	end := 2 + int(binary.LittleEndian.Uint16(body[0:]))
-	if end > len(body) {
-		return "", 0, 0, 0, fmt.Errorf("%w: %s scene name length", ErrBadMessage, what)
-	}
-	qos, deadline, trace, err := splitQoSTrailer(body[end:])
-	if err != nil {
-		return "", 0, 0, 0, err
-	}
-	return string(body[2:end]), qos, deadline, trace, nil
+func UnmarshalSceneLeave(body []byte) (s SceneLeave, err error) {
+	c := decoder("scene-leave", body)
+	s.fields(&c)
+	return s, c.end()
 }
 
 // ScenePublish writes one key of the scene document. The edge applies it
@@ -103,37 +84,26 @@ type ScenePublish struct {
 	TraceID  uint64
 }
 
-// Marshal encodes the body:
-//
-//	sceneLen u16 | scene | keyLen u16 | key | valueLen u32 | value | trailer
-func (s ScenePublish) Marshal() ([]byte, error) {
-	if len(s.Scene) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: scene name too long", ErrBadMessage)
-	}
-	if len(s.Key) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: scene key too long", ErrBadMessage)
-	}
-	out := make([]byte, 0, 2+len(s.Scene)+2+len(s.Key)+4+len(s.Value)+traceTrailerLen)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(s.Scene)))
-	out = append(out, s.Scene...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(s.Key)))
-	out = append(out, s.Key...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(s.Value)))
-	out = append(out, s.Value...)
-	return appendQoSTrailer(out, s.QoS, s.Deadline, s.TraceID), nil
+func (s *ScenePublish) fields(c *cursor) {
+	c.str16(&s.Scene)
+	c.str16(&s.Key)
+	c.blob(&s.Value)
+	c.trailer(&s.QoS, &s.Deadline, &s.TraceID)
 }
 
-// UnmarshalScenePublish decodes a ScenePublish body.
-func UnmarshalScenePublish(body []byte) (ScenePublish, error) {
-	scene, key, value, end, err := splitSceneKeyValue(body, "scene-publish")
-	if err != nil {
-		return ScenePublish{}, err
-	}
-	qos, deadline, trace, err := splitQoSTrailer(body[end:])
-	if err != nil {
-		return ScenePublish{}, err
-	}
-	return ScenePublish{Scene: scene, Key: key, Value: value, QoS: qos, Deadline: deadline, TraceID: trace}, nil
+// Marshal encodes the body.
+func (s ScenePublish) Marshal() ([]byte, error) {
+	var c cursor
+	s.fields(&c)
+	s.fields(c.encoder())
+	return c.bytes()
+}
+
+// UnmarshalScenePublish decodes a ScenePublish body. Value aliases body.
+func UnmarshalScenePublish(body []byte) (s ScenePublish, err error) {
+	c := decoder("scene-publish", body)
+	s.fields(&c)
+	return s, c.end()
 }
 
 // ScenePublishAck answers a ScenePublish: the sequence number the write
@@ -145,22 +115,24 @@ type ScenePublishAck struct {
 	Version uint64
 }
 
-// Marshal encodes the body: seq u64 | version u64.
+func (a *ScenePublishAck) fields(c *cursor) {
+	c.u64(&a.Seq)
+	c.u64(&a.Version)
+}
+
+// Marshal encodes the body.
 func (a ScenePublishAck) Marshal() ([]byte, error) {
-	out := make([]byte, 0, 16)
-	out = binary.LittleEndian.AppendUint64(out, a.Seq)
-	return binary.LittleEndian.AppendUint64(out, a.Version), nil
+	var c cursor
+	a.fields(&c)
+	a.fields(c.encoder())
+	return c.bytes()
 }
 
 // UnmarshalScenePublishAck decodes a ScenePublishAck body.
-func UnmarshalScenePublishAck(body []byte) (ScenePublishAck, error) {
-	if len(body) != 16 {
-		return ScenePublishAck{}, fmt.Errorf("%w: scene-publish ack length %d", ErrBadMessage, len(body))
-	}
-	return ScenePublishAck{
-		Seq:     binary.LittleEndian.Uint64(body[0:]),
-		Version: binary.LittleEndian.Uint64(body[8:]),
-	}, nil
+func UnmarshalScenePublishAck(body []byte) (a ScenePublishAck, err error) {
+	c := decoder("scene-publish-ack", body)
+	a.fields(&c)
+	return a, c.end()
 }
 
 // SceneEvent is one applied write, pushed by the edge to every scene
@@ -179,73 +151,31 @@ type SceneEvent struct {
 	TraceID uint64
 }
 
-// Marshal encodes the body:
-//
-//	sceneLen u16 | scene | keyLen u16 | key | valueLen u32 | value |
-//	seq u64 | version u64 | trailer
+// The pushed event has no deadline: the trailer's deadline slot is
+// written as zero and ignored on receipt.
+func (e *SceneEvent) fields(c *cursor) {
+	var deadline int64
+	c.str16(&e.Scene)
+	c.str16(&e.Key)
+	c.blob(&e.Value)
+	c.u64(&e.Seq)
+	c.u64(&e.Version)
+	c.trailer(&e.QoS, &deadline, &e.TraceID)
+}
+
+// Marshal encodes the body.
 func (e SceneEvent) Marshal() ([]byte, error) {
-	if len(e.Scene) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: scene name too long", ErrBadMessage)
-	}
-	if len(e.Key) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: scene key too long", ErrBadMessage)
-	}
-	out := make([]byte, 0, 2+len(e.Scene)+2+len(e.Key)+4+len(e.Value)+16+traceTrailerLen)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(e.Scene)))
-	out = append(out, e.Scene...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(e.Key)))
-	out = append(out, e.Key...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(e.Value)))
-	out = append(out, e.Value...)
-	out = binary.LittleEndian.AppendUint64(out, e.Seq)
-	out = binary.LittleEndian.AppendUint64(out, e.Version)
-	return appendQoSTrailer(out, e.QoS, 0, e.TraceID), nil
+	var c cursor
+	e.fields(&c)
+	e.fields(c.encoder())
+	return c.bytes()
 }
 
-// UnmarshalSceneEvent decodes a SceneEvent body.
-func UnmarshalSceneEvent(body []byte) (SceneEvent, error) {
-	scene, key, value, end, err := splitSceneKeyValue(body, "scene-event")
-	if err != nil {
-		return SceneEvent{}, err
-	}
-	if end+16 > len(body) {
-		return SceneEvent{}, fmt.Errorf("%w: scene-event too short", ErrBadMessage)
-	}
-	qos, _, trace, err := splitQoSTrailer(body[end+16:])
-	if err != nil {
-		return SceneEvent{}, err
-	}
-	return SceneEvent{
-		Scene:   scene,
-		Key:     key,
-		Value:   value,
-		Seq:     binary.LittleEndian.Uint64(body[end:]),
-		Version: binary.LittleEndian.Uint64(body[end+8:]),
-		QoS:     qos,
-		TraceID: trace,
-	}, nil
-}
-
-// splitSceneKeyValue decodes the shared scene|key|value prefix of
-// ScenePublish and SceneEvent bodies, returning the offset past the
-// value blob.
-func splitSceneKeyValue(body []byte, what string) (scene, key string, value []byte, end int, err error) {
-	if len(body) < 8 {
-		return "", "", nil, 0, fmt.Errorf("%w: %s too short", ErrBadMessage, what)
-	}
-	so := 2 + int(binary.LittleEndian.Uint16(body[0:]))
-	if so+2 > len(body) {
-		return "", "", nil, 0, fmt.Errorf("%w: %s scene name overruns", ErrBadMessage, what)
-	}
-	ko := so + 2 + int(binary.LittleEndian.Uint16(body[so:]))
-	if ko+4 > len(body) {
-		return "", "", nil, 0, fmt.Errorf("%w: %s key overruns", ErrBadMessage, what)
-	}
-	end = ko + 4 + int(binary.LittleEndian.Uint32(body[ko:]))
-	if end > len(body) {
-		return "", "", nil, 0, fmt.Errorf("%w: %s value length", ErrBadMessage, what)
-	}
-	return string(body[2:so]), string(body[so+2 : ko]), append([]byte(nil), body[ko+4:end]...), end, nil
+// UnmarshalSceneEvent decodes a SceneEvent body. Value aliases body.
+func UnmarshalSceneEvent(body []byte) (e SceneEvent, err error) {
+	c := decoder("scene-event", body)
+	e.fields(&c)
+	return e, c.end()
 }
 
 // SceneEntry is one key of a snapshotted scene document.
@@ -266,68 +196,33 @@ type SceneSnapshot struct {
 	Entries []SceneEntry
 }
 
-// Marshal encodes the body:
-//
-//	sceneLen u16 | scene | version u64 | count u32 |
-//	count x (keyLen u16 | key | valueLen u32 | value | seq u64)
-func (s SceneSnapshot) Marshal() ([]byte, error) {
-	if len(s.Scene) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: scene name too long", ErrBadMessage)
+// minSceneEntry is the encoded size of an entry with an empty key and
+// value: keyLen u16 | valueLen u32 | seq u64.
+const minSceneEntry = 2 + 4 + 8
+
+func (s *SceneSnapshot) fields(c *cursor) {
+	c.str16(&s.Scene)
+	c.u64(&s.Version)
+	entries := repeat(c, 4, &s.Entries, minSceneEntry)
+	for i := range entries {
+		e := &entries[i]
+		c.str16(&e.Key)
+		c.blob(&e.Value)
+		c.u64(&e.Seq)
 	}
-	out := make([]byte, 0, 2+len(s.Scene)+8+4)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(s.Scene)))
-	out = append(out, s.Scene...)
-	out = binary.LittleEndian.AppendUint64(out, s.Version)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(s.Entries)))
-	for _, e := range s.Entries {
-		if len(e.Key) > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: scene key too long", ErrBadMessage)
-		}
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(e.Key)))
-		out = append(out, e.Key...)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(e.Value)))
-		out = append(out, e.Value...)
-		out = binary.LittleEndian.AppendUint64(out, e.Seq)
-	}
-	return out, nil
 }
 
-// UnmarshalSceneSnapshot decodes a SceneSnapshot body.
-func UnmarshalSceneSnapshot(body []byte) (SceneSnapshot, error) {
-	if len(body) < 14 {
-		return SceneSnapshot{}, fmt.Errorf("%w: scene-snapshot too short", ErrBadMessage)
-	}
-	so := 2 + int(binary.LittleEndian.Uint16(body[0:]))
-	if so+12 > len(body) {
-		return SceneSnapshot{}, fmt.Errorf("%w: scene-snapshot name overruns", ErrBadMessage)
-	}
-	s := SceneSnapshot{
-		Scene:   string(body[2:so]),
-		Version: binary.LittleEndian.Uint64(body[so:]),
-	}
-	count := int(binary.LittleEndian.Uint32(body[so+8:]))
-	off := so + 12
-	for i := 0; i < count; i++ {
-		if off+2 > len(body) {
-			return SceneSnapshot{}, fmt.Errorf("%w: scene-snapshot entry %d truncated", ErrBadMessage, i)
-		}
-		ko := off + 2 + int(binary.LittleEndian.Uint16(body[off:]))
-		if ko+4 > len(body) {
-			return SceneSnapshot{}, fmt.Errorf("%w: scene-snapshot key overruns", ErrBadMessage)
-		}
-		vo := ko + 4 + int(binary.LittleEndian.Uint32(body[ko:]))
-		if vo+8 > len(body) {
-			return SceneSnapshot{}, fmt.Errorf("%w: scene-snapshot value overruns", ErrBadMessage)
-		}
-		s.Entries = append(s.Entries, SceneEntry{
-			Key:   string(body[off+2 : ko]),
-			Value: append([]byte(nil), body[ko+4:vo]...),
-			Seq:   binary.LittleEndian.Uint64(body[vo:]),
-		})
-		off = vo + 8
-	}
-	if off != len(body) {
-		return SceneSnapshot{}, fmt.Errorf("%w: scene-snapshot trailing bytes", ErrBadMessage)
-	}
-	return s, nil
+// Marshal encodes the body.
+func (s SceneSnapshot) Marshal() ([]byte, error) {
+	var c cursor
+	s.fields(&c)
+	s.fields(c.encoder())
+	return c.bytes()
+}
+
+// UnmarshalSceneSnapshot decodes a SceneSnapshot body. Each entry's Value aliases body.
+func UnmarshalSceneSnapshot(body []byte) (s SceneSnapshot, err error) {
+	c := decoder("scene-snapshot", body)
+	s.fields(&c)
+	return s, c.end()
 }

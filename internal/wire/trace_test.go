@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/edge-immersion/coic/internal/feature"
@@ -107,8 +108,8 @@ func TestTraceTrailerBackwardCompatible(t *testing.T) {
 	}
 
 	// Garbage trailer lengths are rejected, not misread.
-	if _, _, _, err := splitQoSTrailer(make([]byte, 13)); err == nil {
-		t.Fatal("13-byte trailer should be rejected")
+	if _, err := UnmarshalPanoFetch(append(plain, make([]byte, 13)...)); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("13-byte trailer: err = %v, want ErrBadMessage", err)
 	}
 	// PeekTrace on non-request frames is inert.
 	if PeekTrace(MsgHello, []byte{1, 0, 0}) != 0 {
