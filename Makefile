@@ -7,7 +7,7 @@ API_BASELINE_FILE := .github/api-baseline-ref
 # The apidiff version CI pins; bump deliberately alongside Go bumps.
 APIDIFF_VERSION := v0.0.0-20240909161429-701f63a606c0
 
-.PHONY: all build lint loc test bench cover api smoke smoke-gossip fuzz ci
+.PHONY: all build lint loc test golden bench cover api smoke smoke-gossip fuzz ci
 
 # How long each fuzz target mutates (the CI fuzz-smoke duration).
 FUZZ_TIME ?= 30s
@@ -39,6 +39,12 @@ loc:
 test:
 	$(GO) test -race -timeout 20m -coverprofile=coverage.out ./...
 	@$(MAKE) --no-print-directory cover
+
+# golden rewrites testdata/golden/*.txt, the rendered virtual-time tables
+# TestVirtualTimeAblationTables compares byte for byte. Run it only for a
+# change that means to move a simulated number, and review the diff.
+golden:
+	$(GO) test -run TestVirtualTimeAblationTables -count=1 . -update
 
 # cover checks the recorded coverage baseline against coverage.out.
 cover:

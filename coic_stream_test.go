@@ -322,6 +322,45 @@ func TestLegacyClientMethodsOverMux(t *testing.T) {
 	}
 }
 
+// TestPanoFrameOutOfRangeRejectedEverywhere: the wire carries the frame
+// index as a u32, so an index outside it must be refused on the device —
+// by the blocking client, by a Stream and by the virtual-time System
+// alike — before anything is sent. Over TCP it used to wrap (frame -1
+// was fetched, served and cached as frame 4 294 967 295) while virtual
+// time failed at the cloud.
+func TestPanoFrameOutOfRangeRejectedEverywhere(t *testing.T) {
+	edge, addr, stop := startStreamStack(t, 0, 4, 16)
+	defer stop()
+	cli := streamClient(t, addr)
+	defer cli.Close()
+	st, err := cli.Stream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sys := testSystem(t)
+
+	vp := Viewport{FOV: 1.5}
+	for _, frame := range []int{-1, 1 << 32} {
+		if _, err := cli.Pano("range-video", frame, vp); err == nil {
+			t.Errorf("Client.Pano served frame %d", frame)
+		}
+		if _, err := st.Submit(context.Background(), PanoTask("range-video", frame, vp)); err == nil {
+			t.Errorf("Stream.Submit accepted frame %d", frame)
+		}
+		if _, err := sys.Do(context.Background(), 0, PanoTask("range-video", frame, vp)); err == nil {
+			t.Errorf("System.Do served frame %d", frame)
+		}
+	}
+	if st := edge.Stats(); st.AdmittedInteractive+st.AdmittedBestEffort != 0 {
+		t.Errorf("out-of-range requests reached the edge: %+v", st)
+	}
+	// The largest index the wire can name is still a request.
+	if _, err := cli.Pano("range-video", 1<<32-1, vp); err != nil {
+		t.Errorf("frame 1<<32-1: %v", err)
+	}
+}
+
 // TestRunQoSSmoke exercises the ablation end to end with a tiny request
 // count: three rows, fifo strictly slower than the scheduled row at p99
 // is timing-dependent, so only the table's shape is asserted.

@@ -157,21 +157,36 @@ func mapRemoteErr(err error) error {
 	}
 }
 
+// do is the one-request window under the per-task methods: on-device
+// build, one round trip honouring ctx, on-device finish. It returns the
+// recognition result (recognition only) and the measured wall-clock
+// latency.
+func (c *Client) do(ctx context.Context, t core.Task) (*wire.RecognitionResult, time.Duration, error) {
+	start := time.Now()
+	msg, err := c.mux.Build(t, wire.QoSBestEffort, time.Time{}, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	reply, err := c.mux.RoundTrip(ctx, msg)
+	if err != nil {
+		return nil, 0, mapRemoteErr(err)
+	}
+	res, _, err := c.mux.Finish(t, reply)
+	if err != nil {
+		return nil, 0, mapRemoteErr(err)
+	}
+	return res, time.Since(start), nil
+}
+
 // RecognizeContext captures a frame, extracts the descriptor (CoIC
 // mode), ships the request and returns the result with measured
 // wall-clock latency, honouring ctx for cancellation and deadline.
 func (c *Client) RecognizeContext(ctx context.Context, class Class, viewSeed uint64) (wire.RecognitionResult, time.Duration, error) {
-	start := time.Now()
-	msg, err := c.mux.BuildRecognize(class, viewSeed, wire.QoSBestEffort, time.Time{}, 0)
+	res, lat, err := c.do(ctx, core.RecognizeTask(class, viewSeed))
 	if err != nil {
 		return wire.RecognitionResult{}, 0, err
 	}
-	reply, err := c.mux.RoundTrip(ctx, msg)
-	if err != nil {
-		return wire.RecognitionResult{}, 0, mapRemoteErr(err)
-	}
-	res, _, err := c.mux.FinishRecognize(reply)
-	return res, time.Since(start), mapRemoteErr(err)
+	return *res, lat, nil
 }
 
 // Recognize is RecognizeContext without cancellation.
@@ -182,19 +197,8 @@ func (c *Client) Recognize(class Class, viewSeed uint64) (wire.RecognitionResult
 // RenderContext fetches, loads and draws a model, returning measured
 // latency, honouring ctx for cancellation and deadline.
 func (c *Client) RenderContext(ctx context.Context, modelID string) (time.Duration, error) {
-	start := time.Now()
-	msg, err := c.mux.BuildRender(modelID, wire.QoSBestEffort, time.Time{}, 0)
-	if err != nil {
-		return 0, err
-	}
-	reply, err := c.mux.RoundTrip(ctx, msg)
-	if err != nil {
-		return 0, mapRemoteErr(err)
-	}
-	if _, err := c.mux.FinishRender(reply); err != nil {
-		return 0, mapRemoteErr(err)
-	}
-	return time.Since(start), nil
+	_, lat, err := c.do(ctx, core.RenderTask(modelID))
+	return lat, err
 }
 
 // Render is RenderContext without cancellation.
@@ -206,19 +210,8 @@ func (c *Client) Render(modelID string) (time.Duration, error) {
 // returning measured latency, honouring ctx for cancellation and
 // deadline.
 func (c *Client) PanoContext(ctx context.Context, videoID string, frameIdx int, vp Viewport) (time.Duration, error) {
-	start := time.Now()
-	msg, err := c.mux.BuildPano(videoID, frameIdx, wire.QoSBestEffort, time.Time{}, 0)
-	if err != nil {
-		return 0, err
-	}
-	reply, err := c.mux.RoundTrip(ctx, msg)
-	if err != nil {
-		return 0, mapRemoteErr(err)
-	}
-	if _, err := c.mux.FinishPano(reply, vp); err != nil {
-		return 0, mapRemoteErr(err)
-	}
-	return time.Since(start), nil
+	_, lat, err := c.do(ctx, core.PanoTask(videoID, frameIdx, vp))
+	return lat, err
 }
 
 // Pano is PanoContext without cancellation.

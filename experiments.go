@@ -268,7 +268,7 @@ func runCoop(p Params, edges, requestsPerEdge int, peered bool) (core.FleetStats
 		sess := core.NewSession(core.NewClient(i, p), es[i], cloud, topo)
 		for r := 0; r < requestsPerEdge; r++ {
 			// Every edge's users want the same popular content.
-			b, err := sess.Render(context.Background(), at.Add(time.Duration(r)*time.Second), modelIDs[r%len(modelIDs)], ModeCoIC)
+			b, _, err := sess.Do(context.Background(), at.Add(time.Duration(r)*time.Second), core.RenderTask(modelIDs[r%len(modelIDs)]), ModeCoIC)
 			if err != nil {
 				return core.FleetStats{}, 0, err
 			}

@@ -75,7 +75,7 @@ func (s *CloudServer) runBatch(jobs []schedJob) []wire.Message {
 	payloads := make([][]byte, 0, len(jobs))
 	members := make([]int, 0, len(jobs)) // payloads[n] is jobs[members[n]]'s
 	for i, j := range jobs {
-		payload, err := s.recognizePayload(j.msg.Body)
+		payload, err := recognizePayload(s.Obs, j.msg.Body)
 		if err != nil {
 			replies[i] = errorReply(j.msg.RequestID, wire.CodeBadRequest, "%v", err)
 			continue

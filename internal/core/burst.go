@@ -77,7 +77,7 @@ func BurstPoint(p Params, cond netsim.Condition, cloud *Cloud, users int, dup fl
 			// User i wants frame i%distinct: the duplication knob decides
 			// how many users collide on each descriptor.
 			vp := pano.Viewport{Yaw: float64(i%6) / 2, FOV: 1.6}
-			b, err := sess.Pano(context.Background(), eng.Now(), "burst-video", i%distinct, vp, ModeCoIC)
+			b, _, err := sess.Do(context.Background(), eng.Now(), PanoTask("burst-video", i%distinct, vp), ModeCoIC)
 			row.Events++
 			if err != nil {
 				row.Errors++

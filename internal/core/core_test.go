@@ -42,7 +42,7 @@ func TestRecognizeMissThenSimilarHit(t *testing.T) {
 	p := testParams()
 	sess, edge, _ := testRig(t, testCond, p)
 
-	miss, missRes, err := sess.Recognize(context.Background(), epoch, vision.ClassCar, 11, ModeCoIC)
+	miss, missRes, err := sess.Do(context.Background(), epoch, RecognizeTask(vision.ClassCar, 11), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRecognizeMissThenSimilarHit(t *testing.T) {
 		t.Fatal("recognition result missing annotation model")
 	}
 
-	hit, hitRes, err := sess.Recognize(context.Background(), epoch.Add(time.Minute), vision.ClassCar, 22, ModeCoIC)
+	hit, hitRes, err := sess.Do(context.Background(), epoch.Add(time.Minute), RecognizeTask(vision.ClassCar, 22), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,10 @@ func TestRecognizeMissThenSimilarHit(t *testing.T) {
 func TestRecognizeDifferentObjectsDoNotAlias(t *testing.T) {
 	p := testParams()
 	sess, _, _ := testRig(t, testCond, p)
-	if _, _, err := sess.Recognize(context.Background(), epoch, vision.ClassCar, 1, ModeCoIC); err != nil {
+	if _, _, err := sess.Do(context.Background(), epoch, RecognizeTask(vision.ClassCar, 1), ModeCoIC); err != nil {
 		t.Fatal(err)
 	}
-	b, res, err := sess.Recognize(context.Background(), epoch.Add(time.Minute), vision.ClassTree, 2, ModeCoIC)
+	b, res, err := sess.Do(context.Background(), epoch.Add(time.Minute), RecognizeTask(vision.ClassTree, 2), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRecognizeDifferentObjectsDoNotAlias(t *testing.T) {
 func TestRecognizeOriginSkipsEverything(t *testing.T) {
 	p := testParams()
 	sess, edge, _ := testRig(t, testCond, p)
-	b, _, err := sess.Recognize(context.Background(), epoch, vision.ClassDog, 5, ModeOrigin)
+	b, _, err := sess.Do(context.Background(), epoch, RecognizeTask(vision.ClassDog, 5), ModeOrigin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRecognizeOriginSkipsEverything(t *testing.T) {
 func TestBreakdownAddsUp(t *testing.T) {
 	p := testParams()
 	sess, _, _ := testRig(t, testCond, p)
-	b, _, err := sess.Recognize(context.Background(), epoch, vision.ClassPerson, 7, ModeCoIC)
+	b, _, err := sess.Do(context.Background(), epoch, RecognizeTask(vision.ClassPerson, 7), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +129,14 @@ func TestRenderHitServesFromEdge(t *testing.T) {
 	sess, _, _ := testRig(t, testCond, p)
 	id := AnnotationModelID("car")
 
-	miss, err := sess.Render(context.Background(), epoch, id, ModeCoIC)
+	miss, _, err := sess.Do(context.Background(), epoch, RenderTask(id), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if miss.Outcome != cache.OutcomeMiss || miss.Cloud == 0 {
 		t.Fatalf("cold render: %+v", miss)
 	}
-	hit, err := sess.Render(context.Background(), epoch.Add(time.Minute), id, ModeCoIC)
+	hit, _, err := sess.Do(context.Background(), epoch.Add(time.Minute), RenderTask(id), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRenderHitServesFromEdge(t *testing.T) {
 func TestRenderUnknownModel(t *testing.T) {
 	p := testParams()
 	sess, _, _ := testRig(t, testCond, p)
-	if _, err := sess.Render(context.Background(), epoch, "no-such-model", ModeCoIC); err == nil {
+	if _, _, err := sess.Do(context.Background(), epoch, RenderTask("no-such-model"), ModeCoIC); err == nil {
 		t.Fatal("unknown model accepted")
 	}
 }
@@ -173,14 +173,14 @@ func TestPanoSharedAcrossUsers(t *testing.T) {
 	vpA := pano.Viewport{Yaw: 0.3, FOV: 1.5}
 	vpB := pano.Viewport{Yaw: -1.2, Pitch: 0.2, FOV: 1.5} // different viewport!
 
-	first, err := alice.Pano(context.Background(), epoch, "vr-concert", 10, vpA, ModeCoIC)
+	first, _, err := alice.Do(context.Background(), epoch, PanoTask("vr-concert", 10, vpA), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Outcome != cache.OutcomeMiss {
 		t.Fatalf("first pano outcome = %v", first.Outcome)
 	}
-	second, err := bob.Pano(context.Background(), epoch.Add(time.Second), "vr-concert", 10, vpB, ModeCoIC)
+	second, _, err := bob.Do(context.Background(), epoch.Add(time.Second), PanoTask("vr-concert", 10, vpB), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPanoSharedAcrossUsers(t *testing.T) {
 		t.Fatal("shared panorama was not faster")
 	}
 	// Different frame must miss.
-	third, err := bob.Pano(context.Background(), epoch.Add(2*time.Second), "vr-concert", 11, vpB, ModeCoIC)
+	third, _, err := bob.Do(context.Background(), epoch.Add(2*time.Second), PanoTask("vr-concert", 11, vpB), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +211,12 @@ func TestCooperativeEdgePeering(t *testing.T) {
 
 	// User at edge A warms A's cache.
 	sessA := NewSession(NewClient(1, p), edgeA, cloud, topoA)
-	if _, err := sessA.Render(context.Background(), epoch, AnnotationModelID("dog"), ModeCoIC); err != nil {
+	if _, _, err := sessA.Do(context.Background(), epoch, RenderTask(AnnotationModelID("dog")), ModeCoIC); err != nil {
 		t.Fatal(err)
 	}
 	// User at edge B: local miss, peer hit.
 	sessB := NewSession(NewClient(2, p), edgeB, cloud, topoB)
-	b, err := sessB.Render(context.Background(), epoch.Add(time.Second), AnnotationModelID("dog"), ModeCoIC)
+	b, _, err := sessB.Do(context.Background(), epoch.Add(time.Second), RenderTask(AnnotationModelID("dog")), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestCooperativeEdgePeering(t *testing.T) {
 		t.Fatalf("peer hits = %d", st.PeerHits)
 	}
 	// The peer hit is adopted locally: next lookup hits edge B directly.
-	b2, err := sessB.Render(context.Background(), epoch.Add(2*time.Second), AnnotationModelID("dog"), ModeCoIC)
+	b2, _, err := sessB.Do(context.Background(), epoch.Add(2*time.Second), RenderTask(AnnotationModelID("dog")), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestPrivacyKGate(t *testing.T) {
 	}
 
 	// User 1 computes and caches the result.
-	b, err := sess(1).Render(context.Background(), epoch, id, ModeCoIC)
+	b, _, err := sess(1).Do(context.Background(), epoch, RenderTask(id), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestPrivacyKGate(t *testing.T) {
 		t.Fatalf("first request: %v", b.Outcome)
 	}
 	// User 1 again: own results are always visible.
-	b, err = sess(1).Render(context.Background(), epoch.Add(time.Second), id, ModeCoIC)
+	b, _, err = sess(1).Do(context.Background(), epoch.Add(time.Second), RenderTask(id), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestPrivacyKGate(t *testing.T) {
 		t.Fatalf("inserter blocked from own entry: %v", b.Outcome)
 	}
 	// User 2 (stranger, interest=1): blocked.
-	b, err = sess(2).Render(context.Background(), epoch.Add(2*time.Second), id, ModeCoIC)
+	b, _, err = sess(2).Do(context.Background(), epoch.Add(2*time.Second), RenderTask(id), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestPrivacyKGate(t *testing.T) {
 		t.Fatalf("gate leaked at interest=1: %v", b.Outcome)
 	}
 	// User 3 (interest=2): still blocked.
-	b, err = sess(3).Render(context.Background(), epoch.Add(3*time.Second), id, ModeCoIC)
+	b, _, err = sess(3).Do(context.Background(), epoch.Add(3*time.Second), RenderTask(id), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestPrivacyKGate(t *testing.T) {
 		t.Fatalf("gate leaked at interest=2: %v", b.Outcome)
 	}
 	// User 4 (interest=3 >= K): shared.
-	b, err = sess(4).Render(context.Background(), epoch.Add(4*time.Second), id, ModeCoIC)
+	b, _, err = sess(4).Do(context.Background(), epoch.Add(4*time.Second), RenderTask(id), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,10 +445,10 @@ func TestPrivacyKDisabledByDefault(t *testing.T) {
 	p := testParams()
 	sess, _, _ := testRig(t, testCond, p)
 	id := AnnotationModelID("dog")
-	if _, err := sess.Render(context.Background(), epoch, id, ModeCoIC); err != nil {
+	if _, _, err := sess.Do(context.Background(), epoch, RenderTask(id), ModeCoIC); err != nil {
 		t.Fatal(err)
 	}
-	b, err := sess.Render(context.Background(), epoch.Add(time.Second), id, ModeCoIC)
+	b, _, err := sess.Do(context.Background(), epoch.Add(time.Second), RenderTask(id), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ func (s *EdgeServer) fetchCoalesced(ctx context.Context, tenant string, desc fea
 		if reply.Type != k.reply {
 			return nil, &edgeError{code: wire.CodeInternal, msg: fmt.Sprintf("cloud replied %v, want %v", reply.Type, k.reply)}
 		}
-		data, err := k.unpack(reply.Body)
+		data, _, err := k.unpack(reply.Body)
 		if err != nil {
 			return nil, &edgeError{code: wire.CodeInternal, msg: fmt.Sprintf("corrupt cloud reply: %v", err)}
 		}

@@ -67,8 +67,10 @@ func RunFig2a(p Params) ([]Fig2aRow, error) {
 		var labels [3]string
 		bars, err := threeBars(topo, func(nth int, mode Mode) (Breakdown, error) {
 			viewSeed := uint64(1001 * (nth + 1))
-			b, res, err := sess.Recognize(context.Background(), epoch, vision.ClassStopSign, viewSeed, mode)
-			labels[nth] = res.Label
+			b, res, err := sess.Do(context.Background(), epoch, RecognizeTask(vision.ClassStopSign, viewSeed), mode)
+			if err == nil {
+				labels[nth] = res.Label
+			}
 			return b, err
 		})
 		if err != nil {
@@ -112,7 +114,8 @@ func RunFig2b(p Params, sizesKB []int) ([]Fig2bRow, error) {
 		topo := netsim.NewTopology(MidSweep, p.Seed)
 		sess := NewSession(NewClient(0, p), NewEdge(p), cloud, topo)
 		bars, err := threeBars(topo, func(_ int, mode Mode) (Breakdown, error) {
-			return sess.Render(context.Background(), epoch, id, mode)
+			b, _, err := sess.Do(context.Background(), epoch, RenderTask(id), mode)
+			return b, err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fig2b %dKB: %w", kb, err)

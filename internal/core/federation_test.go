@@ -59,7 +59,7 @@ func TestFederationPeerHitVirtual(t *testing.T) {
 
 	// Edge 0's user computes the result: cloud fetch, cached at edge 0
 	// (which is also the key's home, so no publish traffic).
-	warm, err := sessions[0].Render(context.Background(), epoch, model, ModeCoIC)
+	warm, _, err := sessions[0].Do(context.Background(), epoch, RenderTask(model), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFederationPeerHitVirtual(t *testing.T) {
 
 	// Edge 1's user wants the same model: local miss, one peer hop to the
 	// home edge, no cloud.
-	b, err := sessions[1].Render(context.Background(), epoch, model, ModeCoIC)
+	b, _, err := sessions[1].Do(context.Background(), epoch, RenderTask(model), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFederationPeerHitVirtual(t *testing.T) {
 
 	// Replication: the peer hit was adopted locally, so the next request
 	// from edge 1 resolves without any peer traffic.
-	b2, err := sessions[1].Render(context.Background(), epoch, model, ModeCoIC)
+	b2, _, err := sessions[1].Do(context.Background(), epoch, RenderTask(model), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFederationPublishToHome(t *testing.T) {
 	// the result must be published to edge 1.
 	model := modelOwnedBy(t, cloud, 2, 1)
 
-	if _, err := sessions[0].Render(context.Background(), epoch, model, ModeCoIC); err != nil {
+	if _, _, err := sessions[0].Do(context.Background(), epoch, RenderTask(model), ModeCoIC); err != nil {
 		t.Fatal(err)
 	}
 	if pub := edges[0].Federation().Stats().Published; pub != 1 {
@@ -120,7 +120,7 @@ func TestFederationPublishToHome(t *testing.T) {
 	}
 
 	// Edge 1's user now hits locally — the publish seeded the home.
-	b, err := sessions[1].Render(context.Background(), epoch, model, ModeCoIC)
+	b, _, err := sessions[1].Do(context.Background(), epoch, RenderTask(model), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFederationMissFallsBackToCloud(t *testing.T) {
 	// Nobody has computed this model: edge 1 misses locally, probes the
 	// home (edge 0) fruitlessly — paying for the hop — then goes to the
 	// cloud.
-	b, err := sessions[1].Render(context.Background(), epoch, model, ModeCoIC)
+	b, _, err := sessions[1].Do(context.Background(), epoch, RenderTask(model), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}

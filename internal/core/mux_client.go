@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/edge-immersion/coic/internal/pano"
-	"github.com/edge-immersion/coic/internal/vision"
 	"github.com/edge-immersion/coic/internal/wire"
 )
 
@@ -14,7 +12,7 @@ import (
 // streaming API: any number of requests in flight on one TCP connection,
 // replies matched to waiters by RequestID. It is a link that never
 // re-dials — a lost connection fails everything in flight and stays lost
-// — plus the on-device half of each task (the Build*/Finish* methods).
+// — plus the on-device half of each task (Build and Finish).
 type MuxClient struct {
 	Client *Client
 	Mode   Mode
@@ -130,106 +128,49 @@ func ReplyError(reply wire.Message) error {
 	return &RemoteError{Code: er.Code, Msg: er.Msg}
 }
 
-// --- request builders and reply finishers ------------------------------
-//
-// Builders construct the wire frame for one task (including the client's
-// on-device work: frame capture and descriptor extraction for
-// recognition); finishers decode a reply and run the client-side half of
-// the task (model load + draw, panorama crop). The split is what lets a
-// Stream overlap many requests: build → Start → ... → finish, with the
-// network round trips in between shared and out of order.
-
-// BuildRecognize captures the camera frame for (class, viewSeed),
-// extracts the descriptor in CoIC mode, and frames the exec request.
-// trace, when non-zero, rides the traced trailer so the edge and cloud
-// log this request under the same ID.
-func (m *MuxClient) BuildRecognize(class vision.Class, viewSeed uint64, qos wire.QoS, deadline time.Time, trace uint64) (wire.Message, error) {
-	frame := m.Client.CaptureFrame(class, viewSeed)
-	desc := originDescriptor
-	if m.Mode == ModeCoIC {
-		desc, _ = m.Client.Extract(frame)
-	}
-	req := wire.ExecRequest{Task: wire.TaskRecognize, Desc: desc, Payload: frame.Bytes(), QoS: qos, TraceID: trace}
-	if !deadline.IsZero() {
-		req.Deadline = deadline.UnixMicro()
-	}
-	body, err := req.Marshal()
+// Build does the on-device work that precedes task t (for recognition:
+// frame capture and, in CoIC mode, descriptor extraction) and frames its
+// request. qos, deadline (zero = none) and trace ride the scheduling
+// trailer; a non-zero trace makes the edge and cloud log this request
+// under the same ID. Build and Finish are split so a Stream can overlap
+// many requests: Build → Start → ... → Finish, with the network round
+// trips in between shared and out of order.
+func (m *MuxClient) Build(t Task, qos wire.QoS, deadline time.Time, trace uint64) (wire.Message, error) {
+	k, err := kindOfTask(t.Kind)
 	if err != nil {
 		return wire.Message{}, err
 	}
-	return wire.Message{Type: wire.MsgExec, Body: body}, nil
-}
-
-// FinishRecognize decodes an exec reply into the recognition result.
-func (m *MuxClient) FinishRecognize(reply wire.Message) (wire.RecognitionResult, uint8, error) {
-	if err := ReplyError(reply); err != nil {
-		return wire.RecognitionResult{}, 0, err
-	}
-	er, err := wire.UnmarshalExecReply(reply.Body)
-	if err != nil {
-		return wire.RecognitionResult{}, 0, err
-	}
-	res, err := wire.UnmarshalRecognitionResult(er.Result)
-	return res, er.Source, err
-}
-
-// BuildRender frames a model fetch.
-func (m *MuxClient) BuildRender(modelID string, qos wire.QoS, deadline time.Time, trace uint64) (wire.Message, error) {
-	req := wire.ModelFetch{ModelID: modelID, Format: wire.FormatCMF, QoS: qos, TraceID: trace}
+	tr := trailer{qos: qos, trace: trace}
 	if !deadline.IsZero() {
-		req.Deadline = deadline.UnixMicro()
+		tr.deadline = deadline.UnixMicro()
 	}
-	body, err := req.Marshal()
+	body, _, _, err := k.build(m.Client, m.Mode, t, tr)
 	if err != nil {
 		return wire.Message{}, err
 	}
-	return wire.Message{Type: wire.MsgModelFetch, Body: body}, nil
+	return wire.Message{Type: k.request, Body: body}, nil
 }
 
-// FinishRender decodes a model reply, loads the model and rasterises it
-// once — the client-side half of the render task.
-func (m *MuxClient) FinishRender(reply wire.Message) (uint8, error) {
+// Finish decodes the reply to task t's request and runs the client-side
+// half of the task on it (result decode, model load + draw, panorama
+// crop). It returns the recognition result (recognition only) and the
+// tier that supplied the payload; an error reply surfaces as
+// *RemoteError.
+func (m *MuxClient) Finish(t Task, reply wire.Message) (*wire.RecognitionResult, uint8, error) {
 	if err := ReplyError(reply); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	mr, err := wire.UnmarshalModelReply(reply.Body)
+	k, err := kindOfTask(t.Kind)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	mesh, _, err := m.Client.LoadModel(mr.Data)
+	payload, source, err := k.unpack(reply.Body)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	if st, _ := m.Client.Draw(mesh); st.Pixels == 0 {
-		return 0, fmt.Errorf("core: model drew nothing")
-	}
-	return mr.Source, nil
-}
-
-// BuildPano frames a panorama fetch.
-func (m *MuxClient) BuildPano(videoID string, frameIdx int, qos wire.QoS, deadline time.Time, trace uint64) (wire.Message, error) {
-	req := wire.PanoFetch{VideoID: videoID, FrameIndex: uint32(frameIdx), QoS: qos, TraceID: trace}
-	if !deadline.IsZero() {
-		req.Deadline = deadline.UnixMicro()
-	}
-	body, err := req.Marshal()
+	res, _, err := k.finish(m.Client, t, payload)
 	if err != nil {
-		return wire.Message{}, err
+		return nil, 0, err
 	}
-	return wire.Message{Type: wire.MsgPanoFetch, Body: body}, nil
-}
-
-// FinishPano decodes a pano reply and crops the viewport locally.
-func (m *MuxClient) FinishPano(reply wire.Message, vp pano.Viewport) (uint8, error) {
-	if err := ReplyError(reply); err != nil {
-		return 0, err
-	}
-	pr, err := wire.UnmarshalPanoReply(reply.Body)
-	if err != nil {
-		return 0, err
-	}
-	if _, _, err := m.Client.CropPano(pr.Data, vp, 256, 256); err != nil {
-		return 0, err
-	}
-	return pr.Source, nil
+	return res, source, nil
 }

@@ -29,7 +29,8 @@ func TestMuxClientTasksRoundTrip(t *testing.T) {
 	defer m.Close()
 
 	// Recognition (exec path), with QoS metadata on the wire.
-	msg, err := m.BuildRecognize(vision.ClassCar, 7, wire.QoSInteractive, time.Now().Add(time.Minute), 0)
+	recognize := RecognizeTask(vision.ClassCar, 7)
+	msg, err := m.Build(recognize, wire.QoSInteractive, time.Now().Add(time.Minute), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestMuxClientTasksRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, src, err := m.FinishRecognize(reply)
+	res, src, err := m.Finish(recognize, reply)
 	if err != nil || res.Label == "" {
 		t.Fatalf("recognize = %+v, %v", res, err)
 	}
@@ -46,7 +47,8 @@ func TestMuxClientTasksRoundTrip(t *testing.T) {
 	}
 
 	// Render (model fetch + load + draw).
-	msg, err = m.BuildRender(AnnotationModelID(vision.ClassCar.String()), wire.QoSBestEffort, time.Time{}, 0)
+	render := RenderTask(AnnotationModelID(vision.ClassCar.String()))
+	msg, err = m.Build(render, wire.QoSBestEffort, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +56,13 @@ func TestMuxClientTasksRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.FinishRender(reply); err != nil {
+	if _, _, err := m.Finish(render, reply); err != nil {
 		t.Fatal(err)
 	}
 
 	// Pano (fetch + crop).
-	msg, err = m.BuildPano("mux-video", 1, wire.QoSBestEffort, time.Time{}, 0)
+	panoTask := PanoTask("mux-video", 1, pano.Viewport{FOV: 1.5})
+	msg, err = m.Build(panoTask, wire.QoSBestEffort, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +70,12 @@ func TestMuxClientTasksRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.FinishPano(reply, pano.Viewport{FOV: 1.5}); err != nil {
+	if _, _, err := m.Finish(panoTask, reply); err != nil {
 		t.Fatal(err)
 	}
 
 	// A remote failure surfaces as *RemoteError with the wire code.
-	msg, err = m.BuildRender("no/such/model", wire.QoSBestEffort, time.Time{}, 0)
+	msg, err = m.Build(RenderTask("no/such/model"), wire.QoSBestEffort, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func TestMuxClientTasksRoundTrip(t *testing.T) {
 	// The longest legal model ID makes the cloud's "unknown model <id>"
 	// text outgrow an error frame; the code must still arrive, through
 	// both tiers, instead of an empty error body the edge calls malformed.
-	msg, err = m.BuildRender(strings.Repeat("m", math.MaxUint16), wire.QoSBestEffort, time.Time{}, 0)
+	msg, err = m.Build(RenderTask(strings.Repeat("m", math.MaxUint16)), wire.QoSBestEffort, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +133,7 @@ func TestMuxClientCancelMidFlight(t *testing.T) {
 		waitFor(t, "the fetch to start", func() bool { return es.Edge.Inflight().Len() == 1 })
 		cancel()
 	}()
-	msg, err := m.BuildPano("mux-cancel", 3, wire.QoSBestEffort, time.Time{}, 0)
+	msg, err := m.Build(PanoTask("mux-cancel", 3, pano.Viewport{}), wire.QoSBestEffort, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +149,7 @@ func TestMuxClientCancelMidFlight(t *testing.T) {
 	})
 
 	// The connection survives: the next request round-trips fine.
-	msg, err = m.BuildPano("mux-cancel", 4, wire.QoSBestEffort, time.Time{}, 0)
+	msg, err = m.Build(PanoTask("mux-cancel", 4, pano.Viewport{}), wire.QoSBestEffort, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +171,7 @@ func TestMuxClientCloseFailsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := m.BuildPano("mux-close", 1, wire.QoSBestEffort, time.Time{}, 0)
+	msg, err := m.Build(PanoTask("mux-close", 1, pano.Viewport{}), wire.QoSBestEffort, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +208,7 @@ func TestMuxClientForgetDropsReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	msg, err := m.BuildPano("mux-forget", 1, wire.QoSBestEffort, time.Time{}, 0)
+	msg, err := m.Build(PanoTask("mux-forget", 1, pano.Viewport{}), wire.QoSBestEffort, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +223,7 @@ func TestMuxClientForgetDropsReply(t *testing.T) {
 	case <-time.After(time.Second):
 	}
 	// The connection is still aligned for later requests.
-	msg, err = m.BuildPano("mux-forget", 2, wire.QoSBestEffort, time.Time{}, 0)
+	msg, err = m.Build(PanoTask("mux-forget", 2, pano.Viewport{}), wire.QoSBestEffort, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,25 +153,17 @@ func (f *fleet) replay(events []trace.Event, mode Mode, route func(trace.Event) 
 	for _, ev := range events {
 		ev := ev
 		eng.Schedule(epoch.Add(ev.At), func() {
-			sess := sessionFor(ev.User, route(ev))
-			var (
-				b   Breakdown
-				err error
-			)
-			switch ev.Task {
-			case wire.TaskRecognize:
-				class := vision.Class(ev.Object % int(vision.NumClasses))
-				b, _, err = sess.Recognize(context.Background(), eng.Now(), class, ev.ViewSeed, mode)
-			case wire.TaskRender:
-				id := renderModels[ev.Object%len(renderModels)]
-				b, err = sess.Render(context.Background(), eng.Now(), id, mode)
-			case wire.TaskPano:
-				video := fmt.Sprintf("video-%d", ev.Object%4)
-				vp := pano.Viewport{Yaw: float64(ev.ViewSeed%628) / 100, FOV: 1.6}
-				b, err = sess.Pano(context.Background(), eng.Now(), video, ev.Frame, vp, mode)
-			default:
-				err = fmt.Errorf("core: unknown task %v", ev.Task)
-			}
+			// Every kind's arguments are derived from the event; the row
+			// ev.Task names reads its own (an unknown task is Do's error).
+			b, _, err := sessionFor(ev.User, route(ev)).Do(context.Background(), eng.Now(), Task{
+				Kind:     ev.Task,
+				Class:    vision.Class(ev.Object % int(vision.NumClasses)),
+				ViewSeed: ev.ViewSeed,
+				ModelID:  renderModels[ev.Object%len(renderModels)],
+				VideoID:  fmt.Sprintf("video-%d", ev.Object%4),
+				Frame:    ev.Frame,
+				Viewport: pano.Viewport{Yaw: float64(ev.ViewSeed%628) / 100, FOV: 1.6},
+			}, mode)
 			res.Events++
 			if err != nil {
 				res.Errors++

@@ -89,34 +89,14 @@ func serveEdge(t *testing.T, es *EdgeServer) string {
 func TestTCPSimultaneousClientsOneCloudFetch(t *testing.T) {
 	p := testParams()
 	const clients = 2
-	vp := pano.Viewport{Yaw: 0.3, FOV: 1.5}
 	for _, task := range []struct {
 		name    string
-		build   func(c *taskClient) (wire.Message, error)
-		source  func(c *taskClient, reply wire.Message) (uint8, error)
+		task    Task
 		errCode uint16 // what the failing cloud answers this task with
 	}{
-		{"recognize",
-			func(c *taskClient) (wire.Message, error) {
-				return c.BuildRecognize(vision.ClassCar, 7, wire.QoSBestEffort, time.Time{}, 0)
-			},
-			func(c *taskClient, reply wire.Message) (uint8, error) {
-				_, src, err := c.FinishRecognize(reply)
-				return src, err
-			},
-			wire.CodeInternal},
-		{"render",
-			func(c *taskClient) (wire.Message, error) {
-				return c.BuildRender(AnnotationModelID("dog"), wire.QoSBestEffort, time.Time{}, 0)
-			},
-			func(c *taskClient, reply wire.Message) (uint8, error) { return c.FinishRender(reply) },
-			wire.CodeUnknownModel},
-		{"pano",
-			func(c *taskClient) (wire.Message, error) {
-				return c.BuildPano("coalesce-video", 7, wire.QoSBestEffort, time.Time{}, 0)
-			},
-			func(c *taskClient, reply wire.Message) (uint8, error) { return c.FinishPano(reply, vp) },
-			wire.CodeUnavailable},
+		{"recognize", RecognizeTask(vision.ClassCar, 7), wire.CodeInternal},
+		{"render", RenderTask(AnnotationModelID("dog")), wire.CodeUnknownModel},
+		{"pano", PanoTask("coalesce-video", 7, pano.Viewport{Yaw: 0.3, FOV: 1.5}), wire.CodeUnavailable},
 	} {
 		// together sends the task's request from `clients` connections in
 		// the given mode at the same moment, returning each reply's source
@@ -134,7 +114,7 @@ func TestTCPSimultaneousClientsOneCloudFetch(t *testing.T) {
 				}
 				t.Cleanup(func() { cli.Close() })
 				clis[i] = cli
-				if msgs[i], err = task.build(cli); err != nil {
+				if msgs[i], err = cli.Build(task.task, wire.QoSBestEffort, time.Time{}, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -148,7 +128,7 @@ func TestTCPSimultaneousClientsOneCloudFetch(t *testing.T) {
 					start.Wait()
 					reply, err := clis[i].RoundTrip(context.Background(), msgs[i])
 					if err == nil {
-						sources[i], err = task.source(clis[i], reply)
+						_, sources[i], err = clis[i].Finish(task.task, reply)
 					}
 					errs[i] = err
 				}()

@@ -50,46 +50,36 @@ func dialEdge(addr string, client *Client, mode Mode, wrap ConnWrapper) (*taskCl
 	return &taskClient{m}, nil
 }
 
-func (c *taskClient) Recognize(class vision.Class, viewSeed uint64) (wire.RecognitionResult, time.Duration, error) {
+func (c *taskClient) do(ctx context.Context, t Task) (*wire.RecognitionResult, time.Duration, error) {
 	start := time.Now()
-	msg, err := c.BuildRecognize(class, viewSeed, wire.QoSBestEffort, time.Time{}, 0)
+	msg, err := c.Build(t, wire.QoSBestEffort, time.Time{}, 0)
 	if err != nil {
-		return wire.RecognitionResult{}, 0, err
-	}
-	reply, err := c.RoundTrip(context.Background(), msg)
-	if err != nil {
-		return wire.RecognitionResult{}, 0, err
-	}
-	res, _, err := c.FinishRecognize(reply)
-	return res, time.Since(start), err
-}
-
-func (c *taskClient) Render(modelID string) (time.Duration, error) {
-	start := time.Now()
-	msg, err := c.BuildRender(modelID, wire.QoSBestEffort, time.Time{}, 0)
-	if err != nil {
-		return 0, err
-	}
-	reply, err := c.RoundTrip(context.Background(), msg)
-	if err != nil {
-		return 0, err
-	}
-	_, err = c.FinishRender(reply)
-	return time.Since(start), err
-}
-
-func (c *taskClient) PanoContext(ctx context.Context, videoID string, frameIdx int, vp pano.Viewport) (time.Duration, error) {
-	start := time.Now()
-	msg, err := c.BuildPano(videoID, frameIdx, wire.QoSBestEffort, time.Time{}, 0)
-	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	reply, err := c.RoundTrip(ctx, msg)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	_, err = c.FinishPano(reply, vp)
-	return time.Since(start), err
+	res, _, err := c.Finish(t, reply)
+	return res, time.Since(start), err
+}
+
+func (c *taskClient) Recognize(class vision.Class, viewSeed uint64) (wire.RecognitionResult, time.Duration, error) {
+	res, lat, err := c.do(context.Background(), RecognizeTask(class, viewSeed))
+	if err != nil {
+		return wire.RecognitionResult{}, lat, err
+	}
+	return *res, lat, nil
+}
+
+func (c *taskClient) Render(modelID string) (time.Duration, error) {
+	_, lat, err := c.do(context.Background(), RenderTask(modelID))
+	return lat, err
+}
+
+func (c *taskClient) PanoContext(ctx context.Context, videoID string, frameIdx int, vp pano.Viewport) (time.Duration, error) {
+	_, lat, err := c.do(ctx, PanoTask(videoID, frameIdx, vp))
+	return lat, err
 }
 
 func (c *taskClient) Pano(videoID string, frameIdx int, vp pano.Viewport) (time.Duration, error) {

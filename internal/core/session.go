@@ -8,8 +8,6 @@ import (
 	"github.com/edge-immersion/coic/internal/cache"
 	"github.com/edge-immersion/coic/internal/feature"
 	"github.com/edge-immersion/coic/internal/netsim"
-	"github.com/edge-immersion/coic/internal/pano"
-	"github.com/edge-immersion/coic/internal/vision"
 	"github.com/edge-immersion/coic/internal/wire"
 )
 
@@ -42,20 +40,19 @@ func (s *Session) nextID() uint64 {
 // looks at it.
 var originDescriptor = feature.NewHash([]byte("origin"))
 
-// fetch carries one request from the client to the edge and its result
-// back, in virtual time — the counterpart of EdgeServer.cacheOrFetch,
-// stage for stage. body is the marshalled request of frame type reqType,
-// desc its cache descriptor, and compute the cloud's work for it. b
-// (whose Task and Mode are set) accumulates the breakdown from instant t;
-// fetch returns the result payload and the instant the reply reaches the
-// client. A ctx that expires before the cloud round trip abandons the
-// request instead of paying for work nobody will read.
-func (s *Session) fetch(ctx context.Context, b *Breakdown, t time.Time, reqType wire.MsgType, desc feature.Descriptor, body []byte, compute func() ([]byte, time.Duration, error)) ([]byte, time.Time, error) {
-	k := &taskKinds[reqType]
+// fetch carries one request of kind k from the client to the edge and its
+// result back, in virtual time — the counterpart of
+// EdgeServer.cacheOrFetch, stage for stage. body is the marshalled
+// request and desc its cache descriptor. b (whose Task and Mode are set)
+// accumulates the breakdown from instant t; fetch returns the result
+// payload and the instant the reply reaches the client. A ctx that
+// expires before the cloud round trip abandons the request instead of
+// paying for work nobody will read.
+func (s *Session) fetch(ctx context.Context, b *Breakdown, t time.Time, k *taskKind, desc feature.Descriptor, body []byte) ([]byte, time.Time, error) {
 	replySize := func(source uint8, payload []byte) int {
 		return k.replyWith(0, source, payload).WireSize()
 	}
-	upSize := (wire.Message{Type: reqType, RequestID: s.nextID(), Body: body}).WireSize()
+	upSize := (wire.Message{Type: k.request, RequestID: s.nextID(), Body: body}).WireSize()
 	b.BytesUp = upSize
 
 	tEdge := s.Topo.MobileEdge.Up.Transfer(t, upSize)
@@ -86,7 +83,7 @@ func (s *Session) fetch(ctx context.Context, b *Breakdown, t time.Time, reqType 
 		b.UpEC = tCloud.Sub(t)
 		t = tCloud
 
-		data, cloudCost, err := compute()
+		data, cloudCost, _, err := k.compute(s.Cloud, nil, body)
 		if err != nil {
 			return nil, t, err
 		}
@@ -114,41 +111,37 @@ func (s *Session) fetch(ctx context.Context, b *Breakdown, t time.Time, reqType 
 	return payload, tClient, nil
 }
 
-// Recognize executes one recognition request and returns the latency
-// breakdown plus the (validated) recognition result. ctx gates the
-// expensive stages: an expired context returns promptly — before the
-// (real) DNN runs — rather than computing a result nobody wants.
-func (s *Session) Recognize(ctx context.Context, at time.Time, class vision.Class, viewSeed uint64, mode Mode) (Breakdown, wire.RecognitionResult, error) {
-	b := Breakdown{Task: wire.TaskRecognize, Mode: mode, Start: at, Outcome: cache.OutcomeMiss}
+// Do executes one task end to end in virtual time — on-device build,
+// the fetch through edge and cloud, on-device finish — and returns the
+// latency breakdown plus, for recognition, the decoded result. ctx gates
+// the expensive stages: an expired context returns promptly — before any
+// (real) DNN or cloud work runs — and one that expires before the cloud
+// fetch abandons the request without paying for it.
+func (s *Session) Do(ctx context.Context, at time.Time, task Task, mode Mode) (Breakdown, *wire.RecognitionResult, error) {
+	b := Breakdown{Task: task.Kind, Mode: mode, Start: at, Outcome: cache.OutcomeMiss}
+	k, err := kindOfTask(task.Kind)
+	if err != nil {
+		return b, nil, err
+	}
 	if err := ctx.Err(); err != nil {
-		return b, wire.RecognitionResult{}, err
+		return b, nil, err
 	}
-	frame := s.Client.CaptureFrame(class, viewSeed)
-
-	desc := originDescriptor
-	t := at
-	if mode == ModeCoIC {
-		desc, b.Extract = s.Client.Extract(frame)
-		t = t.Add(b.Extract)
-	}
-
-	body, err := (wire.ExecRequest{Task: wire.TaskRecognize, Desc: desc, Payload: frame.Bytes()}).Marshal()
+	body, desc, cost, err := k.build(s.Client, mode, task, trailer{})
 	if err != nil {
-		return b, wire.RecognitionResult{}, err
+		return b, nil, err
 	}
-	resultBytes, t, err := s.fetch(ctx, &b, t, wire.MsgExec, desc, body, func() ([]byte, time.Duration, error) {
-		return s.Cloud.Recognize(frame.Bytes())
-	})
+	b.Extract = cost
+	payload, t, err := s.fetch(ctx, &b, at.Add(cost), k, desc, body)
 	if err != nil {
-		return b, wire.RecognitionResult{}, err
+		return b, nil, err
 	}
-
-	b.End = t
-	result, err := wire.UnmarshalRecognitionResult(resultBytes)
+	res, cost, err := k.finish(s.Client, task, payload)
 	if err != nil {
-		return b, result, fmt.Errorf("core: recognition result corrupt: %w", err)
+		return b, nil, err
 	}
-	return b, result, nil
+	b.ClientProc = cost
+	b.End = t.Add(cost)
+	return b, res, nil
 }
 
 // ModelDescriptor is the cache key for a rendering task: the hash of the
@@ -158,72 +151,8 @@ func ModelDescriptor(modelID string) feature.Descriptor {
 	return feature.NewHash([]byte("model:" + modelID))
 }
 
-// Render executes one 3D-model load-and-draw task. An expired ctx
-// returns promptly, and a ctx that expires before the cloud fetch
-// abandons the request without paying for it.
-func (s *Session) Render(ctx context.Context, at time.Time, modelID string, mode Mode) (Breakdown, error) {
-	b := Breakdown{Task: wire.TaskRender, Mode: mode, Start: at, Outcome: cache.OutcomeMiss}
-	if err := ctx.Err(); err != nil {
-		return b, err
-	}
-	body, err := (wire.ModelFetch{ModelID: modelID, Format: wire.FormatCMF}).Marshal()
-	if err != nil {
-		return b, err
-	}
-	cmf, t, err := s.fetch(ctx, &b, at, wire.MsgModelFetch, ModelDescriptor(modelID), body, func() ([]byte, time.Duration, error) {
-		return s.Cloud.FetchModel(modelID)
-	})
-	if err != nil {
-		return b, err
-	}
-
-	// Client-side: load into memory, then draw.
-	m, loadCost, err := s.Client.LoadModel(cmf)
-	if err != nil {
-		return b, err
-	}
-	st, drawCost := s.Client.Draw(m)
-	if st.Pixels == 0 {
-		return b, fmt.Errorf("core: model %q drew no pixels", modelID)
-	}
-	b.ClientProc = loadCost + drawCost
-	b.End = t.Add(b.ClientProc)
-	return b, nil
-}
-
 // PanoDescriptor is the cache key for a VR streaming task: the hash of
 // the required panoramic frame's identity.
 func PanoDescriptor(videoID string, frameIdx int) feature.Descriptor {
 	return feature.NewHash([]byte(fmt.Sprintf("pano:%s:%d", videoID, frameIdx)))
-}
-
-// Pano executes one VR panorama fetch-and-crop task. An expired ctx
-// returns promptly, and a ctx that expires before the cloud fetch
-// abandons the request without paying for it.
-func (s *Session) Pano(ctx context.Context, at time.Time, videoID string, frameIdx int, vp pano.Viewport, mode Mode) (Breakdown, error) {
-	b := Breakdown{Task: wire.TaskPano, Mode: mode, Start: at, Outcome: cache.OutcomeMiss}
-	if err := ctx.Err(); err != nil {
-		return b, err
-	}
-	body, err := (wire.PanoFetch{VideoID: videoID, FrameIndex: uint32(frameIdx)}).Marshal()
-	if err != nil {
-		return b, err
-	}
-	rle, t, err := s.fetch(ctx, &b, at, wire.MsgPanoFetch, PanoDescriptor(videoID, frameIdx), body, func() ([]byte, time.Duration, error) {
-		return s.Cloud.FetchPano(videoID, frameIdx)
-	})
-	if err != nil {
-		return b, err
-	}
-
-	out, cropCost, err := s.Client.CropPano(rle, vp, 256, 256)
-	if err != nil {
-		return b, err
-	}
-	if out.W != 256 {
-		return b, fmt.Errorf("core: bad crop size %d", out.W)
-	}
-	b.ClientProc = cropCost
-	b.End = t.Add(cropCost)
-	return b, nil
 }

@@ -194,22 +194,6 @@ func TestEdgeNetFeatureGeometry(t *testing.T) {
 	}
 }
 
-func TestEdgeNetClassify(t *testing.T) {
-	n := NewEdgeNet(testClasses, 32, 1)
-	in := tensor.New(3, 32, 32)
-	in.RandNormal(newTestRNG(), 1)
-	idx, name, conf := n.Classify(in)
-	if idx < 0 || idx >= len(testClasses) {
-		t.Fatalf("class index %d out of range", idx)
-	}
-	if name != testClasses[idx] {
-		t.Fatalf("name %q != classes[%d]", name, idx)
-	}
-	if conf <= 0 || conf > 1 {
-		t.Fatalf("confidence %v out of range", conf)
-	}
-}
-
 func TestTrunkSharesWeights(t *testing.T) {
 	n := NewEdgeNet(testClasses, 32, 1)
 	trunk := n.Trunk()

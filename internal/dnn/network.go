@@ -71,18 +71,6 @@ func featureVector(x *tensor.Tensor) []float32 {
 	return v.Data
 }
 
-// Classify runs the full network and returns the winning class index, its
-// name and the softmax confidence.
-func (n *Network) Classify(in *tensor.Tensor) (int, string, float32) {
-	out := n.Forward(in)
-	idx, conf := out.Argmax()
-	name := ""
-	if idx < len(n.Classes) {
-		name = n.Classes[idx]
-	}
-	return idx, name, conf
-}
-
 // TrunkFLOPs reports the cost of descriptor extraction (layers up to and
 // including the feature layer) for the network's input shape.
 func (n *Network) TrunkFLOPs() int64 {

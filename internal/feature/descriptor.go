@@ -85,23 +85,6 @@ func L2Distance(a, b []float32) float64 {
 	return math.Sqrt(s)
 }
 
-// CosineSimilarity returns a·b/(‖a‖‖b‖), or 0 when either vector is zero.
-func CosineSimilarity(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("feature: dimension mismatch %d vs %d", len(a), len(b)))
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
-		na += float64(a[i]) * float64(a[i])
-		nb += float64(b[i]) * float64(b[i])
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
 // Wire encoding: kind u8 | (vector: dim u32, float32 LE ...) or
 // (hash: 32 bytes).
 

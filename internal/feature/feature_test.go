@@ -70,15 +70,6 @@ func TestDistances(t *testing.T) {
 	if got := L2Distance(a, b); math.Abs(got-math.Sqrt2) > 1e-9 {
 		t.Fatalf("L2 = %v", got)
 	}
-	if got := CosineSimilarity(a, b); got != 0 {
-		t.Fatalf("cos = %v", got)
-	}
-	if got := CosineSimilarity(a, a); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("self cos = %v", got)
-	}
-	if got := CosineSimilarity(a, []float32{0, 0}); got != 0 {
-		t.Fatalf("zero-vec cos = %v", got)
-	}
 }
 
 func TestL2PanicsOnDimMismatch(t *testing.T) {

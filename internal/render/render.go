@@ -77,24 +77,6 @@ func Scale(s float32) Mat4 {
 	return m
 }
 
-// RotateY returns a rotation about the Y axis by angle radians.
-func RotateY(angle float64) Mat4 {
-	c, s := float32(math.Cos(angle)), float32(math.Sin(angle))
-	m := Identity()
-	m[0][0], m[0][2] = c, s
-	m[2][0], m[2][2] = -s, c
-	return m
-}
-
-// RotateX returns a rotation about the X axis by angle radians.
-func RotateX(angle float64) Mat4 {
-	c, s := float32(math.Cos(angle)), float32(math.Sin(angle))
-	m := Identity()
-	m[1][1], m[1][2] = c, -s
-	m[2][1], m[2][2] = s, c
-	return m
-}
-
 // LookAt builds a view matrix for a camera at eye looking at target with
 // the given up hint.
 func LookAt(eye, target, up mesh.Vec3) Mat4 {

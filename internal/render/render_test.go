@@ -27,20 +27,6 @@ func TestMat4MulOrder(t *testing.T) {
 	}
 }
 
-func TestRotateY(t *testing.T) {
-	x, _, z, _ := RotateY(math.Pi / 2).Apply(mesh.Vec3{X: 1})
-	if math.Abs(float64(x)) > 1e-6 || math.Abs(float64(z)+1) > 1e-6 {
-		t.Fatalf("RotateY(90°)·X = (%v, %v)", x, z)
-	}
-}
-
-func TestRotateXPreservesX(t *testing.T) {
-	x, y, z, _ := RotateX(math.Pi / 2).Apply(mesh.Vec3{X: 1})
-	if x != 1 || math.Abs(float64(y)) > 1e-6 || math.Abs(float64(z)) > 1e-6 {
-		t.Fatalf("RotateX moved the X axis: %v %v %v", x, y, z)
-	}
-}
-
 func TestLookAtPutsTargetOnAxis(t *testing.T) {
 	view := LookAt(mesh.Vec3{Z: 5}, mesh.Vec3{}, mesh.Vec3{Y: 1})
 	x, y, z, _ := view.Apply(mesh.Vec3{})

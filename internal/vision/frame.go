@@ -9,7 +9,6 @@ package vision
 
 import (
 	"fmt"
-	"image"
 	"image/color"
 )
 
@@ -76,13 +75,6 @@ func (f *Frame) Bytes() []byte { return f.Pix }
 
 // SizeBytes reports the upload payload size.
 func (f *Frame) SizeBytes() int { return len(f.Pix) }
-
-// ToImage converts to a stdlib image for debugging or PNG dumps.
-func (f *Frame) ToImage() *image.RGBA {
-	img := image.NewRGBA(image.Rect(0, 0, f.W, f.H))
-	copy(img.Pix, f.Pix)
-	return img
-}
 
 // FromBytes reconstructs a frame from a raw RGBA buffer.
 func FromBytes(w, h int, pix []byte) (*Frame, error) {

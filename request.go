@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"github.com/edge-immersion/coic/internal/core"
+	"github.com/edge-immersion/coic/internal/wire"
 )
 
 // This file is the v2 task API: one context-first entry point for every
@@ -102,20 +105,31 @@ func (r Request) WithTraceID(id uint64) Request { r.TraceID = id; return r }
 
 // Validate reports whether the request names exactly one task.
 func (r Request) Validate() error {
+	_, err := r.task()
+	return err
+}
+
+// task converts the one variant the request names into the task the
+// layers below execute — the only place the union is taken apart.
+func (r Request) task() (core.Task, error) {
+	var t core.Task
 	n := 0
 	if r.Recognize != nil {
+		t = core.RecognizeTask(r.Recognize.Class, r.Recognize.ViewSeed)
 		n++
 	}
 	if r.Render != nil {
+		t = core.RenderTask(r.Render.ModelID)
 		n++
 	}
 	if r.Pano != nil {
+		t = core.PanoTask(r.Pano.VideoID, r.Pano.Frame, r.Pano.Viewport)
 		n++
 	}
 	if n != 1 {
-		return fmt.Errorf("coic: request must name exactly one task, has %d", n)
+		return core.Task{}, fmt.Errorf("coic: request must name exactly one task, has %d", n)
 	}
-	return nil
+	return t, nil
 }
 
 // String names the request's task kind for logs.
@@ -136,6 +150,19 @@ func (r Request) String() string {
 // virtual latency budget. The accompanying Result is still complete.
 var ErrDeadlineExceeded = errors.New("coic: request exceeded its deadline")
 
+// recognitionOf is the public form of a decoded recognition result (nil
+// for the task kinds that produce none).
+func recognitionOf(rr *wire.RecognitionResult) *RecognitionResult {
+	if rr == nil {
+		return nil
+	}
+	return &RecognitionResult{
+		Label:             rr.Label,
+		Confidence:        float64(rr.Confidence),
+		AnnotationModelID: rr.AnnotationModelID,
+	}
+}
+
 // Result is the outcome of one Request.
 type Result struct {
 	// Breakdown decomposes the request's virtual latency.
@@ -151,38 +178,19 @@ type Result struct {
 // next stage boundary. req.Deadline additionally bounds the *virtual*
 // latency; see Request.Deadline.
 func (s *System) Do(ctx context.Context, client int, req Request) (Result, error) {
-	if err := req.Validate(); err != nil {
+	task, err := req.task()
+	if err != nil {
 		return Result{}, err
 	}
 	sess, err := s.session(client)
 	if err != nil {
 		return Result{}, err
 	}
-	var res Result
-	switch {
-	case req.Recognize != nil:
-		b, rr, err := sess.Recognize(ctx, s.now, req.Recognize.Class, req.Recognize.ViewSeed, req.Mode)
-		if err != nil {
-			return Result{Breakdown: b}, err
-		}
-		res = Result{Breakdown: b, Recognition: &RecognitionResult{
-			Label:             rr.Label,
-			Confidence:        float64(rr.Confidence),
-			AnnotationModelID: rr.AnnotationModelID,
-		}}
-	case req.Render != nil:
-		b, err := sess.Render(ctx, s.now, req.Render.ModelID, req.Mode)
-		if err != nil {
-			return Result{Breakdown: b}, err
-		}
-		res = Result{Breakdown: b}
-	case req.Pano != nil:
-		b, err := sess.Pano(ctx, s.now, req.Pano.VideoID, req.Pano.Frame, req.Pano.Viewport, req.Mode)
-		if err != nil {
-			return Result{Breakdown: b}, err
-		}
-		res = Result{Breakdown: b}
+	b, rr, err := sess.Do(ctx, s.now, task, req.Mode)
+	if err != nil {
+		return Result{Breakdown: b}, err
 	}
+	res := Result{Breakdown: b, Recognition: recognitionOf(rr)}
 	s.now = res.Breakdown.End
 	if req.QoS == QoSInteractive {
 		s.qos.Interactive++

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/edge-immersion/coic/internal/core"
 	"github.com/edge-immersion/coic/internal/wire"
 )
 
@@ -110,6 +111,7 @@ type Completion struct {
 type Ticket struct {
 	id        uint64
 	req       Request
+	task      core.Task // req, as the connection was asked for it
 	s         *Stream
 	submitted time.Time
 	deadline  time.Time
@@ -215,7 +217,8 @@ func (c *Client) Stream(ctx context.Context, opts ...StreamOption) (*Stream, err
 // ignored here. Dial a second Client to compare against the Origin
 // baseline.
 func (s *Stream) Submit(ctx context.Context, req Request) (*Ticket, error) {
-	if err := req.Validate(); err != nil {
+	task, err := req.task()
+	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -238,16 +241,7 @@ func (s *Stream) Submit(ctx context.Context, req Request) (*Ticket, error) {
 		// life begins; every tier it crosses logs the same value.
 		req.TraceID = mintTraceID()
 	}
-	var msg wire.Message
-	var err error
-	switch {
-	case req.Recognize != nil:
-		msg, err = s.c.mux.BuildRecognize(req.Recognize.Class, req.Recognize.ViewSeed, req.QoS, deadline, req.TraceID)
-	case req.Render != nil:
-		msg, err = s.c.mux.BuildRender(req.Render.ModelID, req.QoS, deadline, req.TraceID)
-	case req.Pano != nil:
-		msg, err = s.c.mux.BuildPano(req.Pano.VideoID, req.Pano.Frame, req.QoS, deadline, req.TraceID)
-	}
+	msg, err := s.c.mux.Build(task, req.QoS, deadline, req.TraceID)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +259,7 @@ func (s *Stream) Submit(ctx context.Context, req Request) (*Ticket, error) {
 		<-s.window
 		return nil, err
 	}
-	t := &Ticket{id: id, req: req, s: s, submitted: submitted, deadline: deadline, done: make(chan struct{})}
+	t := &Ticket{id: id, req: req, task: task, s: s, submitted: submitted, deadline: deadline, done: make(chan struct{})}
 	s.mu.Lock()
 	if s.closed {
 		// Lost the race with Close: the frame is on the wire but nobody
@@ -292,26 +286,8 @@ func (s *Stream) await(t *Ticket, ch <-chan wire.Message) {
 	if !ok {
 		comp.Err = fmt.Errorf("coic: connection closed with request in flight")
 	} else {
-		var err error
-		switch {
-		case t.req.Recognize != nil:
-			var res wire.RecognitionResult
-			var src uint8
-			res, src, err = s.c.mux.FinishRecognize(reply)
-			if err == nil {
-				comp.Source = src
-				comp.Recognition = &RecognitionResult{
-					Label:             res.Label,
-					Confidence:        float64(res.Confidence),
-					AnnotationModelID: res.AnnotationModelID,
-				}
-			}
-		case t.req.Render != nil:
-			comp.Source, err = s.c.mux.FinishRender(reply)
-		case t.req.Pano != nil:
-			comp.Source, err = s.c.mux.FinishPano(reply, t.req.Pano.Viewport)
-		}
-		comp.Err = mapRemoteErr(err)
+		res, src, err := s.c.mux.Finish(t.task, reply)
+		comp.Recognition, comp.Source, comp.Err = recognitionOf(res), src, mapRemoteErr(err)
 	}
 	comp.Latency = time.Since(t.submitted)
 	if comp.Err == nil && !t.deadline.IsZero() && time.Now().After(t.deadline) {
