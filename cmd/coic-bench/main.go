@@ -2,7 +2,7 @@
 // reproduction: Figure 2a, Figure 2b, and the ablation experiments listed
 // in README.md ("Experiments ↔ paper figures"). Output is aligned text by default, CSV with -csv, or
 // machine-readable JSON with -json (one array of {title, columns, rows,
-// notes} objects — what CI uploads as the pinned bench artifact).
+// notes} objects). A name -experiment does not know is an error (exit 2).
 //
 // Usage:
 //
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -49,10 +50,58 @@ func main() {
 		p.Seed = *seed
 	}
 
-	runners := []struct {
-		name string
-		run  func() (*coic.Table, error)
-	}{
+	selected, err := selectRunners(runners(p), *experiment)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "coic-bench: %v\n", err)
+		os.Exit(2)
+	}
+
+	var jsonTables []metrics.TableJSON
+	for _, r := range selected {
+		if ctx.Err() != nil {
+			fmt.Fprintln(os.Stderr, "coic-bench: interrupted")
+			os.Exit(130)
+		}
+		table, err := r.run()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "coic-bench: %s: %v\n", r.name, err)
+			os.Exit(1)
+		}
+		switch {
+		case *jsonOut:
+			jsonTables = append(jsonTables, table.JSON())
+		case *csv:
+			if err := table.RenderCSV(os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "coic-bench: %v\n", err)
+				os.Exit(1)
+			}
+		default:
+			if err := table.Render(os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "coic-bench: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Println()
+		}
+	}
+	if *jsonOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(jsonTables); err != nil {
+			fmt.Fprintf(os.Stderr, "coic-bench: %v\n", err)
+			os.Exit(1)
+		}
+	}
+}
+
+// runner is one -experiment name and the table it prints.
+type runner struct {
+	name string
+	run  func() (*coic.Table, error)
+}
+
+// runners lists every experiment at its full size, in print order.
+func runners(p coic.Params) []runner {
+	return []runner{
 		{"fig2a", func() (*coic.Table, error) {
 			rows, err := coic.RunFig2a(p)
 			if err != nil {
@@ -117,60 +166,34 @@ func main() {
 			return coic.RunSharedScene(scaled(p), []int{2, 8, 32}, 24)
 		}},
 	}
+}
 
-	// -experiment takes a comma-separated subset; tables render in the
-	// runner order above regardless of how the flag orders the names.
-	selected := map[string]bool{}
-	for _, name := range strings.Split(*experiment, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			selected[name] = true
-		}
-	}
-
-	ran := 0
-	var jsonTables []metrics.TableJSON
-	for _, r := range runners {
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "coic-bench: interrupted")
-			os.Exit(130)
-		}
-		if !selected["all"] && !selected[r.name] {
+// selectRunners picks the runners a comma-separated -experiment value
+// names ("all" picks every one), in runner order whatever order the list
+// has. A name no runner has is an error, so a mistyped name in a list
+// fails instead of being skipped.
+func selectRunners(all []runner, experiment string) ([]runner, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(experiment, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
 			continue
 		}
-		ran++
-		table, err := r.run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coic-bench: %s: %v\n", r.name, err)
-			os.Exit(1)
+		if name != "all" && !slices.ContainsFunc(all, func(r runner) bool { return r.name == name }) {
+			return nil, fmt.Errorf("unknown experiment %q", name)
 		}
-		switch {
-		case *jsonOut:
-			jsonTables = append(jsonTables, table.JSON())
-		case *csv:
-			if err := table.RenderCSV(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "coic-bench: %v\n", err)
-				os.Exit(1)
-			}
-		default:
-			if err := table.Render(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "coic-bench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println()
+		want[name] = true
+	}
+	var picked []runner
+	for _, r := range all {
+		if want["all"] || want[r.name] {
+			picked = append(picked, r)
 		}
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "coic-bench: unknown experiment %q\n", *experiment)
-		os.Exit(2)
+	if len(picked) == 0 {
+		return nil, fmt.Errorf("no experiment named in %q", experiment)
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonTables); err != nil {
-			fmt.Fprintf(os.Stderr, "coic-bench: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	return picked, nil
 }
 
 // scaled shrinks per-request payloads for the trace-driven ablations,

@@ -361,25 +361,6 @@ func TestPanoFrameOutOfRangeRejectedEverywhere(t *testing.T) {
 	}
 }
 
-// TestRunQoSSmoke exercises the ablation end to end with a tiny request
-// count: three rows, fifo strictly slower than the scheduled row at p99
-// is timing-dependent, so only the table's shape is asserted.
-func TestRunQoSSmoke(t *testing.T) {
-	tab, err := RunQoS(testParams(), 3, 80*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tab.Rows()
-	if len(rows) != 3 {
-		t.Fatalf("RunQoS rows = %d, want 3", len(rows))
-	}
-	for i, want := range []string{"none", "fifo", "qos"} {
-		if rows[i][0] != want {
-			t.Fatalf("row %d = %q, want %q", i, rows[i][0], want)
-		}
-	}
-}
-
 // TestStreamContextCancelsInflight: killing the stream's context cancels
 // every in-flight ticket at the edge; completions surface as canceled.
 func TestStreamContextCancelsInflight(t *testing.T) {

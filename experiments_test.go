@@ -8,7 +8,9 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 )
 
 // update rewrites testdata/golden/*.txt from the tables this run computes
@@ -98,6 +100,60 @@ func TestVirtualTimeAblationTables(t *testing.T) {
 				if v, err := strconv.ParseFloat(row[col], 64); err != nil || v <= 0 {
 					t.Fatalf("%s = %q in row %v, want > 0", tc.positive, row[col], row)
 				}
+			}
+		})
+	}
+}
+
+// TestWallClockTableShapes runs the ablations that time a live TCP stack
+// or the DNN on the wall clock, on their smallest sweeps. Their numbers
+// vary by host, so what is pinned is what a reader of coic-bench's output
+// relies on: the title, the exact columns and each row's key (its first
+// cell, the sweep point or arm). No value is compared.
+func TestWallClockTableShapes(t *testing.T) {
+	p := testParams()
+	for _, tc := range []struct {
+		name    string
+		run     func() (*Table, error)
+		title   string // prefix
+		columns []string
+		keys    []string
+	}{
+		{"qos", func() (*Table, error) { return RunQoS(p, 3, 80*time.Millisecond) },
+			"A-qos — interactive latency under best-effort background load (budget ",
+			[]string{"scheduling", "interactive_n", "p50_ms", "p99_ms", "late_or_shed", "edge_sheds", "bg_admitted", "bg_completed"},
+			[]string{"none", "fifo", "qos"}},
+		{"noisy", func() (*Table, error) { return RunNoisyNeighbor(p, 1, 150*time.Millisecond) },
+			"A-noisy — victim interactive latency under a competing tenant's flood (budget ",
+			[]string{"isolation", "victim_n", "p50_ms", "p99_ms", "over_budget", "victim_admitted", "noisy_admitted", "noisy_quota_rejected", "noisy_completed"},
+			[]string{"solo", "pooled", "fair", "quota"}},
+		{"batch", func() (*Table, error) { return RunBatch(p, []int{1, 2}, 1), nil },
+			"Batched DNN execution — serial vs ForwardBatch (per core)",
+			[]string{"batch", "rounds", "serial_ms", "batched_ms", "serial_fps", "batched_fps", "speedup"},
+			[]string{"1", "2"}},
+		{"scene", func() (*Table, error) { return RunSharedScene(p, []int{2, 3}, 2) },
+			"A-scene — shared-scene update propagation vs room size",
+			[]string{"members", "updates", "deliveries", "p50_ms", "p99_ms", "converged"},
+			[]string{"2", "3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tab, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tab.JSON()
+			if !strings.HasPrefix(got.Title, tc.title) {
+				t.Errorf("title = %q, want prefix %q", got.Title, tc.title)
+			}
+			if !slices.Equal(got.Columns, tc.columns) {
+				t.Errorf("columns = %v, want %v", got.Columns, tc.columns)
+			}
+			var keys []string
+			for _, row := range got.Rows {
+				keys = append(keys, row[0])
+			}
+			if !slices.Equal(keys, tc.keys) {
+				t.Errorf("row keys = %v, want %v", keys, tc.keys)
 			}
 		})
 	}

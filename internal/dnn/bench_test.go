@@ -45,20 +45,3 @@ func BenchmarkCachedRunnerHit(b *testing.B) {
 		cr.Forward(in)
 	}
 }
-
-// BenchmarkDecode measures model deserialisation (what an edge or client
-// pays to adopt a distributed model).
-func BenchmarkDecode(b *testing.B) {
-	n := NewEdgeNet(testClasses, 32, 1)
-	data, err := EncodeBytes(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBytes(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,10 +1,8 @@
 package dnn
 
 import (
-	"bytes"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"github.com/edge-immersion/coic/internal/tensor"
 )
@@ -242,64 +240,6 @@ func TestValidateCatchesBadNetworks(t *testing.T) {
 	}
 }
 
-func TestSerialRoundTrip(t *testing.T) {
-	n := NewEdgeNet(testClasses, 32, 7)
-	data, err := EncodeBytes(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NetName != n.NetName || got.FeatureLayer != n.FeatureLayer || len(got.Classes) != len(n.Classes) {
-		t.Fatal("metadata did not round-trip")
-	}
-	in := tensor.New(3, 32, 32)
-	in.RandNormal(newTestRNG(), 1)
-	a, b := n.Forward(in), got.Forward(in)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatal("decoded network computes different outputs")
-		}
-	}
-}
-
-func TestSerialDeterministic(t *testing.T) {
-	n := NewEdgeNet(testClasses, 32, 7)
-	a, _ := EncodeBytes(n)
-	b, _ := EncodeBytes(n)
-	if !bytes.Equal(a, b) {
-		t.Fatal("encoding is not deterministic")
-	}
-}
-
-func TestDecodeRejectsCorruption(t *testing.T) {
-	n := NewEdgeNet(testClasses, 32, 7)
-	data, _ := EncodeBytes(n)
-
-	// Flip one byte in the middle: CRC must catch it.
-	bad := append([]byte(nil), data...)
-	bad[len(bad)/2] ^= 0xFF
-	if _, err := DecodeBytes(bad); err == nil {
-		t.Fatal("bit flip not detected")
-	}
-
-	// Truncations at every interesting boundary must error, not panic.
-	for _, cut := range []int{0, 3, 7, 20, len(data) / 2, len(data) - 1} {
-		if _, err := DecodeBytes(data[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-
-	// Wrong magic.
-	bad = append([]byte(nil), data...)
-	copy(bad, "NOPE")
-	if _, err := DecodeBytes(bad); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
 func TestCachedRunnerHitsOnIdenticalInput(t *testing.T) {
 	n := NewEdgeNet(testClasses, 32, 3)
 	cr := NewCachedRunner(n, 0)
@@ -360,15 +300,5 @@ func TestCachedRunnerBounded(t *testing.T) {
 	}
 	if h, m := cr.Stats(); h != 0 || m != 0 {
 		t.Fatal("Reset left counters")
-	}
-}
-
-func TestDecodeBytesFuzzNeverPanics(t *testing.T) {
-	f := func(data []byte) bool {
-		_, _ = DecodeBytes(data)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

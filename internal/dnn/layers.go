@@ -29,9 +29,6 @@ type Layer interface {
 	// forward pass over the given input shape. The CoIC cost model
 	// converts this to device-specific virtual compute time.
 	FLOPs(in []int) int64
-	// Params returns the layer's weight tensors for serialisation, in a
-	// fixed order. Parameter-free layers return nil.
-	Params() []*tensor.Tensor
 }
 
 // Conv2D is a 2-D convolution over CHW tensors with square kernels.
@@ -120,9 +117,6 @@ func (c *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Params implements Layer.
-func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
-
 // ReLU applies max(0, x) element-wise.
 type ReLU struct{ LayerName string }
 
@@ -145,9 +139,6 @@ func (r *ReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
 	}
 	return out
 }
-
-// Params implements Layer.
-func (r *ReLU) Params() []*tensor.Tensor { return nil }
 
 // MaxPool2D is a max-pooling layer over CHW tensors.
 type MaxPool2D struct {
@@ -206,9 +197,6 @@ func (p *MaxPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Params implements Layer.
-func (p *MaxPool2D) Params() []*tensor.Tensor { return nil }
-
 // Flatten reshapes any tensor to rank 1.
 type Flatten struct{ LayerName string }
 
@@ -225,9 +213,6 @@ func (f *Flatten) FLOPs(in []int) int64 { return 0 }
 func (f *Flatten) Forward(in *tensor.Tensor) *tensor.Tensor {
 	return in.Clone().Reshape(in.Len())
 }
-
-// Params implements Layer.
-func (f *Flatten) Params() []*tensor.Tensor { return nil }
 
 // GlobalAvgPool averages each channel plane of a CHW tensor to a single
 // value, producing a C-vector. As a feature tap it is what makes the CoIC
@@ -263,9 +248,6 @@ func (g *GlobalAvgPool) Forward(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Params implements Layer.
-func (g *GlobalAvgPool) Params() []*tensor.Tensor { return nil }
-
 // Dense is a fully connected layer y = Wx + b.
 type Dense struct {
 	LayerName string
@@ -297,9 +279,6 @@ func (d *Dense) Forward(in *tensor.Tensor) *tensor.Tensor {
 	y.AddInPlace(d.B)
 	return y
 }
-
-// Params implements Layer.
-func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.W, d.B} }
 
 // Softmax converts logits to a probability distribution.
 type Softmax struct{ LayerName string }
@@ -336,9 +315,6 @@ func (s *Softmax) Forward(in *tensor.Tensor) *tensor.Tensor {
 	}
 	return out
 }
-
-// Params implements Layer.
-func (s *Softmax) Params() []*tensor.Tensor { return nil }
 
 func prod(shape []int) int64 {
 	p := int64(1)

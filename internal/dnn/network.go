@@ -15,7 +15,7 @@ import (
 // [0..FeatureLayer] — the trunk — on the device, while the cloud runs all
 // layers to produce a classification.
 type Network struct {
-	// NetName identifies the model (carried in the serialised form).
+	// NetName identifies the model in errors.
 	NetName string
 	// InputShape is the expected CHW input, e.g. (3, 64, 64).
 	InputShape []int
@@ -107,7 +107,7 @@ func (n *Network) FeatureDim() int {
 
 // Validate checks internal consistency: layer shapes chain, the feature
 // tap exists, and the class list matches the head width. Returns an error
-// rather than panicking so loaders can reject corrupt models gracefully.
+// rather than panicking; NewEdgeNet treats one as a construction bug.
 func (n *Network) Validate() error {
 	if len(n.Layers) == 0 {
 		return fmt.Errorf("dnn: network %q has no layers", n.NetName)

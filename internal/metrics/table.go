@@ -101,8 +101,8 @@ func (t *Table) Render(w io.Writer) error {
 }
 
 // TableJSON is the machine-readable form of a Table: what RenderJSON
-// emits and what CI consumers (artifact diffing, trend dashboards)
-// parse. Rows are cell strings in column order, exactly as rendered.
+// and cmd/coic-bench -json emit for scripts to parse. Rows are cell
+// strings in column order, exactly as rendered.
 type TableJSON struct {
 	Title   string     `json:"title"`
 	Columns []string   `json:"columns"`
@@ -116,8 +116,7 @@ func (t *Table) JSON() TableJSON {
 }
 
 // RenderJSON writes the table as one indented JSON object (title,
-// columns, rows, notes) — the format cmd/coic-bench -json emits and CI
-// uploads as the pinned bench artifact.
+// columns, rows, notes) — the element format of cmd/coic-bench -json.
 func (t *Table) RenderJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -7,10 +7,7 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"time"
@@ -40,8 +37,8 @@ type Event struct {
 	// over the same content.
 	ViewSeed uint64 `json:"view_seed"`
 	// QoS is the request's service class (Config.InteractiveShare draws
-	// it); zero (best-effort) is omitted from the JSONL form, keeping
-	// pre-QoS traces byte-identical.
+	// it); zero is best-effort, and omitted when an event is marshalled
+	// as JSON.
 	QoS wire.QoS `json:"qos,omitempty"`
 }
 
@@ -241,7 +238,6 @@ type Stats struct {
 	PerTask      map[string]int
 	Duration     time.Duration
 	RedundantPct float64 // share of events whose (task, object) was seen before
-	Interactive  int     // events tagged QoSInteractive
 }
 
 // Analyze computes trace statistics, including the redundancy share that
@@ -257,9 +253,6 @@ func Analyze(events []Event) Stats {
 		users[e.User] = struct{}{}
 		objs[e.Object] = struct{}{}
 		st.PerTask[e.Task.String()]++
-		if e.QoS == wire.QoSInteractive {
-			st.Interactive++
-		}
 		if e.At > st.Duration {
 			st.Duration = e.At
 		}
@@ -276,31 +269,4 @@ func Analyze(events []Event) Stats {
 		st.RedundantPct = float64(redundant) / float64(st.Events) * 100
 	}
 	return st
-}
-
-// WriteJSONL streams events as JSON lines.
-func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONL parses events written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
-	dec := json.NewDecoder(r)
-	for {
-		var e Event
-		if err := dec.Decode(&e); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", len(out)+1, err)
-		}
-		out = append(out, e)
-	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -156,32 +155,6 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Generate(cfg); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	events, _ := Generate(baseConfig())
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("%d events, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, got[i], events[i])
-		}
-	}
-}
-
-func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(bytes.NewReader([]byte("{\"at_ns\": 1}\nnot json\n"))); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 
