@@ -153,17 +153,7 @@ func (f *fleet) replay(events []trace.Event, mode Mode, route func(trace.Event) 
 	for _, ev := range events {
 		ev := ev
 		eng.Schedule(epoch.Add(ev.At), func() {
-			// Every kind's arguments are derived from the event; the row
-			// ev.Task names reads its own (an unknown task is Do's error).
-			b, _, err := sessionFor(ev.User, route(ev)).Do(context.Background(), eng.Now(), Task{
-				Kind:     ev.Task,
-				Class:    vision.Class(ev.Object % int(vision.NumClasses)),
-				ViewSeed: ev.ViewSeed,
-				ModelID:  renderModels[ev.Object%len(renderModels)],
-				VideoID:  fmt.Sprintf("video-%d", ev.Object%4),
-				Frame:    ev.Frame,
-				Viewport: pano.Viewport{Yaw: float64(ev.ViewSeed%628) / 100, FOV: 1.6},
-			}, mode)
+			b, _, err := sessionFor(ev.User, route(ev)).Do(context.Background(), eng.Now(), eventTask(ev, renderModels), mode)
 			res.Events++
 			if err != nil {
 				res.Errors++
@@ -180,6 +170,21 @@ func (f *fleet) replay(events []trace.Event, mode Mode, route func(trace.Event) 
 	eng.Run()
 	res.Fleet = RollUp(f.edges)
 	return res
+}
+
+// eventTask is the task a trace event asks for. Every kind's arguments
+// are derived from the event; the row ev.Task names reads its own (an
+// unknown task is Do's error).
+func eventTask(ev trace.Event, renderModels []string) Task {
+	return Task{
+		Kind:     ev.Task,
+		Class:    vision.Class(ev.Object % int(vision.NumClasses)),
+		ViewSeed: ev.ViewSeed,
+		ModelID:  renderModels[ev.Object%len(renderModels)],
+		VideoID:  fmt.Sprintf("video-%d", ev.Object%4),
+		Frame:    ev.Frame,
+		Viewport: pano.Viewport{Yaw: float64(ev.ViewSeed%628) / 100, FOV: 1.6},
+	}
 }
 
 // RunTrace replays a workload trace through one edge shared by any

@@ -9,6 +9,7 @@ import (
 	"github.com/edge-immersion/coic/internal/cache"
 	"github.com/edge-immersion/coic/internal/netsim"
 	"github.com/edge-immersion/coic/internal/pano"
+	"github.com/edge-immersion/coic/internal/trace"
 	"github.com/edge-immersion/coic/internal/vision"
 	"github.com/edge-immersion/coic/internal/wire"
 )
@@ -175,5 +176,87 @@ func TestTCPAgreesWithVirtualTime(t *testing.T) {
 				t.Errorf("%v #%d: virtual time recognised %+v, TCP %+v", task.Kind, nth, virtual, overTCP)
 			}
 		}
+	}
+}
+
+// TestTCPAgreesWithVirtualTimeOnATrace replays one seeded multi-user
+// trace — all three task kinds, against a cache small enough to evict —
+// serially through Session.Do and through one MuxClient per user against
+// a loopback cloud + edge. Request by request, a virtual hit must be a
+// TCP reply the edge supplied and recognition must agree; at the end the
+// two caches must hold the same entries and bytes after the same number
+// of evictions.
+func TestTCPAgreesWithVirtualTimeOnATrace(t *testing.T) {
+	p := testParams()
+	p.EdgeCacheBytes = 1 << 20
+	events, err := trace.Generate(trace.Config{
+		Users: 3, Cells: 2, Duration: 20 * time.Second, RatePerUser: 1,
+		Objects: 24, ZipfAlpha: 0.8, Locality: 0.7, HotSetSize: 6,
+		TaskMix: trace.TaskMix{Recognize: 1, Render: 1, Pano: 1},
+		Seed:    p.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, cloud := NewEdge(p), NewCloud(p)
+	topo := netsim.NewTopology(testCond, p.Seed)
+	addr, tcpEdge, stop := startStack(t, p)
+	defer stop()
+	sessions := map[int]*Session{}
+	clients := map[int]*taskClient{}
+	for _, ev := range events {
+		if sessions[ev.User] != nil {
+			continue
+		}
+		client := NewClient(ev.User, p)
+		sessions[ev.User] = NewSession(client, edge, cloud, topo)
+		cli, err := dialEdge(addr, client, ModeCoIC, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		clients[ev.User] = cli
+	}
+
+	renderModels := cloud.AnnotationModelIDs()
+	misses := 0
+	for i, ev := range events {
+		task := eventTask(ev, renderModels)
+		b, virtual, err := sessions[ev.User].Do(context.Background(), epoch.Add(ev.At), task, ModeCoIC)
+		if err != nil {
+			t.Fatalf("event %d (%v) in virtual time: %v", i, task.Kind, err)
+		}
+		msg, err := clients[ev.User].Build(task, wire.QoSBestEffort, time.Time{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := clients[ev.User].RoundTrip(context.Background(), msg)
+		if err != nil {
+			t.Fatalf("event %d (%v) over TCP: %v", i, task.Kind, err)
+		}
+		overTCP, source, err := clients[ev.User].Finish(task, reply)
+		if err != nil {
+			t.Fatalf("event %d (%v) over TCP: %v", i, task.Kind, err)
+		}
+		if hit := b.Outcome != cache.OutcomeMiss; hit != (source == wire.SourceEdge) {
+			t.Errorf("event %d (%v, user %d): virtual outcome %v, TCP source %d", i, task.Kind, ev.User, b.Outcome, source)
+		}
+		if b.Outcome == cache.OutcomeMiss {
+			misses++
+		}
+		if (virtual == nil) != (overTCP == nil) || (virtual != nil && virtual.Label != overTCP.Label) {
+			t.Errorf("event %d: virtual time recognised %+v, TCP %+v", i, virtual, overTCP)
+		}
+	}
+
+	vst, _ := edge.Cache.Stats()
+	tst, _ := tcpEdge.Cache.Stats()
+	t.Logf("%d events, %d misses, %d evictions", len(events), misses, vst.Evictions)
+	if vst.Evictions == 0 || misses == 0 || misses == len(events) {
+		t.Fatalf("trace too easy: %d events, %d misses, %d evictions", len(events), misses, vst.Evictions)
+	}
+	if vst.Entries != tst.Entries || vst.BytesUsed != tst.BytesUsed || vst.Evictions != tst.Evictions {
+		t.Errorf("caches diverged: virtual %d entries / %d B / %d evictions, TCP %d / %d B / %d",
+			vst.Entries, vst.BytesUsed, vst.Evictions, tst.Entries, tst.BytesUsed, tst.Evictions)
 	}
 }
