@@ -116,6 +116,7 @@ smoke-gossip:
 		[ "$$(alive 19201)" = 2 ] && [ "$$(alive 19202)" = 2 ] && break; sleep 0.2; done; \
 	[ "$$(alive 19201)" = 2 ] && [ "$$(alive 19202)" = 2 ] && \
 	curl -fsS -o /dev/null http://127.0.0.1:19201/readyz && \
+	curl -fsS -o /dev/null http://127.0.0.1:19202/readyz && \
 	./bin/coic-client -edge 127.0.0.1:19102 -task pano -n 8 -request-id 0xC1C0FFEE >/dev/null && \
 	./bin/coic-promlint -url http://127.0.0.1:19201/metrics \
 		-require coic_member_alive,coic_ring_version,coic_migration_keys_total && \

@@ -202,6 +202,30 @@ func TestSystemStatsCoversSimilarHits(t *testing.T) {
 	}
 }
 
+// TestSystemMissesAreInflightFetches: a virtual System resolves every
+// miss through the edge's in-flight table, as a TCP edge does; replayed
+// serially, each miss leads its own flight.
+func TestSystemMissesAreInflightFetches(t *testing.T) {
+	sys := testSystem(t)
+	ctx := context.Background()
+	for _, req := range []Request{
+		RenderTask(AnnotationModelID(ClassCar)),
+		RenderTask(AnnotationModelID(ClassCar)),
+		PanoTask("inflight-video", 0, Viewport{FOV: 1.5}),
+		PanoTask("inflight-video", 1, Viewport{FOV: 1.5}),
+	} {
+		if _, err := sys.Do(ctx, 0, req); err != nil {
+			t.Fatal(err)
+		}
+		sys.Advance(time.Second)
+	}
+	st := sys.Stats()
+	misses := st.Queries.Queries - st.Queries.ExactHits - st.Queries.SimilarHits
+	if misses != 3 || st.Inflight.Fetches != misses || st.Inflight.Coalesced != 0 {
+		t.Fatalf("%d misses, in-flight stats %+v; want 3 misses, each one leader fetch", misses, st.Inflight)
+	}
+}
+
 // TestShapeSpecParseErrors covers the bad-tc-spec paths explicitly for
 // every entry point that accepts one.
 func TestShapeSpecParseErrors(t *testing.T) {

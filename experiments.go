@@ -252,13 +252,7 @@ func runCoop(p Params, edges, requestsPerEdge int, peered bool) (core.FleetStats
 		es[i] = core.NewEdge(p)
 	}
 	if peered {
-		for i := range es {
-			for j := range es {
-				if i != j {
-					es[i].Peer(es[j])
-				}
-			}
-		}
+		core.Federate(es, core.FederationConfig{Replicate: true})
 	}
 	at := time.Date(2018, 8, 20, 9, 0, 0, 0, time.UTC)
 	cloudFetches := 0

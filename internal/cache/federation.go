@@ -57,13 +57,11 @@ type FederationStats struct {
 	Repaired uint64
 }
 
-// Federation routes cache misses across a set of cooperating edges. With
-// a Ring, every key has an owner list (the home plus rf-1 successors):
+// Federation routes cache misses across a set of cooperating edges. Its
+// Ring gives every key an owner list (the home plus rf-1 successors):
 // lookups probe the owners in order and inserts are published to the
 // first rf of them, so the federation behaves like one partitioned,
-// rf-way replicated cache. Without a Ring it degrades to the broadcast
-// cooperation of the seed reproduction: probe every registered peer in
-// order until one hits.
+// rf-way replicated cache.
 //
 // The ring is swappable (SetRing): a membership layer rebuilds it on
 // every epoch change, and in-flight lookups simply use whichever ring
@@ -75,7 +73,6 @@ type Federation struct {
 	mu    sync.Mutex
 	ring  *Ring
 	rf    int // replication factor; <=1 means home-only
-	order []string
 	peers map[string]Peer
 	stats FederationStats
 
@@ -95,9 +92,9 @@ type probeOutcome struct {
 	ok    bool
 }
 
-// NewFederation builds the federation view of node `self`. ring may be
-// nil for broadcast cooperation. Replication factor starts at 1
-// (home-only); raise it with SetReplication.
+// NewFederation builds the federation view of node `self` over ring,
+// which must not be nil. Replication factor starts at 1 (home-only);
+// raise it with SetReplication.
 func NewFederation(self string, ring *Ring) *Federation {
 	return &Federation{self: self, ring: ring, rf: 1, peers: map[string]Peer{}}
 }
@@ -105,7 +102,7 @@ func NewFederation(self string, ring *Ring) *Federation {
 // Self reports this node's federation ID.
 func (f *Federation) Self() string { return f.self }
 
-// Ring exposes the current keyspace partition (nil in broadcast mode).
+// Ring exposes the current keyspace partition.
 func (f *Federation) Ring() *Ring {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -121,13 +118,10 @@ func (f *Federation) SetRing(r *Ring) {
 	f.mu.Unlock()
 }
 
-// RingVersion reports the current ring's version (0 in broadcast mode).
+// RingVersion reports the current ring's version.
 func (f *Federation) RingVersion() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.ring == nil {
-		return 0
-	}
 	return f.ring.Version()
 }
 
@@ -154,9 +148,6 @@ func (f *Federation) Replication() int {
 func (f *Federation) AddPeer(id string, p Peer) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.peers[id]; !ok {
-		f.order = append(f.order, id)
-	}
 	f.peers[id] = p
 }
 
@@ -165,35 +156,18 @@ func (f *Federation) AddPeer(id string, p Peer) {
 func (f *Federation) RemovePeer(id string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.peers[id]; !ok {
-		return
-	}
 	delete(f.peers, id)
-	for i, o := range f.order {
-		if o == id {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			break
-		}
-	}
 }
 
-// Peers lists the registered peer IDs in registration order.
+// Peers lists the registered peer IDs, in no particular order.
 func (f *Federation) Peers() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]string(nil), f.order...)
-}
-
-// Owner reports the home node of key: ring owner when partitioned, ""
-// (no single owner) in broadcast mode.
-func (f *Federation) Owner(key string) string {
-	f.mu.Lock()
-	ring := f.ring
-	f.mu.Unlock()
-	if ring == nil {
-		return ""
+	ids := make([]string, 0, len(f.peers))
+	for id := range f.peers {
+		ids = append(ids, id)
 	}
-	return ring.Owner(key)
+	return ids
 }
 
 // probeOrder lists the peers to consult for key, most promising first:
@@ -203,25 +177,22 @@ func (f *Federation) Owner(key string) string {
 func (f *Federation) probeOrder(key string) []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.ring != nil {
-		var order []string
-		for _, owner := range f.ring.OwnersFor(key, f.rf) {
-			if owner == f.self {
-				continue
-			}
-			if _, ok := f.peers[owner]; ok {
-				order = append(order, owner)
-			}
+	var order []string
+	for _, owner := range f.ring.OwnersFor(key, f.rf) {
+		if owner == f.self {
+			continue
 		}
-		return order
+		if _, ok := f.peers[owner]; ok {
+			order = append(order, owner)
+		}
 	}
-	return append([]string(nil), f.order...)
+	return order
 }
 
 // Lookup runs the peer phase of a cache miss: probe the key's owners in
-// successor order (or every peer in broadcast mode) and return the first
-// usable value, bounded by ctx — probes inherit the caller's deadline,
-// and a caller that departs mid-probe detaches from the coalesced round.
+// successor order and return the first usable value, bounded by ctx —
+// probes inherit the caller's deadline, and a caller that departs
+// mid-probe detaches from the coalesced round.
 // peer names who answered; cost accumulates over every hop taken, hit or
 // not. When a later replica hits after an earlier owner missed, the value
 // is pushed back to the owners that missed (read-repair), so a home
@@ -299,15 +270,12 @@ func (f *Federation) readRepair(missed []string, desc feature.Descriptor, value 
 // Publish routes a freshly computed result to the first rf owners of its
 // key so future lookups from any edge find it in one hop even when one
 // owner dies. This node is skipped (it already holds the value locally),
-// as are owners with no insert path. It is a no-op in broadcast mode.
-// Returns the peers published to, if any.
+// as are owners with no insert path. Returns the peers published to, if
+// any.
 func (f *Federation) Publish(desc feature.Descriptor, value []byte, cost float64) []string {
 	f.mu.Lock()
 	ring, rf := f.ring, f.rf
 	f.mu.Unlock()
-	if ring == nil {
-		return nil
-	}
 	return f.publishTo(ring.OwnersFor(desc.Key(), rf), desc, value, cost)
 }
 

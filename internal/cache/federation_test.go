@@ -72,13 +72,25 @@ func TestFederationPartitionedProbesOnlyOwner(t *testing.T) {
 	}
 }
 
-func TestFederationBroadcastProbesInOrder(t *testing.T) {
-	fed := NewFederation("self", nil)
+func TestFederationReplicaProbesInOrder(t *testing.T) {
+	ring := NewRing([]string{"self", "first", "second"}, 0)
+	fed := NewFederation("self", ring)
+	fed.SetReplication(2)
 	miss, hit := &fakePeer{}, &fakePeer{value: []byte("v")}
 	fed.AddPeer("first", miss.peer())
 	fed.AddPeer("second", hit.peer())
 
-	d := descForTest(1)
+	// A key whose home misses and whose replica hits.
+	var d feature.Descriptor
+	for i := 0; ; i++ {
+		if i == 10000 {
+			t.Fatal("no key with owners [first second] in 10000 tries")
+		}
+		if owners := ring.OwnersFor(descForTest(i).Key(), 2); owners[0] == "first" && owners[1] == "second" {
+			d = descForTest(i)
+			break
+		}
+	}
 	v, _, peer, cost, ok := fed.Lookup(context.Background(), -1, 0, d.Key(), d)
 	if !ok || string(v) != "v" || peer != "second" {
 		t.Fatalf("lookup = %q from %q ok=%v", v, peer, ok)
@@ -117,13 +129,6 @@ func TestFederationPublishRoutesToOwner(t *testing.T) {
 	}
 	if got := fed.Stats().Published; got != 1 {
 		t.Fatalf("published = %d", got)
-	}
-
-	// Broadcast mode never publishes.
-	bfed := NewFederation("self", nil)
-	bfed.AddPeer("a", pa.peer())
-	if sent := bfed.Publish(remote, []byte("v"), 1); len(sent) != 0 {
-		t.Fatal("broadcast federation must not publish")
 	}
 }
 

@@ -97,9 +97,9 @@ func TestVirtualInflightModesOnEdge(t *testing.T) {
 	} {
 		edge := NewEdge(p, WithInflightMode(tc.mode))
 		insertAt := epoch
-		edge.InsertAtAs(1, desc, value, 1, insertAt)
+		edge.insertAtAs(1, DefaultTenant, desc, value, 1, insertAt)
 		// Look up halfway through the insert's completion window.
-		lr := edge.LookupAtAs(context.Background(), 2, wire.TaskPano, desc, insertAt.Add(p.EdgeInsertTime/2))
+		lr := edge.lookupAtAs(context.Background(), 2, DefaultTenant, wire.TaskPano, desc, insertAt.Add(p.EdgeInsertTime/2))
 		if lr.Hit() != tc.wantHit {
 			t.Fatalf("%s: hit = %v, want %v", tc.mode, lr.Hit(), tc.wantHit)
 		}
@@ -110,7 +110,7 @@ func TestVirtualInflightModesOnEdge(t *testing.T) {
 			t.Fatalf("%s: wait = %v, want wait>0 == %v", tc.mode, lr.Wait, tc.wantWait)
 		}
 		// Once the window has matured, every mode serves a plain hit.
-		lr = edge.LookupAtAs(context.Background(), 3, wire.TaskPano, desc, insertAt.Add(2*p.EdgeInsertTime))
+		lr = edge.lookupAtAs(context.Background(), 3, DefaultTenant, wire.TaskPano, desc, insertAt.Add(2*p.EdgeInsertTime))
 		if !lr.Hit() || lr.Coalesced || lr.Wait != 0 {
 			t.Fatalf("%s: matured lookup = %+v, want plain hit", tc.mode, lr)
 		}

@@ -205,18 +205,24 @@ func TestCooperativeEdgePeering(t *testing.T) {
 	cloud := NewCloud(p)
 	edgeA := NewEdge(p)
 	edgeB := NewEdge(p)
-	edgeB.Peer(edgeA)
+	Federate([]*Edge{edgeA, edgeB}, FederationConfig{Replicate: true})
 	topoA := netsim.NewTopology(testCond, p.Seed)
 	topoB := netsim.NewTopology(testCond, p.Seed+1)
+	// A model homed at edge A: A keeps it without publishing, so B can
+	// find it only by probing its home.
+	model := modelOwnedBy(t, cloud, 2, 0)
 
 	// User at edge A warms A's cache.
 	sessA := NewSession(NewClient(1, p), edgeA, cloud, topoA)
-	if _, _, err := sessA.Do(context.Background(), epoch, RenderTask(AnnotationModelID("dog")), ModeCoIC); err != nil {
+	if _, _, err := sessA.Do(context.Background(), epoch, RenderTask(model), ModeCoIC); err != nil {
 		t.Fatal(err)
+	}
+	if st := edgeB.Stats(); st.Inserts != 0 {
+		t.Fatalf("edge B holds %d entries before its first request", st.Inserts)
 	}
 	// User at edge B: local miss, peer hit.
 	sessB := NewSession(NewClient(2, p), edgeB, cloud, topoB)
-	b, _, err := sessB.Do(context.Background(), epoch.Add(time.Second), RenderTask(AnnotationModelID("dog")), ModeCoIC)
+	b, _, err := sessB.Do(context.Background(), epoch.Add(time.Second), RenderTask(model), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +233,7 @@ func TestCooperativeEdgePeering(t *testing.T) {
 		t.Fatalf("peer hits = %d", st.PeerHits)
 	}
 	// The peer hit is adopted locally: next lookup hits edge B directly.
-	b2, _, err := sessB.Do(context.Background(), epoch.Add(2*time.Second), RenderTask(AnnotationModelID("dog")), ModeCoIC)
+	b2, _, err := sessB.Do(context.Background(), epoch.Add(2*time.Second), RenderTask(model), ModeCoIC)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 // by feature descriptor and either answers requests from it or forwards
 // them to the cloud. One Edge serves many clients; cooperation across
 // users falls out of the shared cache, and cooperation across edges is
-// the optional peer list.
+// the optional federation (Federate, EdgeServer.SetupFederation).
 type Edge struct {
 	Params Params
 	Cache  *cache.SimilarityCache
@@ -29,9 +28,9 @@ type Edge struct {
 	// sees their own cached results. 0 or 1 disables the gate.
 	PrivacyK int
 
-	// inflight coalesces concurrent wall-clock misses on the same (or
-	// similar) descriptor into one upstream fetch; the TCP EdgeServer
-	// resolves every miss through it.
+	// inflight coalesces concurrent misses on the same (or similar)
+	// descriptor into one upstream fetch; every CoIC miss, over TCP and
+	// in virtual time, resolves through it (see serve).
 	inflight *cache.InflightTable
 	// inflightMode governs how *virtual-time* lookups treat entries whose
 	// producing fetch has not yet completed at the lookup instant.
@@ -40,7 +39,6 @@ type Edge struct {
 	mu        sync.Mutex
 	fed       *cache.Federation
 	replicate bool
-	peerSeq   int
 	stats     EdgeStats
 	// readyAt records, per store key, the virtual instant the fetch that
 	// inserted it completed. Only consulted when inflightMode is not
@@ -205,32 +203,6 @@ func NewEdge(p Params, opts ...EdgeOption) *Edge {
 	return e
 }
 
-// Peer registers other edges for broadcast cooperative lookup: on a local
-// miss every peer is probed in registration order, at a flat
-// EdgeLookupTime per hop (no modelled peer network). Peering is symmetric
-// only if both sides call Peer. This is the seed reproduction's
-// cooperation mode; federations built by Federate replace it with
-// consistent-hash routing over modelled edge↔edge links.
-func (e *Edge) Peer(others ...*Edge) {
-	e.mu.Lock()
-	if e.fed == nil {
-		e.fed = cache.NewFederation("", nil)
-	}
-	fed := e.fed
-	seq := e.peerSeq
-	e.peerSeq += len(others)
-	e.mu.Unlock()
-	for i, p := range others {
-		p := p
-		fed.AddPeer(fmt.Sprintf("peer-%d", seq+i), cache.Peer{
-			Probe: func(_ context.Context, requester int, task uint8, desc feature.Descriptor) ([]byte, cache.LookupResult, time.Duration) {
-				v, res := p.PeerProbe(requester, desc)
-				return v, res, p.Params.EdgeLookupTime
-			},
-		})
-	}
-}
-
 // SetFederation attaches a federation view built by Federate (virtual
 // time) or an EdgeServer (TCP). replicate controls whether peer hits are
 // adopted into the local cache so the next local request hits directly.
@@ -254,10 +226,6 @@ type LookupResult struct {
 	Outcome cache.Outcome
 	// Distance is the descriptor distance on similar hits.
 	Distance float64
-	// FromPeer is set when a peer edge supplied the value.
-	FromPeer bool
-	// Peer names the federated edge that answered (empty otherwise).
-	Peer string
 	// Cost is the total virtual edge processing time consumed, peer hops
 	// included.
 	Cost time.Duration
@@ -290,23 +258,16 @@ func (e *Edge) LookupTenant(ctx context.Context, tenant string, task wire.Task, 
 // privacy gate treats every anonymous request as a fresh stranger.
 const anonymousUser = -1
 
-// LookupAtAs is the virtual-time lookup under the default tenant; see
-// lookupAtAs for the full semantics.
-func (e *Edge) LookupAtAs(ctx context.Context, user int, task wire.Task, desc feature.Descriptor, now time.Time) LookupResult {
-	return e.lookupAtAs(ctx, user, DefaultTenant, task, desc, now)
-}
-
 // lookupAtAs queries the local cache for user at virtual instant now,
-// then the federation: the key's home edge under consistent-hash routing,
-// or every peer in order under broadcast cooperation. A peer hit is (by
-// default) copied into the local cache so the next local request hits
-// directly — the cooperative sharing of the paper's title. When PrivacyK
-// is set, results contributed by fewer than K distinct users are withheld
-// from strangers. A non-zero now engages the virtual in-flight policy
-// (see InflightMode); a zero now behaves as InflightInstant. ctx bounds
-// the federation probe phase: TCP peers honour its deadline and
-// cancellation, virtual-time probes ignore it. tenant names whose cache
-// ledger the query is accounted to.
+// then the federation: the key's ring owners in successor order. A peer
+// hit is (by default) copied into the local cache so the next local
+// request hits directly — the cooperative sharing of the paper's title.
+// When PrivacyK is set, results contributed by fewer than K distinct
+// users are withheld from strangers. A non-zero now engages the virtual
+// in-flight policy (see InflightMode); a zero now behaves as
+// InflightInstant. ctx bounds the federation probe phase: TCP peers
+// honour its deadline and cancellation, virtual-time probes ignore it.
+// tenant names whose cache ledger the query is accounted to.
 func (e *Edge) lookupAtAs(ctx context.Context, user int, tenant string, task wire.Task, desc feature.Descriptor, now time.Time) LookupResult {
 	e.mu.Lock()
 	e.stats.Lookups[task]++
@@ -346,7 +307,7 @@ func (e *Edge) lookupAtAs(ctx context.Context, user int, tenant string, task wir
 	}
 	var peerCost time.Duration
 	if fed != nil {
-		v, res, peer, pc, ok := fed.Lookup(ctx, user, uint8(task), desc.Key(), desc)
+		v, res, _, pc, ok := fed.Lookup(ctx, user, uint8(task), desc.Key(), desc)
 		peerCost = pc
 		cost += peerCost
 		if ok {
@@ -363,10 +324,7 @@ func (e *Edge) lookupAtAs(ctx context.Context, user int, tenant string, task wir
 				e.stats.Similar[task]++
 			}
 			e.mu.Unlock()
-			return LookupResult{
-				Value: v, Outcome: res.Outcome, Distance: res.Distance,
-				FromPeer: true, Peer: peer, Cost: cost, PeerCost: peerCost,
-			}
+			return LookupResult{Value: v, Outcome: res.Outcome, Distance: res.Distance, Cost: cost, PeerCost: peerCost}
 		}
 	}
 	e.mu.Lock()
@@ -395,10 +353,92 @@ func (e *Edge) virtualPending(key string, now time.Time) (time.Duration, bool) {
 	return ready.Sub(now), true
 }
 
-// Inflight is the wall-clock miss-coalescing table: the TCP EdgeServer
-// resolves every cache miss through it so concurrent misses on the same
-// (or similar) descriptor trigger exactly one upstream fetch.
+// Inflight is the miss-coalescing table every CoIC miss resolves
+// through, so concurrent misses on the same (or similar) descriptor
+// trigger exactly one upstream fetch. A serial virtual-time replay is
+// the leader of every flight.
 func (e *Edge) Inflight() *cache.InflightTable { return e.inflight }
+
+// cloudHop is how an edge reaches the cloud for a request its cache does
+// not answer: EdgeServer sends it up the multiplexed TCP link and checks
+// the reply, a Session's virtualHop charges the netsim links around the
+// cloud's compute.
+type cloudHop interface {
+	// cloudFetch returns the payload the cloud computed for msg, the cost
+	// hint a cache entry of it is weighed by, and the virtual instant it
+	// is back at the edge (zero over TCP). leave is the virtual instant
+	// the request leaves the edge (TCP ignores it); tenant is whose
+	// upstream share the round trip is charged to.
+	cloudFetch(ctx context.Context, tenant string, msg wire.Message, leave time.Time) (payload []byte, costHint float64, back time.Time, err error)
+}
+
+// edgeQuery is one request as the edge's cache-or-fetch decision sees it.
+type edgeQuery struct {
+	msg    wire.Message // the request, as sent to the cloud
+	mode   Mode
+	task   wire.Task
+	desc   feature.Descriptor // what the cache is asked for
+	user   int                // the privacy gate's identity (anonymousUser over TCP)
+	tenant string             // whose cache ledger and upstream share it is charged to
+	at     time.Time          // virtual instant it reaches the edge (zero over TCP)
+}
+
+// serve is CoIC's one decision at the edge, for both clocks: look the
+// descriptor up — the local cache, then its ring owners — and on a miss
+// fetch it through hop, coalesced with every concurrent miss on the same
+// (or a similar) descriptor, inserting the result on the way back. It
+// returns the payload, the tier that supplied it and the lookup. In
+// origin mode the request goes straight through hop, with no lookup
+// (the zero LookupResult), no insert and no coalescing: origin requests
+// carry no meaningful descriptor, and each one must reach the cloud. obs
+// (nil in virtual time) times the cache_lookup and cloud_fetch stages.
+func (e *Edge) serve(ctx context.Context, q edgeQuery, obs *ServerObs, hop cloudHop) ([]byte, uint8, LookupResult, error) {
+	var lr LookupResult
+	if q.mode == ModeCoIC {
+		start := time.Now()
+		lr = e.lookupAtAs(ctx, q.user, q.tenant, q.task, q.desc, q.at)
+		obs.observeCacheLookup(time.Since(start))
+		if lr.Hit() {
+			return lr.Value, wire.SourceEdge, lr, nil
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, wire.SourceCloud, lr, err
+	}
+	start := time.Now()
+	payload, source, err := e.fetch(ctx, q, hop, q.at.Add(lr.Cost))
+	obs.observeCloudFetch(time.Since(start))
+	return payload, source, lr, err
+}
+
+// fetch sends a request the cache did not answer to the cloud through
+// hop: an origin request directly, a CoIC miss through the in-flight
+// table. The flight's leader runs hop under the flight context — it
+// survives any one waiter's departure and aborts when the last one is
+// gone — and inserts the result on behalf of its own tenant: the fetch
+// was charged to that tenant's upstream share, so the resident bytes
+// land on its cache share too. The leader reports SourceCloud; waiters
+// that joined its flight report SourceEdge (the edge held the result for
+// them). A failed fetch fails every waiter and leaves the descriptor
+// clean for the next attempt. It is apart from serve so that the closure
+// is built on misses only.
+func (e *Edge) fetch(ctx context.Context, q edgeQuery, hop cloudHop, leave time.Time) ([]byte, uint8, error) {
+	if q.mode != ModeCoIC {
+		payload, _, _, err := hop.cloudFetch(ctx, q.tenant, q.msg, leave)
+		return payload, wire.SourceCloud, err
+	}
+	val, leader, err := e.inflight.Do(ctx, q.desc, func(fctx context.Context) ([]byte, error) {
+		payload, costHint, back, err := hop.cloudFetch(fctx, q.tenant, q.msg, leave)
+		if err == nil {
+			e.insertAtAs(q.user, q.tenant, q.desc, payload, costHint, back)
+		}
+		return payload, err
+	})
+	if !leader {
+		return val, wire.SourceEdge, err
+	}
+	return val, wire.SourceCloud, err
+}
 
 // PeerProbe is the lookup a federated peer performs on this edge's
 // behalf: local cache only — never this edge's own peers, never the
@@ -461,28 +501,11 @@ func (e *Edge) shareAllowed(user int, key string) bool {
 	return allowed
 }
 
-// Insert stores a task result anonymously under the default tenant.
-func (e *Edge) Insert(desc feature.Descriptor, value []byte, costHint float64) time.Duration {
-	return e.InsertAs(anonymousUser, desc, value, costHint)
-}
-
 // InsertTenant stores a task result charged against tenant's cache byte
 // share; a tenant at its cap serves the value through uncached (the
 // insert is silently skipped, like any other best-effort insert failure).
 func (e *Edge) InsertTenant(tenant string, desc feature.Descriptor, value []byte, costHint float64) time.Duration {
 	return e.insertAtAs(anonymousUser, tenant, desc, value, costHint, time.Time{})
-}
-
-// InsertAs stores a task result with no virtual timestamp (wall-clock
-// callers; the entry is immediately visible).
-func (e *Edge) InsertAs(user int, desc feature.Descriptor, value []byte, costHint float64) time.Duration {
-	return e.InsertAtAs(user, desc, value, costHint, time.Time{})
-}
-
-// InsertAtAs is the virtual-time insert under the default tenant; see
-// insertAtAs.
-func (e *Edge) InsertAtAs(user int, desc feature.Descriptor, value []byte, costHint float64, at time.Time) time.Duration {
-	return e.insertAtAs(user, DefaultTenant, desc, value, costHint, at)
 }
 
 // insertAtAs stores a task result under its descriptor on behalf of user,

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/edge-immersion/coic/internal/feature"
 	"github.com/edge-immersion/coic/internal/scene"
 	"github.com/edge-immersion/coic/internal/wire"
 )
@@ -144,13 +143,9 @@ func fetchErrorReply(reqID uint64, err error) wire.Message {
 	return errorReply(reqID, wire.CodeUnavailable, "cloud: %v", err)
 }
 
-// cacheOrFetch is CoIC's one decision at the edge, for every cacheable
-// request kind: decode what the request asks the cache for, look it up,
-// and on a miss fetch it from the cloud — coalesced with every concurrent
-// miss on the same (or similar) descriptor — inserting the result on the
-// way back. In origin mode the request is forwarded as is: a plain
-// upstream round trip with no cache interaction and no coalescing (origin
-// requests carry no meaningful descriptor to coalesce on).
+// cacheOrFetch answers every cacheable request kind: decode what the
+// request asks the cache for, then run the edge's one cache-or-fetch
+// decision (Edge.serve) with the upstream link as the way to the cloud.
 func (s *EdgeServer) cacheOrFetch(ctx context.Context, k *taskKind, msg wire.Message, mode Mode, tenant string) wire.Message {
 	decodeStart := time.Now()
 	task, desc, err := k.key(msg.Body)
@@ -158,72 +153,42 @@ func (s *EdgeServer) cacheOrFetch(ctx context.Context, k *taskKind, msg wire.Mes
 	if err != nil {
 		return errorReply(msg.RequestID, wire.CodeBadRequest, "bad %s: %v", k.name, err)
 	}
-	if mode != ModeCoIC {
-		reply, err := s.roundTripCloud(ctx, tenant, msg)
-		if err != nil {
-			return fetchErrorReply(msg.RequestID, err)
-		}
-		reply.RequestID = msg.RequestID
-		return reply
-	}
-	lookupStart := time.Now()
-	lr := s.Edge.LookupTenant(ctx, tenant, task, desc)
-	s.Obs.observeCacheLookup(time.Since(lookupStart))
-	payload, source := lr.Value, wire.SourceEdge
-	if !lr.Hit() {
-		payload, source, err = s.fetchCoalesced(ctx, tenant, desc, msg, k)
-		if err != nil {
-			return fetchErrorReply(msg.RequestID, err)
-		}
+	q := edgeQuery{msg: msg, mode: mode, task: task, desc: desc, user: anonymousUser, tenant: tenant}
+	payload, source, _, err := s.Edge.serve(ctx, q, s.Obs, s)
+	if err != nil {
+		return fetchErrorReply(msg.RequestID, err)
 	}
 	return k.replyWith(msg.RequestID, source, payload)
 }
 
-// fetchCoalesced resolves a cache miss: concurrent misses on the same (or
-// similar, for vector descriptors) descriptor share one cloud round trip
-// through the edge's in-flight table. The leader inserts the result into
-// the cache and reports SourceCloud; waiters that joined its flight
-// report SourceEdge (the edge held the result for them). A failed fetch
-// propagates its error to every waiter and leaves the descriptor clean
-// for the next attempt. The fetch runs under the flight context: it
-// survives any individual waiter's departure (ctx here only detaches the
-// caller) and aborts — withdrawing the upstream round trip — when the
-// last waiter is gone.
-func (s *EdgeServer) fetchCoalesced(ctx context.Context, tenant string, desc feature.Descriptor, msg wire.Message, k *taskKind) ([]byte, uint8, error) {
-	start := time.Now()
-	defer func() { s.Obs.observeCloudFetch(time.Since(start)) }()
-	val, leader, err := s.Edge.Inflight().Do(ctx, desc, func(fctx context.Context) ([]byte, error) {
-		reply, err := s.roundTripCloud(fctx, tenant, msg)
-		if err != nil {
-			if isCanceled(err) {
-				return nil, err
-			}
-			return nil, &edgeError{code: wire.CodeUnavailable, msg: fmt.Sprintf("cloud: %v", err)}
+// cloudFetch is the edge's TCP hop to the cloud: one round trip on the
+// upstream link, its reply checked against the request's kind and its
+// payload unpacked. A failure other than a cancellation is an edgeError
+// carrying the code the client is answered with. The cost hint is 1:
+// wall-clock fetches are not weighed by cost.
+func (s *EdgeServer) cloudFetch(ctx context.Context, tenant string, msg wire.Message, _ time.Time) ([]byte, float64, time.Time, error) {
+	k := kindOf(msg.Type)
+	reply, err := s.roundTripCloud(ctx, tenant, msg)
+	if err != nil {
+		if isCanceled(err) {
+			return nil, 0, time.Time{}, err
 		}
-		if reply.Type == wire.MsgError {
-			if er, uerr := wire.UnmarshalErrorReply(reply.Body); uerr == nil {
-				return nil, &edgeError{code: er.Code, msg: er.Msg}
-			}
-			return nil, &edgeError{code: wire.CodeInternal, msg: "malformed cloud error reply"}
-		}
-		if reply.Type != k.reply {
-			return nil, &edgeError{code: wire.CodeInternal, msg: fmt.Sprintf("cloud replied %v, want %v", reply.Type, k.reply)}
-		}
-		data, _, err := k.unpack(reply.Body)
-		if err != nil {
-			return nil, &edgeError{code: wire.CodeInternal, msg: fmt.Sprintf("corrupt cloud reply: %v", err)}
-		}
-		// The flight's leader inserts on behalf of its own tenant: the
-		// fetch was charged to that tenant's quota, so the resident bytes
-		// land on its cache share too.
-		s.Edge.InsertTenant(tenant, desc, data, 1)
-		return data, nil
-	})
-	src := wire.SourceCloud
-	if !leader {
-		src = wire.SourceEdge
+		return nil, 0, time.Time{}, &edgeError{code: wire.CodeUnavailable, msg: fmt.Sprintf("cloud: %v", err)}
 	}
-	return val, src, err
+	if reply.Type == wire.MsgError {
+		if er, uerr := wire.UnmarshalErrorReply(reply.Body); uerr == nil {
+			return nil, 0, time.Time{}, &edgeError{code: er.Code, msg: er.Msg}
+		}
+		return nil, 0, time.Time{}, &edgeError{code: wire.CodeInternal, msg: "malformed cloud error reply"}
+	}
+	if reply.Type != k.reply {
+		return nil, 0, time.Time{}, &edgeError{code: wire.CodeInternal, msg: fmt.Sprintf("cloud replied %v, want %v", reply.Type, k.reply)}
+	}
+	data, _, err := k.unpack(reply.Body)
+	if err != nil {
+		return nil, 0, time.Time{}, &edgeError{code: wire.CodeInternal, msg: fmt.Sprintf("corrupt cloud reply: %v", err)}
+	}
+	return data, 1, time.Time{}, nil
 }
 
 func (s *EdgeServer) dispatch(ctx context.Context, msg wire.Message, mode Mode, tenant string) wire.Message {

@@ -194,9 +194,8 @@ func FederationPoint(p Params, cond netsim.Condition, events []trace.Event, n in
 	f := newFleet(p, cond, n)
 	if federated {
 		Federate(f.edges, FederationConfig{
-			Mesh:        netsim.NewMesh(n, netsim.DefaultPeerCondition(), p.Seed),
-			Partitioned: true,
-			Replicate:   true,
+			Mesh:      netsim.NewMesh(n, netsim.DefaultPeerCondition(), p.Seed),
+			Replicate: true,
 		})
 	}
 	res := f.replay(events, ModeCoIC, func(ev trace.Event) int {

@@ -15,8 +15,8 @@ import (
 // the descriptor keyspace via consistent hashing, probe the key's home
 // edge on a local miss (one cheap edge↔edge hop, modelled on a netsim
 // Mesh), publish freshly computed results to the home, and optionally
-// replicate peer hits locally. The TCP counterpart lives in serve.go —
-// both drive the same cache.Federation routing policy.
+// replicate peer hits locally. The TCP counterpart lives in upstream.go
+// — both drive the same cache.Federation routing policy.
 
 // FederationConfig shapes a virtual-time federation.
 type FederationConfig struct {
@@ -24,10 +24,6 @@ type FederationConfig struct {
 	// EdgeLookupTime per hop (free network — useful for isolating cache
 	// effects from transport).
 	Mesh *netsim.Mesh
-	// Partitioned enables consistent-hash keyspace routing: lookups probe
-	// only the key's home edge and inserts are published there. False
-	// falls back to broadcast cooperation (probe every peer in order).
-	Partitioned bool
 	// Replicate adopts peer hits into the probing edge's local cache.
 	Replicate bool
 	// Vnodes tunes ring smoothness (cache.DefaultVnodes when <= 0).
@@ -48,14 +44,11 @@ func Federate(edges []*Edge, cfg FederationConfig) {
 	if cfg.Mesh != nil && cfg.Mesh.Size() < len(edges) {
 		panic(fmt.Sprintf("core: mesh spans %d edges, federation needs %d", cfg.Mesh.Size(), len(edges)))
 	}
-	var ring *cache.Ring
-	if cfg.Partitioned {
-		ids := make([]string, len(edges))
-		for i := range edges {
-			ids[i] = EdgeID(i)
-		}
-		ring = cache.NewRing(ids, cfg.Vnodes)
+	ids := make([]string, len(edges))
+	for i := range edges {
+		ids[i] = EdgeID(i)
 	}
+	ring := cache.NewRing(ids, cfg.Vnodes)
 	for i, e := range edges {
 		fed := cache.NewFederation(EdgeID(i), ring)
 		for j, p := range edges {

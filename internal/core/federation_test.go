@@ -23,9 +23,8 @@ func fedRig(t *testing.T, p Params, n int) ([]*Session, []*Edge, *Cloud) {
 		edges[i] = NewEdge(p)
 	}
 	Federate(edges, FederationConfig{
-		Mesh:        netsim.NewMesh(n, netsim.DefaultPeerCondition(), p.Seed),
-		Partitioned: true,
-		Replicate:   true,
+		Mesh:      netsim.NewMesh(n, netsim.DefaultPeerCondition(), p.Seed),
+		Replicate: true,
 	})
 	for i := range edges {
 		topo := netsim.NewTopology(netsim.Condition{Name: "200/20", MobileEdge: 200, EdgeCloud: 20}, p.Seed+uint64(i))

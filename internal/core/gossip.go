@@ -217,7 +217,7 @@ func (s *EdgeServer) Decommission() int {
 }
 
 // RingVersion reports the version of the federation's consistent-hash
-// ring (0 when standalone or on the legacy broadcast topology). Under
+// ring (0 when standalone). Under
 // gossip it equals the view epoch of the last rebuild and is node-local:
 // versions grow monotonically on each edge but need not match across the
 // fleet — ring contents are what converge.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/edge-immersion/coic/internal/netsim"
+	"github.com/edge-immersion/coic/internal/obs"
 	"github.com/edge-immersion/coic/internal/pano"
 	"github.com/edge-immersion/coic/internal/vision"
 	"github.com/edge-immersion/coic/internal/wire"
@@ -431,12 +432,15 @@ func TestTCPHungCloudFailsCoalescedGroup(t *testing.T) {
 }
 
 // TestTCPOriginModeStillForwards covers the origin passthrough — no cache
-// reads, no coalescing, plain forwarding — and that a later hello switches
-// the same connection's mode in either direction, while a hello naming an
-// unknown mode is refused and changes nothing.
+// reads, no coalescing, every request to the cloud, each round trip timed
+// as cloud_fetch and its reply checked like a miss's — and that a later
+// hello switches the same connection's mode in either direction, while a
+// hello naming an unknown mode is refused and changes nothing.
 func TestTCPOriginModeStillForwards(t *testing.T) {
 	p := testParams()
-	addr, es, stop := startSlowStack(t, p, 0, nil)
+	addr, es, stop := startSlowStack(t, p, 0, func(es *EdgeServer) {
+		es.Obs = NewServerObs(obs.NewRegistry(), nil)
+	})
 	defer stop()
 
 	conn := rawEdgeConn(t, addr, ModeOrigin)
@@ -508,6 +512,34 @@ func TestTCPOriginModeStillForwards(t *testing.T) {
 		t.Fatalf("switch back to origin answered %v", ack.Type)
 	}
 	expect("origin once more", fetch(), wire.SourceCloud, 4)
+	if got := es.Obs.cloudFetch.Count(); got != es.CloudFetches() {
+		t.Errorf("cloud_fetch stage observed %d round trips, the edge made %d", got, es.CloudFetches())
+	}
+
+	// A cloud that answers a pano fetch with an exec reply: the origin
+	// path must refuse the reply, not hand it to the client.
+	wrong := startFakeEnd(t, func(msg wire.Message, reply func(wire.Message)) {
+		body, _ := (wire.ExecReply{Source: wire.SourceCloud}).Marshal()
+		reply(wire.Message{Type: wire.MsgExecReply, RequestID: msg.RequestID, Body: body})
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go (&EdgeServer{Edge: NewEdge(p), CloudAddr: wrong.addr}).Serve(ln)
+	conn2 := rawEdgeConn(t, ln.Addr().String(), ModeOrigin)
+	defer conn2.Close()
+	if err := wire.WriteMessage(conn2, panoFetchMsg(t, 2, "origin-video", 5)); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := wire.ReadMessage(conn2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if er, err := wire.UnmarshalErrorReply(reply.Body); reply.Type != wire.MsgError || err != nil || er.Code != wire.CodeInternal {
+		t.Fatalf("wrong-typed cloud reply reached the origin client as %v %+v (%v), want CodeInternal", reply.Type, er, err)
+	}
 }
 
 // waitFor polls cond until it holds or the deadline passes.

@@ -275,7 +275,7 @@ func TestTCPCloudUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge.Insert(ModelDescriptor(id), data, 1)
+	edge.InsertTenant(DefaultTenant, ModelDescriptor(id), data, 1)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

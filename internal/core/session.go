@@ -41,74 +41,74 @@ func (s *Session) nextID() uint64 {
 var originDescriptor = feature.NewHash([]byte("origin"))
 
 // fetch carries one request of kind k from the client to the edge and its
-// result back, in virtual time — the counterpart of
-// EdgeServer.cacheOrFetch, stage for stage. body is the marshalled
-// request and desc its cache descriptor. b (whose Task and Mode are set)
-// accumulates the breakdown from instant t; fetch returns the result
-// payload and the instant the reply reaches the client. A ctx that
-// expires before the cloud round trip abandons the request instead of
-// paying for work nobody will read.
+// result back, in virtual time: the mobile links either side of the
+// edge's one cache-or-fetch decision (Edge.serve, which EdgeServer runs
+// over TCP), with a virtualHop as its way to the cloud. body is the
+// marshalled request and desc its cache descriptor. b (whose Task and
+// Mode are set) accumulates the breakdown from instant t; fetch returns
+// the result payload and the instant the reply reaches the client. A ctx
+// that expires before the cloud round trip abandons the request instead
+// of paying for work nobody will read.
 func (s *Session) fetch(ctx context.Context, b *Breakdown, t time.Time, k *taskKind, desc feature.Descriptor, body []byte) ([]byte, time.Time, error) {
-	replySize := func(source uint8, payload []byte) int {
-		return k.replyWith(0, source, payload).WireSize()
-	}
-	upSize := (wire.Message{Type: k.request, RequestID: s.nextID(), Body: body}).WireSize()
-	b.BytesUp = upSize
-
-	tEdge := s.Topo.MobileEdge.Up.Transfer(t, upSize)
+	msg := wire.Message{Type: k.request, RequestID: s.nextID(), Body: body}
+	b.BytesUp = msg.WireSize()
+	tEdge := s.Topo.MobileEdge.Up.Transfer(t, b.BytesUp)
 	b.UpME = tEdge.Sub(t)
 	t = tEdge
 
-	var payload []byte
-	source := wire.SourceCloud
-	if b.Mode == ModeCoIC {
-		lr := s.Edge.LookupAtAs(ctx, s.Client.ID, b.Task, desc, t)
-		b.EdgeProc += lr.Cost - lr.PeerCost
-		b.PeerHop += lr.PeerCost
-		b.Wait += lr.Wait
-		t = t.Add(lr.Cost + lr.Wait)
-		if lr.Hit() {
-			b.Outcome = lr.Outcome
-			b.Coalesced = lr.Coalesced
-			payload = lr.Value
-			source = wire.SourceEdge
-		}
+	hop := &virtualHop{s: s, k: k}
+	q := edgeQuery{msg: msg, mode: b.Mode, task: b.Task, desc: desc, user: s.Client.ID, tenant: DefaultTenant, at: t}
+	payload, source, lr, err := s.Edge.serve(ctx, q, nil, hop)
+	b.EdgeProc += lr.Cost - lr.PeerCost
+	b.PeerHop += lr.PeerCost
+	b.Wait += lr.Wait
+	t = t.Add(lr.Cost + lr.Wait)
+	if err != nil {
+		return nil, t, err
 	}
-
-	if payload == nil { // miss or origin: forward the request to the cloud
-		if err := ctx.Err(); err != nil {
-			return nil, t, err
-		}
-		tCloud := s.Topo.EdgeCloud.Up.Transfer(t, upSize)
-		b.UpEC = tCloud.Sub(t)
-		t = tCloud
-
-		data, cloudCost, _, err := k.compute(s.Cloud, nil, body)
-		if err != nil {
-			return nil, t, err
-		}
-		b.Cloud = cloudCost
-		t = t.Add(cloudCost)
-		payload = data
-
-		tBack := s.Topo.EdgeCloud.Down.Transfer(t, replySize(wire.SourceCloud, payload))
-		b.DownEC = tBack.Sub(t)
-		t = tBack
-
+	if source == wire.SourceEdge { // a hit, or a join of a concurrent caller's flight
+		b.Outcome = lr.Outcome
+		b.Coalesced = lr.Coalesced
+	} else {
+		b.UpEC, b.Cloud, b.DownEC = hop.up, hop.cloud, hop.down
+		t = hop.back
 		if b.Mode == ModeCoIC {
-			// The edge caches what the cloud computed (for a model, its
+			// The edge cached what the cloud computed (for a model, its
 			// loaded form): the next user skips both the WAN hop and the
 			// cloud-side work.
-			insertCost := s.Edge.InsertAtAs(s.Client.ID, desc, payload, cloudCost.Seconds()*1000, t)
-			b.EdgeProc += insertCost
-			t = t.Add(insertCost)
+			b.EdgeProc += s.Edge.Params.EdgeInsertTime
+			t = t.Add(s.Edge.Params.EdgeInsertTime)
 		}
 	}
 
-	b.BytesDown = replySize(source, payload)
+	b.BytesDown = k.replyWith(0, source, payload).WireSize()
 	tClient := s.Topo.MobileEdge.Down.Transfer(t, b.BytesDown)
 	b.DownME = tClient.Sub(t)
 	return payload, tClient, nil
+}
+
+// virtualHop is a Session's way to the cloud for one request: the request
+// crosses the edge→cloud link, the cloud computes, the reply crosses
+// back, each leg charged in virtual time and kept for the breakdown.
+type virtualHop struct {
+	s               *Session
+	k               *taskKind
+	up, cloud, down time.Duration
+	back            time.Time // the reply is back at the edge
+}
+
+func (h *virtualHop) cloudFetch(_ context.Context, _ string, msg wire.Message, leave time.Time) ([]byte, float64, time.Time, error) {
+	tCloud := h.s.Topo.EdgeCloud.Up.Transfer(leave, msg.WireSize())
+	h.up = tCloud.Sub(leave)
+	payload, cost, _, err := h.k.compute(h.s.Cloud, nil, msg.Body)
+	if err != nil {
+		return nil, 0, time.Time{}, err
+	}
+	h.cloud = cost
+	t := tCloud.Add(cost)
+	h.back = h.s.Topo.EdgeCloud.Down.Transfer(t, h.k.replyWith(0, wire.SourceCloud, payload).WireSize())
+	h.down = h.back.Sub(t)
+	return payload, cost.Seconds() * 1000, h.back, nil
 }
 
 // Do executes one task end to end in virtual time — on-device build,

@@ -439,7 +439,7 @@ type ServerStats struct {
 	SceneMembers   int
 	ScenePublishes uint64
 	// RingVersion is the federation ring's node-local version (0 when
-	// standalone or broadcast); MembersAlive counts fleet members this
+	// standalone); MembersAlive counts fleet members this
 	// edge believes alive, itself included (a declared static federation
 	// reports its full ring; a standalone edge reports 1); MigratedKeys
 	// counts cached keys re-homed by migration sweeps and the
@@ -588,7 +588,7 @@ func (s *Server) Serve(ctx context.Context) error {
 		"Shared-scene writes applied and fanned out since start.",
 		func() float64 { _, _, publishes := srv.SceneStats(); return float64(publishes) })
 	s.reg.GaugeFunc("coic_ring_version",
-		"Version of the federation consistent-hash ring. Node-local and monotonic; 0 when standalone or on the broadcast topology.",
+		"Version of the federation consistent-hash ring. Node-local and monotonic; 0 when standalone.",
 		func() float64 { return float64(srv.RingVersion()) })
 	s.reg.GaugeFunc("coic_member_alive",
 		"Federation members this edge believes alive (itself included).",

@@ -76,8 +76,9 @@ type SystemStats struct {
 	Store StoreStats
 	// Queries are the logical lookup counters (hit ratio lives here).
 	Queries QueryStats
-	// Inflight counts wall-clock miss coalescing (TCP serving); virtual
-	// systems leave it zero.
+	// Inflight counts miss coalescing. Every miss is resolved through
+	// the in-flight table; a virtual system runs one request at a time,
+	// so each of its misses is a leader fetch and nothing coalesces.
 	Inflight InflightStats
 	// Federation counts peer cooperation; zero when standalone.
 	Federation FederationStats
