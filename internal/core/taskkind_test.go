@@ -190,7 +190,7 @@ func TestTCPAgreesWithVirtualTimeOnATrace(t *testing.T) {
 	p := testParams()
 	p.EdgeCacheBytes = 1 << 20
 	events, err := trace.Generate(trace.Config{
-		Users: 3, Cells: 2, Duration: 20 * time.Second, RatePerUser: 1,
+		Users: 3, Cells: 2, Duration: 12 * time.Second, RatePerUser: 1,
 		Objects: 24, ZipfAlpha: 0.8, Locality: 0.7, HotSetSize: 6,
 		TaskMix: trace.TaskMix{Recognize: 1, Render: 1, Pano: 1},
 		Seed:    p.Seed,
@@ -204,11 +204,12 @@ func TestTCPAgreesWithVirtualTimeOnATrace(t *testing.T) {
 	defer stop()
 	sessions := map[int]*Session{}
 	clients := map[int]*taskClient{}
+	trunk := NewClient(0, p).Trunk // every user's device runs the same weights
 	for _, ev := range events {
 		if sessions[ev.User] != nil {
 			continue
 		}
-		client := NewClient(ev.User, p)
+		client := &Client{ID: ev.User, Params: p, Trunk: trunk}
 		sessions[ev.User] = NewSession(client, edge, cloud, topo)
 		cli, err := dialEdge(addr, client, ModeCoIC, nil)
 		if err != nil {
