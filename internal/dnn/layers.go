@@ -72,7 +72,17 @@ func (c *Conv2D) FLOPs(in []int) int64 {
 		int64(c.InC) * int64(c.Kernel) * int64(c.Kernel) * 2
 }
 
-// Forward implements Layer with a direct (im2col-free) convolution.
+// Forward implements Layer with a direct (im2col-free) convolution that
+// accumulates whole output rows per kernel tap, four output channels at a
+// time so each input row is read once per block.
+//
+// The summation order is part of the contract: every output cell starts
+// at its bias and then adds its taps in ascending (ic, ky, kx) order
+// through one float32 value, skipping taps that fall in the padding
+// rather than multiplying them by zero. The result is therefore bit-
+// identical to the naive per-cell loop (kept as a test oracle), which the
+// virtual-time tables and cached descriptors rely on. It runs on the
+// calling goroutine only.
 func (c *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	shape := in.Shape()
 	if len(shape) != 3 || shape[0] != c.InC {
@@ -82,39 +92,120 @@ func (c *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	outShape := c.OutputShape(shape)
 	outH, outW := outShape[1], outShape[2]
 	out := tensor.New(c.OutC, outH, outW)
+	k, s := c.Kernel, c.Stride
+	plane, inPlane, wStep := outH*outW, inH*inW, c.InC*k*k
 
-	for oc := 0; oc < c.OutC; oc++ {
-		bias := c.B.Data[oc]
-		for oy := 0; oy < outH; oy++ {
-			iy0 := oy*c.Stride - c.Pad
-			for ox := 0; ox < outW; ox++ {
-				ix0 := ox*c.Stride - c.Pad
-				sum := bias
-				for ic := 0; ic < c.InC; ic++ {
-					// Weight base for (oc, ic).
-					wBase := ((oc*c.InC + ic) * c.Kernel) * c.Kernel
-					inBase := ic * inH * inW
-					for ky := 0; ky < c.Kernel; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= inH {
-							continue
-						}
-						rowW := c.W.Data[wBase+ky*c.Kernel : wBase+(ky+1)*c.Kernel]
-						rowIn := in.Data[inBase+iy*inW : inBase+(iy+1)*inW]
-						for kx := 0; kx < c.Kernel; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= inW {
-								continue
-							}
-							sum += rowW[kx] * rowIn[ix]
-						}
-					}
-				}
-				out.Data[(oc*outH+oy)*outW+ox] = sum
-			}
+	for oc, b := range c.B.Data[:c.OutC] {
+		dst := out.Data[oc*plane : (oc+1)*plane]
+		for i := range dst {
+			dst[i] = b
 		}
 	}
+	rows := tapRanges(outH, inH, k, s, c.Pad)
+	cols := tapRanges(outW, inW, k, s, c.Pad)
+	for oc := 0; oc < c.OutC; {
+		n := 4
+		if c.OutC-oc < 4 {
+			n = 1
+		}
+		o := out.Data[oc*plane:]
+		for ic := 0; ic < c.InC; ic++ {
+			src := in.Data[ic*inPlane : (ic+1)*inPlane]
+			for ky := 0; ky < k; ky++ {
+				for kx := 0; kx < k; kx++ {
+					if cols[kx][0] == cols[kx][1] {
+						continue // this tap reads only padding
+					}
+					g := tapSpan{
+						outW: outW, inW: inW, stride: s,
+						y0: rows[ky][0], y1: rows[ky][1], x0: cols[kx][0], x1: cols[kx][1],
+						off: (ky-c.Pad)*inW + kx - c.Pad,
+					}
+					wi := ((oc*c.InC+ic)*k+ky)*k + kx
+					if n == 1 {
+						addTap(o[:plane], c.W.Data[wi], src, g)
+						continue
+					}
+					addTap4(o[:plane], o[plane:2*plane], o[2*plane:3*plane], o[3*plane:4*plane],
+						c.W.Data[wi], c.W.Data[wi+wStep], c.W.Data[wi+2*wStep], c.W.Data[wi+3*wStep],
+						src, g)
+				}
+			}
+		}
+		oc += n
+	}
 	return out
+}
+
+// tapSpan is where one kernel tap lands: output rows [y0, y1) and
+// columns [x0, x1) read input index oy*stride*inW + ox*stride + off.
+type tapSpan struct {
+	outW, inW, stride int
+	y0, y1, x0, x1    int
+	off               int
+}
+
+// addTap adds w times each input value the tap reads to its output cell.
+func addTap(dst []float32, w float32, src []float32, g tapSpan) {
+	n := g.x1 - g.x0
+	for oy := g.y0; oy < g.y1; oy++ {
+		d := dst[oy*g.outW+g.x0:][:n]
+		x := src[oy*g.stride*g.inW+g.x0*g.stride+g.off:]
+		if g.stride == 1 {
+			x = x[:n]
+			for i, v := range x {
+				d[i] += w * v
+			}
+			continue
+		}
+		for i := range d {
+			d[i] += w * x[i*g.stride]
+		}
+	}
+}
+
+// addTap4 is addTap for four output planes sharing one input plane.
+func addTap4(d0, d1, d2, d3 []float32, w0, w1, w2, w3 float32, src []float32, g tapSpan) {
+	n := g.x1 - g.x0
+	for oy := g.y0; oy < g.y1; oy++ {
+		at := oy*g.outW + g.x0
+		r0, r1, r2, r3 := d0[at:][:n], d1[at:][:n], d2[at:][:n], d3[at:][:n]
+		x := src[oy*g.stride*g.inW+g.x0*g.stride+g.off:]
+		if g.stride == 1 {
+			x = x[:n]
+			for i, v := range x {
+				r0[i] += w0 * v
+				r1[i] += w1 * v
+				r2[i] += w2 * v
+				r3[i] += w3 * v
+			}
+			continue
+		}
+		for i := range r0 {
+			v := x[i*g.stride]
+			r0[i] += w0 * v
+			r1[i] += w1 * v
+			r2[i] += w2 * v
+			r3[i] += w3 * v
+		}
+	}
+}
+
+// tapRanges returns, for each kernel tap t, the output indices [lo, hi)
+// along one axis whose input index o*stride-pad+t lies inside [0, inN).
+func tapRanges(outN, inN, kernel, stride, pad int) [][2]int {
+	r := make([][2]int, kernel)
+	for t := range r {
+		lo, hi := 0, 0
+		if d := pad - t; d > 0 {
+			lo = (d + stride - 1) / stride
+		}
+		if d := inN - 1 + pad - t; d >= 0 {
+			hi = min(outN, d/stride+1)
+		}
+		r[t] = [2]int{lo, max(lo, hi)}
+	}
+	return r
 }
 
 // ReLU applies max(0, x) element-wise.
