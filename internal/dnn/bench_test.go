@@ -12,7 +12,7 @@ func benchInput(side int) *tensor.Tensor {
 	return in
 }
 
-// BenchmarkForward measures a full inference pass (the cloud's work).
+// BenchmarkForward measures a full inference pass, trunk plus head.
 func BenchmarkForward(b *testing.B) {
 	n := NewEdgeNet(testClasses, 64, 1)
 	in := benchInput(64)
@@ -22,14 +22,31 @@ func BenchmarkForward(b *testing.B) {
 	}
 }
 
-// BenchmarkTrunkFeatures measures descriptor extraction (the client's
-// work on every CoIC request).
+// BenchmarkTrunkFeatures measures descriptor extraction: the client's
+// work on every CoIC request and the cloud's on every recognition, since
+// Cloud.Recognize runs Net.Features.
 func BenchmarkTrunkFeatures(b *testing.B) {
 	n := NewEdgeNet(testClasses, 64, 1)
 	in := benchInput(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Features(in)
+	}
+}
+
+// BenchmarkConv2D measures each of EdgeNet's convolutions alone, on its
+// own weights and at the input shape it sees in a 64x64 pass.
+func BenchmarkConv2D(b *testing.B) {
+	n := NewEdgeNet(testClasses, 64, 1)
+	for i, side := range []int{64, 32, 16} { // pooling halves each block
+		c := n.Layers[3*i].(*Conv2D)
+		in := tensor.New(c.InC, side, side)
+		in.RandNormal(newTestRNG(), 1)
+		b.Run(c.LayerName, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.Forward(in)
+			}
+		})
 	}
 }
 
