@@ -11,10 +11,10 @@ import (
 // exec dispatchers. Batching is entirely server-local: the wire protocol
 // is untouched, clients see one reply per request, and replies keep their
 // per-request sequencing — a batch is just several queued jobs sharing
-// one worker's dispatch pass. Cloud-side that pass is a genuinely batched
-// DNN run (dnn.ForwardBatch: one blocked matmul per Dense layer, shared
-// passes for bit-identical activations); edge-side the members fan out
-// concurrently so identical descriptors collapse in the singleflight
+// one worker's dispatch pass. Cloud-side that pass is one batched trunk
+// run (dnn.FeaturesBatch): bit-identical frames share trunk passes and
+// distinct frames run the trunk independently; edge-side the members fan
+// out concurrently so identical descriptors collapse in the singleflight
 // table and the misses arrive at the cloud together — where they batch.
 //
 // Drain policy: a worker that pops a batchable job first takes every
@@ -32,8 +32,8 @@ type batchPlan struct {
 }
 
 // batchPlan returns the server's batching configuration: exec requests
-// batch (cloud-side into one ForwardBatch pass); model/pano fetches stay
-// serial.
+// batch (cloud-side into one FeaturesBatch trunk pass); model/pano
+// fetches stay serial.
 func (s *ServerCore) batchPlan() *batchPlan {
 	if s.Batch <= 1 {
 		return nil
@@ -105,7 +105,7 @@ func (s *CloudServer) runBatch(jobs []schedJob) []wire.Message {
 // runs no DNN, so the win is overlap — cache probes run together,
 // identical descriptors coalesce into one upstream fetch via the
 // inflight table, and distinct misses reach the cloud as one burst the
-// cloud-side batcher can drain into a single ForwardBatch pass.
+// cloud-side batcher can drain into a single FeaturesBatch pass.
 func (s *EdgeServer) runBatch(jobs []schedJob) []wire.Message {
 	replies := make([]wire.Message, len(jobs))
 	if len(jobs) == 1 {

@@ -180,7 +180,7 @@ func (c *Cloud) Recognize(payload []byte) ([]byte, time.Duration, error) {
 
 // RecognizeBatch executes recognition over a batch of raw frames in one
 // batched trunk pass (dnn.FeaturesBatch): bit-identical frames share
-// every layer, distinct frames share the blocked Dense kernels. Each
+// trunk passes, distinct frames run the trunk independently. Each
 // result is byte-identical to a serial Recognize of that payload; errs
 // is per-payload (one bad frame never fails its batchmates). The virtual
 // compute cost charges one full pass per *unique* payload — the batch
