@@ -3,6 +3,7 @@ package dnn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/edge-immersion/coic/internal/tensor"
@@ -61,8 +62,9 @@ type refConvLayer struct{ *Conv2D }
 
 func (r refConvLayer) Forward(in *tensor.Tensor) *tensor.Tensor { return refConv2D(r.Conv2D, in) }
 
-// sameBits reports the first index where a and b differ in float32 bits,
-// or -1 when they are bit-identical (so -0 ≠ +0 and NaN payloads count).
+// sameBits reports the first index where a and b differ in float32 bits
+// (0 when their lengths differ), or -1 when they are bit-identical, so
+// -0 ≠ +0 and NaN payloads count.
 func sameBits(a, b []float32) int {
 	if len(a) != len(b) {
 		return 0
@@ -100,7 +102,7 @@ func TestConv2DMatchesReference(t *testing.T) {
 							in := tensor.New(inC, hw[0], hw[1])
 							in.RandNormal(rng, 1)
 							got, want := c.Forward(in), refConv2D(c, in)
-							if fmt.Sprint(got.Shape()) != fmt.Sprint(want.Shape()) {
+							if !slices.Equal(got.Shape(), want.Shape()) {
 								t.Fatalf("in=%v k=%d s=%d p=%d: shape %v, want %v",
 									in.Shape(), k, stride, pad, got.Shape(), want.Shape())
 							}

@@ -79,10 +79,10 @@ func (c *Conv2D) FLOPs(in []int) int64 {
 // The summation order is part of the contract: every output cell starts
 // at its bias and then adds its taps in ascending (ic, ky, kx) order
 // through one float32 value, skipping taps that fall in the padding
-// rather than multiplying them by zero. The result is therefore bit-
-// identical to the naive per-cell loop (kept as a test oracle), which the
-// virtual-time tables and cached descriptors rely on. It runs on the
-// calling goroutine only.
+// rather than multiplying them by zero (-0 + +0 is +0). The result is
+// therefore bit-identical to the naive per-cell loop kept as a test
+// oracle. It runs on the calling goroutine only: no fan-out, so
+// concurrent requests keep one core each.
 func (c *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	shape := in.Shape()
 	if len(shape) != 3 || shape[0] != c.InC {
