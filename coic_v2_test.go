@@ -164,6 +164,9 @@ func TestNewOptionValidation(t *testing.T) {
 	if sys.Condition.Name != "90/30" {
 		t.Fatalf("condition = %+v", sys.Condition)
 	}
+	if got := sys.edge.Cache.Store().PolicyName(); got != "gdsf" {
+		t.Fatalf("edge cache runs %s, want gdsf", got)
+	}
 	if _, _, err := recognize(sys, 2, ClassCar, 1); err != nil {
 		t.Fatalf("client 2 rejected: %v", err)
 	}

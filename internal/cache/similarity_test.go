@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/edge-immersion/coic/internal/feature"
@@ -201,4 +203,81 @@ func TestSimilarityManyInsertLookupCycles(t *testing.T) {
 		t.Fatal("workload did not evict — test ineffective")
 	}
 	_ = fmt.Sprintf("%v", st)
+}
+
+// TestTenantCapHoldsUnderConcurrentInserts races 64 inserts of 100 B for
+// one tenant capped at 1 000 B. The cap check and the byte charge must
+// be one step, or several inserts pass the check before any is charged.
+func TestTenantCapHoldsUnderConcurrentInserts(t *testing.T) {
+	const inserters, size, capBytes = 64, 100, 1000
+	for round := 0; round < 200; round++ {
+		sc := NewSimilarity(SimilarityConfig{Capacity: 128 << 20})
+		sc.SetTenantCap("t", capBytes)
+		var wg sync.WaitGroup
+		for g := 0; g < inserters; g++ {
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				if err := sc.InsertAs("t", descForTest(n), val(size), 1); err != nil && !errors.Is(err, ErrTenantShare) {
+					t.Error(err)
+				}
+			}(round*inserters + g)
+		}
+		wg.Wait()
+		ts := sc.StatsSnapshot().Tenants["t"]
+		if ts.Bytes > capBytes {
+			t.Fatalf("round %d: tenant holds %d B under a %d B cap", round, ts.Bytes, capBytes)
+		}
+		if ts.Inserts+ts.Rejected != inserters {
+			t.Fatalf("round %d: %d inserts + %d rejections, want %d", round, ts.Inserts, ts.Rejected, inserters)
+		}
+	}
+}
+
+// TestIndexMatchesStoreUnderChurn cycles 32 orthogonal vectors through an
+// 8-entry cache from 8 goroutines. After every round the index must hold
+// exactly the resident vectors: no vector of an evicted entry, and every
+// resident entry reachable by a similarity lookup near its own vector.
+func TestIndexMatchesStoreUnderChurn(t *testing.T) {
+	const workers, inserts, distinct, entries, size = 8, 200, 32, 8, 16
+	descs := make([]feature.Descriptor, distinct)
+	for i := range descs {
+		v := make([]float32, distinct)
+		v[i] = 1
+		descs[i] = feature.NewVector(v)
+	}
+	sc := NewSimilarity(SimilarityConfig{Capacity: entries * size, Threshold: 0.1})
+	for round := 0; round < 40; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < inserts; i++ {
+					if err := sc.Insert(descs[(w*5+i)%distinct], val(size), 1); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		resident := sc.StatsSnapshot().Store.Entries
+		if n := sc.IndexLen(); n != resident {
+			t.Fatalf("round %d: index holds %d vectors, store %d entries", round, n, resident)
+		}
+		found := 0
+		for i, d := range descs {
+			// Nudge the query off the stored vector so it misses the exact
+			// key and must go through the index.
+			q := append([]float32(nil), d.Vec...)
+			q[(i+1)%distinct] = 0.02
+			if _, res := sc.Lookup(feature.NewVector(q)); res.Outcome == OutcomeSimilar && res.Key == d.Key() {
+				found++
+			}
+		}
+		if found != resident {
+			t.Fatalf("round %d: %d of %d resident vectors found through the index", round, found, resident)
+		}
+	}
 }

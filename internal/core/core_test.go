@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/edge-immersion/coic/internal/cache"
+	"github.com/edge-immersion/coic/internal/feature"
 	"github.com/edge-immersion/coic/internal/netsim"
 	"github.com/edge-immersion/coic/internal/pano"
 	"github.com/edge-immersion/coic/internal/trace"
@@ -460,5 +461,19 @@ func TestPrivacyKDisabledByDefault(t *testing.T) {
 	}
 	if b.Outcome != cache.OutcomeExact {
 		t.Fatalf("default edge blocked sharing: %v", b.Outcome)
+	}
+}
+
+// TestEdgeCacheOptionsCompose builds an edge with both cache options at
+// the default 256 MB: the policy, the index and the capacity's striping
+// must all survive, whatever order the options run in.
+func TestEdgeCacheOptionsCompose(t *testing.T) {
+	e := NewEdge(DefaultParams(), WithCachePolicy(cache.NewGDSF()), WithCacheIndex(feature.NewLSH(64, 8, 12, 1)))
+	store, ok := e.Cache.Store().(*cache.ShardedStore)
+	if !ok {
+		t.Fatalf("store is %T with policy %s, want *cache.ShardedStore", e.Cache.Store(), e.Cache.Store().PolicyName())
+	}
+	if store.PolicyName() != "gdsf" || store.Shards() != 8 {
+		t.Fatalf("store runs %s over %d stripes, want gdsf over 8", store.PolicyName(), store.Shards())
 	}
 }
