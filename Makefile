@@ -73,7 +73,8 @@ fuzz:
 
 # smoke = the CI ops-smoke job: boot the real daemons with the ops
 # sidecar, probe /healthz and /readyz, push client traffic through, and
-# lint the live /metrics payload (nonzero request counters required).
+# lint the live /metrics payload (nonzero request counters and cache
+# gauges required).
 smoke:
 	@$(GO) build -o bin/ ./cmd/coic-cloud ./cmd/coic-edge ./cmd/coic-client ./cmd/coic-promlint
 	@./bin/coic-cloud -listen 127.0.0.1:19090 & cloud=$$!; \
@@ -86,7 +87,7 @@ smoke:
 	./bin/coic-client -edge 127.0.0.1:19091 -task pano -n 8 -request-id 0xC1C0FFEE >/dev/null && \
 	./bin/coic-client -edge 127.0.0.1:19091 -scene smoke -publish-rate 50 -n 4 >/dev/null && \
 	./bin/coic-promlint -url http://127.0.0.1:19191/metrics \
-		-require coic_requests_total,coic_connections_total,coic_stage_duration_seconds,coic_scene_publish_total
+		-require coic_requests_total,coic_connections_total,coic_stage_duration_seconds,coic_scene_publish_total,coic_cache_entries,coic_cache_bytes
 
 # smoke-gossip = the CI gossip-fleet smoke: a seed edge serves traffic
 # alone, two more edges gossip in (migration re-homes the seed's cached

@@ -208,11 +208,11 @@ func New(opts ...Option) (*System, error) {
 	switch cfg.cachePolicy {
 	case "", "lru":
 	case "lfu":
-		edgeOpts = append(edgeOpts, core.WithCachePolicy(cache.NewLFU()))
+		edgeOpts = append(edgeOpts, core.WithCachePolicy(cache.NewLFU))
 	case "fifo":
-		edgeOpts = append(edgeOpts, core.WithCachePolicy(cache.NewFIFO()))
+		edgeOpts = append(edgeOpts, core.WithCachePolicy(cache.NewFIFO))
 	case "gdsf":
-		edgeOpts = append(edgeOpts, core.WithCachePolicy(cache.NewGDSF()))
+		edgeOpts = append(edgeOpts, core.WithCachePolicy(cache.NewGDSF))
 	default:
 		return nil, fmt.Errorf("coic: unknown cache policy %q", cfg.cachePolicy)
 	}

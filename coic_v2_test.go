@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/edge-immersion/coic/internal/feature"
 )
 
 func testSystem(t *testing.T, opts ...Option) *System {
@@ -164,8 +166,10 @@ func TestNewOptionValidation(t *testing.T) {
 	if sys.Condition.Name != "90/30" {
 		t.Fatalf("condition = %+v", sys.Condition)
 	}
-	if got := sys.edge.Cache.Store().PolicyName(); got != "gdsf" {
-		t.Fatalf("edge cache runs %s, want gdsf", got)
+	if policy, _, index := sys.edge.Cache.Layout(); policy != "gdsf" {
+		t.Fatalf("edge cache runs %s, want gdsf", policy)
+	} else if _, lsh := index.(*feature.LSH); !lsh {
+		t.Fatalf("edge cache searches a %T, want *feature.LSH", index)
 	}
 	if _, _, err := recognize(sys, 2, ClassCar, 1); err != nil {
 		t.Fatalf("client 2 rejected: %v", err)

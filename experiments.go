@@ -146,7 +146,7 @@ func RunPolicyAblation(p Params, capacitiesMB []int, seed uint64) (*Table, error
 		for _, pol := range policies {
 			pp := p
 			pp.EdgeCacheBytes = int64(mb) << 20
-			res := core.RunTrace(pp, core.MidSweep, events, ModeCoIC, core.WithCachePolicy(pol.mk()))
+			res := core.RunTrace(pp, core.MidSweep, events, ModeCoIC, core.WithCachePolicy(pol.mk))
 			t.AddRow(mb, pol.name,
 				fmt.Sprintf("%.3f", res.HitRatio()),
 				msCol(res.All.Mean()),

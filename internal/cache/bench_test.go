@@ -43,7 +43,7 @@ func BenchmarkConcurrentGet(b *testing.B) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%d", i)
 	}
-	run := func(b *testing.B, get func(string) ([]byte, bool), put func(string, []byte, float64) error) {
+	run := func(b *testing.B, get func(string) ([]byte, bool), put func(string, []byte, float64) ([]string, error)) {
 		for _, k := range keys {
 			put(k, make([]byte, 256), 1)
 		}
@@ -74,7 +74,7 @@ func BenchmarkConcurrentMixed(b *testing.B) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%d", i)
 	}
-	run := func(b *testing.B, get func(string) ([]byte, bool), put func(string, []byte, float64) error) {
+	run := func(b *testing.B, get func(string) ([]byte, bool), put func(string, []byte, float64) ([]string, error)) {
 		v := make([]byte, 256)
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0

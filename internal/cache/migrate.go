@@ -2,7 +2,6 @@ package cache
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,32 +9,19 @@ import (
 	"github.com/edge-immersion/coic/internal/feature"
 )
 
-// ForEachResident visits every resident entry whose descriptor was
-// retained (the same population Snapshot persists), stopping early when
-// fn returns false. The key list is snapshotted once and walked in key
-// order — migration pushes into capacity-bound peers, so a map-order
-// walk would make what survives there differ from run to run — then each
-// entry is read under its own lock epoch, so concurrent inserts and
-// evictions never block behind the walk; an entry evicted mid-walk is
+// ForEachResident visits every resident entry (the same population
+// Snapshot persists), stopping early when fn returns false. The key list
+// is taken once, after every insert in progress has committed, and
+// walked in key order — migration pushes into capacity-bound peers, so a
+// map-order walk would make what survives there differ from run to run —
+// then each entry is read under its own lock epoch, so concurrent inserts
+// and evictions never block behind the walk; an entry evicted mid-walk is
 // simply skipped. This is the residency source for ring-change key
 // migration.
 func (sc *SimilarityCache) ForEachResident(fn func(desc feature.Descriptor, value []byte, cost float64) bool) {
-	sc.mu.Lock()
-	keys := make([]string, 0, len(sc.descs))
-	for k := range sc.descs {
-		keys = append(keys, k)
-	}
-	sc.mu.Unlock()
-	sort.Strings(keys)
-
+	keys, descs := sc.residentDescs()
 	for _, k := range keys {
-		sc.mu.Lock()
-		raw := sc.descs[k]
-		sc.mu.Unlock()
-		if raw == nil {
-			continue
-		}
-		desc, err := feature.Unmarshal(raw)
+		desc, err := feature.Unmarshal(descs[k])
 		if err != nil {
 			continue // retained descriptor is authoritative; skip if torn
 		}

@@ -16,20 +16,20 @@ func descForTest(n int) feature.Descriptor {
 
 func TestShardedBasics(t *testing.T) {
 	s := NewSharded(8<<10, 4, NewLRU)
-	if s.Shards() != 4 {
-		t.Fatalf("shards = %d", s.Shards())
+	if len(s.shards) != 4 {
+		t.Fatalf("shards = %d", len(s.shards))
 	}
 	if s.Capacity() != 8<<10 {
 		t.Fatalf("capacity = %d", s.Capacity())
 	}
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if err := s.Put(key, []byte(key), 1); err != nil {
+		if _, err := s.Put(key, []byte(key), 1); err != nil {
 			t.Fatalf("put %s: %v", key, err)
 		}
 	}
-	if s.Len() != 64 {
-		t.Fatalf("len = %d, want 64", s.Len())
+	if n := s.Stats().Entries; n != 64 {
+		t.Fatalf("entries = %d, want 64", n)
 	}
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("k%d", i)
@@ -37,19 +37,13 @@ func TestShardedBasics(t *testing.T) {
 		if !ok || string(v) != key {
 			t.Fatalf("get %s = %q, %v", key, v, ok)
 		}
-		if !s.Contains(key) {
-			t.Fatalf("contains %s = false", key)
+		if m, ok := s.Meta(key); !ok || m.Size != int64(len(key)) {
+			t.Fatalf("meta %s = %+v, %v", key, m, ok)
 		}
 	}
 	st := s.Stats()
 	if st.Hits != 64 || st.Insertions != 64 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if st.Entries != 64 {
-		t.Fatalf("entries = %d", st.Entries)
-	}
-	if !s.Delete("k0") || s.Delete("k0") {
-		t.Fatal("delete semantics broken")
 	}
 }
 
@@ -57,7 +51,7 @@ func TestShardedTooLargeIsPerStripe(t *testing.T) {
 	// 4 KB aggregate over 4 stripes = 1 KB eviction domains: a 2 KB value
 	// can never live anywhere even though the aggregate could hold it.
 	s := NewSharded(4<<10, 4, NewLRU)
-	err := s.Put("big", make([]byte, 2<<10), 1)
+	_, err := s.Put("big", make([]byte, 2<<10), 1)
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
@@ -68,12 +62,14 @@ func TestShardedEvictsWithinStripe(t *testing.T) {
 	// Overfill massively; residency must never exceed capacity and every
 	// stripe must stay within its own budget.
 	for i := 0; i < 512; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), make([]byte, 256), 1); err != nil {
+		if _, err := s.Put(fmt.Sprintf("k%d", i), make([]byte, 256), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if used := s.Used(); used > s.Capacity() {
-		t.Fatalf("used %d exceeds capacity %d", used, s.Capacity())
+	for i, sh := range s.shards {
+		if used := sh.Stats().BytesUsed; used > sh.capacity {
+			t.Fatalf("stripe %d holds %d B over its %d B", i, used, sh.capacity)
+		}
 	}
 	if s.Stats().Evictions == 0 {
 		t.Fatal("expected evictions under churn")
@@ -104,29 +100,30 @@ func TestShardedStoreConcurrent(t *testing.T) {
 						return
 					}
 				case 4:
-					if i%50 == 4 {
-						s.Delete(key)
-					} else {
-						s.Contains(key)
-						s.Stats()
-					}
+					s.Meta(key)
+					s.Stats()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if used := s.Used(); used > s.Capacity() {
+	if used := s.Stats().BytesUsed; used > s.Capacity() {
 		t.Fatalf("used %d exceeds capacity %d", used, s.Capacity())
 	}
 }
 
-// TestSimilaritySharded exercises the SimilarityCache over a sharded
-// backend, including concurrent mixed lookups and inserts.
+// TestSimilaritySharded checks the stripe count NewSimilarity derives
+// from capacity and exercises the cache under concurrent mixed lookups
+// and inserts.
 func TestSimilaritySharded(t *testing.T) {
-	sc := NewSimilarity(SimilarityConfig{Capacity: 1 << 20, Threshold: 0.12, Shards: 8})
-	if _, ok := sc.Store().(*ShardedStore); !ok {
-		t.Fatalf("backend is %T, want *ShardedStore", sc.Store())
+	for capacity, want := range map[int64]int{
+		256 << 20: 8, 128 << 20: 8, 127 << 20: 4, 64 << 20: 4, 32 << 20: 2, 16 << 20: 1, 1 << 20: 1,
+	} {
+		if got := len(NewSimilarity(SimilarityConfig{Capacity: capacity}).store.shards); got != want {
+			t.Errorf("capacity %d: %d stripes, want %d", capacity, got, want)
+		}
 	}
+	sc := NewSimilarity(SimilarityConfig{Capacity: 128 << 20, Threshold: 0.12})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w
@@ -144,17 +141,7 @@ func TestSimilaritySharded(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	queries, _, _ := sc.QueryStats()
-	if queries == 0 {
-		t.Fatal("no queries recorded")
+	if st := sc.StatsSnapshot(); st.Queries == 0 || st.Queries != st.Store.Hits+st.Store.Misses {
+		t.Fatalf("queries %d, store hits+misses %d", st.Queries, st.Store.Hits+st.Store.Misses)
 	}
-}
-
-func TestShardedPolicySharingPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("sharing one Policy across shards must panic")
-		}
-	}()
-	NewSimilarity(SimilarityConfig{Capacity: 1 << 20, Shards: 4, Policy: NewLRU()})
 }

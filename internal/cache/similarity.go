@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"sort"
 	"sync"
 
 	"github.com/edge-immersion/coic/internal/feature"
@@ -61,38 +62,36 @@ type LookupResult struct {
 // Hit reports whether a cached value was returned.
 func (r LookupResult) Hit() bool { return r.Outcome != OutcomeMiss }
 
-// Backend is the storage API the SimilarityCache sits on, satisfied by
-// both the single-mutex Store and the striped ShardedStore. The cache is
-// agnostic to the striping; the Shards config knob picks the
-// implementation.
-type Backend interface {
-	Get(key string) ([]byte, bool)
-	Contains(key string) bool
-	Put(key string, value []byte, cost float64) error
-	Delete(key string) bool
-	Meta(key string) (Entry, bool)
-	Len() int
-	Used() int64
-	Capacity() int64
-	Stats() Stats
-	PolicyName() string
-}
-
 // SimilarityCache is the edge IC cache of the paper's Figure 1: a value
 // store keyed by feature descriptor, where vector descriptors also match
 // approximately. "If the distance between the new feature descriptor and
 // another one in the cache is under a certain threshold, CoIC determines
 // that the computation result is already in the cache."
+//
+// Lock order is sc.settling, then sc.mu, then a store stripe's lock or
+// the index's lock; neither the store nor the index calls back into the
+// cache.
 type SimilarityCache struct {
-	store     Backend
+	store     *ShardedStore
 	index     feature.Index
 	threshold float64
 
-	mu     sync.Mutex
-	ids    map[string]uint64 // store key -> vector id
-	keys   map[uint64]string // vector id -> store key
-	descs  map[string][]byte // store key -> marshalled descriptor (for Snapshot)
-	nextID uint64
+	// settling spans each insert from reserve to commit: inserts hold it
+	// shared, and a walk over residency (Snapshot, ForEachResident) holds
+	// it exclusively while it lists the registered keys. So a walk sees
+	// every entry whose put finished before it began, even one a lookup
+	// can already read but whose commit had not yet run.
+	settling sync.RWMutex
+
+	mu sync.Mutex
+	// resident registers every key the store holds: an insert's commit
+	// and the commit that processes an eviction both set a key's
+	// registration from the store's residency under mu, so at quiescence
+	// resident and keys name exactly the store's keys and the index holds
+	// exactly their vectors.
+	resident map[string]residentEntry
+	keys     map[uint64]string // vector id -> store key
+	nextID   uint64
 
 	// Logical query counters. The store's own Stats count raw store
 	// operations (a similarity hit shows up there as one miss plus one
@@ -102,19 +101,24 @@ type SimilarityCache struct {
 	exactHit uint64
 	simHits  uint64
 
-	// Tenant accounting, all under mu. owners/sizes track which tenant
-	// inserted each resident key and how many bytes it holds; caps bound a
-	// tenant's resident bytes (0 = unbounded); tenants holds the per-tenant
-	// counters. A tenant may *hit* on any tenant's entry — cross-tenant
-	// reuse is the point of the shared cache — but only its own inserts
-	// charge its share.
-	owners  map[string]string
-	sizes   map[string]int64
+	// Tenant accounting. caps bound a tenant's resident bytes (0 =
+	// unbounded); tenants holds the per-tenant counters. A tenant may
+	// *hit* on any tenant's entry — cross-tenant reuse is the point of the
+	// shared cache — but only its own inserts charge its share.
 	caps    map[string]int64
 	tenants map[string]*tenantCacheStats
 }
 
-// tenantCacheStats is the mutable per-tenant ledger (under sc.mu).
+// residentEntry is what the cache keeps beside a resident store entry.
+type residentEntry struct {
+	desc  []byte // marshalled descriptor, for Snapshot and ForEachResident
+	owner string // the tenant charged for the entry
+	size  int64  // the bytes charged
+	id    uint64 // vector index id; 0 for hash descriptors
+}
+
+// tenantCacheStats is the mutable per-tenant ledger (under sc.mu). bytes
+// includes the reservations of inserts not yet committed.
 type tenantCacheStats struct {
 	queries  uint64
 	hits     uint64
@@ -128,7 +132,8 @@ type tenantCacheStats struct {
 // StatsSnapshot. Hits count the tenant's lookups that resolved from the
 // cache regardless of which tenant inserted the entry; Evicted counts
 // the tenant's own entries dropped from residency; Rejected counts
-// inserts refused because the tenant's byte share was exhausted.
+// inserts refused because the tenant's byte share was exhausted. Bytes
+// includes the bytes reserved by the tenant's inserts still in progress.
 type TenantCacheStats struct {
 	Queries  uint64
 	Hits     uint64
@@ -141,65 +146,35 @@ type TenantCacheStats struct {
 
 // SimilarityConfig assembles a SimilarityCache.
 type SimilarityConfig struct {
-	// Capacity is the byte budget of the underlying store.
+	// Capacity is the byte budget of the store. It also sets the stripe
+	// count: 8, halved until each stripe holds at least 16 MB.
 	Capacity int64
-	// Policy is the eviction policy (NewLRU() when nil).
-	Policy Policy
+	// Policy builds each stripe's eviction policy (NewLRU when nil).
+	Policy func() Policy
 	// Index matches vector descriptors (feature.NewLinear() when nil).
 	Index feature.Index
 	// Threshold is the maximum L2 distance at which two unit-norm
 	// descriptors are treated as the same computation.
 	Threshold float64
-	// StoreOptions pass through to the store (clock, TTL).
-	StoreOptions []StoreOption
-	// Shards stripes the store for lock-free-ish concurrent access
-	// (ShardedStore). 0 or 1 keeps the single-mutex Store. Sharding
-	// requires PolicyFactory (or neither policy field set) — a single
-	// Policy instance cannot be shared across stripes.
-	Shards int
-	// PolicyFactory builds one eviction policy per stripe when Shards > 1
-	// (NewLRU when nil). Ignored for the unsharded store.
-	PolicyFactory func() Policy
 }
 
-// NewSimilarity builds the cache. The store's eviction callback is wired
-// to keep the vector index consistent with residency.
+// NewSimilarity builds the cache over a ShardedStore striped by capacity.
 func NewSimilarity(cfg SimilarityConfig) *SimilarityCache {
+	if cfg.Policy == nil {
+		cfg.Policy = NewLRU
+	}
 	if cfg.Index == nil {
 		cfg.Index = feature.NewLinear()
 	}
-	sc := &SimilarityCache{
+	return &SimilarityCache{
+		store:     NewSharded(cfg.Capacity, stripesFor(cfg.Capacity), cfg.Policy),
 		index:     cfg.Index,
 		threshold: cfg.Threshold,
-		ids:       map[string]uint64{},
+		resident:  map[string]residentEntry{},
 		keys:      map[uint64]string{},
-		descs:     map[string][]byte{},
-		owners:    map[string]string{},
-		sizes:     map[string]int64{},
 		caps:      map[string]int64{},
 		tenants:   map[string]*tenantCacheStats{},
 	}
-	opts := append([]StoreOption{WithOnEvict(sc.dropKey)}, cfg.StoreOptions...)
-	if cfg.Shards > 1 {
-		if cfg.Policy != nil {
-			panic("cache: sharded store needs PolicyFactory, not a shared Policy")
-		}
-		factory := cfg.PolicyFactory
-		if factory == nil {
-			factory = NewLRU
-		}
-		sc.store = NewSharded(cfg.Capacity, cfg.Shards, factory, opts...)
-		return sc
-	}
-	if cfg.Policy == nil {
-		if cfg.PolicyFactory != nil {
-			cfg.Policy = cfg.PolicyFactory()
-		} else {
-			cfg.Policy = NewLRU()
-		}
-	}
-	sc.store = NewStore(cfg.Capacity, cfg.Policy, opts...)
-	return sc
 }
 
 // tenantStatsLocked returns tenant's ledger, creating it on first touch.
@@ -229,27 +204,23 @@ func (sc *SimilarityCache) SetTenantCap(tenant string, capBytes int64) {
 	sc.caps[tenant] = capBytes
 }
 
-// dropKey unlinks an evicted store key from the vector index and settles
-// its owner's byte accounting. Called by the store outside its lock.
-func (sc *SimilarityCache) dropKey(key string) {
-	sc.mu.Lock()
-	delete(sc.descs, key)
-	if sz, owned := sc.sizes[key]; owned {
-		owner := sc.owners[key]
-		delete(sc.sizes, key)
-		delete(sc.owners, key)
-		ts := sc.tenantStatsLocked(owner)
-		ts.bytes -= sz
+// unregisterLocked forgets key's registration: its owner's bytes are
+// released, counted as an eviction when evicted, and its vector leaves
+// the index. Callers hold sc.mu.
+func (sc *SimilarityCache) unregisterLocked(key string, evicted bool) {
+	r, ok := sc.resident[key]
+	if !ok {
+		return
+	}
+	delete(sc.resident, key)
+	ts := sc.tenantStatsLocked(r.owner)
+	ts.bytes -= r.size
+	if evicted {
 		ts.evicted++
 	}
-	id, ok := sc.ids[key]
-	if ok {
-		delete(sc.ids, key)
-		delete(sc.keys, id)
-	}
-	sc.mu.Unlock()
-	if ok {
-		sc.index.Remove(id)
+	if r.id != 0 {
+		delete(sc.keys, r.id)
+		sc.index.Remove(r.id)
 	}
 }
 
@@ -262,36 +233,45 @@ func (sc *SimilarityCache) Lookup(desc feature.Descriptor) ([]byte, LookupResult
 
 // LookupAs is Lookup with the querying tenant named for accounting; the
 // match itself is tenant-blind (any tenant's entry can answer — the
-// cross-tenant reuse the shared cache exists for).
+// cross-tenant reuse the shared cache exists for). It takes sc.mu once on
+// an exact hit and on every miss, and twice on a similar hit: once to
+// count the query and resolve the neighbour's key, once to count the hit.
 func (sc *SimilarityCache) LookupAs(tenant string, desc feature.Descriptor) ([]byte, LookupResult) {
 	if tenant == "" {
 		tenant = DefaultOwner
 	}
+	key := desc.Key()
+	if v, ok := sc.store.Get(key); ok {
+		sc.mu.Lock()
+		sc.queries++
+		sc.exactHit++
+		ts := sc.tenantStatsLocked(tenant)
+		ts.queries++
+		ts.hits++
+		sc.mu.Unlock()
+		return v, LookupResult{Outcome: OutcomeExact, Key: key}
+	}
+	var (
+		id    uint64
+		dist  float64
+		found bool
+	)
+	if desc.Kind == feature.KindVector {
+		id, dist, found = sc.index.Nearest(desc.Vec)
+		found = found && dist <= sc.threshold
+	}
+	var match string
 	sc.mu.Lock()
 	sc.queries++
 	sc.tenantStatsLocked(tenant).queries++
+	if found {
+		match, found = sc.keys[id]
+	}
 	sc.mu.Unlock()
-	if v, ok := sc.store.Get(desc.Key()); ok {
-		sc.mu.Lock()
-		sc.exactHit++
-		sc.tenantStatsLocked(tenant).hits++
-		sc.mu.Unlock()
-		return v, LookupResult{Outcome: OutcomeExact, Key: desc.Key()}
-	}
-	if desc.Kind != feature.KindVector {
+	if !found {
 		return nil, LookupResult{Outcome: OutcomeMiss}
 	}
-	id, dist, ok := sc.index.Nearest(desc.Vec)
-	if !ok || dist > sc.threshold {
-		return nil, LookupResult{Outcome: OutcomeMiss}
-	}
-	sc.mu.Lock()
-	key, known := sc.keys[id]
-	sc.mu.Unlock()
-	if !known {
-		return nil, LookupResult{Outcome: OutcomeMiss}
-	}
-	v, ok := sc.store.Get(key)
+	v, ok := sc.store.Get(match)
 	if !ok {
 		// Entry raced out between index lookup and fetch; treat as miss.
 		return nil, LookupResult{Outcome: OutcomeMiss}
@@ -300,16 +280,7 @@ func (sc *SimilarityCache) LookupAs(tenant string, desc feature.Descriptor) ([]b
 	sc.simHits++
 	sc.tenantStatsLocked(tenant).hits++
 	sc.mu.Unlock()
-	return v, LookupResult{Outcome: OutcomeSimilar, Distance: dist, Key: key}
-}
-
-// QueryStats reports logical lookup counters: total queries, exact hits
-// and similarity hits. HitRatio for experiments is
-// (exact+similar)/queries.
-func (sc *SimilarityCache) QueryStats() (queries, exact, similar uint64) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.queries, sc.exactHit, sc.simHits
+	return v, LookupResult{Outcome: OutcomeSimilar, Distance: dist, Key: match}
 }
 
 // Insert caches value under the descriptor with a recomputation-cost hint
@@ -323,74 +294,77 @@ func (sc *SimilarityCache) Insert(desc feature.Descriptor, value []byte, cost fl
 // InsertAs is Insert with the entry charged against tenant's byte share.
 // A tenant at its configured cap gets ErrTenantShare — the value serves
 // through uncached and no other tenant's residency is disturbed.
+//
+// It takes sc.mu twice. The reserve pass checks the cap and charges the
+// value's bytes in one critical section, so concurrent inserts cannot all
+// pass the check before any is charged. The store put runs unlocked. The
+// commit pass turns the reservation into the entry's registration and
+// unregisters whatever the put evicted, moving the index with them.
 func (sc *SimilarityCache) InsertAs(tenant string, desc feature.Descriptor, value []byte, cost float64) error {
 	if tenant == "" {
 		tenant = DefaultOwner
 	}
 	key := desc.Key()
-	descBytes, derr := desc.Marshal()
-	if derr != nil {
-		return derr
+	descBytes, err := desc.Marshal()
+	if err != nil {
+		return err
 	}
+	size := int64(len(value))
+	sc.settling.RLock()
+	defer sc.settling.RUnlock()
+
 	sc.mu.Lock()
+	ts := sc.tenantStatsLocked(tenant)
 	if capBytes, capped := sc.caps[tenant]; capped {
-		projected := sc.tenantStatsLocked(tenant).bytes + int64(len(value))
-		if sz, resident := sc.sizes[key]; resident && sc.owners[key] == tenant {
-			projected -= sz // replacing our own entry frees its bytes
+		projected := ts.bytes + size
+		if r, ok := sc.resident[key]; ok && r.owner == tenant {
+			projected -= r.size // replacing our own entry frees its bytes
 		}
 		if projected > capBytes {
-			sc.tenantStatsLocked(tenant).rejected++
+			ts.rejected++
 			sc.mu.Unlock()
 			return ErrTenantShare
 		}
 	}
-	sc.descs[key] = descBytes
+	ts.bytes += size
 	sc.mu.Unlock()
-	var id uint64
-	isVec := desc.Kind == feature.KindVector
-	if isVec {
-		sc.mu.Lock()
-		if old, ok := sc.ids[key]; ok {
-			// Re-insert under the same key: retire the old vector id.
-			delete(sc.keys, old)
-			sc.index.Remove(old)
-		}
-		sc.nextID++
-		id = sc.nextID
-		sc.ids[key] = id
-		sc.keys[id] = key
-		sc.mu.Unlock()
-		sc.index.Add(id, desc.Vec)
-	}
-	if err := sc.store.Put(key, value, cost); err != nil {
-		if isVec {
-			sc.dropKey(key)
-		}
+
+	evicted, err := sc.store.Put(key, value, cost)
+
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	ts.bytes -= size
+	if err != nil {
 		return err
 	}
-	sc.mu.Lock()
-	if sz, resident := sc.sizes[key]; resident {
-		// Same-key replacement: release the previous owner's bytes (the
-		// store updated the entry in place, so no eviction fired).
-		sc.tenantStatsLocked(sc.owners[key]).bytes -= sz
+	for _, k := range evicted {
+		// A key put back since its eviction is settled by that put's own
+		// commit.
+		if _, back := sc.store.Meta(k); !back {
+			sc.unregisterLocked(k, true)
+		}
 	}
-	sc.owners[key] = tenant
-	sc.sizes[key] = int64(len(value))
-	ts := sc.tenantStatsLocked(tenant)
-	ts.bytes += int64(len(value))
 	ts.inserts++
-	sc.mu.Unlock()
+	if _, ok := sc.store.Meta(key); !ok {
+		// A concurrent insert evicted the entry before this commit; its
+		// commit unregisters whatever was registered under key.
+		ts.evicted++
+		return nil
+	}
+	// A same-key replacement releases the previous owner's bytes and
+	// retires the old vector id; the store replaced the entry in place, so
+	// no eviction fired.
+	sc.unregisterLocked(key, false)
+	r := residentEntry{desc: descBytes, owner: tenant, size: size}
+	if desc.Kind == feature.KindVector {
+		sc.nextID++
+		r.id = sc.nextID
+		sc.keys[r.id] = key
+		sc.index.Add(r.id, desc.Vec)
+	}
+	sc.resident[key] = r
+	ts.bytes += size
 	return nil
-}
-
-// Stats reports raw store counters plus the similarity-hit count. Note
-// the store counts operations, not logical queries — use QueryStats for
-// hit ratios.
-func (sc *SimilarityCache) Stats() (Stats, uint64) {
-	sc.mu.Lock()
-	sim := sc.simHits
-	sc.mu.Unlock()
-	return sc.store.Stats(), sim
 }
 
 // StatsSnapshot is one coherent reading of the cache's counters: the raw
@@ -409,14 +383,12 @@ type StatsSnapshot struct {
 	Tenants map[string]TenantCacheStats
 }
 
-// StatsSnapshot reads the store counters and the logical query counters
-// in a single acquisition of the cache mutex. The separate
-// Stats()+QueryStats() pair takes the mutex twice, so lookups landing
-// between the two calls skew one side against the other — a test that
-// asserts Queries against Store.Hits+Store.Misses would flake under
-// concurrent traffic. One epoch removes that cross-call drift; a lookup
-// still mid-flight (queries bumped, store operation not yet issued) is
-// the only residual motion a snapshot can observe.
+// StatsSnapshot reads the store counters, the logical query counters and
+// the tenant ledgers in a single acquisition of the cache mutex. It is
+// the cache's one counter read, so no caller can combine counters read in
+// different lock epochs. A lookup still mid-flight (store operation
+// issued, query not yet counted) is the only residual motion a snapshot
+// can observe.
 func (sc *SimilarityCache) StatsSnapshot() StatsSnapshot {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -442,12 +414,30 @@ func (sc *SimilarityCache) StatsSnapshot() StatsSnapshot {
 	}
 }
 
-// Store exposes the underlying store for capacity/len inspection.
-func (sc *SimilarityCache) Store() Backend { return sc.store }
-
-// Threshold reports the configured similarity threshold.
-func (sc *SimilarityCache) Threshold() float64 { return sc.threshold }
+// residentDescs lists the registered keys in key order with their
+// marshalled descriptors, once every insert in progress has committed.
+func (sc *SimilarityCache) residentDescs() ([]string, map[string][]byte) {
+	sc.settling.Lock()
+	defer sc.settling.Unlock()
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	keys := make([]string, 0, len(sc.resident))
+	descs := make(map[string][]byte, len(sc.resident))
+	for k, r := range sc.resident {
+		keys = append(keys, k)
+		descs[k] = r.desc
+	}
+	sort.Strings(keys)
+	return keys, descs
+}
 
 // IndexLen reports how many vectors the similarity index holds; tests use
 // it to assert index/store consistency.
 func (sc *SimilarityCache) IndexLen() int { return sc.index.Len() }
+
+// Layout reports what the cache was built from: the stripes' eviction
+// policy, the stripe count and the vector index. Tests use it to check
+// that configuration options took effect.
+func (sc *SimilarityCache) Layout() (policy string, stripes int, index feature.Index) {
+	return sc.store.shards[0].policy.Name(), len(sc.store.shards), sc.index
+}

@@ -22,8 +22,8 @@ import (
 //	per entry: descLen u32, desc bytes, valueLen u32, value bytes, cost f64
 //	crc32 (IEEE, over everything before it)
 //
-// Only entries whose descriptor was retained can be persisted; the cache
-// keeps the marshalled descriptor per key for exactly this purpose.
+// The cache keeps every resident entry's marshalled descriptor for
+// exactly this purpose.
 
 const (
 	snapMagic   = "CSNP"
@@ -33,38 +33,25 @@ const (
 // ErrBadSnapshot is wrapped by Restore failures.
 var ErrBadSnapshot = errors.New("cache: malformed snapshot")
 
-// Snapshot writes all resident entries. Iteration order follows the
-// stored key order (map order), which is fine: Restore re-inserts
+// Snapshot writes all resident entries in key order. Restore re-inserts
 // entries individually and the eviction policy re-ranks them.
 func (sc *SimilarityCache) Snapshot(w io.Writer) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
 
-	sc.mu.Lock()
-	keys := make([]string, 0, len(sc.descs))
-	for k := range sc.descs {
-		keys = append(keys, k)
-	}
-	sc.mu.Unlock()
-
+	keys, descs := sc.residentDescs()
 	type entry struct {
 		desc, value []byte
 		cost        float64
 	}
 	var entries []entry
 	for _, k := range keys {
-		sc.mu.Lock()
-		desc := sc.descs[k]
-		sc.mu.Unlock()
-		if desc == nil {
-			continue
-		}
 		value, ok := sc.store.Get(k)
 		if !ok {
 			continue // evicted between listing and reading
 		}
 		meta, _ := sc.store.Meta(k)
-		entries = append(entries, entry{desc: desc, value: value, cost: meta.Cost})
+		entries = append(entries, entry{desc: descs[k], value: value, cost: meta.Cost})
 	}
 
 	if _, err := bw.WriteString(snapMagic); err != nil {

@@ -63,8 +63,8 @@ func TestSnapshotSurvivesEvictionChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != src.Store().Len() {
-		t.Fatalf("restored %d, source holds %d", n, src.Store().Len())
+	if n != src.StatsSnapshot().Store.Entries {
+		t.Fatalf("restored %d, source holds %d", n, src.StatsSnapshot().Store.Entries)
 	}
 }
 
@@ -104,7 +104,7 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		if _, err := dst.Restore(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-		if dst.Store().Len() != 0 {
+		if dst.StatsSnapshot().Store.Entries != 0 {
 			t.Errorf("%s: corrupt snapshot partially applied", name)
 		}
 	}

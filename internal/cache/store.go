@@ -4,36 +4,27 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
-
-	"github.com/edge-immersion/coic/internal/clock"
 )
 
 // ErrTooLarge is returned by Put when a value cannot fit in the cache even
 // after evicting everything else.
 var ErrTooLarge = errors.New("cache: value larger than capacity")
 
-// Entry is a resident cache item. Returned copies are snapshots; the
-// cached value itself is never aliased to callers.
+// Entry is a resident cache item's metadata. Returned copies are
+// snapshots; the cached value itself is never aliased to callers.
 type Entry struct {
-	Key        string
-	Size       int64
-	Cost       float64
-	InsertedAt time.Time
-	LastAccess time.Time
-	Hits       uint64
-	ExpiresAt  time.Time // zero means no expiry
+	Size int64
+	Cost float64
 }
 
 // Stats is a point-in-time counter snapshot.
 type Stats struct {
-	Hits        uint64
-	Misses      uint64
-	Insertions  uint64
-	Evictions   uint64
-	Expirations uint64
-	BytesUsed   int64
-	Entries     int
+	Hits       uint64
+	Misses     uint64
+	Insertions uint64
+	Evictions  uint64
+	BytesUsed  int64
+	Entries    int
 }
 
 // HitRatio reports Hits/(Hits+Misses), or 0 with no traffic.
@@ -45,19 +36,15 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Store is a thread-safe byte-capacity cache with pluggable eviction and
-// optional TTL. It is the storage layer of the CoIC edge: values are the
-// serialised IC results (recognition labels, loaded 3D models, panoramic
-// frames).
+// Store is one stripe of the ShardedStore: a thread-safe byte-capacity
+// cache with pluggable eviction. Values are the serialised IC results
+// (recognition labels, loaded 3D models, panoramic frames).
 type Store struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
 	entries  map[string]*storeEntry
 	policy   Policy
-	clk      clock.Clock
-	ttl      time.Duration
-	onEvict  func(key string)
 	stats    Stats
 }
 
@@ -66,190 +53,81 @@ type storeEntry struct {
 	meta  Entry
 }
 
-// StoreOption configures a Store.
-type StoreOption func(*Store)
-
-// WithClock makes the store use clk for timestamps and TTL; experiments
-// pass the simulation's virtual clock.
-func WithClock(clk clock.Clock) StoreOption {
-	return func(s *Store) { s.clk = clk }
-}
-
-// WithTTL expires entries d after insertion. Zero disables expiry.
-func WithTTL(d time.Duration) StoreOption {
-	return func(s *Store) { s.ttl = d }
-}
-
-// WithOnEvict registers fn to run (outside the store lock) whenever a key
-// leaves the cache for any reason other than an explicit overwrite: the
-// SimilarityCache uses it to drop vector-index entries.
-func WithOnEvict(fn func(key string)) StoreOption {
-	return func(s *Store) { s.onEvict = fn }
-}
-
 // NewStore builds a cache holding at most capacity bytes, evicting with
 // policy. It panics on non-positive capacity or nil policy — both are
 // construction bugs.
-func NewStore(capacity int64, policy Policy, opts ...StoreOption) *Store {
+func NewStore(capacity int64, policy Policy) *Store {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: non-positive capacity %d", capacity))
 	}
 	if policy == nil {
 		panic("cache: nil policy")
 	}
-	s := &Store{
+	return &Store{
 		capacity: capacity,
 		entries:  map[string]*storeEntry{},
 		policy:   policy,
-		clk:      clock.Real{},
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
 }
 
-// Get returns a copy of the value cached under key. Expired entries count
-// as misses and are removed.
+// Get returns a copy of the value cached under key. A resident value is
+// never written, so the copy is taken outside the lock.
 func (s *Store) Get(key string) ([]byte, bool) {
-	var evicted []string
 	s.mu.Lock()
 	e, ok := s.entries[key]
-	if ok && s.expired(e) {
-		s.removeLocked(key)
-		s.stats.Expirations++
-		evicted = append(evicted, key)
-		ok = false
-	}
-	var out []byte
-	if ok {
-		now := s.clk.Now()
-		e.meta.LastAccess = now
-		e.meta.Hits++
-		s.policy.OnAccess(key)
-		s.stats.Hits++
-		out = append([]byte(nil), e.value...)
-	} else {
+	if !ok {
 		s.stats.Misses++
+		s.mu.Unlock()
+		return nil, false
 	}
+	s.policy.OnAccess(key)
+	s.stats.Hits++
 	s.mu.Unlock()
-	s.notifyEvicted(evicted)
-	return out, ok
-}
-
-// Contains reports residency without touching recency, hit counters or
-// TTL state (expired entries report false).
-func (s *Store) Contains(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	return ok && !s.expired(e)
+	return append([]byte(nil), e.value...), true
 }
 
 // Put caches value under key with a recomputation-cost hint (used by
-// cost-aware policies; pass 1 when indifferent). The value is copied.
-// Putting over an existing key replaces it. Returns ErrTooLarge when the
-// value exceeds total capacity.
-func (s *Store) Put(key string, value []byte, cost float64) error {
+// cost-aware policies; pass 1 when indifferent) and returns the keys it
+// evicted to make room. The value is copied. Putting over an existing key
+// replaces it, which is not an eviction. Returns ErrTooLarge, and changes
+// nothing, when the value exceeds total capacity.
+func (s *Store) Put(key string, value []byte, cost float64) (evicted []string, err error) {
 	size := int64(len(value))
 	if size > s.capacity {
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, size, s.capacity)
+		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, size, s.capacity)
 	}
-	var evicted []string
+	stored := append([]byte(nil), value...) // copied before locking
 	s.mu.Lock()
-	if old, ok := s.entries[key]; ok {
-		s.used -= old.meta.Size
-		s.policy.OnRemove(key)
-		delete(s.entries, key)
+	defer s.mu.Unlock()
+	if _, ok := s.entries[key]; ok {
+		s.removeLocked(key)
 	}
 	for s.used+size > s.capacity {
 		victim, ok := s.policy.Victim()
 		if !ok {
 			// Impossible while accounting is consistent: used > 0 implies
 			// a resident entry the policy knows about.
-			s.mu.Unlock()
 			panic("cache: accounting out of sync with policy")
 		}
 		s.removeLocked(victim)
 		s.stats.Evictions++
 		evicted = append(evicted, victim)
 	}
-	now := s.clk.Now()
-	e := &storeEntry{
-		value: append([]byte(nil), value...),
-		meta: Entry{
-			Key: key, Size: size, Cost: cost,
-			InsertedAt: now, LastAccess: now,
-		},
-	}
-	if s.ttl > 0 {
-		e.meta.ExpiresAt = now.Add(s.ttl)
-	}
-	s.entries[key] = e
+	s.entries[key] = &storeEntry{value: stored, meta: Entry{Size: size, Cost: cost}}
 	s.used += size
 	s.policy.OnInsert(key, size, cost)
 	s.stats.Insertions++
-	s.mu.Unlock()
-	s.notifyEvicted(evicted)
-	return nil
-}
-
-// Delete removes key, reporting whether it was resident.
-func (s *Store) Delete(key string) bool {
-	s.mu.Lock()
-	_, ok := s.entries[key]
-	if ok {
-		s.removeLocked(key)
-	}
-	s.mu.Unlock()
-	if ok {
-		s.notifyEvicted([]string{key})
-	}
-	return ok
+	return evicted, nil
 }
 
 // removeLocked detaches key from entries, accounting and policy. Caller
-// holds s.mu and is responsible for eviction callbacks.
+// holds s.mu.
 func (s *Store) removeLocked(key string) {
-	e, ok := s.entries[key]
-	if !ok {
-		return
-	}
+	e := s.entries[key]
 	s.used -= e.meta.Size
 	delete(s.entries, key)
 	s.policy.OnRemove(key)
 }
-
-func (s *Store) expired(e *storeEntry) bool {
-	return !e.meta.ExpiresAt.IsZero() && s.clk.Now().After(e.meta.ExpiresAt)
-}
-
-func (s *Store) notifyEvicted(keys []string) {
-	if s.onEvict == nil {
-		return
-	}
-	for _, k := range keys {
-		s.onEvict(k)
-	}
-}
-
-// Len reports the number of resident entries (including not-yet-collected
-// expired ones).
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// Used reports resident bytes.
-func (s *Store) Used() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used
-}
-
-// Capacity reports the configured byte capacity.
-func (s *Store) Capacity() int64 { return s.capacity }
 
 // Stats returns a counter snapshot (BytesUsed and Entries filled in).
 func (s *Store) Stats() Stats {
@@ -261,7 +139,8 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Meta returns a snapshot of the entry's metadata without counting a hit.
+// Meta returns a snapshot of the entry's metadata without counting a hit
+// or touching the policy; ok reports whether key is resident.
 func (s *Store) Meta(key string) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -271,6 +150,3 @@ func (s *Store) Meta(key string) (Entry, bool) {
 	}
 	return e.meta, true
 }
-
-// PolicyName reports the active eviction policy.
-func (s *Store) PolicyName() string { return s.policy.Name() }

@@ -468,12 +468,9 @@ func TestPrivacyKDisabledByDefault(t *testing.T) {
 // the default 256 MB: the policy, the index and the capacity's striping
 // must all survive, whatever order the options run in.
 func TestEdgeCacheOptionsCompose(t *testing.T) {
-	e := NewEdge(DefaultParams(), WithCachePolicy(cache.NewGDSF()), WithCacheIndex(feature.NewLSH(64, 8, 12, 1)))
-	store, ok := e.Cache.Store().(*cache.ShardedStore)
-	if !ok {
-		t.Fatalf("store is %T with policy %s, want *cache.ShardedStore", e.Cache.Store(), e.Cache.Store().PolicyName())
-	}
-	if store.PolicyName() != "gdsf" || store.Shards() != 8 {
-		t.Fatalf("store runs %s over %d stripes, want gdsf over 8", store.PolicyName(), store.Shards())
+	e := NewEdge(DefaultParams(), WithCachePolicy(cache.NewGDSF), WithCacheIndex(feature.NewLSH(64, 8, 12, 1)))
+	policy, stripes, index := e.Cache.Layout()
+	if _, lsh := index.(*feature.LSH); policy != "gdsf" || stripes != 8 || !lsh {
+		t.Fatalf("cache runs %s over %d stripes with a %T, want gdsf over 8 with *feature.LSH", policy, stripes, index)
 	}
 }

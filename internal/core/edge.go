@@ -18,6 +18,8 @@ import (
 type Edge struct {
 	Params Params
 	Cache  *cache.SimilarityCache
+	// cacheConfig is what the options set and NewEdge builds Cache from.
+	cacheConfig cache.SimilarityConfig
 
 	// PrivacyK is the k-anonymity gate on cross-user sharing, this
 	// reproduction's take on the paper's "security/privacy protection"
@@ -120,30 +122,21 @@ func newEdgeStats() EdgeStats {
 	}
 }
 
-// EdgeOption configures an Edge.
+// EdgeOption configures an Edge. NewEdge applies every option before it
+// builds the cache, so the cache options set configuration instead of
+// rebuilding the cache.
 type EdgeOption func(*Edge)
 
-// WithCachePolicy overrides the default LRU eviction policy.
-func WithCachePolicy(p cache.Policy) EdgeOption {
-	return func(e *Edge) {
-		e.Cache = cache.NewSimilarity(cache.SimilarityConfig{
-			Capacity:  e.Params.EdgeCacheBytes,
-			Policy:    p,
-			Threshold: e.Params.Threshold,
-		})
-	}
+// WithCachePolicy sets the cache's eviction policy; policy builds one
+// instance per store stripe (default cache.NewLRU).
+func WithCachePolicy(policy func() cache.Policy) EdgeOption {
+	return func(e *Edge) { e.cacheConfig.Policy = policy }
 }
 
-// WithCacheIndex overrides the vector index (e.g. feature.NewLSH for the
-// A-index ablation).
+// WithCacheIndex sets the cache's vector index (default
+// feature.NewLinear; e.g. feature.NewLSH for the A-index ablation).
 func WithCacheIndex(idx feature.Index) EdgeOption {
-	return func(e *Edge) {
-		e.Cache = cache.NewSimilarity(cache.SimilarityConfig{
-			Capacity:  e.Params.EdgeCacheBytes,
-			Index:     idx,
-			Threshold: e.Params.Threshold,
-		})
-	}
+	return func(e *Edge) { e.cacheConfig.Index = idx }
 }
 
 // WithPrivacyK enables the k-anonymity sharing gate.
@@ -158,38 +151,16 @@ func WithInflightMode(m InflightMode) EdgeOption {
 	return func(e *Edge) { e.inflightMode = m }
 }
 
-// DefaultStoreShards stripes the default edge cache so the concurrent
-// request handlers of the TCP server (and peer probes from federated
-// edges) don't serialise on one store mutex. 8 stripes keep the per-shard
-// capacity (EdgeCacheBytes/8 = 32 MB at defaults) above the largest
-// cacheable value, the 15 MB scene model.
-const DefaultStoreShards = 8
-
-// minShardBytes floors the per-stripe capacity: a stripe is an eviction
-// domain and must comfortably hold the largest cacheable values, so
-// small caches (capacity-ablation edges) shed stripes down to a single
-// mutex rather than fragment into stripes nothing fits in.
-const minShardBytes = 16 << 20
-
-// storeShards picks the stripe count for an edge cache of the given
-// capacity.
-func storeShards(capacity int64) int {
-	shards := DefaultStoreShards
-	for shards > 1 && capacity/int64(shards) < minShardBytes {
-		shards /= 2
-	}
-	return shards
-}
-
-// NewEdge builds an edge with the configured IC cache.
+// NewEdge builds an edge. The IC cache is built once, after every
+// option has set its fields of the cache's configuration, so the options
+// compose in any order.
 func NewEdge(p Params, opts ...EdgeOption) *Edge {
 	e := &Edge{
 		Params: p,
-		Cache: cache.NewSimilarity(cache.SimilarityConfig{
+		cacheConfig: cache.SimilarityConfig{
 			Capacity:  p.EdgeCacheBytes,
 			Threshold: p.Threshold,
-			Shards:    storeShards(p.EdgeCacheBytes),
-		}),
+		},
 		inflight:  cache.NewInflightTable(p.Threshold),
 		replicate: true,
 		stats:     newEdgeStats(),
@@ -200,6 +171,7 @@ func NewEdge(p Params, opts ...EdgeOption) *Edge {
 	for _, o := range opts {
 		o(e)
 	}
+	e.Cache = cache.NewSimilarity(e.cacheConfig)
 	return e
 }
 

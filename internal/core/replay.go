@@ -193,6 +193,6 @@ func RunTrace(p Params, cond netsim.Condition, events []trace.Event, mode Mode, 
 	f := newFleet(p, cond, 1, opts...)
 	res := f.replay(events, mode, func(trace.Event) int { return 0 }, nil)
 	res.Edge = f.edges[0].Stats()
-	res.Cache, _ = f.edges[0].Cache.Stats()
+	res.Cache = f.edges[0].Cache.StatsSnapshot().Store
 	return res
 }

@@ -250,8 +250,8 @@ func TestTCPAgreesWithVirtualTimeOnATrace(t *testing.T) {
 		}
 	}
 
-	vst, _ := edge.Cache.Stats()
-	tst, _ := tcpEdge.Cache.Stats()
+	vst := edge.Cache.StatsSnapshot().Store
+	tst := tcpEdge.Cache.StatsSnapshot().Store
 	t.Logf("%d events, %d misses, %d evictions", len(events), misses, vst.Evictions)
 	if vst.Evictions == 0 || misses == 0 || misses == len(events) {
 		t.Fatalf("trace too easy: %d events, %d misses, %d evictions", len(events), misses, vst.Evictions)

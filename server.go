@@ -574,10 +574,10 @@ func (s *Server) Serve(ctx context.Context) error {
 		func() float64 { return float64(srv.CloudFetches()) })
 	s.reg.GaugeFunc("coic_cache_entries",
 		"Entries resident in the edge IC cache.",
-		func() float64 { st, _ := srv.Edge.Cache.Stats(); return float64(st.Entries) })
+		func() float64 { return float64(srv.Edge.Cache.StatsSnapshot().Store.Entries) })
 	s.reg.GaugeFunc("coic_cache_bytes",
-		"Bytes resident in the edge IC cache.",
-		func() float64 { st, _ := srv.Edge.Cache.Stats(); return float64(st.BytesUsed) })
+		"Value bytes charged against the edge IC cache's byte budget; descriptors, index vectors and bookkeeping are not charged, so the cache's heap is larger.",
+		func() float64 { return float64(srv.Edge.Cache.StatsSnapshot().Store.BytesUsed) })
 	s.reg.GaugeFunc("coic_scene_members",
 		"Connections currently joined to shared scenes on this edge.",
 		func() float64 { _, members, _ := srv.SceneStats(); return float64(members) })

@@ -29,9 +29,10 @@ type StoreStats struct {
 	Capacity  int64
 	// Entries is how many results are resident.
 	Entries int
-	// Insertions / Evictions / Expirations count store churn.
-	Insertions  uint64
-	Evictions   uint64
+	// Insertions / Evictions count store churn.
+	Insertions uint64
+	Evictions  uint64
+	// Deprecated: the edge cache has no expiry, so Expirations is always 0.
 	Expirations uint64
 }
 
@@ -104,12 +105,11 @@ func (s *System) Stats() SystemStats {
 	es := s.edge.Stats()
 	out := SystemStats{
 		Store: StoreStats{
-			BytesUsed:   snap.Store.BytesUsed,
-			Capacity:    snap.Capacity,
-			Entries:     snap.Store.Entries,
-			Insertions:  snap.Store.Insertions,
-			Evictions:   snap.Store.Evictions,
-			Expirations: snap.Store.Expirations,
+			BytesUsed:  snap.Store.BytesUsed,
+			Capacity:   snap.Capacity,
+			Entries:    snap.Store.Entries,
+			Insertions: snap.Store.Insertions,
+			Evictions:  snap.Store.Evictions,
 		},
 		Queries: QueryStats{
 			Queries:     snap.Queries,
