@@ -98,6 +98,12 @@ type conn struct {
 	seq    uint64
 }
 
+// frameHooks observe every pooled body a server's connections take and
+// release; tests set them before the server starts.
+type frameHooks struct {
+	take, release func(*[]byte)
+}
+
 func (s *ServerCore) newConn(nc net.Conn, t tier, scenes *scene.Registry) *conn {
 	workers, depth := s.Workers, s.QueueDepth
 	if workers <= 0 {

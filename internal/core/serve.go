@@ -108,6 +108,8 @@ type ServerCore struct {
 	// Obs, when non-nil, feeds the live metrics plane (see NewServerObs).
 	Obs *ServerObs
 
+	frames frameHooks
+
 	// The ledger: this server's scheduler decisions across every
 	// connection it runs, read by Stats through the accessors below and
 	// by /metrics through scrape-time bridges.
