@@ -20,19 +20,22 @@ func TestRecognizeBatchMatchesSerial(t *testing.T) {
 	golden := NewCloud(p) // fresh twin: serial answers with untouched counters
 
 	cli := NewClient(0, p)
-	payloads := make([][]byte, 0, 7)
+	payloads := make([][]byte, 0, 8)
 	for i := 0; i < 3; i++ {
 		frame := cli.CaptureFrame(vision.Class(i%int(vision.NumClasses)), uint64(40+i))
 		payloads = append(payloads, frame.Bytes())
 		payloads = append(payloads, frame.Bytes()) // bit-exact duplicate
 	}
+	// An equal frame in its own buffer, as two requests carry it: unique
+	// frames are counted by content, not by slice.
+	payloads = append(payloads, bytes.Clone(payloads[2]))
 	payloads = append(payloads, []byte("not a frame")) // malformed member
 
 	results, errs, cost := cloud.RecognizeBatch(payloads)
 	if len(results) != len(payloads) || len(errs) != len(payloads) {
 		t.Fatalf("result lengths = %d/%d, want %d", len(results), len(errs), len(payloads))
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 7; i++ {
 		if errs[i] != nil {
 			t.Fatalf("member %d failed: %v", i, errs[i])
 		}
@@ -44,10 +47,10 @@ func TestRecognizeBatchMatchesSerial(t *testing.T) {
 			t.Fatalf("member %d result diverges from serial Recognize", i)
 		}
 	}
-	if errs[6] == nil {
+	if errs[7] == nil {
 		t.Fatal("malformed member did not fail")
 	}
-	if results[6] != nil {
+	if results[7] != nil {
 		t.Fatal("malformed member produced a result")
 	}
 

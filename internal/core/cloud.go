@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -152,9 +154,10 @@ func (c *Cloud) buildCentroids() {
 }
 
 // Recognize executes the full recognition task on a raw RGBA camera
-// frame: the real DNN trunk runs and the nearest class centroid decides
-// the label. The result is serialised exactly as it will be cached.
-// Returns the result bytes and the virtual compute cost.
+// frame: the real DNN trunk runs on an input sampled straight out of
+// payload (vision.FromBytes is a view, not a copy) and the nearest class
+// centroid decides the label. The result is serialised exactly as it
+// will be cached. Returns the result bytes and the virtual compute cost.
 func (c *Cloud) Recognize(payload []byte) ([]byte, time.Duration, error) {
 	frame, err := vision.FromBytes(c.Params.CameraW, c.Params.CameraH, payload)
 	if err != nil {
@@ -190,7 +193,7 @@ func (c *Cloud) RecognizeBatch(payloads [][]byte) (results [][]byte, errs []erro
 	errs = make([]error, len(payloads))
 	inputs := make([]*tensor.Tensor, 0, len(payloads))
 	members := make([]int, 0, len(payloads))
-	unique := map[string]struct{}{}
+	unique := 0
 	for i, payload := range payloads {
 		frame, err := vision.FromBytes(c.Params.CameraW, c.Params.CameraH, payload)
 		if err != nil {
@@ -198,8 +201,12 @@ func (c *Cloud) RecognizeBatch(payloads [][]byte) (results [][]byte, errs []erro
 			continue
 		}
 		inputs = append(inputs, vision.ToTensor(frame, c.Params.DNNInput))
+		// A batch holds a few frames: comparing against the earlier
+		// members beats copying each 2 MB payload into a map key.
+		if !slices.ContainsFunc(members, func(k int) bool { return bytes.Equal(payloads[k], payload) }) {
+			unique++
+		}
 		members = append(members, i)
-		unique[string(payload)] = struct{}{}
 	}
 	if len(inputs) == 0 {
 		return results, errs, 0
@@ -220,7 +227,7 @@ func (c *Cloud) RecognizeBatch(payloads [][]byte) (results [][]byte, errs []erro
 		}
 		results[i] = body
 	}
-	cost = time.Duration(len(unique)) * c.Params.flopsTime(c.Net.TotalFLOPs(), c.Params.CloudGFLOPS)
+	cost = time.Duration(unique) * c.Params.flopsTime(c.Net.TotalFLOPs(), c.Params.CloudGFLOPS)
 	return results, errs, cost
 }
 

@@ -92,11 +92,22 @@ type conn struct {
 	outbox *pushOutbox
 
 	// Reader-owned: the execution mode and tenant the next request is
-	// admitted under, and the arrival sequence number of the last frame.
+	// admitted under, the arrival sequence number of the last frame, and
+	// the pooled buffer the frame being read was given (see takeFrame).
 	mode   Mode
 	tenant string
 	seq    uint64
+	frame  *[]byte
 }
+
+// pooledFrameMin is the smallest exec body a connection reads into a
+// recycled buffer: camera frames, not descriptors or control frames.
+const pooledFrameMin = 64 << 10
+
+// framePool recycles the bodies of large exec frames (*[]byte) across
+// every connection. A buffer too small for a frame is dropped and
+// replaced, not grown.
+var framePool sync.Pool
 
 // frameHooks observe every pooled body a server's connections take and
 // release; tests set them before the server starts.
@@ -249,12 +260,15 @@ func (c *conn) answer(seq uint64, m wire.Message) {
 	c.replies <- wire.SequencedMessage{Seq: seq, Msg: m}
 }
 
-// finishJob releases a job's cancel registration, accounts it and hands
-// its reply to the writer — every admitted job exits through here exactly
-// once, serial or batched, executed or shed.
+// finishJob releases a job's cancel registration and pooled frame,
+// accounts it and hands its reply to the writer — every admitted job
+// exits through here exactly once, serial or batched, executed or shed.
+// No reply aliases its request's body, so the frame goes back to the
+// pool before the reply is written.
 func (c *conn) finishJob(j schedJob, m wire.Message) {
 	j.finish()
 	c.srv.Obs.request(j.tenant, j.class, j.msg, j.trace, m, time.Since(j.admitted))
+	c.releaseFrame(j.frame)
 	c.answer(j.seq, m)
 }
 
@@ -392,9 +406,13 @@ func (c *conn) runBatch(jobs []schedJob) {
 // read is the connection's reader, until the connection closes, a frame
 // is corrupt, the shutdown deadline fires or a hello is fatally refused.
 func (c *conn) read() {
+	take := c.takeFrame // one method value, not one per frame
 	for {
-		msg, err := wire.ReadMessage(c.nc)
+		msg, err := wire.ReadMessageInto(c.nc, take)
+		frame := c.frame
+		c.frame = nil
 		if err != nil {
+			c.releaseFrame(frame)
 			return
 		}
 		c.slots <- struct{}{}
@@ -407,9 +425,41 @@ func (c *conn) read() {
 		case wire.MsgCancel:
 			c.cancelRequest(msg)
 		default:
-			c.admit(msg)
+			c.admit(msg, frame)
 		}
 	}
+}
+
+// takeFrame is the reader's body source: an exec body of at least
+// pooledFrameMin bytes is read into a buffer from framePool, which the
+// job it becomes owns until finishJob (or admit's refusal) releases it.
+// Everything else gets a fresh body.
+func (c *conn) takeFrame(t wire.MsgType, n int) []byte {
+	if t != wire.MsgExec || n < pooledFrameMin {
+		return nil
+	}
+	p, _ := framePool.Get().(*[]byte)
+	if p == nil || cap(*p) < n {
+		b := make([]byte, n)
+		p = &b
+	}
+	if h := c.srv.frames.take; h != nil {
+		h(p)
+	}
+	c.frame = p
+	return *p
+}
+
+// releaseFrame returns a pooled body to framePool; nil is a no-op.
+// Nothing decoded from the body may be used after it.
+func (c *conn) releaseFrame(p *[]byte) {
+	if p == nil {
+		return
+	}
+	if h := c.srv.frames.release; h != nil {
+		h(p)
+	}
+	framePool.Put(p)
 }
 
 // hello applies a hello frame and acks it; false means the preamble was
@@ -464,7 +514,9 @@ func (c *conn) cancelRequest(msg wire.Message) {
 
 // admit offers one request to its tenant's token bucket and then the
 // scheduler; a refusal by either is answered in the request's reply slot.
-func (c *conn) admit(msg wire.Message) {
+// frame, the pooled buffer msg.Body lives in (or nil), goes with the job,
+// or back to the pool on a refusal.
+func (c *conn) admit(msg wire.Message, frame *[]byte) {
 	obsv, tenant := c.srv.Obs, c.tenant
 	jctx, jcancel := context.WithCancel(c.ctx)
 	reqID := msg.RequestID
@@ -497,6 +549,7 @@ func (c *conn) admit(msg wire.Message) {
 	refuse := func(m wire.Message) {
 		finish()
 		obsv.request(tenant, class, msg, trace, m, 0)
+		c.releaseFrame(frame)
 		c.answer(c.seq, m)
 	}
 	// Per-tenant rationing runs before global admission: a request the
@@ -508,7 +561,7 @@ func (c *conn) admit(msg wire.Message) {
 		return
 	}
 	evicted, ok := c.sched.push(schedJob{
-		seq: c.seq, msg: msg, mode: c.mode, ctx: jctx, finish: finish,
+		seq: c.seq, msg: msg, frame: frame, mode: c.mode, ctx: jctx, finish: finish,
 		class: class, deadline: deadline, tenant: tenant,
 		admitted: time.Now(), trace: trace,
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"time"
@@ -394,13 +395,20 @@ func (e *Edge) serve(ctx context.Context, q edgeQuery, obs *ServerObs, hop cloud
 // them). A failed fetch fails every waiter and leaves the descriptor
 // clean for the next attempt. It is apart from serve so that the closure
 // is built on misses only.
+//
+// An origin request is sent before fetch returns, so it sends the
+// request's own frame; a flight sends a copy, because it outlives a
+// leader that departs, and the leader's frame is recycled (conn.finishJob)
+// as soon as the leader answers.
 func (e *Edge) fetch(ctx context.Context, q edgeQuery, hop cloudHop, leave time.Time) ([]byte, uint8, error) {
 	if q.mode != ModeCoIC {
 		payload, _, _, err := hop.cloudFetch(ctx, q.tenant, q.msg, leave)
 		return payload, wire.SourceCloud, err
 	}
+	msg := q.msg
+	msg.Body = bytes.Clone(msg.Body)
 	val, leader, err := e.inflight.Do(ctx, q.desc, func(fctx context.Context) ([]byte, error) {
-		payload, costHint, back, err := hop.cloudFetch(fctx, q.tenant, q.msg, leave)
+		payload, costHint, back, err := hop.cloudFetch(fctx, q.tenant, msg, leave)
 		if err == nil {
 			e.insertAtAs(q.user, q.tenant, q.desc, payload, costHint, back)
 		}

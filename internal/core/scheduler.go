@@ -39,6 +39,7 @@ import (
 type schedJob struct {
 	seq    uint64
 	msg    wire.Message
+	frame  *[]byte // the pooled buffer msg.Body lives in (nil: a fresh body); see conn.takeFrame
 	mode   Mode
 	ctx    context.Context
 	finish context.CancelFunc

@@ -76,14 +76,14 @@ func (f *Frame) Bytes() []byte { return f.Pix }
 // SizeBytes reports the upload payload size.
 func (f *Frame) SizeBytes() int { return len(f.Pix) }
 
-// FromBytes reconstructs a frame from a raw RGBA buffer.
+// FromBytes returns a read-only view of a raw RGBA buffer as a w×h
+// frame: Pix is pix itself, not a copy, so the frame is valid only as
+// long as pix is, and must not be written to (Clone it first).
 func FromBytes(w, h int, pix []byte) (*Frame, error) {
 	if len(pix) != w*h*4 {
 		return nil, fmt.Errorf("vision: %d bytes cannot be a %dx%d RGBA frame", len(pix), w, h)
 	}
-	f := &Frame{W: w, H: h, Pix: make([]uint8, len(pix))}
-	copy(f.Pix, pix)
-	return f, nil
+	return &Frame{W: w, H: h, Pix: pix}, nil
 }
 
 // Resize returns a nearest-neighbour rescale. Quality is irrelevant here —

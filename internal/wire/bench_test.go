@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"github.com/edge-immersion/coic/internal/feature"
@@ -61,5 +62,65 @@ func BenchmarkExecRequestUnmarshal(b *testing.B) {
 		if _, err := UnmarshalExecRequest(body); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkReadMessage2M reads a 2 MB exec frame, the size of a 720×720
+// camera upload: fresh is ReadMessage's new body per frame, recycled is
+// ReadMessageInto with one buffer reused, as a server connection reads
+// exec frames.
+func BenchmarkReadMessage2M(b *testing.B) {
+	enc, err := execFrame2M().Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		body func(MsgType, int) []byte
+	}{
+		{"fresh", nil},
+		{"recycled", recycled(len(enc))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := bytes.NewReader(enc)
+			b.SetBytes(int64(len(enc)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.Reset(enc)
+				if _, err := ReadMessageInto(r, bc.body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWriteMessage2M writes a 2 MB exec frame, as the edge forwards
+// a miss upstream: fresh encodes into a new buffer per frame (Encode,
+// then one Write), recycled is WriteMessage's pooled buffer.
+func BenchmarkWriteMessage2M(b *testing.B) {
+	m := execFrame2M()
+	for _, bc := range []struct {
+		name  string
+		write func(io.Writer, Message) error
+	}{
+		{"fresh", func(w io.Writer, m Message) error {
+			buf, err := m.Encode()
+			if err == nil {
+				_, err = w.Write(buf)
+			}
+			return err
+		}},
+		{"recycled", WriteMessage},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(m.WireSize()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.write(io.Discard, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

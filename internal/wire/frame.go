@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // Protocol constants.
@@ -172,7 +173,14 @@ func (m Message) Encode() ([]byte, error) {
 	if len(m.Body) > MaxBody {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooBig, len(m.Body))
 	}
-	buf := make([]byte, HeaderSize+len(m.Body))
+	buf := make([]byte, m.WireSize())
+	m.encodeInto(buf)
+	return buf, nil
+}
+
+// encodeInto renders the frame into buf, which holds exactly WireSize
+// bytes: the one header writer behind Encode and WriteMessage.
+func (m Message) encodeInto(buf []byte) {
 	binary.LittleEndian.PutUint16(buf[0:], Magic)
 	buf[2] = Version
 	buf[3] = byte(m.Type)
@@ -180,12 +188,35 @@ func (m Message) Encode() ([]byte, error) {
 	binary.LittleEndian.PutUint32(buf[12:], uint32(len(m.Body)))
 	binary.LittleEndian.PutUint32(buf[16:], crc32.ChecksumIEEE(m.Body))
 	copy(buf[HeaderSize:], m.Body)
-	return buf, nil
 }
+
+// pooledWriteMin is the smallest frame WriteMessage encodes into a
+// recycled buffer instead of a fresh one: camera frames and model or
+// panorama replies, not control frames.
+const pooledWriteMin = 32 << 10
+
+// writeBufs recycles WriteMessage's encode buffers (*[]byte). A buffer
+// too small for a frame is dropped and replaced, not grown.
+var writeBufs sync.Pool
 
 // WriteMessage frames and writes m with a single Write call, so
 // per-message shaping (netsim.Shaper) observes message granularity.
+// Frames of at least pooledWriteMin bytes are encoded into a recycled
+// buffer, reused as soon as Write returns: io.Writer's contract forbids
+// keeping p.
 func WriteMessage(w io.Writer, m Message) error {
+	if n := m.WireSize(); n >= pooledWriteMin && len(m.Body) <= MaxBody {
+		p, _ := writeBufs.Get().(*[]byte)
+		if p == nil || cap(*p) < n {
+			b := make([]byte, n)
+			p = &b
+		}
+		buf := (*p)[:n]
+		m.encodeInto(buf)
+		_, err := w.Write(buf)
+		writeBufs.Put(p)
+		return err
+	}
 	buf, err := m.Encode()
 	if err != nil {
 		return err
@@ -194,10 +225,21 @@ func WriteMessage(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadMessage reads and verifies one frame. Body allocation is bounded by
-// MaxBody. io.EOF is returned unwrapped when the stream ends cleanly
-// between frames.
-func ReadMessage(r io.Reader) (Message, error) {
+// ReadMessage reads and verifies one frame into a fresh body, which
+// belongs to the caller and to whatever is decoded from it. Body
+// allocation is bounded by MaxBody. io.EOF is returned unwrapped when the
+// stream ends cleanly between frames.
+func ReadMessage(r io.Reader) (Message, error) { return ReadMessageInto(r, nil) }
+
+// ReadMessageInto reads and verifies one frame like ReadMessage, but
+// takes the body's buffer from its caller: once the header has been
+// checked, body is asked for a buffer for the frame's type and body
+// length n, and the body is read into its first n bytes. A nil body or
+// buffer, or one whose capacity is under n, means a fresh allocation. The
+// returned Body has its capacity clipped to n, so no byte of the
+// buffer's earlier use is reachable through it; when the read fails the
+// buffer is still the caller's to recycle.
+func ReadMessageInto(r io.Reader, body func(t MsgType, n int) []byte) (Message, error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return Message{}, err // clean EOF stays io.EOF
@@ -220,7 +262,14 @@ func ReadMessage(r io.Reader) (Message, error) {
 		return Message{}, fmt.Errorf("%w: %d bytes", ErrTooBig, n)
 	}
 	wantCRC := binary.LittleEndian.Uint32(hdr[16:])
-	m.Body = make([]byte, n)
+	var buf []byte
+	if body != nil {
+		buf = body(m.Type, int(n))
+	}
+	if buf == nil || cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	m.Body = buf[:n:n]
 	if _, err := io.ReadFull(r, m.Body); err != nil {
 		return Message{}, fmt.Errorf("wire: short body: %w", err)
 	}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,7 +12,9 @@ import (
 // FuzzReadMessage feeds arbitrary bytes to the frame decoder. The
 // invariants: never panic, never allocate past MaxBody, and any frame
 // that decodes re-encodes to exactly the bytes the reader consumed (the
-// frame format has one canonical encoding).
+// frame format has one canonical encoding). Each input is also read
+// through ReadMessageInto with a dirty, oversized buffer, which must
+// give the same type, ID, body and error: no stale byte ever shows.
 func FuzzReadMessage(f *testing.F) {
 	joinBody, err := (SceneJoin{Scene: "gallery", QoS: QoSInteractive, TraceID: 0xAB}).Marshal()
 	if err != nil {
@@ -65,6 +68,15 @@ func FuzzReadMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		m, err := ReadMessage(r)
+		dirty := bytes.Repeat([]byte{0xEE}, len(data)+HeaderSize)
+		pm, perr := ReadMessageInto(bytes.NewReader(data), func(MsgType, int) []byte { return dirty })
+		if fmt.Sprint(perr) != fmt.Sprint(err) {
+			t.Fatalf("pooled read error %v, fresh read error %v", perr, err)
+		}
+		if pm.Type != m.Type || pm.RequestID != m.RequestID || !bytes.Equal(pm.Body, m.Body) || cap(pm.Body) != len(pm.Body) {
+			t.Fatalf("pooled read %v/%d/%d bytes (cap %d), fresh read %v/%d/%d bytes",
+				pm.Type, pm.RequestID, len(pm.Body), cap(pm.Body), m.Type, m.RequestID, len(m.Body))
+		}
 		if err != nil {
 			return
 		}
