@@ -53,3 +53,19 @@ func TestDecodeCMFMutatedValidInput(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeOBJXContinuationOnly feeds lines that are nothing but a
+// continuation backslash: once glued they are empty, and the decoder
+// must return an error or a mesh, never panic.
+func TestDecodeOBJXContinuationOnly(t *testing.T) {
+	for _, in := range []string{"\\", "\\\n", "v 1 2 3\n\\\n \n"} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("DecodeOBJX(%q) panicked: %v", in, r)
+				}
+			}()
+			_, _ = DecodeOBJX([]byte(in))
+		}()
+	}
+}

@@ -7,14 +7,19 @@ package coic
 // edge.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -325,4 +330,75 @@ func TestOpsReadinessFlipsWhenCloudDrops(t *testing.T) {
 	if status, _ := scrape(t, ops.URL, "/healthz"); status != http.StatusOK {
 		t.Errorf("/healthz = %d after cloud death, want 200", status)
 	}
+}
+
+// syncBuffer is a bytes.Buffer safe for the concurrent writes of a slog
+// handler and the test's reads.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServerLogsSlowRequests checks that a server logs its slow-request
+// warnings through slog.Default(), carrying the request's trace ID, so an
+// operator can grep a daemon's log for a trace a client printed.
+func TestServerLogsSlowRequests(t *testing.T) {
+	var logged syncBuffer
+	oldLogger, oldOut, oldFlags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	t.Cleanup(func() {
+		slog.SetDefault(oldLogger)
+		log.SetOutput(oldOut)
+		log.SetFlags(oldFlags)
+	})
+
+	p := testParams()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cloudLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go NewCloudServer(WithListener(cloudLn), WithServeParams(p)).Serve(ctx)
+	edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go NewEdgeServer(
+		WithListener(edgeLn),
+		WithServeParams(p),
+		WithCloud(cloudLn.Addr().String()),
+		WithSlowRequestThreshold(time.Nanosecond),
+	).Serve(ctx)
+
+	cli := streamClient(t, edgeLn.Addr().String())
+	defer cli.Close()
+	st, err := cli.Stream(ctx, WithWindow(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trace = 0xC0FFEE5107
+	if _, err := st.Submit(ctx, PanoTask("slow-log", 1, Viewport{FOV: 1.5}).WithTraceID(trace)); err != nil {
+		t.Fatal(err)
+	}
+	if comp := <-st.Results(); comp.Err != nil {
+		t.Fatal(comp.Err)
+	}
+	want := fmt.Sprintf("trace_id=%016x", uint64(trace))
+	waitForStats(t, "the slow request to reach slog.Default()", func() bool {
+		out := logged.String()
+		return strings.Contains(out, "slow request") && strings.Contains(out, want)
+	})
 }
