@@ -13,95 +13,33 @@
 //
 //	coic-cloud -listen :9090
 //	coic-cloud -listen :9090 -http :9190 -slow 500ms
+//
+// docs/OPERATIONS.md "Daemon flags" lists every flag with its default.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
-	"time"
 
 	coic "github.com/edge-immersion/coic"
+	"github.com/edge-immersion/coic/cmd/internal/daemon"
 )
 
+// newFlags registers coic-cloud's command line: the shared server flags
+// alone, since the cloud has no role-specific ones.
+func newFlags(fs *flag.FlagSet) *daemon.Flags { return daemon.NewFlags(fs, ":9090") }
+
 func main() {
-	listen := flag.String("listen", ":9090", "address to serve on")
-	workers := flag.Int("workers", 0, "concurrent requests per connection (0 = default); one edge funnels all its misses over one multiplexed connection, so this bounds its fetch parallelism")
-	queue := flag.Int("queue", 0, "requests buffered per connection before overload replies (0 = default)")
-	batch := flag.Int("batch", 0, "max exec requests one worker executes as a single batched DNN pass (0 or 1 = serial)")
-	batchSlack := flag.Duration("batch-slack", 2*time.Millisecond, "longest a best-effort request waits for batchmates (interactive never waits); needs -batch")
-	httpAddr := flag.String("http", "", "ops sidecar address for /metrics, /healthz, /readyz, /debug (empty = disabled)")
-	slow := flag.Duration("slow", time.Second, "latency above which a successful request enters /debug/requests")
-	var tenantOpts []coic.ServerOption
-	flag.Func("tenant-quota", `tenant limits as "name:key=value,..." (keys: token, rate, burst, weight; cache is edge-only); repeatable`, func(spec string) error {
-		name, cfg, err := coic.ParseTenantQuota(spec)
-		if err != nil {
-			return err
-		}
-		tenantOpts = append(tenantOpts, coic.WithTenantQuota(name, cfg))
-		return nil
-	})
-	flag.Func("tenant-weight", `tenant fair-share weight as "name=weight"; repeatable, merges with -tenant-quota`, func(spec string) error {
-		name, val, ok := strings.Cut(spec, "=")
-		if !ok {
-			return fmt.Errorf("%q is not name=weight", spec)
-		}
-		w, err := strconv.Atoi(val)
-		if err != nil {
-			return err
-		}
-		tenantOpts = append(tenantOpts, coic.WithTenantWeight(name, w))
-		return nil
-	})
+	f := newFlags(flag.CommandLine)
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	ln, err := net.Listen("tcp", *listen)
+	st, err := f.Run("coic-cloud", "", coic.NewCloudServer)
 	if err != nil {
-		log.Fatalf("coic-cloud: %v", err)
-	}
-	fmt.Printf("coic-cloud: serving on %s\n", ln.Addr())
-	opts := []coic.ServerOption{
-		coic.WithListener(ln),
-		coic.WithServeParams(coic.DefaultParams()),
-		coic.WithWorkers(*workers),
-		coic.WithQueueDepth(*queue),
-		coic.WithBatch(*batch),
-		coic.WithBatchSlack(*batchSlack),
-		coic.WithSlowRequestThreshold(*slow),
-	}
-	opts = append(opts, tenantOpts...)
-	srv := coic.NewCloudServer(opts...)
-	if *httpAddr != "" {
-		opsLn, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			log.Fatalf("coic-cloud: ops listener: %v", err)
-		}
-		ops := &http.Server{Handler: srv.OpsHandler()}
-		defer ops.Close()
-		go func() {
-			if err := ops.Serve(opsLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("coic-cloud: ops plane: %v", err)
-			}
-		}()
-		fmt.Printf("coic-cloud: ops plane on http://%s/metrics\n", opsLn.Addr())
-	}
-	if err := srv.Serve(ctx); err != nil {
 		log.Fatalf("coic-cloud: %v", err)
 	}
 	// The cloud schedules by the same QoS trailer the edge forwards, so
 	// its shed counters show deadline pressure that reached the WAN.
-	st := srv.Stats()
 	fmt.Printf("coic-cloud: served %d interactive + %d best-effort requests, shed %d expired deadlines, %d overloads\n",
 		st.AdmittedInteractive, st.AdmittedBestEffort, st.DeadlineSheds, st.Overloads)
 	if st.Batches > 0 {

@@ -47,61 +47,45 @@
 //	coic-edge -listen :9091 -self localhost:9091 -peers localhost:9092,localhost:9093
 //	coic-edge -listen :9091 -workers 32 -queue 128 -fetch-timeout 5s
 //	coic-edge -listen :9091 -http :9191 -slow 250ms
+//
+// docs/OPERATIONS.md "Daemon flags" lists every flag with its default.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"os/signal"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	coic "github.com/edge-immersion/coic"
+	"github.com/edge-immersion/coic/cmd/internal/daemon"
 )
 
+// flags are coic-edge's command line: the shared server flags plus the
+// edge role's own.
+type flags struct {
+	*daemon.Flags
+	cloud, cloudShape, peers, self, gossipSeeds *string
+	rf                                          *int
+	fetchTimeout                                *time.Duration
+}
+
+func newFlags(fs *flag.FlagSet) *flags {
+	return &flags{
+		Flags:        daemon.NewFlags(fs, ":9091"),
+		cloud:        fs.String("cloud", "localhost:9090", "cloud address to forward misses to"),
+		cloudShape:   fs.String("cloud-shape", "", `tc-style spec for the edge->cloud link, e.g. "rate 20mbit delay 10ms"`),
+		peers:        fs.String("peers", "", "comma-separated peer edge addresses to federate with (static membership)"),
+		self:         fs.String("self", "", "this edge's advertised address in the federation (required with -peers or -gossip-seeds; must be how other members dial this edge)"),
+		gossipSeeds:  fs.String("gossip-seeds", "", "comma-separated seed addresses for gossip-discovered federation membership; a seed node lists itself"),
+		rf:           fs.Int("rf", 0, "federation replication factor: copies of each published key across ring owners (0 or 1 = home only)"),
+		fetchTimeout: fs.Duration("fetch-timeout", 0, "per-fetch cloud timeout (0 = default)"),
+	}
+}
+
 func main() {
-	listen := flag.String("listen", ":9091", "address to serve clients on")
-	cloud := flag.String("cloud", "localhost:9090", "cloud address to forward misses to")
-	cloudShape := flag.String("cloud-shape", "", `tc-style spec for the edge->cloud link, e.g. "rate 20mbit delay 10ms"`)
-	peers := flag.String("peers", "", "comma-separated peer edge addresses to federate with (static membership)")
-	self := flag.String("self", "", "this edge's advertised address in the federation (required with -peers or -gossip-seeds; must be how other members dial this edge)")
-	gossipSeeds := flag.String("gossip-seeds", "", "comma-separated seed addresses for gossip-discovered federation membership; a seed node lists itself")
-	rf := flag.Int("rf", 0, "federation replication factor: copies of each published key across ring owners (0 or 1 = home only)")
-	workers := flag.Int("workers", 0, "concurrent requests per client connection (0 = default)")
-	queue := flag.Int("queue", 0, "requests buffered per connection before overload replies (0 = default)")
-	batch := flag.Int("batch", 0, "max exec requests one worker dispatches together, coalescing duplicates and bursting misses upstream (0 or 1 = serial)")
-	batchSlack := flag.Duration("batch-slack", 2*time.Millisecond, "longest a best-effort request waits for batchmates (interactive never waits); needs -batch")
-	fetchTimeout := flag.Duration("fetch-timeout", 0, "per-fetch cloud timeout (0 = default)")
-	httpAddr := flag.String("http", "", "ops sidecar address for /metrics, /healthz, /readyz, /debug (empty = disabled)")
-	slow := flag.Duration("slow", time.Second, "latency above which a successful request enters /debug/requests")
-	var tenantOpts []coic.ServerOption
-	flag.Func("tenant-quota", `tenant limits as "name:key=value,..." (keys: token, rate, burst, weight, cache); repeatable`, func(spec string) error {
-		name, cfg, err := coic.ParseTenantQuota(spec)
-		if err != nil {
-			return err
-		}
-		tenantOpts = append(tenantOpts, coic.WithTenantQuota(name, cfg))
-		return nil
-	})
-	flag.Func("tenant-weight", `tenant fair-share weight as "name=weight"; repeatable, merges with -tenant-quota`, func(spec string) error {
-		name, val, ok := strings.Cut(spec, "=")
-		if !ok {
-			return fmt.Errorf("%q is not name=weight", spec)
-		}
-		w, err := strconv.Atoi(val)
-		if err != nil {
-			return err
-		}
-		tenantOpts = append(tenantOpts, coic.WithTenantWeight(name, w))
-		return nil
-	})
+	f := newFlags(flag.CommandLine)
 	flag.Parse()
 
 	splitAddrs := func(list string) []string {
@@ -113,8 +97,8 @@ func main() {
 		}
 		return out
 	}
-	peerAddrs := splitAddrs(*peers)
-	seedAddrs := splitAddrs(*gossipSeeds)
+	peerAddrs := splitAddrs(*f.peers)
+	seedAddrs := splitAddrs(*f.gossipSeeds)
 	if len(peerAddrs) > 0 && len(seedAddrs) > 0 {
 		log.Fatal("coic-edge: -peers and -gossip-seeds are mutually exclusive — declare the fleet or discover it, not both")
 	}
@@ -122,71 +106,34 @@ func main() {
 	// strings into the ring, and a defaulted listen address like ":9091"
 	// is neither dialable by peers nor equal to how they name this edge —
 	// the federation would silently mis-home every key.
-	if len(peerAddrs) > 0 && *self == "" {
+	if len(peerAddrs) > 0 && *f.self == "" {
 		log.Fatal("coic-edge: -peers requires -self, the dialable address the other members list for this edge")
 	}
-	if len(seedAddrs) > 0 && *self == "" {
+	if len(seedAddrs) > 0 && *f.self == "" {
 		log.Fatal("coic-edge: -gossip-seeds requires -self, the dialable address gossip advertises for this edge")
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("coic-edge: %v", err)
+	detail := fmt.Sprintf(", cloud at %s", *f.cloud)
+	opts := []coic.ServerOption{
+		coic.WithCloud(*f.cloud),
+		coic.WithCloudShape(coic.ShapeSpec(*f.cloudShape)),
+		coic.WithFetchTimeout(*f.fetchTimeout),
 	}
 	switch {
 	case len(peerAddrs) > 0:
-		fmt.Printf("coic-edge: serving on %s, cloud at %s, federated as %s with %v\n",
-			ln.Addr(), *cloud, *self, peerAddrs)
+		detail += fmt.Sprintf(", federated as %s with %v", *f.self, peerAddrs)
+		opts = append(opts, coic.WithFederation(*f.self, peerAddrs...))
 	case len(seedAddrs) > 0:
-		fmt.Printf("coic-edge: serving on %s, cloud at %s, gossiping as %s via seeds %v\n",
-			ln.Addr(), *cloud, *self, seedAddrs)
-	default:
-		fmt.Printf("coic-edge: serving on %s, cloud at %s\n", ln.Addr(), *cloud)
+		detail += fmt.Sprintf(", gossiping as %s via seeds %v", *f.self, seedAddrs)
+		opts = append(opts, coic.WithGossip(*f.self, seedAddrs...))
 	}
-	opts := []coic.ServerOption{
-		coic.WithListener(ln),
-		coic.WithServeParams(coic.DefaultParams()),
-		coic.WithCloud(*cloud),
-		coic.WithCloudShape(coic.ShapeSpec(*cloudShape)),
-		coic.WithWorkers(*workers),
-		coic.WithQueueDepth(*queue),
-		coic.WithBatch(*batch),
-		coic.WithBatchSlack(*batchSlack),
-		coic.WithFetchTimeout(*fetchTimeout),
-		coic.WithSlowRequestThreshold(*slow),
+	if *f.rf > 1 {
+		opts = append(opts, coic.WithReplication(*f.rf))
 	}
-	opts = append(opts, tenantOpts...)
-	if len(peerAddrs) > 0 {
-		opts = append(opts, coic.WithFederation(*self, peerAddrs...))
-	}
-	if len(seedAddrs) > 0 {
-		opts = append(opts, coic.WithGossip(*self, seedAddrs...))
-	}
-	if *rf > 1 {
-		opts = append(opts, coic.WithReplication(*rf))
-	}
-	srv := coic.NewEdgeServer(opts...)
-	if *httpAddr != "" {
-		opsLn, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			log.Fatalf("coic-edge: ops listener: %v", err)
-		}
-		ops := &http.Server{Handler: srv.OpsHandler()}
-		defer ops.Close()
-		go func() {
-			if err := ops.Serve(opsLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("coic-edge: ops plane: %v", err)
-			}
-		}()
-		fmt.Printf("coic-edge: ops plane on http://%s/metrics\n", opsLn.Addr())
-	}
-	if err := srv.Serve(ctx); err != nil {
+	st, err := f.Run("coic-edge", detail, coic.NewEdgeServer, opts...)
+	if err != nil {
 		log.Fatalf("coic-edge: %v", err)
 	}
-	st := srv.Stats()
 	fmt.Printf("coic-edge: served %d interactive + %d best-effort requests, %d cloud fetches, shed %d expired deadlines, %d overloads\n",
 		st.AdmittedInteractive, st.AdmittedBestEffort, st.CloudFetches, st.DeadlineSheds, st.Overloads)
 	if st.Batches > 0 {

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"flag"
 	"net"
 	"os"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	coic "github.com/edge-immersion/coic"
+	"github.com/edge-immersion/coic/cmd/internal/daemon"
 	"github.com/edge-immersion/coic/internal/core"
 	"github.com/edge-immersion/coic/internal/netsim"
 )
@@ -131,5 +133,19 @@ func TestGracefulShutdownOnSIGINT(t *testing.T) {
 	scanWg.Wait()
 	if !sawClean {
 		t.Fatal("daemon did not report a clean shutdown")
+	}
+}
+
+// TestFlagTableMatchesOperationsDoc keeps docs/OPERATIONS.md "Daemon
+// flags" in step with the flags main registers.
+func TestFlagTableMatchesOperationsDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("coic-edge", flag.ContinueOnError)
+	newFlags(fs)
+	for _, p := range daemon.CheckFlagTable(fs, "coic-edge", string(doc)) {
+		t.Error(p)
 	}
 }

@@ -26,11 +26,14 @@
 // coalescing, federation).
 //
 // The same protocol runs over real TCP. Servers are assembled from
-// options and serve until their context dies, then drain gracefully:
+// options, serve on a listener the caller binds, and serve until their
+// context dies, then drain gracefully:
 //
-//	go coic.NewCloudServer(coic.WithListenAddr(":9090")).Serve(ctx)
+//	cloudLn, _ := net.Listen("tcp", ":9090")
+//	go coic.NewCloudServer(coic.WithListener(cloudLn)).Serve(ctx)
+//	edgeLn, _ := net.Listen("tcp", ":9091")
 //	err := coic.NewEdgeServer(
-//		coic.WithListenAddr(":9091"),
+//		coic.WithListener(edgeLn),
 //		coic.WithCloud("localhost:9090"),
 //		coic.WithCloudShape("rate 20mbit delay 10ms"),
 //	).Serve(ctx)

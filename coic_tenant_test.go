@@ -96,29 +96,6 @@ func TestTenantFairShareUnderFlood(t *testing.T) {
 	}
 }
 
-// TestParseTenantQuota covers the daemons' -tenant-quota flag grammar.
-func TestParseTenantQuota(t *testing.T) {
-	name, cfg, err := ParseTenantQuota("acme:token=s3cret,rate=100,burst=20,weight=4,cache=1048576")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := TenantConfig{Token: "s3cret", Rate: 100, Burst: 20, Weight: 4, CacheBytes: 1 << 20}
-	if name != "acme" || cfg != want {
-		t.Fatalf("got %q %+v, want acme %+v", name, cfg, want)
-	}
-
-	name, cfg, err = ParseTenantQuota("guest")
-	if err != nil || name != "guest" || cfg != (TenantConfig{}) {
-		t.Fatalf("bare name: got %q %+v, %v", name, cfg, err)
-	}
-
-	for _, bad := range []string{"", ":rate=1", "a:rate", "a:rate=x", "a:speed=9"} {
-		if _, _, err := ParseTenantQuota(bad); err == nil {
-			t.Errorf("ParseTenantQuota(%q) accepted", bad)
-		}
-	}
-}
-
 // TestLegacyHelloRunsAsDefaultTenant speaks the pre-tenant wire protocol
 // by hand — a version-0 one-byte hello, then a pano fetch — against an
 // edge with tenants configured, and asserts the connection runs as the

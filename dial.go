@@ -23,7 +23,6 @@ type DialOption func(*dialConfig) error
 
 type dialConfig struct {
 	params      Params
-	paramsSet   bool
 	mode        Mode
 	shape       ShapeSpec
 	clientID    int
@@ -35,7 +34,7 @@ type dialConfig struct {
 // with (DefaultParams() otherwise). The client's DNN trunk must match the
 // serving tier's for descriptors to be comparable.
 func WithDialParams(p Params) DialOption {
-	return func(c *dialConfig) error { c.params = p; c.paramsSet = true; return nil }
+	return func(c *dialConfig) error { c.params = p; return nil }
 }
 
 // WithDialMode selects the execution mode announced at connection time:
@@ -97,14 +96,11 @@ type Client struct {
 // dial and hello exchange only; per-request cancellation is the ctx on
 // each method or Submit call.
 func NewClient(ctx context.Context, edgeAddr string, opts ...DialOption) (*Client, error) {
-	cfg := dialConfig{mode: ModeCoIC}
+	cfg := dialConfig{params: DefaultParams(), mode: ModeCoIC}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
-	}
-	if !cfg.paramsSet {
-		cfg.params = DefaultParams()
 	}
 	wrap, err := cfg.shape.wrapper()
 	if err != nil {

@@ -911,7 +911,7 @@ func runNoisyRow(p Params, t *Table, name string, load, tenants, quota bool, vic
 	if tenants {
 		serverOpts = append(serverOpts,
 			WithTenantQuota("victim", TenantConfig{Weight: 4}),
-			WithTenantWeight("noisy", 1))
+			WithTenantQuota("noisy", TenantConfig{Weight: 1}))
 	}
 	if quota {
 		serverOpts = append(serverOpts,

@@ -43,11 +43,14 @@ import (
 // processes concurrently; QueueDepth bounds how many more may be buffered
 // awaiting a worker before the server sheds load with CodeOverloaded;
 // FetchTimeout bounds one upstream (cloud) round trip so a hung cloud
-// fails its coalesced waiters instead of wedging them.
+// fails its coalesced waiters instead of wedging them. DefaultBatchSlack
+// is the ServerCore.BatchSlack every server built by the root package
+// runs with.
 const (
 	DefaultWorkers      = 8
 	DefaultQueueDepth   = 32
 	DefaultFetchTimeout = 15 * time.Second
+	DefaultBatchSlack   = 2 * time.Millisecond
 )
 
 // ConnWrapper optionally wraps accepted/dialed connections (e.g. with a

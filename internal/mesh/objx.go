@@ -105,14 +105,9 @@ func DecodeOBJX(data []byte) (*Mesh, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
 	lineNo := 0
-	// readContinued glues lines ending in '\' (texture hex wrapping).
-	var pending string
+	// nextLine glues lines ending in '\' (texture hex wrapping) and skips
+	// blanks and comments, including a line that is empty once glued.
 	nextLine := func() (string, bool) {
-		if pending != "" {
-			l := pending
-			pending = ""
-			return l, true
-		}
 		for sc.Scan() {
 			lineNo++
 			line := strings.TrimSpace(sc.Text())
@@ -126,6 +121,9 @@ func DecodeOBJX(data []byte) (*Mesh, error) {
 				}
 				lineNo++
 				line += strings.TrimSpace(sc.Text())
+			}
+			if line == "" {
+				continue
 			}
 			return line, true
 		}

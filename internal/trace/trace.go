@@ -36,10 +36,6 @@ type Event struct {
 	// the same Object get different seeds, hence different camera angles
 	// over the same content.
 	ViewSeed uint64 `json:"view_seed"`
-	// QoS is the request's service class (Config.InteractiveShare draws
-	// it); zero is best-effort, and omitted when an event is marshalled
-	// as JSON.
-	QoS wire.QoS `json:"qos,omitempty"`
 }
 
 // Config parameterises workload generation.
@@ -69,11 +65,6 @@ type Config struct {
 	// sum to 1 (normalised internally). Zero-value mix means
 	// recognition-only.
 	TaskMix TaskMix
-	// InteractiveShare is the probability an event is tagged
-	// QoSInteractive (0 = all best-effort). The draw happens only when
-	// positive, so zero-share traces replay bit-identically to pre-QoS
-	// ones.
-	InteractiveShare float64
 	// Seed drives all sampling.
 	Seed uint64
 }
@@ -104,8 +95,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("trace: Locality = %v", c.Locality)
 	case c.MoveProb < 0 || c.MoveProb > 1:
 		return fmt.Errorf("trace: MoveProb = %v", c.MoveProb)
-	case c.InteractiveShare < 0 || c.InteractiveShare > 1:
-		return fmt.Errorf("trace: InteractiveShare = %v", c.InteractiveShare)
 	}
 	return nil
 }
@@ -204,9 +193,6 @@ func Generate(cfg Config) ([]Event, error) {
 				// Users watching the same video at the same time request
 				// the same frames: frame index follows trace time.
 				ev.Frame = int(t / (33 * time.Millisecond)) // 30 fps
-			}
-			if cfg.InteractiveShare > 0 && userRng.Float64() < cfg.InteractiveShare {
-				ev.QoS = wire.QoSInteractive
 			}
 			events = append(events, ev)
 		}

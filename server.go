@@ -6,8 +6,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -29,10 +27,7 @@ type ServerOption func(*serverConfig) error
 
 type serverConfig struct {
 	listener net.Listener
-	addr     string
-
-	params    Params
-	paramsSet bool
+	params   Params
 
 	cloudAddr    string
 	cloudShape   ShapeSpec
@@ -44,15 +39,11 @@ type serverConfig struct {
 	workers      int
 	queueDepth   int
 	batch        int
-	batchSlack   time.Duration
 	fetchTimeout time.Duration
 	maxUpstream  int
 
 	slowThreshold time.Duration
-	slowSet       bool
-	logger        *slog.Logger
-
-	tenants map[string]TenantConfig
+	tenants       map[string]TenantConfig
 
 	// edgeOnly names edge-specific options applied to a cloud server, an
 	// error surfaced at Serve.
@@ -61,22 +52,16 @@ type serverConfig struct {
 
 func (c *serverConfig) markEdgeOnly(name string) { c.edgeOnly = append(c.edgeOnly, name) }
 
-// WithListener serves on an existing listener instead of binding one;
-// useful for tests and for callers that want the port before serving.
+// WithListener is the listener the server serves on; Serve fails
+// without one. The caller binds it, so it holds the port before serving.
 func WithListener(ln net.Listener) ServerOption {
 	return func(c *serverConfig) error { c.listener = ln; return nil }
-}
-
-// WithListenAddr binds a TCP listener on addr at Serve time (defaults:
-// ":9091" for edges, ":9090" for clouds).
-func WithListenAddr(addr string) ServerOption {
-	return func(c *serverConfig) error { c.addr = addr; return nil }
 }
 
 // WithServeParams overrides the reproduction parameters the server runs
 // with (DefaultParams() otherwise).
 func WithServeParams(p Params) ServerOption {
-	return func(c *serverConfig) error { c.params = p; c.paramsSet = true; return nil }
+	return func(c *serverConfig) error { c.params = p; return nil }
 }
 
 // WithCloud points an edge at the cloud tier it forwards misses to
@@ -153,18 +138,11 @@ func WithQueueDepth(n int) ServerOption {
 // WithBatch lets a worker execute up to n compatible exec requests as
 // one batch (cloud: a single batched DNN pass; edge: concurrent
 // dispatch that coalesces identical descriptors). Zero or one disables
-// batching. Batching is server-local — the wire protocol and reply
-// ordering are unchanged.
+// batching. A best-effort batch head waits up to 2ms (capped by its
+// deadline) for batchmates; an interactive head never waits. Batching
+// is server-local — the wire protocol and reply ordering are unchanged.
 func WithBatch(n int) ServerOption {
 	return func(c *serverConfig) error { c.batch = n; return nil }
-}
-
-// WithBatchSlack lets a worker that picked up a best-effort exec
-// request wait up to d for more batchable arrivals (capped by the
-// head request's deadline). Interactive requests never wait — their
-// batch is whatever was already queued. Meaningful only with WithBatch.
-func WithBatchSlack(d time.Duration) ServerOption {
-	return func(c *serverConfig) error { c.batchSlack = d; return nil }
 }
 
 // WithFetchTimeout bounds one edge→cloud fetch end to end, failing any
@@ -233,82 +211,12 @@ func WithTenantQuota(tenant string, cfg TenantConfig) ServerOption {
 	}
 }
 
-// WithTenantWeight sets only tenant's fair-share weight, merging with
-// any limits already configured for it. Shorthand for the common case
-// of weighted sharing without admission caps.
-func WithTenantWeight(tenant string, weight int) ServerOption {
-	return func(c *serverConfig) error {
-		if c.tenants == nil {
-			c.tenants = make(map[string]TenantConfig)
-		}
-		cfg := c.tenants[tenant]
-		cfg.Weight = weight
-		c.tenants[tenant] = cfg
-		return nil
-	}
-}
-
-// ParseTenantQuota parses the daemons' -tenant-quota flag syntax,
-// "name:key=value[,key=value...]", into the tenant's name and config.
-// Keys: token (string), rate (requests/sec, float), burst (requests),
-// weight (fair-share weight), cache (resident cache bytes), members
-// (concurrent scene members). A bare "name" with no colon configures a
-// tenant with no limits — useful to require the name to exist without
-// rationing it.
-//
-//	-tenant-quota "acme:token=s3cret,rate=100,burst=20,weight=4"
-//	-tenant-quota "guest:rate=5,cache=16777216,members=8"
-func ParseTenantQuota(spec string) (string, TenantConfig, error) {
-	name, args, hasArgs := strings.Cut(spec, ":")
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return "", TenantConfig{}, fmt.Errorf("coic: tenant quota %q: empty tenant name", spec)
-	}
-	var cfg TenantConfig
-	if !hasArgs {
-		return name, cfg, nil
-	}
-	for _, kv := range strings.Split(args, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return "", TenantConfig{}, fmt.Errorf("coic: tenant quota %q: %q is not key=value", spec, kv)
-		}
-		var err error
-		switch key {
-		case "token":
-			cfg.Token = val
-		case "rate":
-			cfg.Rate, err = strconv.ParseFloat(val, 64)
-		case "burst":
-			cfg.Burst, err = strconv.Atoi(val)
-		case "weight":
-			cfg.Weight, err = strconv.Atoi(val)
-		case "cache":
-			cfg.CacheBytes, err = strconv.ParseInt(val, 10, 64)
-		case "members":
-			cfg.SceneMembers, err = strconv.Atoi(val)
-		default:
-			return "", TenantConfig{}, fmt.Errorf("coic: tenant quota %q: unknown key %q", spec, key)
-		}
-		if err != nil {
-			return "", TenantConfig{}, fmt.Errorf("coic: tenant quota %q: %s: %v", spec, key, err)
-		}
-	}
-	return name, cfg, nil
-}
-
 // WithSlowRequestThreshold sets the latency above which a successful
-// request is captured in the /debug/requests ring (failed requests are
-// always captured). The default is 1s; zero or negative keeps successes
-// out of the ring entirely.
+// request is captured in the /debug/requests ring and logged as a `slow
+// request` warning through slog.Default() (failed requests always are).
+// The default is 1s; zero or negative keeps successes out entirely.
 func WithSlowRequestThreshold(d time.Duration) ServerOption {
-	return func(c *serverConfig) error { c.slowThreshold = d; c.slowSet = true; return nil }
-}
-
-// WithLogger routes the server's structured logs — currently slow-request
-// warnings — through l instead of slog.Default().
-func WithLogger(l *slog.Logger) ServerOption {
-	return func(c *serverConfig) error { c.logger = l; return nil }
+	return func(c *serverConfig) error { c.slowThreshold = d; return nil }
 }
 
 // Server is a CoIC tier (edge or cloud) assembled from options. Build it
@@ -333,7 +241,9 @@ type Server struct {
 // NewEdgeServer assembles the mobile-edge tier: the IC cache plus miss
 // forwarding to the cloud, optionally federated with peer edges.
 func NewEdgeServer(opts ...ServerOption) *Server {
-	s := &Server{role: "edge", cfg: serverConfig{addr: ":9091", cloudAddr: "localhost:9090"}}
+	cfg := defaultServerConfig()
+	cfg.cloudAddr = "localhost:9090"
+	s := &Server{role: "edge", cfg: cfg}
 	s.apply(opts)
 	s.cfg.edgeOnly = nil // every edge-only option is legal here
 	s.initObs()
@@ -343,7 +253,7 @@ func NewEdgeServer(opts ...ServerOption) *Server {
 // NewCloudServer assembles the cloud tier: the full recognition DNN, the
 // 3D model repository and the VR panorama source.
 func NewCloudServer(opts ...ServerOption) *Server {
-	s := &Server{role: "cloud", cfg: serverConfig{addr: ":9090"}}
+	s := &Server{role: "cloud", cfg: defaultServerConfig()}
 	s.apply(opts)
 	if s.err == nil && len(s.cfg.edgeOnly) > 0 {
 		s.err = fmt.Errorf("coic: %v are edge-only options, not valid for a cloud server", s.cfg.edgeOnly)
@@ -352,22 +262,22 @@ func NewCloudServer(opts ...ServerOption) *Server {
 	return s
 }
 
+// defaultServerConfig is what both tiers run with before options apply.
+func defaultServerConfig() serverConfig {
+	return serverConfig{params: DefaultParams(), slowThreshold: time.Second}
+}
+
 // initObs builds the live metrics registry and the slow-request ring.
 // Both exist from construction so OpsHandler works before Serve (the
 // scrape just reports an idle server).
 func (s *Server) initObs() {
-	slow := s.cfg.slowThreshold
-	if !s.cfg.slowSet {
-		slow = time.Second
-	}
 	s.reg = obs.NewRegistry()
-	s.rlog = obs.NewRequestLog(128, slow, s.cfg.logger)
+	s.rlog = obs.NewRequestLog(128, s.cfg.slowThreshold, slog.Default())
 }
 
-// tenantPolicy builds the admission policy from WithTenantQuota /
-// WithTenantWeight options, or nil — the open single-tenant policy —
-// when none were given, keeping untenanted servers on the exact
-// pre-tenant fast path.
+// tenantPolicy builds the admission policy from WithTenantQuota options,
+// or nil — the open single-tenant policy — when none were given, keeping
+// untenanted servers on the exact pre-tenant fast path.
 func (s *Server) tenantPolicy() *core.TenantPolicy {
 	if len(s.cfg.tenants) == 0 {
 		return nil
@@ -394,8 +304,8 @@ func (s *Server) apply(opts []ServerOption) {
 	}
 }
 
-// Addr reports the bound listen address once Serve is running (nil
-// before). With WithListener the caller already holds the address.
+// Addr reports the listen address while Serve is running (nil before
+// and after).
 func (s *Server) Addr() net.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -502,26 +412,16 @@ func (s *Server) Stats() ServerStats {
 	return st
 }
 
-// Serve binds (unless WithListener supplied one) and serves until ctx is
-// cancelled or the listener fails. Cancellation is graceful shutdown:
-// in-flight requests drain and Serve returns nil. Serve may be called
-// once per Server.
+// Serve serves on the WithListener listener until ctx is cancelled or the
+// listener fails. Cancellation is graceful shutdown: in-flight requests
+// drain and Serve returns nil. Serve may be called once per Server.
 func (s *Server) Serve(ctx context.Context) error {
 	if s.err != nil {
 		return s.err
 	}
-	p := s.cfg.params
-	if !s.cfg.paramsSet {
-		p = DefaultParams()
-	}
-	ln := s.cfg.listener
+	p, ln := s.cfg.params, s.cfg.listener
 	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", s.cfg.addr)
-		if err != nil {
-			return fmt.Errorf("coic: %s server: %w", s.role, err)
-		}
-		defer ln.Close()
+		return fmt.Errorf("coic: %s server: no listener; pass WithListener", s.role)
 	}
 	defer func() {
 		// The listener is the readiness signal; with Serve gone the
@@ -626,7 +526,7 @@ func (s *Server) configureCore(sc *core.ServerCore) {
 	sc.Workers = s.cfg.workers
 	sc.QueueDepth = s.cfg.queueDepth
 	sc.Batch = s.cfg.batch
-	sc.BatchSlack = s.cfg.batchSlack
+	sc.BatchSlack = core.DefaultBatchSlack // inert unless Batch > 1
 	sc.Tenants = s.tenantPolicy()
 	sc.Obs = core.NewServerObs(s.reg, s.rlog)
 	s.registerSchedBridges(sc)
