@@ -40,11 +40,12 @@ test:
 	$(GO) test -race -timeout 20m -coverprofile=coverage.out ./...
 	@$(MAKE) --no-print-directory cover
 
-# golden rewrites testdata/golden/*.txt, the rendered virtual-time tables
-# TestVirtualTimeAblationTables compares byte for byte. Run it only for a
-# change that means to move a simulated number, and review the diff.
+# golden rewrites internal/experiments/testdata/golden/*.txt, the rendered
+# virtual-time tables TestVirtualTimeAblationTables compares byte for
+# byte. Run it only for a change that means to move a simulated number,
+# and review the diff.
 golden:
-	$(GO) test -run TestVirtualTimeAblationTables -count=1 . -update
+	$(GO) test -run TestVirtualTimeAblationTables -count=1 ./internal/experiments -update
 
 # cover checks the recorded coverage baseline against coverage.out.
 cover:

@@ -168,10 +168,6 @@ func BenchmarkPanoStreaming(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamServe lives in bench_qos_test.go (package coic): it
-// shares the RunQoS ablation's live-stack harness so the benchmark and
-// the table cannot drift apart.
-
 // BenchmarkDescriptorExtraction measures the real client-side DNN trunk
 // cost (the dominant term of the CoIC hit path).
 func BenchmarkDescriptorExtraction(b *testing.B) {
@@ -191,27 +187,5 @@ func BenchmarkDescriptorExtraction(b *testing.B) {
 		if _, err := sys.Do(context.Background(), 0, coic.RecognizeTask(coic.ClassCar, uint64(i))); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkIndexLookup compares the edge's descriptor matchers (A-index)
-// on real wall-clock time.
-func BenchmarkIndexLookup(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		for _, idx := range []string{"linear", "lsh"} {
-			b.Run(fmt.Sprintf("%s/%d", idx, n), func(b *testing.B) {
-				tab := coic.RunIndexAblation(64, []int{n}, b.N+1, 42)
-				_ = tab
-			})
-		}
-	}
-}
-
-// BenchmarkLayerCache measures the fine-grained per-layer reuse extension
-// (A-layer) on real compute.
-func BenchmarkLayerCache(b *testing.B) {
-	p := coic.DefaultParams()
-	for i := 0; i < b.N; i++ {
-		coic.RunFinegrained(p, []int{4}, 16)
 	}
 }

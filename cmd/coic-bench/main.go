@@ -24,7 +24,8 @@ import (
 	"syscall"
 	"time"
 
-	coic "github.com/edge-immersion/coic"
+	"github.com/edge-immersion/coic/internal/core"
+	"github.com/edge-immersion/coic/internal/experiments"
 	"github.com/edge-immersion/coic/internal/metrics"
 )
 
@@ -45,7 +46,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	p := coic.DefaultParams()
+	p := core.DefaultParams()
 	if *seed != 0 {
 		p.Seed = *seed
 	}
@@ -96,74 +97,77 @@ func main() {
 // runner is one -experiment name and the table it prints.
 type runner struct {
 	name string
-	run  func() (*coic.Table, error)
+	run  func() (*metrics.Table, error)
 }
 
 // runners lists every experiment at its full size, in print order.
-func runners(p coic.Params) []runner {
+func runners(p core.Params) []runner {
+	// The trace-driven ablations replay thousands of requests, so they run
+	// on small payloads; the two figures keep paper-scale ones.
+	small := experiments.Scaled(p)
 	return []runner{
-		{"fig2a", func() (*coic.Table, error) {
-			rows, err := coic.RunFig2a(p)
+		{"fig2a", func() (*metrics.Table, error) {
+			rows, err := core.RunFig2a(p)
 			if err != nil {
 				return nil, err
 			}
-			return coic.Fig2aTable(rows), nil
+			return experiments.Fig2aTable(rows), nil
 		}},
-		{"fig2b", func() (*coic.Table, error) {
-			rows, err := coic.RunFig2b(p)
+		{"fig2b", func() (*metrics.Table, error) {
+			rows, err := core.RunFig2b(p, core.Fig2bModelKB)
 			if err != nil {
 				return nil, err
 			}
-			return coic.Fig2bTable(rows), nil
+			return experiments.Fig2bTable(rows), nil
 		}},
-		{"hitratio", func() (*coic.Table, error) {
-			return coic.RunHitRatio(scaled(p), []int{1, 2, 4, 8, 16, 32}, 0.7, p.Seed)
+		{"hitratio", func() (*metrics.Table, error) {
+			return experiments.RunHitRatio(small, []int{1, 2, 4, 8, 16, 32}, 0.7, p.Seed)
 		}},
-		{"policy", func() (*coic.Table, error) {
-			return coic.RunPolicyAblation(scaled(p), []int{1, 4, 16, 64}, p.Seed)
+		{"policy", func() (*metrics.Table, error) {
+			return experiments.RunPolicyAblation(small, []int{1, 4, 16, 64}, p.Seed)
 		}},
-		{"threshold", func() (*coic.Table, error) {
-			return coic.RunThresholdSweep(p,
+		{"threshold", func() (*metrics.Table, error) {
+			return experiments.RunThresholdSweep(p,
 				[]float64{0.02, 0.05, 0.08, 0.12, 0.2, 0.3, 0.5}, 32), nil
 		}},
-		{"index", func() (*coic.Table, error) {
-			return coic.RunIndexAblation(64, []int{100, 1000, 10000, 50000}, 200, p.Seed), nil
+		{"index", func() (*metrics.Table, error) {
+			return experiments.RunIndexAblation(64, []int{100, 1000, 10000, 50000}, 200, p.Seed), nil
 		}},
-		{"coop", func() (*coic.Table, error) {
-			return coic.RunCooperation(scaled(p), []int{2, 4, 8}, 12)
+		{"coop", func() (*metrics.Table, error) {
+			return experiments.RunCooperation(small, []int{2, 4, 8}, 12)
 		}},
-		{"federation", func() (*coic.Table, error) {
-			return coic.RunFederation(scaled(p), []int{1, 2, 4, 8}, 24, 2, p.Seed)
+		{"federation", func() (*metrics.Table, error) {
+			return experiments.RunFederation(small, []int{1, 2, 4, 8}, 24, 2, p.Seed)
 		}},
-		{"churn", func() (*coic.Table, error) {
-			return coic.RunChurn(scaled(p), []int{0, 1, 2}, 4, 2, 24, 2, p.Seed)
+		{"churn", func() (*metrics.Table, error) {
+			return experiments.RunChurn(small, []int{0, 1, 2}, 4, 2, 24, 2, p.Seed)
 		}},
-		{"burst", func() (*coic.Table, error) {
-			return coic.RunBurst(scaled(p), []int{4, 16, 64}, []float64{0, 0.5, 1})
+		{"burst", func() (*metrics.Table, error) {
+			return experiments.RunBurst(small, []int{4, 16, 64}, []float64{0, 0.5, 1})
 		}},
-		{"qos", func() (*coic.Table, error) {
-			return coic.RunQoS(scaled(p), 24, 120*time.Millisecond)
+		{"qos", func() (*metrics.Table, error) {
+			return experiments.RunQoS(small, 24, 120*time.Millisecond)
 		}},
-		{"noisy", func() (*coic.Table, error) {
-			return coic.RunNoisyNeighbor(scaled(p), 30, 150*time.Millisecond)
+		{"noisy", func() (*metrics.Table, error) {
+			return experiments.RunNoisyNeighbor(small, 30, 150*time.Millisecond)
 		}},
-		{"finegrained", func() (*coic.Table, error) {
-			return coic.RunFinegrained(p, []int{1, 4, 16, 64}, 256), nil
+		{"finegrained", func() (*metrics.Table, error) {
+			return experiments.RunFinegrained(p, []int{1, 4, 16, 64}, 256), nil
 		}},
-		{"batch", func() (*coic.Table, error) {
-			return coic.RunBatch(scaled(p), []int{1, 2, 4, 8, 16}, 12), nil
+		{"batch", func() (*metrics.Table, error) {
+			return experiments.RunBatch(small, []int{1, 2, 4, 8, 16}, 12), nil
 		}},
-		{"pano", func() (*coic.Table, error) {
-			return coic.RunPanoStreaming(scaled(p), 8, 40)
+		{"pano", func() (*metrics.Table, error) {
+			return experiments.RunPanoStreaming(small, 8, 40)
 		}},
-		{"privacy", func() (*coic.Table, error) {
-			return coic.RunPrivacy(scaled(p), []int{0, 2, 3, 5, 8}, p.Seed)
+		{"privacy", func() (*metrics.Table, error) {
+			return experiments.RunPrivacy(small, []int{0, 2, 3, 5, 8}, p.Seed)
 		}},
-		{"qoe", func() (*coic.Table, error) {
-			return coic.RunQoE(scaled(p), 12, p.Seed)
+		{"qoe", func() (*metrics.Table, error) {
+			return experiments.RunQoE(small, 12, p.Seed)
 		}},
-		{"scene", func() (*coic.Table, error) {
-			return coic.RunSharedScene(scaled(p), []int{2, 8, 32}, 24)
+		{"scene", func() (*metrics.Table, error) {
+			return experiments.RunSharedScene(small, []int{2, 8, 32}, 24)
 		}},
 	}
 }
@@ -194,15 +198,4 @@ func selectRunners(all []runner, experiment string) ([]runner, error) {
 		return nil, fmt.Errorf("no experiment named in %q", experiment)
 	}
 	return picked, nil
-}
-
-// scaled shrinks per-request payloads for the trace-driven ablations,
-// which replay thousands of requests; the full-size figures (fig2a,
-// fig2b) keep paper-scale payloads.
-func scaled(p coic.Params) coic.Params {
-	p.CameraW, p.CameraH = 256, 256
-	p.DNNInput = 32
-	p.PanoWidth = 512
-	p.MobileGFLOPS *= 4
-	return p
 }

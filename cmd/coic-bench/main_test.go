@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	coic "github.com/edge-immersion/coic"
+	"github.com/edge-immersion/coic/internal/core"
 )
 
 // TestSelectRunners: -experiment picks runners in print order, "all"
@@ -13,7 +13,7 @@ import (
 // including one mistyped name beside a good one, which used to print the
 // good table and exit 0.
 func TestSelectRunners(t *testing.T) {
-	all := runners(coic.DefaultParams())
+	all := runners(core.DefaultParams())
 	var every []string
 	for _, r := range all {
 		every = append(every, r.name)

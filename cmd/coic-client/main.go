@@ -79,18 +79,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	m := coic.ModeCoIC
-	if *mode == "origin" {
-		m = coic.ModeOrigin
-	}
-	var class coic.QoS
-	switch *qos {
-	case "besteffort":
-		class = coic.QoSBestEffort
-	case "interactive":
-		class = coic.QoSInteractive
-	default:
-		log.Fatalf("coic-client: unknown -qos %q (besteffort or interactive)", *qos)
+	m, class, err := parseRunFlags(*mode, *task, *qos)
+	if err != nil {
+		log.Fatalf("coic-client: %v", err)
 	}
 
 	p := coic.DefaultParams()
@@ -118,7 +109,7 @@ func main() {
 	classes := []coic.Class{
 		coic.ClassStopSign, coic.ClassCar, coic.ClassAvatar, coic.ClassTree,
 	}
-	buildReq := func(i int) (coic.Request, error) {
+	buildReq := func(i int) coic.Request {
 		var req coic.Request
 		switch *task {
 		case "recognize":
@@ -131,8 +122,6 @@ func main() {
 			req = coic.RenderTask(id)
 		case "pano":
 			req = coic.PanoTask(*video, i, coic.Viewport{Yaw: float64(i) * 0.3, FOV: 1.6})
-		default:
-			return req, fmt.Errorf("unknown task %q", *task)
 		}
 		// The execution mode is connection-level (WithDialMode above);
 		// only class, deadline and trace ID ride per-request on a stream.
@@ -143,7 +132,7 @@ func main() {
 		if traceBase != 0 {
 			req = req.WithTraceID(traceBase + uint64(i))
 		}
-		return req, nil
+		return req
 	}
 
 	// Submit on one goroutine (window backpressure paces it), collect
@@ -153,11 +142,7 @@ func main() {
 		sent := 0
 		defer func() { submitted <- sent }()
 		for i := 0; i < *n; i++ {
-			req, err := buildReq(i)
-			if err != nil {
-				log.Fatalf("coic-client: %v", err)
-			}
-			if _, err := stream.Submit(ctx, req); err != nil {
+			if _, err := stream.Submit(ctx, buildReq(i)); err != nil {
 				if ctx.Err() != nil {
 					return // interrupted; in-flight requests are cancelled
 				}
@@ -239,6 +224,32 @@ func main() {
 	} else {
 		fmt.Printf("\n0 done / %d late / %d overloaded / %d canceled\n", late, shed, canceled)
 	}
+}
+
+// parseRunFlags checks -mode, -task and -qos before anything is dialed,
+// so a misspelt value fails instead of silently measuring another arm.
+func parseRunFlags(mode, task, qos string) (coic.Mode, coic.QoS, error) {
+	var m coic.Mode
+	switch mode {
+	case "coic":
+		m = coic.ModeCoIC
+	case "origin":
+		m = coic.ModeOrigin
+	default:
+		return m, 0, fmt.Errorf("unknown -mode %q (coic or origin)", mode)
+	}
+	switch task {
+	case "recognize", "render", "pano":
+	default:
+		return m, 0, fmt.Errorf("unknown -task %q (recognize, render or pano)", task)
+	}
+	switch qos {
+	case "besteffort":
+		return m, coic.QoSBestEffort, nil
+	case "interactive":
+		return m, coic.QoSInteractive, nil
+	}
+	return m, 0, fmt.Errorf("unknown -qos %q (besteffort or interactive)", qos)
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -62,10 +62,11 @@
 // alive, which survives individual departures and aborts — withdrawing
 // the upstream round trip — when its last waiter is gone.
 //
-// The Run* functions (experiments.go) regenerate every figure of the
-// paper plus this reproduction's ablations; cmd/ holds the deployable
-// daemons. The v1 entry points are gone; docs/MIGRATION.md maps each to
-// its v2 replacement.
+// This package is the library. The harness that regenerates every figure
+// of the paper plus this reproduction's ablations lives in
+// internal/experiments and runs as cmd/coic-bench; cmd/ also holds the
+// deployable daemons. The v1 entry points are gone; docs/MIGRATION.md
+// maps each to its v2 replacement.
 package coic
 
 import (

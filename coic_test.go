@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"net"
-	"strings"
 	"testing"
 	"time"
 )
@@ -126,58 +125,6 @@ func TestLSHIndexSystemStillHits(t *testing.T) {
 	}
 	if b.Outcome.String() == "miss" {
 		t.Fatal("LSH-backed cache missed a near-duplicate")
-	}
-}
-
-func TestTablesRender(t *testing.T) {
-	tab := RunThresholdSweep(testParams(), []float64{0.05, 0.12, 0.3}, 4)
-	var buf bytes.Buffer
-	if err := tab.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "threshold") {
-		t.Fatalf("table output:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := tab.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "true_hit_rate") {
-		t.Fatal("CSV missing header")
-	}
-}
-
-func TestBurstTablePublicAPI(t *testing.T) {
-	tab, err := RunBurst(testParams(), []int{4}, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tab.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	// One serial and one coalesce row; the coalesce row must show the
-	// saved fetches.
-	if !strings.Contains(out, "serial") || !strings.Contains(out, "coalesce") {
-		t.Fatalf("burst table missing modes:\n%s", out)
-	}
-}
-
-func TestIndexAblationTable(t *testing.T) {
-	tab := RunIndexAblation(32, []int{100, 500}, 20, 1)
-	rows := tab.Rows()
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-}
-
-func TestFinegrainedTable(t *testing.T) {
-	p := testParams()
-	tab := RunFinegrained(p, []int{2}, 10)
-	rows := tab.Rows()
-	if len(rows) != 1 {
-		t.Fatalf("%d rows", len(rows))
 	}
 }
 

@@ -159,7 +159,7 @@ func mapRemoteErr(err error) error {
 // latency.
 func (c *Client) do(ctx context.Context, t core.Task) (*wire.RecognitionResult, time.Duration, error) {
 	start := time.Now()
-	msg, err := c.mux.Build(t, wire.QoSBestEffort, time.Time{}, 0)
+	msg, err := c.mux.Build(t, wire.QoSBestEffort, time.Time{}, mintTraceID())
 	if err != nil {
 		return nil, 0, err
 	}

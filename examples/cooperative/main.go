@@ -11,20 +11,17 @@ import (
 	"log"
 	"os"
 
-	coic "github.com/edge-immersion/coic"
+	"github.com/edge-immersion/coic/internal/core"
+	"github.com/edge-immersion/coic/internal/experiments"
 )
 
 func main() {
 	// Trace-driven multi-user replay with small payloads (this example
 	// replays thousands of requests).
-	p := coic.DefaultParams()
-	p.CameraW, p.CameraH = 256, 256
-	p.DNNInput = 32
-	p.PanoWidth = 512
-	p.MobileGFLOPS *= 4
+	p := experiments.Scaled(core.DefaultParams())
 
 	fmt.Println("sweeping co-located user counts (locality 0.7)...")
-	table, err := coic.RunHitRatio(p, []int{1, 2, 4, 8, 16}, 0.7, p.Seed)
+	table, err := experiments.RunHitRatio(p, []int{1, 2, 4, 8, 16}, 0.7, p.Seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +30,7 @@ func main() {
 	}
 
 	fmt.Println("\nand with users spread thin (locality 0.1) for contrast...")
-	table, err = coic.RunHitRatio(p, []int{4, 16}, 0.1, p.Seed)
+	table, err = experiments.RunHitRatio(p, []int{4, 16}, 0.1, p.Seed)
 	if err != nil {
 		log.Fatal(err)
 	}

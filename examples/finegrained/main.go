@@ -11,13 +11,14 @@ import (
 	"log"
 	"os"
 
-	coic "github.com/edge-immersion/coic"
+	"github.com/edge-immersion/coic/internal/core"
+	"github.com/edge-immersion/coic/internal/experiments"
 )
 
 func main() {
-	p := coic.DefaultParams()
+	p := core.DefaultParams()
 	fmt.Println("per-layer DNN result reuse (CachedRunner) vs whole-network inference:")
-	table := coic.RunFinegrained(p, []int{1, 4, 16, 64}, 128)
+	table := experiments.RunFinegrained(p, []int{1, 4, 16, 64}, 128)
 	if err := table.Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

@@ -1,4 +1,11 @@
-package coic
+// Package experiments regenerates the paper's Figure 2a and 2b and this
+// reproduction's ablations as renderable tables. It is the harness
+// around the CoIC library, not part of it: the virtual-time tables drive
+// internal/core's replays, and the wall-clock tables (qos, noisy, scene)
+// boot a live in-process TCP stack through the root package's public
+// API. cmd/coic-bench prints every table at full size; the tests here
+// pin the virtual-time tables byte for byte against testdata/golden/.
+package experiments
 
 import (
 	"context"
@@ -11,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	coic "github.com/edge-immersion/coic"
 	"github.com/edge-immersion/coic/internal/cache"
 	"github.com/edge-immersion/coic/internal/core"
 	"github.com/edge-immersion/coic/internal/dnn"
@@ -24,31 +32,16 @@ import (
 	"github.com/edge-immersion/coic/internal/xrand"
 )
 
-// Table is a renderable experiment result (text or CSV).
-type Table = metrics.Table
-
-// Fig2aRow and Fig2bRow are the structured results behind the paper's two
-// figures.
-type (
-	Fig2aRow = core.Fig2aRow
-	Fig2bRow = core.Fig2bRow
-)
-
-// TraceConfig parameterises synthetic workloads for the ablations.
-type TraceConfig = trace.Config
-
-// TaskMix weights recognition/render/pano tasks in a workload.
-type TaskMix = trace.TaskMix
-
-// RunFig2a regenerates Figure 2a (recognition latency across network
-// conditions).
-func RunFig2a(p Params) ([]Fig2aRow, error) { return core.RunFig2a(p) }
-
-// RunFig2b regenerates Figure 2b (model load latency across sizes).
-func RunFig2b(p Params) ([]Fig2bRow, error) { return core.RunFig2b(p, core.Fig2bModelKB) }
-
-// RunFig2bSizes runs Figure 2b over a subset of the size ladder.
-func RunFig2bSizes(p Params, sizesKB []int) ([]Fig2bRow, error) { return core.RunFig2b(p, sizesKB) }
+// Scaled shrinks per-request payloads for the trace-driven ablations,
+// which replay thousands of requests; the full-size figures (fig2a,
+// fig2b) keep paper-scale payloads.
+func Scaled(p core.Params) core.Params {
+	p.CameraW, p.CameraH = 256, 256
+	p.DNNInput = 32
+	p.PanoWidth = 512
+	p.MobileGFLOPS *= 4
+	return p
+}
 
 func msCol(d time.Duration) string {
 	return fmt.Sprintf("%.1f", float64(d)/float64(time.Millisecond))
@@ -56,7 +49,7 @@ func msCol(d time.Duration) string {
 
 // Fig2aTable renders Figure 2a rows the way the paper's chart is read:
 // one row per network condition, one column per bar.
-func Fig2aTable(rows []Fig2aRow) *Table {
+func Fig2aTable(rows []core.Fig2aRow) *metrics.Table {
 	t := metrics.NewTable(
 		"Figure 2a — recognition latency (ms): Origin vs CoIC Cache Hit vs Cache Miss",
 		"condition", "origin_ms", "hit_ms", "miss_ms", "reduction_%")
@@ -74,7 +67,7 @@ func Fig2aTable(rows []Fig2aRow) *Table {
 }
 
 // Fig2bTable renders Figure 2b rows.
-func Fig2bTable(rows []Fig2bRow) *Table {
+func Fig2bTable(rows []core.Fig2bRow) *metrics.Table {
 	t := metrics.NewTable(
 		"Figure 2b — 3D model load latency (ms): Origin vs CoIC Cache Hit vs Cache Miss",
 		"model_KB", "objx_KB", "cmf_KB", "origin_ms", "hit_ms", "miss_ms", "reduction_%")
@@ -94,7 +87,7 @@ func Fig2bTable(rows []Fig2bRow) *Table {
 
 // RunHitRatio measures cache hit ratio and mean latency as the number of
 // co-located users grows (the §1.2 redundancy claim made quantitative).
-func RunHitRatio(p Params, userCounts []int, locality float64, seed uint64) (*Table, error) {
+func RunHitRatio(p core.Params, userCounts []int, locality float64, seed uint64) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		fmt.Sprintf("T-hit — hit ratio vs co-located users (locality=%.2f)", locality),
 		"users", "events", "hit_ratio", "coic_mean_ms", "origin_mean_ms", "speedup")
@@ -109,8 +102,8 @@ func RunHitRatio(p Params, userCounts []int, locality float64, seed uint64) (*Ta
 		if err != nil {
 			return nil, err
 		}
-		coicRes := core.RunTrace(p, core.MidSweep, events, ModeCoIC)
-		originRes := core.RunTrace(p, core.MidSweep, events, ModeOrigin)
+		coicRes := core.RunTrace(p, core.MidSweep, events, core.ModeCoIC)
+		originRes := core.RunTrace(p, core.MidSweep, events, core.ModeOrigin)
 		speedup := float64(originRes.All.Mean()) / float64(coicRes.All.Mean())
 		t.AddRow(users, coicRes.Events,
 			fmt.Sprintf("%.3f", coicRes.HitRatio()),
@@ -122,7 +115,7 @@ func RunHitRatio(p Params, userCounts []int, locality float64, seed uint64) (*Ta
 
 // RunPolicyAblation compares eviction policies on one trace across cache
 // capacities (the paper's "simple cache management policy" axis).
-func RunPolicyAblation(p Params, capacitiesMB []int, seed uint64) (*Table, error) {
+func RunPolicyAblation(p core.Params, capacitiesMB []int, seed uint64) (*metrics.Table, error) {
 	events, err := trace.Generate(trace.Config{
 		Users: 12, Cells: 3, Duration: 40 * time.Second,
 		RatePerUser: 1, Objects: 96, ZipfAlpha: 0.9,
@@ -146,7 +139,7 @@ func RunPolicyAblation(p Params, capacitiesMB []int, seed uint64) (*Table, error
 		for _, pol := range policies {
 			pp := p
 			pp.EdgeCacheBytes = int64(mb) << 20
-			res := core.RunTrace(pp, core.MidSweep, events, ModeCoIC, core.WithCachePolicy(pol.mk))
+			res := core.RunTrace(pp, core.MidSweep, events, core.ModeCoIC, core.WithCachePolicy(pol.mk))
 			t.AddRow(mb, pol.name,
 				fmt.Sprintf("%.3f", res.HitRatio()),
 				msCol(res.All.Mean()),
@@ -158,7 +151,7 @@ func RunPolicyAblation(p Params, capacitiesMB []int, seed uint64) (*Table, error
 
 // RunThresholdSweep measures descriptor separation: true-hit vs false-hit
 // rates across candidate similarity thresholds.
-func RunThresholdSweep(p Params, thresholds []float64, pairs int) *Table {
+func RunThresholdSweep(p core.Params, thresholds []float64, pairs int) *metrics.Table {
 	pts := core.RunThresholdSweep(p, thresholds, pairs)
 	t := metrics.NewTable("A-threshold — similarity threshold sensitivity",
 		"threshold", "true_hit_rate", "false_hit_rate")
@@ -174,7 +167,7 @@ func RunThresholdSweep(p Params, thresholds []float64, pairs int) *Table {
 // RunIndexAblation compares exact linear scan against LSH lookup cost as
 // the number of cached descriptors grows, measuring real wall-clock
 // lookup time and LSH recall.
-func RunIndexAblation(dim int, sizes []int, queries int, seed uint64) *Table {
+func RunIndexAblation(dim int, sizes []int, queries int, seed uint64) *metrics.Table {
 	t := metrics.NewTable("A-index — descriptor index lookup cost",
 		"cached_vectors", "linear_us", "lsh_us", "lsh_recall")
 	rng := xrand.New(seed)
@@ -230,7 +223,7 @@ func RunIndexAblation(dim int, sizes []int, queries int, seed uint64) *Table {
 // RunCooperation measures the effect of edge-to-edge peering: users
 // behind different edges requesting overlapping content, with and
 // without cooperation.
-func RunCooperation(p Params, edgeCounts []int, requestsPerEdge int) (*Table, error) {
+func RunCooperation(p core.Params, edgeCounts []int, requestsPerEdge int) (*metrics.Table, error) {
 	t := metrics.NewTable("A-coop — edge-to-edge cooperation",
 		"edges", "peered", "hit_ratio", "peer_hits", "cloud_fetches")
 	for _, n := range edgeCounts {
@@ -245,7 +238,7 @@ func RunCooperation(p Params, edgeCounts []int, requestsPerEdge int) (*Table, er
 	return t, nil
 }
 
-func runCoop(p Params, edges, requestsPerEdge int, peered bool) (core.FleetStats, int, error) {
+func runCoop(p core.Params, edges, requestsPerEdge int, peered bool) (core.FleetStats, int, error) {
 	cloud := core.NewCloud(p)
 	es := make([]*core.Edge, edges)
 	for i := range es {
@@ -256,13 +249,13 @@ func runCoop(p Params, edges, requestsPerEdge int, peered bool) (core.FleetStats
 	}
 	at := time.Date(2018, 8, 20, 9, 0, 0, 0, time.UTC)
 	cloudFetches := 0
-	modelIDs := []string{AnnotationModelID(ClassCar), AnnotationModelID(ClassTree), AnnotationModelID(ClassDog)}
+	modelIDs := []string{coic.AnnotationModelID(coic.ClassCar), coic.AnnotationModelID(coic.ClassTree), coic.AnnotationModelID(coic.ClassDog)}
 	for i := 0; i < edges; i++ {
 		topo := netsim.NewTopology(core.MidSweep, p.Seed+uint64(i))
 		sess := core.NewSession(core.NewClient(i, p), es[i], cloud, topo)
 		for r := 0; r < requestsPerEdge; r++ {
 			// Every edge's users want the same popular content.
-			b, _, err := sess.Do(context.Background(), at.Add(time.Duration(r)*time.Second), core.RenderTask(modelIDs[r%len(modelIDs)]), ModeCoIC)
+			b, _, err := sess.Do(context.Background(), at.Add(time.Duration(r)*time.Second), core.RenderTask(modelIDs[r%len(modelIDs)]), core.ModeCoIC)
 			if err != nil {
 				return core.FleetStats{}, 0, err
 			}
@@ -273,9 +266,6 @@ func runCoop(p Params, edges, requestsPerEdge int, peered bool) (core.FleetStats
 	}
 	return core.RollUp(es), cloudFetches, nil
 }
-
-// FederationRow is one point of the multi-edge federation ablation.
-type FederationRow = core.FederationRow
 
 // fleetTrace is the workload of overlapping user interest the federation
 // and churn ablations share.
@@ -298,16 +288,16 @@ func fleetTrace(users int, seed uint64) ([]trace.Event, error) {
 // placement (a user behind edge B reuses what edge A's users computed),
 // so the aggregate hit ratio rises and cloud fetches fall as edges are
 // added.
-func RunFederation(p Params, edgeCounts []int, users, capacityMB int, seed uint64) (*Table, error) {
+func RunFederation(p core.Params, edgeCounts []int, users, capacityMB int, seed uint64) (*metrics.Table, error) {
 	events, err := fleetTrace(users, seed)
 	if err != nil {
 		return nil, err
 	}
 	p.EdgeCacheBytes = int64(capacityMB) << 20
-	var rows []FederationRow
+	var rows []core.FederationRow
 	for _, n := range edgeCounts {
 		if n < 1 {
-			return nil, fmt.Errorf("coic: federation of %d edges", n)
+			return nil, fmt.Errorf("experiments: federation of %d edges", n)
 		}
 		for _, placement := range []core.Placement{core.PlaceByCell, core.PlaceScatter} {
 			rows = append(rows, core.FederationPoint(p, core.MidSweep, events, n, placement, false))
@@ -316,11 +306,11 @@ func RunFederation(p Params, edgeCounts []int, users, capacityMB int, seed uint6
 			}
 		}
 	}
-	return FederationTable(rows), nil
+	return federationTable(rows), nil
 }
 
-// FederationTable renders federation ablation rows.
-func FederationTable(rows []FederationRow) *Table {
+// federationTable renders federation ablation rows.
+func federationTable(rows []core.FederationRow) *metrics.Table {
 	t := metrics.NewTable(
 		"A-federation — multi-edge cache federation (consistent hashing + peer lookup)",
 		"edges", "placement", "federated", "hit_ratio", "peer_hits", "published", "cloud_fetches", "p50_ms", "p99_ms")
@@ -333,9 +323,6 @@ func FederationTable(rows []FederationRow) *Table {
 	return t
 }
 
-// ChurnRow is one point of the membership-churn ablation.
-type ChurnRow = core.ChurnRow
-
 // RunChurn is the dynamic-membership ablation: a replicated federation
 // (rf-way publish) replays one workload while members crash and rejoin
 // mid-run, comparing a ring that follows the membership — rebuilt on
@@ -343,27 +330,27 @@ type ChurnRow = core.ChurnRow
 // the static boot-time ring, where a dead member's arc of the keyspace
 // degrades to cloud fetches until it returns. The hit-ratio and p99 gap
 // between the rows is what gossip-driven membership buys the fleet.
-func RunChurn(p Params, cycleCounts []int, edges, rf, users, capacityMB int, seed uint64) (*Table, error) {
+func RunChurn(p core.Params, cycleCounts []int, edges, rf, users, capacityMB int, seed uint64) (*metrics.Table, error) {
 	if edges < 2 {
-		return nil, fmt.Errorf("coic: churn needs a stable seed and a victim, got %d edges", edges)
+		return nil, fmt.Errorf("experiments: churn needs a stable seed and a victim, got %d edges", edges)
 	}
 	events, err := fleetTrace(users, seed)
 	if err != nil {
 		return nil, err
 	}
 	p.EdgeCacheBytes = int64(capacityMB) << 20
-	var rows []ChurnRow
+	var rows []core.ChurnRow
 	for _, cycles := range cycleCounts {
 		if cycles > 0 { // a stable fleet makes both modes identical
 			rows = append(rows, core.ChurnPoint(p, core.MidSweep, events, edges, rf, cycles, false))
 		}
 		rows = append(rows, core.ChurnPoint(p, core.MidSweep, events, edges, rf, cycles, true))
 	}
-	return ChurnTable(rows), nil
+	return churnTable(rows), nil
 }
 
-// ChurnTable renders churn ablation rows.
-func ChurnTable(rows []ChurnRow) *Table {
+// churnTable renders churn ablation rows.
+func churnTable(rows []core.ChurnRow) *metrics.Table {
 	t := metrics.NewTable(
 		"A-churn — membership churn: dynamic ring + migration vs static ring",
 		"edges", "cycles", "mode", "rf", "hit_ratio", "peer_hits", "repaired", "migrated", "ring_ver", "cloud_fetches", "p50_ms", "p99_ms")
@@ -380,18 +367,15 @@ func ChurnTable(rows []ChurnRow) *Table {
 	return t
 }
 
-// BurstRow is one point of the burst-coalescing ablation.
-type BurstRow = core.BurstRow
-
 // RunBurst is the miss-coalescing ablation: K users fire requests at the
 // edge in the same instant (the correlated bursts of multi-user immersive
 // workloads) at each duplication ratio, replayed under the honest serial
 // miss policy and under in-flight coalescing. It reports cloud fetches
 // (and fetches saved) plus p50/p99 latency — the virtual-time counterpart
 // of the TCP edge's singleflight table.
-func RunBurst(p Params, userCounts []int, dupRatios []float64) (*Table, error) {
+func RunBurst(p core.Params, userCounts []int, dupRatios []float64) (*metrics.Table, error) {
 	cloud := core.NewCloud(p)
-	var rows []BurstRow
+	var rows []core.BurstRow
 	for _, users := range userCounts {
 		for _, dup := range dupRatios {
 			for _, mode := range []core.InflightMode{core.InflightSerial, core.InflightCoalesce} {
@@ -403,12 +387,12 @@ func RunBurst(p Params, userCounts []int, dupRatios []float64) (*Table, error) {
 			}
 		}
 	}
-	return BurstTable(rows), nil
+	return burstTable(rows), nil
 }
 
-// BurstTable renders burst ablation rows ordered by users, then
+// burstTable renders burst ablation rows ordered by users, then
 // duplication ratio, then mode (serial before coalesce).
-func BurstTable(rows []BurstRow) *Table {
+func burstTable(rows []core.BurstRow) *metrics.Table {
 	sort.SliceStable(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]
 		if a.Users != b.Users {
@@ -435,7 +419,7 @@ func BurstTable(rows []BurstRow) *Table {
 // result reuse. A pool of inputs with repetition runs through a plain
 // network and a layer-memoised one; the table reports layer hit rate and
 // real compute speedup.
-func RunFinegrained(p Params, poolSizes []int, requests int) *Table {
+func RunFinegrained(p core.Params, poolSizes []int, requests int) *metrics.Table {
 	t := metrics.NewTable("A-layer — fine-grained per-layer DNN caching (future work §4)",
 		"distinct_inputs", "requests", "layer_hit_rate", "plain_ms", "cached_ms", "speedup")
 	net := dnn.NewEdgeNet(vision.ClassNames, p.DNNInput, p.Seed)
@@ -473,7 +457,7 @@ func RunFinegrained(p Params, poolSizes []int, requests int) *Table {
 // Forward passes and one ForwardBatch pass. Workers are pinned to one so
 // the speedup column is per-core algorithmic gain — blocked matmuls plus
 // intra-batch sharing — not parallelism.
-func RunBatch(p Params, batchSizes []int, rounds int) *Table {
+func RunBatch(p core.Params, batchSizes []int, rounds int) *metrics.Table {
 	t := metrics.NewTable("Batched DNN execution — serial vs ForwardBatch (per core)",
 		"batch", "rounds", "serial_ms", "batched_ms", "serial_fps", "batched_fps", "speedup")
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
@@ -517,7 +501,7 @@ func RunBatch(p Params, batchSizes []int, rounds int) *Table {
 
 // RunPanoStreaming measures the VR path: N users watching the same video
 // through one edge, CoIC vs Origin.
-func RunPanoStreaming(p Params, users, framesPerUser int) (*Table, error) {
+func RunPanoStreaming(p core.Params, users, framesPerUser int) (*metrics.Table, error) {
 	t := metrics.NewTable("A-pano — shared VR panorama streaming",
 		"mode", "users", "frames", "mean_ms", "p95_ms", "hit_ratio")
 	events, err := trace.Generate(trace.Config{
@@ -529,7 +513,7 @@ func RunPanoStreaming(p Params, users, framesPerUser int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, mode := range []Mode{ModeOrigin, ModeCoIC} {
+	for _, mode := range []core.Mode{core.ModeOrigin, core.ModeCoIC} {
 		res := core.RunTrace(p, core.MidSweep, events, mode)
 		t.AddRow(mode.String(), users, res.Events,
 			msCol(res.All.Mean()), msCol(res.All.P95()),
@@ -542,7 +526,7 @@ func RunPanoStreaming(p Params, users, framesPerUser int) (*Table, error) {
 // sharing gate (this reproduction's take on the paper's §4
 // "security/privacy protection" future work): higher K withholds more
 // cross-user sharing, lowering the hit ratio.
-func RunPrivacy(p Params, ks []int, seed uint64) (*Table, error) {
+func RunPrivacy(p core.Params, ks []int, seed uint64) (*metrics.Table, error) {
 	events, err := trace.Generate(trace.Config{
 		Users: 12, Cells: 2, Duration: 30 * time.Second,
 		RatePerUser: 1, Objects: 24, ZipfAlpha: 0.9,
@@ -556,7 +540,7 @@ func RunPrivacy(p Params, ks []int, seed uint64) (*Table, error) {
 	t := metrics.NewTable("A-privacy — k-anonymity sharing gate vs cache utility",
 		"privacy_k", "hit_ratio", "blocked", "mean_ms")
 	for _, k := range ks {
-		res := core.RunTrace(p, core.MidSweep, events, ModeCoIC, core.WithPrivacyK(k))
+		res := core.RunTrace(p, core.MidSweep, events, core.ModeCoIC, core.WithPrivacyK(k))
 		t.AddRow(k,
 			fmt.Sprintf("%.3f", res.HitRatio()),
 			res.Edge.PrivacyBlocked,
@@ -571,7 +555,7 @@ func RunPrivacy(p Params, ks []int, seed uint64) (*Table, error) {
 // (internal/metrics/qoe.go). This is the summary view of "improve QoE of
 // immersive computing by cooperatively sharing ... intermediate IC
 // results".
-func RunQoE(p Params, users int, seed uint64) (*Table, error) {
+func RunQoE(p core.Params, users int, seed uint64) (*metrics.Table, error) {
 	events, err := trace.Generate(trace.Config{
 		Users: users, Cells: 3, Duration: 30 * time.Second,
 		RatePerUser: 1, Objects: 48, ZipfAlpha: 0.9,
@@ -585,8 +569,8 @@ func RunQoE(p Params, users int, seed uint64) (*Table, error) {
 	t := metrics.NewTable(
 		fmt.Sprintf("QoE — mean opinion score (1-5) per task, %d users", users),
 		"task", "origin_qoe", "coic_qoe", "origin_p95_ms", "coic_p95_ms")
-	coicRes := core.RunTrace(p, core.MidSweep, events, ModeCoIC)
-	originRes := core.RunTrace(p, core.MidSweep, events, ModeOrigin)
+	coicRes := core.RunTrace(p, core.MidSweep, events, core.ModeCoIC)
+	originRes := core.RunTrace(p, core.MidSweep, events, core.ModeOrigin)
 	rows := []struct {
 		task wire.Task
 		q    metrics.QoE
@@ -605,9 +589,6 @@ func RunQoE(p Params, users int, seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// GenerateTrace builds a workload trace for custom experiments.
-func GenerateTrace(cfg TraceConfig) ([]trace.Event, error) { return trace.Generate(cfg) }
-
 // RunQoS is the deadline-aware scheduling ablation, run on a live
 // in-process TCP stack through the public streaming API. One client
 // holds two streams on one connection: a background stream flooding the
@@ -622,7 +603,7 @@ func GenerateTrace(cfg TraceConfig) ([]trace.Event, error) { return trace.Genera
 //     pre-QoS edge. The foreground absorbs the whole backlog and blows
 //     its budget (lateness is scored client-side against the same
 //     deadline).
-//   - qos:  background QoSBestEffort, foreground QoSInteractive with the
+//   - qos:  background coic.QoSBestEffort, foreground coic.QoSInteractive with the
 //     deadline on the wire — the scheduler dispatches every queued
 //     interactive request first and sheds it unexecuted if the budget
 //     expires in the queue.
@@ -630,7 +611,7 @@ func GenerateTrace(cfg TraceConfig) ([]trace.Event, error) { return trace.Genera
 // interactiveN is how many foreground requests to measure per row;
 // deadline is their budget. Latencies are wall clock, so exact numbers
 // vary by host; the fifo vs qos contrast is the result.
-func RunQoS(p Params, interactiveN int, deadline time.Duration) (*Table, error) {
+func RunQoS(p core.Params, interactiveN int, deadline time.Duration) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		fmt.Sprintf("A-qos — interactive latency under best-effort background load (budget %v)", deadline),
 		"scheduling", "interactive_n", "p50_ms", "p99_ms", "late_or_shed", "edge_sheds", "bg_admitted", "bg_completed")
@@ -660,10 +641,10 @@ func RunQoS(p Params, interactiveN int, deadline time.Duration) (*Table, error) 
 // decides the foreground's fate) and one client connection both streams
 // ride on.
 type qosHarness struct {
-	Edge   *Server
-	Client *Client
+	edge   *coic.Server
+	client *coic.Client
 	addr   string
-	params Params
+	params core.Params
 	ctx    context.Context
 	cancel context.CancelFunc
 }
@@ -671,7 +652,7 @@ type qosHarness struct {
 // newQoSHarness boots the stack; extra server options (tenant quotas,
 // worker counts, upstream limits) are appended to the base edge
 // configuration, so later options win.
-func newQoSHarness(p Params, extra ...ServerOption) (*qosHarness, error) {
+func newQoSHarness(p core.Params, extra ...coic.ServerOption) (*qosHarness, error) {
 	// Delay-dominated service: small panoramas keep render and crop
 	// cheap; the shaped link supplies the latency.
 	p.PanoWidth = 256
@@ -686,57 +667,57 @@ func newQoSHarness(p Params, extra ...ServerOption) (*qosHarness, error) {
 	if err != nil {
 		return nil, err
 	}
-	go NewCloudServer(WithListener(cloudLn), WithServeParams(p)).Serve(ctx)
+	go coic.NewCloudServer(coic.WithListener(cloudLn), coic.WithServeParams(p)).Serve(ctx)
 	edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	edge := NewEdgeServer(append([]ServerOption{
-		WithListener(edgeLn),
-		WithServeParams(p),
-		WithCloud(cloudLn.Addr().String()),
-		WithCloudShape("rate 200mbit delay 20ms"),
-		WithWorkers(1),
-		WithQueueDepth(64),
+	edge := coic.NewEdgeServer(append([]coic.ServerOption{
+		coic.WithListener(edgeLn),
+		coic.WithServeParams(p),
+		coic.WithCloud(cloudLn.Addr().String()),
+		coic.WithCloudShape("rate 200mbit delay 20ms"),
+		coic.WithWorkers(1),
+		coic.WithQueueDepth(64),
 	}, extra...)...)
 	go edge.Serve(ctx)
-	cli, err := NewClient(ctx, edgeLn.Addr().String(), WithDialParams(p))
+	cli, err := coic.NewClient(ctx, edgeLn.Addr().String(), coic.WithDialParams(p))
 	if err != nil {
 		return nil, err
 	}
 	ok = true
 	return &qosHarness{
-		Edge: edge, Client: cli,
+		edge: edge, client: cli,
 		addr: edgeLn.Addr().String(), params: p,
 		ctx: ctx, cancel: cancel,
 	}, nil
 }
 
-// Dial opens an additional client connection to the harness edge (the
+// dial opens an additional client connection to the harness edge (the
 // noisy-neighbor ablation gives each tenant its own connection, which
 // is how real apps arrive).
-func (h *qosHarness) Dial(opts ...DialOption) (*Client, error) {
-	return NewClient(h.ctx, h.addr, append([]DialOption{WithDialParams(h.params)}, opts...)...)
+func (h *qosHarness) dial(opts ...coic.DialOption) (*coic.Client, error) {
+	return coic.NewClient(h.ctx, h.addr, append([]coic.DialOption{coic.WithDialParams(h.params)}, opts...)...)
 }
 
 // Close tears the stack down (servers drain, the client connection
 // closes).
 func (h *qosHarness) Close() {
-	h.Client.Close()
+	h.client.Close()
 	h.cancel()
 }
 
 // flood saturates cli's connection with distinct (always-miss) pano
 // fetches through a standing window; each one costs a shaped cloud
 // fetch, building a backlog in the edge's scheduler. tagged submits them
-// as QoSBestEffort; untagged carries no QoS metadata (the pre-QoS FIFO
+// as coic.QoSBestEffort; untagged carries no QoS metadata (the pre-QoS FIFO
 // baseline). It waits ~300ms so callers measure against an established
 // backlog. The returned stop (idempotent, so it can be both called and
 // deferred) ends the load, drains the stream, and reports how many
 // fetches completed.
-func (h *qosHarness) flood(cli *Client, tagged bool, window int) (stop func() int, err error) {
+func (h *qosHarness) flood(cli *coic.Client, tagged bool, window int) (stop func() int, err error) {
 	bgCtx, bgStop := context.WithCancel(h.ctx)
-	bg, err := cli.Stream(bgCtx, WithWindow(window))
+	bg, err := cli.Stream(bgCtx, coic.WithWindow(window))
 	if err != nil {
 		bgStop()
 		return nil, err
@@ -754,9 +735,9 @@ func (h *qosHarness) flood(cli *Client, tagged bool, window int) (stop func() in
 	}()
 	go func() {
 		for frame := 0; ; frame++ {
-			req := PanoTask("qos-bg", frame, Viewport{FOV: 1.6})
+			req := coic.PanoTask("qos-bg", frame, coic.Viewport{FOV: 1.6})
 			if tagged {
-				req = req.WithQoS(QoSBestEffort)
+				req = req.WithQoS(coic.QoSBestEffort)
 			}
 			if _, err := bg.Submit(bgCtx, req); err != nil {
 				return
@@ -783,8 +764,8 @@ func noFlood() int { return 0 }
 // rate. It returns their latencies and how many were late: shed at the
 // edge on their wire deadline or, when budget is nonzero, slower than it
 // (scored client-side).
-func (h *qosHarness) paced(cli *Client, n int, budget time.Duration, request func(i int) Request) (*metrics.Histogram, int, error) {
-	fg, err := cli.Stream(h.ctx, WithWindow(1))
+func (h *qosHarness) paced(cli *coic.Client, n int, budget time.Duration, request func(i int) coic.Request) (*metrics.Histogram, int, error) {
+	fg, err := cli.Stream(h.ctx, coic.WithWindow(1))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -798,7 +779,7 @@ func (h *qosHarness) paced(cli *Client, n int, budget time.Duration, request fun
 		}
 		comp, err := ticket.Await(h.ctx)
 		switch {
-		case errors.Is(err, ErrDeadlineExceeded):
+		case errors.Is(err, coic.ErrDeadlineExceeded):
 			late++
 		case err != nil:
 			return nil, 0, err
@@ -811,7 +792,7 @@ func (h *qosHarness) paced(cli *Client, n int, budget time.Duration, request fun
 	return hist, late, nil
 }
 
-func runQoSRow(p Params, t *Table, name string, load, qos bool, interactiveN int, deadline time.Duration) error {
+func runQoSRow(p core.Params, t *metrics.Table, name string, load, qos bool, interactiveN int, deadline time.Duration) error {
 	h, err := newQoSHarness(p)
 	if err != nil {
 		return err
@@ -820,7 +801,7 @@ func runQoSRow(p Params, t *Table, name string, load, qos bool, interactiveN int
 
 	stopBG := noFlood
 	if load {
-		if stopBG, err = h.flood(h.Client, qos, 6); err != nil {
+		if stopBG, err = h.flood(h.client, qos, 6); err != nil {
 			return err
 		}
 		defer stopBG()
@@ -830,19 +811,19 @@ func runQoSRow(p Params, t *Table, name string, load, qos bool, interactiveN int
 	if qos {
 		budget = 0 // the deadline rides the wire; the edge sheds
 	}
-	hist, late, err := h.paced(h.Client, interactiveN, budget, func(i int) Request {
-		req := PanoTask("qos-fg", i, Viewport{FOV: 1.6})
+	hist, late, err := h.paced(h.client, interactiveN, budget, func(i int) coic.Request {
+		req := coic.PanoTask("qos-fg", i, coic.Viewport{FOV: 1.6})
 		if qos {
-			req = req.WithQoS(QoSInteractive).WithDeadline(deadline)
+			req = req.WithQoS(coic.QoSInteractive).WithDeadline(deadline)
 		}
 		return req
 	})
 	if err != nil {
-		return fmt.Errorf("coic: qos row %s: %w", name, err)
+		return fmt.Errorf("experiments: qos row %s: %w", name, err)
 	}
 
 	bgCompleted := stopBG() // drain the background stream so bg_completed is final
-	stats := h.Edge.Stats()
+	stats := h.edge.Stats()
 	t.AddRow(name, interactiveN,
 		msCol(hist.Median()), msCol(hist.P99()),
 		late, stats.DeadlineSheds,
@@ -862,7 +843,7 @@ func runQoSRow(p Params, t *Table, name string, load, qos bool, interactiveN int
 //   - pooled: both tenants land on the default tenant (the pre-tenant
 //     edge). The flood owns every upstream slot and the victim's
 //     fetches wait behind the whole backlog.
-//   - fair:   tenants authenticate via WithTenant and the edge caps
+//   - fair:   tenants authenticate via coic.WithTenant and the edge caps
 //     each tenant at its weighted share of the upstream slots — the
 //     flood can no longer hold every slot, so the victim finds one
 //     free (or at worst one in-service residual away) instead of
@@ -875,7 +856,7 @@ func runQoSRow(p Params, t *Table, name string, load, qos bool, interactiveN int
 // the latency each completion is scored against (client-side — victim
 // requests carry no wire deadline, so p99 reflects true service time,
 // never an early shed).
-func RunNoisyNeighbor(p Params, victimN int, budget time.Duration) (*Table, error) {
+func RunNoisyNeighbor(p core.Params, victimN int, budget time.Duration) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		fmt.Sprintf("A-noisy — victim interactive latency under a competing tenant's flood (budget %v)", budget),
 		"isolation", "victim_n", "p50_ms", "p99_ms", "over_budget",
@@ -897,25 +878,25 @@ func RunNoisyNeighbor(p Params, victimN int, budget time.Duration) (*Table, erro
 		}
 	}
 	t.AddNote("pooled = tenantless dials sharing the default tenant (the pre-tenant edge)")
-	t.AddNote("fair = WithTenant dials + weighted fair upstream slots; quota = fair + noisy admission rate cap")
+	t.AddNote("fair = coic.WithTenant dials + weighted fair upstream slots; quota = fair + noisy admission rate cap")
 	t.AddNote("over_budget = victim completions slower than the budget, scored client-side")
 	return t, nil
 }
 
-func runNoisyRow(p Params, t *Table, name string, load, tenants, quota bool, victimN int, budget time.Duration) error {
+func runNoisyRow(p core.Params, t *metrics.Table, name string, load, tenants, quota bool, victimN int, budget time.Duration) error {
 	// Eight workers per connection let the flood actually reach the
 	// upstream gate concurrently; three slots make the gate — not the
 	// per-connection pool — the contended resource, as it is when many
 	// connections share one uplink.
-	serverOpts := []ServerOption{WithWorkers(8), WithMaxUpstream(3)}
+	serverOpts := []coic.ServerOption{coic.WithWorkers(8), coic.WithMaxUpstream(3)}
 	if tenants {
 		serverOpts = append(serverOpts,
-			WithTenantQuota("victim", TenantConfig{Weight: 4}),
-			WithTenantQuota("noisy", TenantConfig{Weight: 1}))
+			coic.WithTenantQuota("victim", coic.TenantConfig{Weight: 4}),
+			coic.WithTenantQuota("noisy", coic.TenantConfig{Weight: 1}))
 	}
 	if quota {
 		serverOpts = append(serverOpts,
-			WithTenantQuota("noisy", TenantConfig{Rate: 10, Burst: 2, Weight: 1}))
+			coic.WithTenantQuota("noisy", coic.TenantConfig{Rate: 10, Burst: 2, Weight: 1}))
 	}
 	h, err := newQoSHarness(p, serverOpts...)
 	if err != nil {
@@ -923,14 +904,14 @@ func runNoisyRow(p Params, t *Table, name string, load, tenants, quota bool, vic
 	}
 	defer h.Close()
 
-	victimTenant, noisyTenant := DefaultTenant, DefaultTenant
-	var victimDial, noisyDial []DialOption
+	victimTenant, noisyTenant := coic.DefaultTenant, coic.DefaultTenant
+	var victimDial, noisyDial []coic.DialOption
 	if tenants {
 		victimTenant, noisyTenant = "victim", "noisy"
-		victimDial = append(victimDial, WithTenant("victim", ""))
-		noisyDial = append(noisyDial, WithTenant("noisy", ""))
+		victimDial = append(victimDial, coic.WithTenant("victim", ""))
+		noisyDial = append(noisyDial, coic.WithTenant("noisy", ""))
 	}
-	victim, err := h.Dial(victimDial...)
+	victim, err := h.dial(victimDial...)
 	if err != nil {
 		return err
 	}
@@ -939,15 +920,15 @@ func runNoisyRow(p Params, t *Table, name string, load, tenants, quota bool, vic
 	// One unrecorded warmup fetch before the flood exists: it pays the
 	// lazy upstream-mux dial so the solo floor (and every other row)
 	// measures steady-state service, not connection setup.
-	if _, _, err := h.paced(victim, 1, 0, func(int) Request {
-		return PanoTask("noisy-warm", 0, Viewport{FOV: 1.6})
+	if _, _, err := h.paced(victim, 1, 0, func(int) coic.Request {
+		return coic.PanoTask("noisy-warm", 0, coic.Viewport{FOV: 1.6})
 	}); err != nil {
-		return fmt.Errorf("coic: noisy row %s warmup: %w", name, err)
+		return fmt.Errorf("experiments: noisy row %s warmup: %w", name, err)
 	}
 
 	stopBG := noFlood
 	if load {
-		noisy, err := h.Dial(noisyDial...)
+		noisy, err := h.dial(noisyDial...)
 		if err != nil {
 			return err
 		}
@@ -960,15 +941,15 @@ func runNoisyRow(p Params, t *Table, name string, load, tenants, quota bool, vic
 
 	// Victim requests carry no wire deadline, so none is ever shed: over
 	// is purely the client-side budget check.
-	hist, over, err := h.paced(victim, victimN, budget, func(i int) Request {
-		return PanoTask("noisy-fg", i, Viewport{FOV: 1.6}).WithQoS(QoSInteractive)
+	hist, over, err := h.paced(victim, victimN, budget, func(i int) coic.Request {
+		return coic.PanoTask("noisy-fg", i, coic.Viewport{FOV: 1.6}).WithQoS(coic.QoSInteractive)
 	})
 	if err != nil {
-		return fmt.Errorf("coic: noisy row %s: %w", name, err)
+		return fmt.Errorf("experiments: noisy row %s: %w", name, err)
 	}
 
 	bgCompleted := stopBG() // drain the flood so noisy_completed is final
-	stats := h.Edge.Stats()
+	stats := h.edge.Stats()
 	t.AddRow(name, victimN,
 		msCol(hist.Median()), msCol(hist.P99()), over,
 		stats.Tenants[victimTenant].AdmittedInteractive,
@@ -991,7 +972,7 @@ func runNoisyRow(p Params, t *Table, name string, load, tenants, quota bool, vic
 // memberCounts sizes the room per row (the paper's shared-immersion
 // scenario is a handful of co-located users; 32 stresses the fan-out);
 // updates is how many publishes each row measures.
-func RunSharedScene(p Params, memberCounts []int, updates int) (*Table, error) {
+func RunSharedScene(p core.Params, memberCounts []int, updates int) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"A-scene — shared-scene update propagation vs room size",
 		"members", "updates", "deliveries", "p50_ms", "p99_ms", "converged")
@@ -1005,8 +986,8 @@ func RunSharedScene(p Params, memberCounts []int, updates int) (*Table, error) {
 	return t, nil
 }
 
-func runSceneRow(p Params, t *Table, members, updates int) error {
-	h, err := newQoSHarness(p, WithWorkers(4))
+func runSceneRow(p core.Params, t *metrics.Table, members, updates int) error {
+	h, err := newQoSHarness(p, coic.WithWorkers(4))
 	if err != nil {
 		return err
 	}
@@ -1016,20 +997,20 @@ func runSceneRow(p Params, t *Table, members, updates int) error {
 	// member goroutines read it on arrival) before the publish ships.
 	t0 := make([]atomic.Int64, updates)
 
-	clients := []*Client{h.Client}
+	clients := []*coic.Client{h.client}
 	for i := 1; i < members; i++ {
-		cli, err := h.Dial()
+		cli, err := h.dial()
 		if err != nil {
 			return err
 		}
 		defer cli.Close()
 		clients = append(clients, cli)
 	}
-	scenes := make([]*Scene, len(clients))
+	scenes := make([]*coic.Scene, len(clients))
 	for i, cli := range clients {
-		sc, err := cli.JoinScene(h.ctx, "bench", WithSceneWindow(updates+1))
+		sc, err := cli.JoinScene(h.ctx, "bench", coic.WithSceneWindow(updates+1))
 		if err != nil {
-			return fmt.Errorf("coic: scene row %d members: join: %w", members, err)
+			return fmt.Errorf("experiments: scene row %d members: join: %w", members, err)
 		}
 		scenes[i] = sc
 	}
@@ -1041,7 +1022,7 @@ func runSceneRow(p Params, t *Table, members, updates int) error {
 	var wg sync.WaitGroup
 	for _, sc := range scenes {
 		wg.Add(1)
-		go func(sc *Scene) {
+		go func(sc *coic.Scene) {
 			defer wg.Done()
 			seen := 0
 			for ev := range sc.Events() {
@@ -1064,7 +1045,7 @@ func runSceneRow(p Params, t *Table, members, updates int) error {
 	for i := 0; i < updates; i++ {
 		t0[i].Store(time.Now().UnixNano())
 		if _, err := pub.Publish(h.ctx, fmt.Sprintf("u%d", i), []byte{byte(i)}); err != nil {
-			return fmt.Errorf("coic: scene row %d members: publish: %w", members, err)
+			return fmt.Errorf("experiments: scene row %d members: publish: %w", members, err)
 		}
 		time.Sleep(2 * time.Millisecond) // display-rate pacing
 	}

@@ -1,4 +1,4 @@
-package coic
+package experiments
 
 import (
 	"bytes"
@@ -11,7 +11,21 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/edge-immersion/coic/internal/core"
+	"github.com/edge-immersion/coic/internal/metrics"
 )
+
+// testParams shrinks payloads so the tables stay fast (mirrors
+// internal/core testParams).
+func testParams() core.Params {
+	p := core.DefaultParams()
+	p.CameraW, p.CameraH = 128, 128
+	p.DNNInput = 32
+	p.PanoWidth = 256
+	p.MobileGFLOPS = 28
+	return p
+}
 
 // update rewrites testdata/golden/*.txt from the tables this run computes
 // (`make golden`). Only a change that means to move a virtual-time number
@@ -34,35 +48,38 @@ func TestVirtualTimeAblationTables(t *testing.T) {
 	p := testParams()
 	for _, tc := range []struct {
 		name    string
-		run     func() (*Table, error)
+		run     func() (*metrics.Table, error)
 		columns []string
 		rows    int
 		// positive names a column every row must hold a value > 0 in.
 		positive string
 	}{
-		{"hitratio", func() (*Table, error) { return RunHitRatio(p, []int{2}, 0.7, p.Seed) },
+		{"hitratio", func() (*metrics.Table, error) { return RunHitRatio(p, []int{2}, 0.7, p.Seed) },
 			[]string{"users", "events", "hit_ratio", "coic_mean_ms", "origin_mean_ms", "speedup"}, 1, "coic_mean_ms"},
-		{"policy", func() (*Table, error) { return RunPolicyAblation(p, []int{1}, p.Seed) },
+		{"policy", func() (*metrics.Table, error) { return RunPolicyAblation(p, []int{1}, p.Seed) },
 			[]string{"capacity_MB", "policy", "hit_ratio", "mean_ms", "evictions"}, 4, "evictions"},
-		{"coop", func() (*Table, error) { return RunCooperation(p, []int{2}, 6) },
+		{"coop", func() (*metrics.Table, error) { return RunCooperation(p, []int{2}, 6) },
 			[]string{"edges", "peered", "hit_ratio", "peer_hits", "cloud_fetches"}, 2, "cloud_fetches"},
-		{"federation", func() (*Table, error) { return RunFederation(p, []int{2}, 4, 1, p.Seed) },
+		{"federation", func() (*metrics.Table, error) { return RunFederation(p, []int{2}, 4, 1, p.Seed) },
 			[]string{"edges", "placement", "federated", "hit_ratio", "peer_hits", "published", "cloud_fetches", "p50_ms", "p99_ms"}, 4, "p50_ms"},
-		{"churn", func() (*Table, error) { return RunChurn(p, []int{1}, 3, 2, 4, 1, p.Seed) },
+		{"churn", func() (*metrics.Table, error) { return RunChurn(p, []int{1}, 3, 2, 4, 1, p.Seed) },
 			[]string{"edges", "cycles", "mode", "rf", "hit_ratio", "peer_hits", "repaired", "migrated", "ring_ver", "cloud_fetches", "p50_ms", "p99_ms"}, 2, "p50_ms"},
-		{"pano", func() (*Table, error) { return RunPanoStreaming(p, 2, 5) },
+		{"pano", func() (*metrics.Table, error) { return RunPanoStreaming(p, 2, 5) },
 			[]string{"mode", "users", "frames", "mean_ms", "p95_ms", "hit_ratio"}, 2, "mean_ms"},
-		{"privacy", func() (*Table, error) { return RunPrivacy(p, []int{3}, p.Seed) },
+		{"privacy", func() (*metrics.Table, error) { return RunPrivacy(p, []int{3}, p.Seed) },
 			[]string{"privacy_k", "hit_ratio", "blocked", "mean_ms"}, 1, "mean_ms"},
-		{"qoe", func() (*Table, error) { return RunQoE(p, 2, p.Seed) },
+		{"qoe", func() (*metrics.Table, error) { return RunQoE(p, 2, p.Seed) },
 			[]string{"task", "origin_qoe", "coic_qoe", "origin_p95_ms", "coic_p95_ms"}, 3, "coic_qoe"},
-		{"fig2a", func() (*Table, error) { rows, err := RunFig2a(p); return Fig2aTable(rows), err },
+		{"fig2a", func() (*metrics.Table, error) { rows, err := core.RunFig2a(p); return Fig2aTable(rows), err },
 			[]string{"condition", "origin_ms", "hit_ms", "miss_ms", "reduction_%"}, 5, "hit_ms"},
-		{"fig2b", func() (*Table, error) { rows, err := RunFig2bSizes(p, []int{231, 1949}); return Fig2bTable(rows), err },
+		{"fig2b", func() (*metrics.Table, error) {
+			rows, err := core.RunFig2b(p, []int{231, 1949})
+			return Fig2bTable(rows), err
+		},
 			[]string{"model_KB", "objx_KB", "cmf_KB", "origin_ms", "hit_ms", "miss_ms", "reduction_%"}, 2, "hit_ms"},
-		{"burst", func() (*Table, error) { return RunBurst(p, []int{4}, []float64{0, 1}) },
+		{"burst", func() (*metrics.Table, error) { return RunBurst(p, []int{4}, []float64{0, 1}) },
 			[]string{"users", "dup_ratio", "mode", "distinct", "cloud_fetches", "saved", "coalesced", "p50_ms", "p99_ms"}, 4, "p50_ms"},
-		{"threshold", func() (*Table, error) { return RunThresholdSweep(p, []float64{0.05, 0.12, 0.3}, 4), nil },
+		{"threshold", func() (*metrics.Table, error) { return RunThresholdSweep(p, []float64{0.05, 0.12, 0.3}, 4), nil },
 			[]string{"threshold", "true_hit_rate", "false_hit_rate"}, 3, "threshold"},
 	} {
 		tc := tc
@@ -114,24 +131,24 @@ func TestWallClockTableShapes(t *testing.T) {
 	p := testParams()
 	for _, tc := range []struct {
 		name    string
-		run     func() (*Table, error)
+		run     func() (*metrics.Table, error)
 		title   string // prefix
 		columns []string
 		keys    []string
 	}{
-		{"qos", func() (*Table, error) { return RunQoS(p, 3, 80*time.Millisecond) },
+		{"qos", func() (*metrics.Table, error) { return RunQoS(p, 3, 80*time.Millisecond) },
 			"A-qos — interactive latency under best-effort background load (budget ",
 			[]string{"scheduling", "interactive_n", "p50_ms", "p99_ms", "late_or_shed", "edge_sheds", "bg_admitted", "bg_completed"},
 			[]string{"none", "fifo", "qos"}},
-		{"noisy", func() (*Table, error) { return RunNoisyNeighbor(p, 1, 150*time.Millisecond) },
+		{"noisy", func() (*metrics.Table, error) { return RunNoisyNeighbor(p, 1, 150*time.Millisecond) },
 			"A-noisy — victim interactive latency under a competing tenant's flood (budget ",
 			[]string{"isolation", "victim_n", "p50_ms", "p99_ms", "over_budget", "victim_admitted", "noisy_admitted", "noisy_quota_rejected", "noisy_completed"},
 			[]string{"solo", "pooled", "fair", "quota"}},
-		{"batch", func() (*Table, error) { return RunBatch(p, []int{1, 2}, 1), nil },
+		{"batch", func() (*metrics.Table, error) { return RunBatch(p, []int{1, 2}, 1), nil },
 			"Batched DNN execution — serial vs ForwardBatch (per core)",
 			[]string{"batch", "rounds", "serial_ms", "batched_ms", "serial_fps", "batched_fps", "speedup"},
 			[]string{"1", "2"}},
-		{"scene", func() (*Table, error) { return RunSharedScene(p, []int{2, 3}, 2) },
+		{"scene", func() (*metrics.Table, error) { return RunSharedScene(p, []int{2, 3}, 2) },
 			"A-scene — shared-scene update propagation vs room size",
 			[]string{"members", "updates", "deliveries", "p50_ms", "p99_ms", "converged"},
 			[]string{"2", "3"}},
@@ -168,5 +185,136 @@ func TestSweepsRejectImpossibleFleets(t *testing.T) {
 	}
 	if _, err := RunChurn(p, []int{1}, 1, 2, 2, 1, p.Seed); err == nil {
 		t.Error("RunChurn accepted a fleet with no victim to crash")
+	}
+}
+
+func TestTablesRender(t *testing.T) {
+	tab := RunThresholdSweep(testParams(), []float64{0.05, 0.12, 0.3}, 4)
+	var buf bytes.Buffer
+	if err := tab.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "threshold") {
+		t.Fatalf("table output:\n%s", buf.String())
+	}
+	buf.Reset()
+	if err := tab.RenderCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "true_hit_rate") {
+		t.Fatal("CSV missing header")
+	}
+}
+
+func TestBurstTablePublicAPI(t *testing.T) {
+	tab, err := RunBurst(testParams(), []int{4}, []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tab.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	// One serial and one coalesce row; the coalesce row must show the
+	// saved fetches.
+	if !strings.Contains(out, "serial") || !strings.Contains(out, "coalesce") {
+		t.Fatalf("burst table missing modes:\n%s", out)
+	}
+}
+
+func TestIndexAblationTable(t *testing.T) {
+	tab := RunIndexAblation(32, []int{100, 500}, 20, 1)
+	rows := tab.Rows()
+	if len(rows) != 2 {
+		t.Fatalf("%d rows", len(rows))
+	}
+}
+
+func TestFinegrainedTable(t *testing.T) {
+	p := testParams()
+	tab := RunFinegrained(p, []int{2}, 10)
+	rows := tab.Rows()
+	if len(rows) != 1 {
+		t.Fatalf("%d rows", len(rows))
+	}
+}
+
+// noisyRows runs the noisy-neighbor ablation and indexes its rows by the
+// isolation column.
+func noisyRows(t *testing.T, victimN int, budget time.Duration) map[string][]string {
+	t.Helper()
+	tab, err := RunNoisyNeighbor(testParams(), victimN, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string][]string)
+	for _, r := range tab.Rows() {
+		rows[r[0]] = r
+	}
+	return rows
+}
+
+func cellFloat(t *testing.T, row []string, idx int) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(row[idx], 64)
+	if err != nil {
+		t.Fatalf("row %v cell %d: %v", row, idx, err)
+	}
+	return v
+}
+
+// TestTenantFairShareUnderFlood is the tentpole acceptance test: with a
+// competing tenant flooding best-effort misses from its own connection,
+// weighted fair-share keeps the victim tenant's interactive p99 within
+// 2x of its uncontended floor, while the pooled (tenantless) edge lets
+// the flood own every upstream slot. Thresholds carry slack for -race
+// and loaded CI hosts; the structural gap they witness is ~5x vs ~1x.
+func TestTenantFairShareUnderFlood(t *testing.T) {
+	const victimN = 20
+	rows := noisyRows(t, victimN, 150*time.Millisecond)
+	const (
+		p99Col      = 3
+		admittedCol = 5
+		rejectedCol = 7
+	)
+	solo := cellFloat(t, rows["solo"], p99Col)
+	pooled := cellFloat(t, rows["pooled"], p99Col)
+	fair := cellFloat(t, rows["fair"], p99Col)
+	quota := cellFloat(t, rows["quota"], p99Col)
+	t.Logf("victim p99 ms: solo %.1f, pooled %.1f, fair %.1f, quota %.1f", solo, pooled, fair, quota)
+
+	// The acceptance bound is 2x the uncontended floor. Under the race
+	// detector the flooded rows pay heavy instrumentation overhead on
+	// top of scheduling, so the bound widens: the ordering, not the
+	// exact ratio, is what -race is here to witness.
+	ratio, slack := 2.0, 15.0
+	if raceEnabled {
+		ratio, slack = 6.0, 60.0
+	}
+
+	// The victim's paced interactive stream must be admitted in full in
+	// every row — fairness must not come from shedding the victim.
+	for name, row := range rows {
+		if got := cellFloat(t, row, admittedCol); got != victimN {
+			t.Errorf("%s row: victim admitted %v of %d requests", name, got, victimN)
+		}
+	}
+
+	// Isolation holds: fair stays within the bound of the uncontended
+	// floor (absolute slack absorbs scheduler jitter at ms scale).
+	if limit := ratio*solo + slack; fair > limit {
+		t.Errorf("fair p99 %.1fms exceeds %.0fx solo floor %.1fms (+%.0fms slack)", fair, ratio, solo, slack)
+	}
+	if limit := ratio*solo + slack; quota > limit {
+		t.Errorf("quota p99 %.1fms exceeds %.0fx solo floor %.1fms (+%.0fms slack)", quota, ratio, solo, slack)
+	}
+	// The pooled edge visibly degrades — the contrast fairness buys.
+	if pooled < 1.5*fair {
+		t.Errorf("pooled p99 %.1fms not clearly worse than fair %.1fms — flood had no effect", pooled, fair)
+	}
+	// The quota row actually rejected flood admissions.
+	if got := cellFloat(t, rows["quota"], rejectedCol); got == 0 {
+		t.Error("quota row rejected nothing — the noisy bucket never emptied")
 	}
 }

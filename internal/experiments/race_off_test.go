@@ -1,6 +1,6 @@
 //go:build !race
 
-package coic
+package experiments
 
 // raceEnabled reports whether this binary was built with -race; see
 // race_on_test.go.

@@ -1,6 +1,6 @@
 //go:build race
 
-package coic
+package experiments
 
 // raceEnabled reports that this binary was built with -race. The
 // fairness ablation test keeps running under the detector but with

@@ -136,3 +136,28 @@ func TestRequestLogSlogEmission(t *testing.T) {
 		t.Fatalf("slog line missing trace: %s", out)
 	}
 }
+
+// TestRequestLogSkipsAdmissionRefusals: a quota or overloaded refusal is
+// neither filed nor logged (coic_requests_total counts it), so a flood
+// of them cannot evict slow entries or write a line per refusal; a
+// failed request still is both.
+func TestRequestLogSkipsAdmissionRefusals(t *testing.T) {
+	var buf strings.Builder
+	l := NewRequestLog(4, time.Millisecond, slog.New(slog.NewTextHandler(&buf, nil)))
+	for i, outcome := range []string{"quota", "overloaded", "quota"} {
+		l.Record(RequestEvent{ReqID: uint64(i), Outcome: outcome, Duration: time.Second})
+	}
+	if evs := l.Recent(); len(evs) != 0 {
+		t.Fatalf("refusals filed in the ring: %v", evs)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refusals logged: %s", buf.String())
+	}
+	l.Record(RequestEvent{ReqID: 7, Outcome: "error"})
+	if evs := l.Recent(); len(evs) != 1 || evs[0].ReqID != 7 {
+		t.Fatalf("ring = %v, want the one error event", evs)
+	}
+	if out := buf.String(); !strings.Contains(out, "slow request") || !strings.Contains(out, "outcome=error") {
+		t.Fatalf("error event not logged: %q", out)
+	}
+}

@@ -56,8 +56,9 @@ type RequestLog struct {
 
 // NewRequestLog builds a log holding up to capacity events. Events with
 // Outcome "ok" are recorded only when Duration >= slow (slow <= 0 keeps
-// successes out entirely); non-ok outcomes are always recorded. logger
-// may be nil to keep the ring without emitting log lines.
+// successes out entirely); admission refusals ("overloaded", "quota") are
+// never recorded; every other outcome always is. logger may be nil to
+// keep the ring without emitting log lines.
 func NewRequestLog(capacity int, slow time.Duration, logger *slog.Logger) *RequestLog {
 	if capacity <= 0 {
 		capacity = 64
@@ -66,13 +67,21 @@ func NewRequestLog(capacity int, slow time.Duration, logger *slog.Logger) *Reque
 }
 
 // Record files one event if it qualifies (failed, or slower than the
-// threshold). Safe for concurrent use.
+// threshold). An admission refusal does not qualify: a tenant flooding
+// past its quota would otherwise log one line per refused request and
+// evict every useful entry from the ring, and coic_requests_total already
+// counts refusals by outcome. Safe for concurrent use.
 func (l *RequestLog) Record(ev RequestEvent) {
 	if l == nil {
 		return
 	}
-	if ev.Outcome == "ok" && (l.slow <= 0 || ev.Duration < l.slow) {
+	switch ev.Outcome {
+	case "overloaded", "quota":
 		return
+	case "ok":
+		if l.slow <= 0 || ev.Duration < l.slow {
+			return
+		}
 	}
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()

@@ -261,6 +261,9 @@ func TestOpsLedgerAgreesWithStats(t *testing.T) {
 		`coic_sched_admitted_total{class="interactive"}`: stats.AdmittedInteractive,
 		`coic_sched_deadline_sheds_total`:                stats.DeadlineSheds,
 		`coic_sched_overloads_total`:                     stats.Overloads,
+		// Refusals are counted here, though the request log skips them.
+		`coic_requests_total{tenant="acme",class="best-effort",outcome="overloaded"}`: stats.Overloads,
+		`coic_requests_total{tenant="metered",class="best-effort",outcome="quota"}`:   stats.QuotaRejections,
 	}
 	var quota uint64
 	for tenant, ts := range stats.Tenants {
@@ -279,6 +282,11 @@ func TestOpsLedgerAgreesWithStats(t *testing.T) {
 	}
 	if problems := obs.Lint(strings.NewReader(body)); len(problems) > 0 {
 		t.Errorf("metrics payload fails lint: %v", problems)
+	}
+	// The slow-request ring keeps the shed but neither refusal.
+	if _, body := scrape(t, ops.URL, "/debug/requests"); !strings.Contains(body, `"outcome":"deadline"`) ||
+		strings.Contains(body, `"outcome":"quota"`) || strings.Contains(body, `"outcome":"overloaded"`) {
+		t.Errorf("/debug/requests = %s, want the deadline shed and no refusal", body)
 	}
 }
 
@@ -353,7 +361,8 @@ func (b *syncBuffer) String() string {
 
 // TestServerLogsSlowRequests checks that a server logs its slow-request
 // warnings through slog.Default(), carrying the request's trace ID, so an
-// operator can grep a daemon's log for a trace a client printed.
+// operator can grep a daemon's log for a trace a client printed. That
+// holds for a stream request and for a per-task call alike.
 func TestServerLogsSlowRequests(t *testing.T) {
 	var logged syncBuffer
 	oldLogger, oldOut, oldFlags := slog.Default(), log.Writer(), log.Flags()
@@ -401,4 +410,23 @@ func TestServerLogsSlowRequests(t *testing.T) {
 		out := logged.String()
 		return strings.Contains(out, "slow request") && strings.Contains(out, want)
 	})
+
+	// A per-task call carries a trace ID of its own too, minted as a
+	// stream mints one, so its line is as greppable as the stream's.
+	if _, err := cli.PanoContext(ctx, "slow-log", 2, Viewport{FOV: 1.5}); err != nil {
+		t.Fatal(err)
+	}
+	var perTask string
+	waitForStats(t, "the per-task request to reach slog.Default()", func() bool {
+		for _, line := range strings.Split(logged.String(), "\n") {
+			if strings.Contains(line, "slow request") && !strings.Contains(line, want) {
+				perTask = line
+				return true
+			}
+		}
+		return false
+	})
+	if strings.Contains(perTask, "trace_id=0000000000000000") {
+		t.Errorf("per-task call logged without a trace ID: %s", perTask)
+	}
 }
