@@ -44,10 +44,17 @@ func TestStoreValueIsolation(t *testing.T) {
 	if string(got) != "abc" {
 		t.Fatal("Put aliased caller bytes")
 	}
-	got[0] = 'q' // returned copy mutation must not reach the cache
+	// Get lends the resident bytes: a read-only view whose capacity is
+	// clipped to its length, so an append reallocates instead of writing
+	// into the resident array.
+	if len(got) != cap(got) {
+		t.Fatalf("Get returned len %d, cap %d: the view is not clipped", len(got), cap(got))
+	}
+	grown := append(got, 'd')
+	grown[0] = 'q'
 	again, _ := s.Get("k")
 	if string(again) != "abc" {
-		t.Fatal("Get aliased cached bytes")
+		t.Fatalf("an append to the view reached the cache: %q", again)
 	}
 }
 

@@ -62,7 +62,7 @@ func (l *frameLedger) hooks() frameHooks {
 	}
 }
 
-// check asserts that want frames were taken and every one of them was
+// check asserts that want buffers were taken and every one of them was
 // released exactly once.
 func (l *frameLedger) check(t *testing.T, want int) {
 	t.Helper()
@@ -72,7 +72,7 @@ func (l *frameLedger) check(t *testing.T, want int) {
 		t.Error(e)
 	}
 	if l.takes != want {
-		t.Errorf("pooled frames taken = %d, want %d (one per exec frame)", l.takes, want)
+		t.Errorf("pooled buffers taken = %d, want %d", l.takes, want)
 	}
 	if len(l.out) != 0 || l.releases != l.takes {
 		t.Errorf("%d frames taken, %d released, %d still outstanding", l.takes, l.releases, len(l.out))

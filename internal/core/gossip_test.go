@@ -57,8 +57,8 @@ func (g *gossipEdge) kill() {
 }
 
 // startGossipEdge boots one edge with gossip membership at a fast test
-// cadence and serves it until stopped or killed.
-func startGossipEdge(t *testing.T, p Params, cloudAddr string, seeds []string, rf int) *gossipEdge {
+// cadence, tuned by each of tune, and serves it until stopped or killed.
+func startGossipEdge(t *testing.T, p Params, cloudAddr string, seeds []string, rf int, tune ...func(*EdgeServer)) *gossipEdge {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -80,6 +80,9 @@ func startGossipEdge(t *testing.T, p Params, cloudAddr string, seeds []string, r
 			return c
 		},
 	}
+	for _, f := range tune {
+		f(g.srv)
+	}
 	if err := g.srv.SetupGossip(g.addr, seeds); err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +100,10 @@ func startGossipEdge(t *testing.T, p Params, cloudAddr string, seeds []string, r
 	return g
 }
 
-// startGossipFleet boots a cloud and n edges, all seeded at the first
-// edge, and waits until every member sees the full fleet alive.
-func startGossipFleet(t *testing.T, p Params, n, rf int) (fleet []*gossipEdge, cloudAddr string) {
+// startGossipFleet boots a cloud and n edges, each tuned by tune, all
+// seeded at the first edge, and waits until every member sees the full
+// fleet alive.
+func startGossipFleet(t *testing.T, p Params, n, rf int, tune ...func(*EdgeServer)) (fleet []*gossipEdge, cloudAddr string) {
 	t.Helper()
 	cloudLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -109,10 +113,10 @@ func startGossipFleet(t *testing.T, p Params, n, rf int) (fleet []*gossipEdge, c
 	go (&CloudServer{Cloud: NewCloud(p)}).Serve(cloudLn)
 	cloudAddr = cloudLn.Addr().String()
 
-	seedEdge := startGossipEdge(t, p, cloudAddr, nil, rf)
+	seedEdge := startGossipEdge(t, p, cloudAddr, nil, rf, tune...)
 	fleet = []*gossipEdge{seedEdge}
 	for i := 1; i < n; i++ {
-		fleet = append(fleet, startGossipEdge(t, p, cloudAddr, []string{seedEdge.addr}, rf))
+		fleet = append(fleet, startGossipEdge(t, p, cloudAddr, []string{seedEdge.addr}, rf, tune...))
 	}
 	waitFleetAlive(t, fleet, n)
 	return fleet, cloudAddr

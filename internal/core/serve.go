@@ -111,7 +111,9 @@ type ServerCore struct {
 	// Obs, when non-nil, feeds the live metrics plane (see NewServerObs).
 	Obs *ServerObs
 
-	frames frameHooks
+	// frames observes the pooled request frames of this server's
+	// connections, replyBodies the pooled reply bodies.
+	frames, replyBodies frameHooks
 
 	// The ledger: this server's scheduler decisions across every
 	// connection it runs, read by Stats through the accessors below and
