@@ -72,7 +72,8 @@ func (s *ShardedStore) shard(key string) *Store {
 	return s.shards[maphash.String(shardSeed, key)%uint64(len(s.shards))]
 }
 
-// Get returns a copy of the value cached under key.
+// Get lends the value cached under key, as Store.Get does: a read-only
+// view of the resident bytes, capacity clipped to length.
 func (s *ShardedStore) Get(key string) ([]byte, bool) { return s.shard(key).Get(key) }
 
 // Put caches value under key in its stripe and returns the keys the

@@ -226,7 +226,8 @@ func (sc *SimilarityCache) unregisterLocked(key string, evicted bool) {
 
 // Lookup resolves a descriptor to a cached value under the default
 // tenant. Exact key matches win; vector descriptors then fall back to
-// nearest-neighbour search within the threshold.
+// nearest-neighbour search within the threshold. The value is lent, as
+// LookupAs says.
 func (sc *SimilarityCache) Lookup(desc feature.Descriptor) ([]byte, LookupResult) {
 	return sc.LookupAs(DefaultOwner, desc)
 }
@@ -236,6 +237,11 @@ func (sc *SimilarityCache) Lookup(desc feature.Descriptor) ([]byte, LookupResult
 // cross-tenant reuse the shared cache exists for). It takes sc.mu once on
 // an exact hit and on every miss, and twice on a similar hit: once to
 // count the query and resolve the neighbour's key, once to count the hit.
+//
+// A hit's value is the resident bytes themselves (Store.Get), not a copy:
+// read-only, with its capacity clipped to its length. Serving a hit
+// therefore copies its payload once, into the reply, and never writes
+// the cache's.
 func (sc *SimilarityCache) LookupAs(tenant string, desc feature.Descriptor) ([]byte, LookupResult) {
 	if tenant == "" {
 		tenant = DefaultOwner

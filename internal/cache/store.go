@@ -11,7 +11,7 @@ import (
 var ErrTooLarge = errors.New("cache: value larger than capacity")
 
 // Entry is a resident cache item's metadata. Returned copies are
-// snapshots; the cached value itself is never aliased to callers.
+// snapshots.
 type Entry struct {
 	Size int64
 	Cost float64
@@ -70,8 +70,13 @@ func NewStore(capacity int64, policy Policy) *Store {
 	}
 }
 
-// Get returns a copy of the value cached under key. A resident value is
-// never written, so the copy is taken outside the lock.
+// Get lends the value cached under key: a read-only view of the resident
+// bytes, not a copy, with its capacity clipped to its length so that an
+// append by the caller reallocates instead of writing past it. A resident
+// value is never written — Put stores a copy, and a replacement or an
+// eviction only drops the store's reference — so the view stays valid,
+// and unchanged, after the entry leaves the cache. A caller must not
+// write through it.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
@@ -83,7 +88,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	s.policy.OnAccess(key)
 	s.stats.Hits++
 	s.mu.Unlock()
-	return append([]byte(nil), e.value...), true
+	v := e.value
+	return v[:len(v):len(v)], true
 }
 
 // Put caches value under key with a recomputation-cost hint (used by

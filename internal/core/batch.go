@@ -70,14 +70,14 @@ func (p *batchPlan) waitBudget(head *schedJob, now time.Time) time.Duration {
 // runBatch dispatches a batch of exec requests through one batched
 // recognition pass. Per-member decode failures answer individually —
 // one malformed frame must not poison its batchmates.
-func (s *CloudServer) runBatch(jobs []schedJob) []wire.Message {
-	replies := make([]wire.Message, len(jobs))
+func (s *CloudServer) runBatch(jobs []schedJob) []reply {
+	replies := make([]reply, len(jobs))
 	payloads := make([][]byte, 0, len(jobs))
 	members := make([]int, 0, len(jobs)) // payloads[n] is jobs[members[n]]'s
 	for i, j := range jobs {
 		payload, err := recognizePayload(s.Obs, j.msg.Body)
 		if err != nil {
-			replies[i] = errorReply(j.msg.RequestID, wire.CodeBadRequest, "%v", err)
+			replies[i] = reply{msg: errorReply(j.msg.RequestID, wire.CodeBadRequest, "%v", err)}
 			continue
 		}
 		payloads = append(payloads, payload)
@@ -91,11 +91,11 @@ func (s *CloudServer) runBatch(jobs []schedJob) []wire.Message {
 		id := jobs[i].msg.RequestID
 		switch {
 		case errs[n] != nil:
-			replies[i] = errorReply(id, wire.CodeInternal, "recognize: %v", errs[n])
+			replies[i] = reply{msg: errorReply(id, wire.CodeInternal, "recognize: %v", errs[n])}
 		case jobs[i].ctx.Err() != nil:
-			replies[i] = errorReply(id, wire.CodeCanceled, "request canceled")
+			replies[i] = reply{msg: errorReply(id, wire.CodeCanceled, "request canceled")}
 		default:
-			replies[i] = taskKinds[wire.MsgExec].replyWith(id, wire.SourceCloud, results[n])
+			replies[i] = s.packReply(&taskKinds[wire.MsgExec], id, wire.SourceCloud, results[n])
 		}
 	}
 	return replies
@@ -106,8 +106,8 @@ func (s *CloudServer) runBatch(jobs []schedJob) []wire.Message {
 // identical descriptors coalesce into one upstream fetch via the
 // inflight table, and distinct misses reach the cloud as one burst the
 // cloud-side batcher can drain into a single FeaturesBatch pass.
-func (s *EdgeServer) runBatch(jobs []schedJob) []wire.Message {
-	replies := make([]wire.Message, len(jobs))
+func (s *EdgeServer) runBatch(jobs []schedJob) []reply {
+	replies := make([]reply, len(jobs))
 	if len(jobs) == 1 {
 		replies[0] = s.dispatch(jobs[0].ctx, jobs[0].msg, jobs[0].mode, jobs[0].tenant)
 		return replies

@@ -31,19 +31,19 @@ func (s *CloudServer) ServeContext(ctx context.Context, ln net.Listener) error {
 // row names; only the cacheable kinds name any — and frames it as the
 // reply that kind calls for. The connection's mode and tenant do not
 // matter to the cloud.
-func (s *CloudServer) dispatch(ctx context.Context, msg wire.Message, _ Mode, _ string) wire.Message {
+func (s *CloudServer) dispatch(ctx context.Context, msg wire.Message, _ Mode, _ string) reply {
 	k := kindOf(msg.Type)
 	if k == nil {
-		return errorReply(msg.RequestID, wire.CodeBadRequest, "cloud cannot handle %v", msg.Type)
+		return reply{msg: errorReply(msg.RequestID, wire.CodeBadRequest, "cloud cannot handle %v", msg.Type)}
 	}
 	data, _, code, err := k.compute(s.Cloud, s.Obs, msg.Body)
 	if err != nil {
-		return errorReply(msg.RequestID, code, "%v", err)
+		return reply{msg: errorReply(msg.RequestID, code, "%v", err)}
 	}
 	if ctx.Err() != nil {
 		// The edge abandoned the fetch mid-compute; a full reply would
 		// only be dropped by its read loop, so answer small.
-		return errorReply(msg.RequestID, wire.CodeCanceled, "request canceled")
+		return reply{msg: errorReply(msg.RequestID, wire.CodeCanceled, "request canceled")}
 	}
-	return k.replyWith(msg.RequestID, wire.SourceCloud, data)
+	return s.packReply(k, msg.RequestID, wire.SourceCloud, data)
 }

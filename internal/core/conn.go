@@ -68,7 +68,7 @@ type conn struct {
 	cancels  map[uint64]context.CancelFunc
 
 	sched   *schedQueue
-	replies chan wire.SequencedMessage
+	replies chan sequencedReply
 	// slots bounds replies outstanding anywhere in the pipeline — being
 	// processed, queued, or parked out-of-order in the reorder buffer.
 	// The reader acquires one per request and the writer releases one per
@@ -115,6 +115,67 @@ type frameHooks struct {
 	take, release func(*[]byte)
 }
 
+// pooledReplyMin is the smallest reply body packed into a recycled
+// buffer: panoramas and models, not recognition results. It is the size
+// from which WriteMessage encodes into a recycled buffer too.
+const pooledReplyMin = 32 << 10
+
+// replyPool recycles the bodies of large task replies (*[]byte) across
+// every connection. It is apart from framePool so that 2 MB camera frames
+// and 41 KB panorama replies do not displace each other: a buffer too
+// small for a body is dropped and replaced, not grown.
+var replyPool sync.Pool
+
+// reply is one answer on its way to a connection's writer: the frame
+// and, when its body was packed into a buffer from replyPool, that
+// buffer. The writer releases the buffer once the frame is written, or
+// dropped on a dead connection: that is its one release point, so
+// nothing may keep the body once the reply is handed over.
+type reply struct {
+	msg  wire.Message
+	body *[]byte
+}
+
+// sequencedReply pairs a reply with the arrival sequence number of the
+// request it answers.
+type sequencedReply struct {
+	seq uint64
+	reply
+}
+
+// packReply frames payload as k's answer to request reqID. A body of at
+// least pooledReplyMin bytes is packed into a buffer from replyPool,
+// which the reply owns; a smaller one is fresh. payload is only read, so
+// it may be a cache's resident bytes.
+func (s *ServerCore) packReply(k *taskKind, reqID uint64, source uint8, payload []byte) reply {
+	n := k.size(payload)
+	if n < pooledReplyMin {
+		return reply{msg: k.replyWith(reqID, source, payload)}
+	}
+	p, _ := replyPool.Get().(*[]byte)
+	if p == nil || cap(*p) < n {
+		b := make([]byte, n)
+		p = &b
+	}
+	if h := s.replyBodies.take; h != nil {
+		h(p)
+	}
+	body := k.pack((*p)[:0], source, payload)
+	return reply{msg: wire.Message{Type: k.reply, RequestID: reqID, Body: body}, body: p}
+}
+
+// releaseReply returns a reply's pooled body to replyPool; a fresh body
+// is left to the collector. Nothing may read the body after it.
+func (s *ServerCore) releaseReply(r reply) {
+	if r.body == nil {
+		return
+	}
+	if h := s.replyBodies.release; h != nil {
+		h(r.body)
+	}
+	replyPool.Put(r.body)
+}
+
 func (s *ServerCore) newConn(nc net.Conn, t tier, scenes *scene.Registry) *conn {
 	workers, depth := s.Workers, s.QueueDepth
 	if workers <= 0 {
@@ -128,7 +189,7 @@ func (s *ServerCore) newConn(nc net.Conn, t tier, scenes *scene.Registry) *conn 
 		workers: workers, budget: workers + depth,
 		cancels: map[uint64]context.CancelFunc{},
 		sched:   newSchedQueueWeighted(depth, s.Tenants.Weight),
-		replies: make(chan wire.SequencedMessage, workers+depth+1),
+		replies: make(chan sequencedReply, workers+depth+1),
 		slots:   make(chan struct{}, 2*(workers+depth)),
 		id:      nextConnID.Add(1),
 		outbox:  newPushOutbox(),
@@ -196,8 +257,9 @@ func (c *conn) serve(ctx context.Context) {
 // two producers:
 //
 //  1. In-order replies: the reader acquires a slot per request, and emit
-//     releases one per reply written. Ordered connections flow through
-//     the ReplyBuffer; unordered ones emit on completion.
+//     releases one per reply written, and the reply's pooled body with
+//     it. Ordered connections flow through the ReplyBuffer; unordered
+//     ones emit on completion.
 //  2. Scene pushes: server-minted frames enqueued on the outbox by any
 //     room member's publish. They consume NO slot (there is no request
 //     behind them) and never enter the ReplyBuffer (they have no seq).
@@ -210,7 +272,7 @@ func (c *conn) serve(ctx context.Context) {
 // inside one.
 func (c *conn) write() {
 	obsv := c.srv.Obs
-	buf := wire.NewReplyBuffer(1)
+	buf := wire.NewReplyBuffer[reply](1)
 	dead := false
 	write := func(m wire.Message) bool {
 		if dead {
@@ -225,12 +287,13 @@ func (c *conn) write() {
 		}
 		return true
 	}
-	emit := func(m wire.Message) {
+	emit := func(r reply) {
 		<-c.slots
 		start := time.Now()
-		if write(m) {
+		if write(r.msg) {
 			obsv.observeReplyWrite(time.Since(start))
 		}
+		c.srv.releaseReply(r)
 	}
 	for {
 		select {
@@ -239,10 +302,10 @@ func (c *conn) write() {
 				return
 			}
 			if c.unordered.Load() {
-				emit(r.Msg)
+				emit(r.reply)
 				continue
 			}
-			for _, m := range buf.Add(r.Seq, r.Msg) {
+			for _, m := range buf.Add(r.seq, r.reply) {
 				emit(m)
 			}
 		case <-c.outbox.wake:
@@ -255,21 +318,23 @@ func (c *conn) write() {
 	}
 }
 
-// answer hands the writer the reply to the frame that arrived seq-th.
+// answer hands the writer m, the reply to the frame that arrived seq-th,
+// whose body is not pooled.
 func (c *conn) answer(seq uint64, m wire.Message) {
-	c.replies <- wire.SequencedMessage{Seq: seq, Msg: m}
+	c.replies <- sequencedReply{seq: seq, reply: reply{msg: m}}
 }
 
 // finishJob releases a job's cancel registration and pooled frame,
 // accounts it and hands its reply to the writer — every admitted job
 // exits through here exactly once, serial or batched, executed or shed.
 // No reply aliases its request's body, so the frame goes back to the
-// pool before the reply is written.
-func (c *conn) finishJob(j schedJob, m wire.Message) {
+// pool before the reply is written. The ledger reads the reply's type
+// and code, never its body.
+func (c *conn) finishJob(j schedJob, r reply) {
 	j.finish()
-	c.srv.Obs.request(j.tenant, j.class, j.msg, j.trace, m, time.Since(j.admitted))
+	c.srv.Obs.request(j.tenant, j.class, j.msg, j.trace, r.msg, time.Since(j.admitted))
 	c.releaseFrame(j.frame)
-	c.answer(j.seq, m)
+	c.replies <- sequencedReply{seq: j.seq, reply: r}
 }
 
 // shed answers a job whose wall-clock deadline passed while it was
@@ -277,8 +342,8 @@ func (c *conn) finishJob(j schedJob, m wire.Message) {
 // reply keeps its place in the connection's reply order.
 func (c *conn) shed(j schedJob) {
 	c.srv.sheds.Add(1)
-	c.finishJob(j, errorReply(j.msg.RequestID, wire.CodeDeadlineExceeded,
-		"deadline passed while queued; request shed unexecuted"))
+	c.finishJob(j, reply{msg: errorReply(j.msg.RequestID, wire.CodeDeadlineExceeded,
+		"deadline passed while queued; request shed unexecuted")})
 }
 
 // skip answers a job that must not run — cancelled while queued, or its
@@ -287,7 +352,7 @@ func (c *conn) shed(j schedJob) {
 func (c *conn) skip(j schedJob, now time.Time) bool {
 	switch {
 	case j.ctx.Err() != nil:
-		c.finishJob(j, errorReply(j.msg.RequestID, wire.CodeCanceled, "request canceled"))
+		c.finishJob(j, reply{msg: errorReply(j.msg.RequestID, wire.CodeCanceled, "request canceled")})
 	case j.expired(now):
 		c.shed(j)
 	default:
@@ -298,10 +363,10 @@ func (c *conn) skip(j schedJob, now time.Time) bool {
 
 // dispatch answers one live job: scene frames against the registry, with
 // this connection's identity and outbox; everything else by the tier.
-func (c *conn) dispatch(ctx context.Context, msg wire.Message, mode Mode, tenant string) wire.Message {
+func (c *conn) dispatch(ctx context.Context, msg wire.Message, mode Mode, tenant string) reply {
 	switch msg.Type {
 	case wire.MsgSceneJoin, wire.MsgScenePublish, wire.MsgSceneLeave:
-		return c.dispatchScene(msg, tenant)
+		return reply{msg: c.dispatchScene(msg, tenant)}
 	}
 	return c.tier.dispatch(ctx, msg, mode, tenant)
 }
@@ -392,23 +457,24 @@ func (c *conn) runBatch(jobs []schedJob) {
 	replies := c.tier.runBatch(live)
 	execDur := time.Since(execStart)
 	for i, j := range live {
-		m := replies[i]
-		if m.Type == 0 {
+		r := replies[i]
+		if r.msg.Type == 0 {
 			// A dispatcher that misses a member is a server bug, but
 			// the client still deserves an answer over a hang.
-			m = errorReply(j.msg.RequestID, wire.CodeInternal, "batch dispatcher produced no reply")
+			r = reply{msg: errorReply(j.msg.RequestID, wire.CodeInternal, "batch dispatcher produced no reply")}
 		}
 		obsv.observeExec(execDur)
-		c.finishJob(j, m)
+		c.finishJob(j, r)
 	}
 }
 
 // read is the connection's reader, until the connection closes, a frame
 // is corrupt, the shutdown deadline fires or a hello is fatally refused.
 func (c *conn) read() {
+	rd := wire.NewReader(c.nc)
 	take := c.takeFrame // one method value, not one per frame
 	for {
-		msg, err := wire.ReadMessageInto(c.nc, take)
+		msg, err := rd.ReadMessageInto(take)
 		frame := c.frame
 		c.frame = nil
 		if err != nil {

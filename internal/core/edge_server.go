@@ -146,19 +146,23 @@ func fetchErrorReply(reqID uint64, err error) wire.Message {
 // cacheOrFetch answers every cacheable request kind: decode what the
 // request asks the cache for, then run the edge's one cache-or-fetch
 // decision (Edge.serve) with the upstream link as the way to the cloud.
-func (s *EdgeServer) cacheOrFetch(ctx context.Context, k *taskKind, msg wire.Message, mode Mode, tenant string) wire.Message {
+//
+// A hit's payload is the cache's resident bytes, lent (cache.Store.Get):
+// packing the reply is the one copy of it, and every coalesced waiter
+// packs its own.
+func (s *EdgeServer) cacheOrFetch(ctx context.Context, k *taskKind, msg wire.Message, mode Mode, tenant string) reply {
 	decodeStart := time.Now()
 	task, desc, err := k.key(msg.Body)
 	s.Obs.observeDecode(time.Since(decodeStart))
 	if err != nil {
-		return errorReply(msg.RequestID, wire.CodeBadRequest, "bad %s: %v", k.name, err)
+		return reply{msg: errorReply(msg.RequestID, wire.CodeBadRequest, "bad %s: %v", k.name, err)}
 	}
 	q := edgeQuery{msg: msg, mode: mode, task: task, desc: desc, user: anonymousUser, tenant: tenant}
 	payload, source, _, err := s.Edge.serve(ctx, q, s.Obs, s)
 	if err != nil {
-		return fetchErrorReply(msg.RequestID, err)
+		return reply{msg: fetchErrorReply(msg.RequestID, err)}
 	}
-	return k.replyWith(msg.RequestID, source, payload)
+	return s.packReply(k, msg.RequestID, source, payload)
 }
 
 // cloudFetch is the edge's TCP hop to the cloud: one round trip on the
@@ -191,10 +195,16 @@ func (s *EdgeServer) cloudFetch(ctx context.Context, tenant string, msg wire.Mes
 	return data, 1, time.Time{}, nil
 }
 
-func (s *EdgeServer) dispatch(ctx context.Context, msg wire.Message, mode Mode, tenant string) wire.Message {
+func (s *EdgeServer) dispatch(ctx context.Context, msg wire.Message, mode Mode, tenant string) reply {
 	if k := kindOf(msg.Type); k != nil {
 		return s.cacheOrFetch(ctx, k, msg, mode, tenant)
 	}
+	return reply{msg: s.federation(msg)}
+}
+
+// federation answers the edge↔edge frames: peer probes and publishes,
+// and membership gossip.
+func (s *EdgeServer) federation(msg wire.Message) wire.Message {
 	switch msg.Type {
 	case wire.MsgPeerLookup:
 		// A federated peer probing this edge: answer from the local cache

@@ -176,8 +176,9 @@ func (l *link) connect(ctx context.Context, deadline time.Time) error {
 }
 
 func (l *link) readLoop(g *linkGen) {
+	rd := wire.NewReader(g.conn)
 	for {
-		m, err := wire.ReadMessage(g.conn)
+		m, err := rd.ReadMessage()
 		if err != nil {
 			l.drop(g, nil)
 			return

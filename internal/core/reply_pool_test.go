@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"hash/crc32"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -403,5 +405,73 @@ func TestResidentValuesNeverWritten(t *testing.T) {
 	replies.mu.Unlock()
 	if taken == 0 {
 		t.Error("no reply body was pooled: the test exercised nothing")
+	}
+}
+
+// warmPanoHit returns an edge whose cache holds one full-width panorama
+// and a function that serves one request for it the way a connection
+// does: EdgeServer dispatch, the reply written (to io.Discard), its body
+// released.
+func warmPanoHit(t testing.TB) (hit func(), payload int) {
+	t.Helper()
+	p := panoParams()
+	data := panoFrames(t, NewCloud(p), 1)[0]
+	es := &EdgeServer{Edge: NewEdge(p)}
+	if err := es.Edge.Cache.Insert(PanoDescriptor(replyVideo, 0), data, 1); err != nil {
+		t.Fatal(err)
+	}
+	msg := panoFetchMsg(t, 1, replyVideo, 0)
+	ctx := context.Background()
+	return func() {
+		r := es.dispatch(ctx, msg, ModeCoIC, DefaultTenant)
+		if r.msg.Type != wire.MsgPanoReply || r.body == nil {
+			t.Fatalf("warm pano hit answered %v (pooled: %v)", r.msg.Type, r.body != nil)
+		}
+		if err := wire.WriteMessage(io.Discard, r.msg); err != nil {
+			t.Fatal(err)
+		}
+		es.releaseReply(r)
+	}, len(data)
+}
+
+// TestEdgePanoHitAllocatesNoPayload pins what a warm hit costs the heap:
+// the cache lends its bytes, the reply is packed into a recycled buffer
+// and written through another, so one ≈ 41 KB panorama hit allocates a
+// few small objects (the decoded request, the descriptor key) and
+// nothing the size of its payload.
+func TestEdgePanoHitAllocatesNoPayload(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers on purpose")
+	}
+	hit, payload := warmPanoHit(t)
+	const runs = 50
+	// AllocsPerRun pins GOMAXPROCS to 1, and a change of GOMAXPROCS
+	// empties every sync.Pool, so the byte count is taken after it, with
+	// the pools warmed again.
+	allocs := testing.AllocsPerRun(runs, hit)
+	runtime.GC() // the collection the set-up owes must not empty a pool mid-count
+	hit()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		hit()
+	}
+	runtime.ReadMemStats(&after)
+	perHit := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("warm %d-byte pano hit: %.0f allocations, %d B", payload, allocs, perHit)
+	if perHit >= 4<<10 {
+		t.Fatalf("a warm %d-byte pano hit allocates %d B (%.0f allocations), want under 4 KiB", payload, perHit, allocs)
+	}
+}
+
+// BenchmarkEdgePanoHit is one warm ≈ 41 KB panorama hit on the edge,
+// dispatch to written reply, without the socket.
+func BenchmarkEdgePanoHit(b *testing.B) {
+	hit, payload := warmPanoHit(b)
+	b.SetBytes(int64(payload))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		hit()
 	}
 }

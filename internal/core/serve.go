@@ -81,8 +81,8 @@ func errorReply(reqID uint64, code uint16, format string, args ...any) wire.Mess
 // exec requests is (one reply per job, in order). mode and tenant are the
 // connection's, as of the request's admission.
 type tier interface {
-	dispatch(ctx context.Context, msg wire.Message, mode Mode, tenant string) wire.Message
-	runBatch(jobs []schedJob) []wire.Message
+	dispatch(ctx context.Context, msg wire.Message, mode Mode, tenant string) reply
+	runBatch(jobs []schedJob) []reply
 }
 
 // ServerCore is what CloudServer and EdgeServer have in common: the

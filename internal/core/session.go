@@ -81,7 +81,7 @@ func (s *Session) fetch(ctx context.Context, b *Breakdown, t time.Time, k *taskK
 		}
 	}
 
-	b.BytesDown = k.replyWith(0, source, payload).WireSize()
+	b.BytesDown = k.replySize(payload)
 	tClient := s.Topo.MobileEdge.Down.Transfer(t, b.BytesDown)
 	b.DownME = tClient.Sub(t)
 	return payload, tClient, nil
@@ -106,7 +106,7 @@ func (h *virtualHop) cloudFetch(_ context.Context, _ string, msg wire.Message, l
 	}
 	h.cloud = cost
 	t := tCloud.Add(cost)
-	h.back = h.s.Topo.EdgeCloud.Down.Transfer(t, h.k.replyWith(0, wire.SourceCloud, payload).WireSize())
+	h.back = h.s.Topo.EdgeCloud.Down.Transfer(t, h.k.replySize(payload))
 	h.down = h.back.Sub(t)
 	return payload, cost.Seconds() * 1000, h.back, nil
 }

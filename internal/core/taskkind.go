@@ -76,9 +76,11 @@ type taskKind struct {
 	// with. o (nil in virtual time) times the body decode where the cloud
 	// server reports one.
 	compute func(cloud *Cloud, o *ServerObs, body []byte) (payload []byte, cost time.Duration, code uint16, err error)
-	// pack builds the reply body around a payload; unpack takes the
+	// size is the length of the reply body around a payload, from the
+	// body's layout alone; pack appends that body to dst; unpack takes the
 	// payload, and the tier that supplied it, back out of one.
-	pack   func(source uint8, payload []byte) []byte
+	size   func(payload []byte) int
+	pack   func(dst []byte, source uint8, payload []byte) []byte
 	unpack func(body []byte) (payload []byte, source uint8, err error)
 	// finish does the on-device work on a payload — result decode, model
 	// load and draw, panorama crop — and returns its virtual cost; res is
@@ -116,8 +118,9 @@ var taskKinds = [...]taskKind{
 			}
 			return result, cost, 0, nil
 		},
-		pack: func(source uint8, payload []byte) []byte {
-			body, _ := (wire.ExecReply{Source: source, Result: payload}).Marshal()
+		size: func(payload []byte) int { return wire.ExecReply{Result: payload}.Size() },
+		pack: func(dst []byte, source uint8, payload []byte) []byte {
+			body, _ := (wire.ExecReply{Source: source, Result: payload}).AppendTo(dst)
 			return body
 		},
 		unpack: func(body []byte) ([]byte, uint8, error) {
@@ -151,8 +154,9 @@ var taskKinds = [...]taskKind{
 			data, cost, err := cloud.FetchModel(req.ModelID)
 			return data, cost, wire.CodeUnknownModel, err
 		},
-		pack: func(source uint8, payload []byte) []byte {
-			body, _ := (wire.ModelReply{Format: wire.FormatCMF, Source: source, Data: payload}).Marshal()
+		size: func(payload []byte) int { return wire.ModelReply{Data: payload}.Size() },
+		pack: func(dst []byte, source uint8, payload []byte) []byte {
+			body, _ := (wire.ModelReply{Format: wire.FormatCMF, Source: source, Data: payload}).AppendTo(dst)
 			return body
 		},
 		unpack: func(body []byte) ([]byte, uint8, error) {
@@ -199,8 +203,9 @@ var taskKinds = [...]taskKind{
 			}
 			return data, cost, 0, nil
 		},
-		pack: func(source uint8, payload []byte) []byte {
-			body, _ := (wire.PanoReply{Source: source, Data: payload}).Marshal()
+		size: func(payload []byte) int { return wire.PanoReply{Data: payload}.Size() },
+		pack: func(dst []byte, source uint8, payload []byte) []byte {
+			body, _ := (wire.PanoReply{Source: source, Data: payload}).AppendTo(dst)
 			return body
 		},
 		unpack: func(body []byte) ([]byte, uint8, error) {
@@ -241,10 +246,17 @@ func kindOfTask(t wire.Task) (*taskKind, error) {
 	return nil, fmt.Errorf("core: unknown task %v", t)
 }
 
-// replyWith frames payload as this kind's answer to request reqID.
+// replyWith frames payload as this kind's answer to request reqID, in a
+// fresh body (a server packs through ServerCore.packReply instead).
 func (k *taskKind) replyWith(reqID uint64, source uint8, payload []byte) wire.Message {
-	return wire.Message{Type: k.reply, RequestID: reqID, Body: k.pack(source, payload)}
+	body := k.pack(make([]byte, 0, k.size(payload)), source, payload)
+	return wire.Message{Type: k.reply, RequestID: reqID, Body: body}
 }
+
+// replySize is the wire size of this kind's reply around payload, from
+// the body's layout alone: what virtual time charges a link for the
+// reply, without building it.
+func (k *taskKind) replySize(payload []byte) int { return wire.HeaderSize + k.size(payload) }
 
 // recognizePayload decodes an exec request — serial or batched — down to
 // the camera frame the cloud is to recognise.

@@ -80,6 +80,9 @@ func TestTaskKindsTableWalk(t *testing.T) {
 			if reply.Type != k.reply || reply.RequestID != 9 {
 				t.Errorf("reply frame = %v #%d, want %v #9", reply.Type, reply.RequestID, k.reply)
 			}
+			if got := k.replySize(payload); got != reply.WireSize() {
+				t.Errorf("replySize = %d, the reply is %d bytes on the wire", got, reply.WireSize())
+			}
 			got, source, err := k.unpack(reply.Body)
 			if err != nil {
 				t.Fatal(err)

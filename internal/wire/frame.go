@@ -240,7 +240,34 @@ func ReadMessage(r io.Reader) (Message, error) { return ReadMessageInto(r, nil) 
 // buffer's earlier use is reachable through it; when the read fails the
 // buffer is still the caller's to recycle.
 func ReadMessageInto(r io.Reader, body func(t MsgType, n int) []byte) (Message, error) {
-	var hdr [HeaderSize]byte
+	var hdr [HeaderSize]byte // escapes into r: one small allocation per frame
+	return readMessage(r, &hdr, body)
+}
+
+// Reader reads a stream's frames with a header buffer that lives as long
+// as it does, so that a connection's read loop allocates nothing per
+// frame beyond the bodies its caller does not supply. One goroutine reads
+// through it at a time.
+type Reader struct {
+	r   io.Reader
+	hdr [HeaderSize]byte
+}
+
+// NewReader reads frames off r.
+func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+
+// ReadMessage is the package's ReadMessage, off the reader's stream.
+func (rd *Reader) ReadMessage() (Message, error) { return readMessage(rd.r, &rd.hdr, nil) }
+
+// ReadMessageInto is the package's ReadMessageInto, off the reader's
+// stream.
+func (rd *Reader) ReadMessageInto(body func(t MsgType, n int) []byte) (Message, error) {
+	return readMessage(rd.r, &rd.hdr, body)
+}
+
+// readMessage is the one frame reader behind ReadMessageInto and Reader,
+// with hdr as its header scratch.
+func readMessage(r io.Reader, hdr *[HeaderSize]byte, body func(t MsgType, n int) []byte) (Message, error) {
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return Message{}, err // clean EOF stays io.EOF
 	}

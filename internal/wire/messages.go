@@ -319,6 +319,21 @@ func (e ExecReply) Marshal() ([]byte, error) {
 	return c.bytes()
 }
 
+// Size is the length of the encoded body, from its layout alone.
+func (e ExecReply) Size() int {
+	var c cursor
+	e.fields(&c)
+	return c.n
+}
+
+// AppendTo appends the encoded body to dst, which only reallocates when
+// dst has less than Size bytes of spare capacity.
+func (e ExecReply) AppendTo(dst []byte) ([]byte, error) {
+	c := cursor{mode: encoding, buf: dst}
+	e.fields(&c)
+	return c.bytes()
+}
+
 // UnmarshalExecReply decodes an ExecReply body. Result aliases body.
 func UnmarshalExecReply(body []byte) (e ExecReply, err error) {
 	c := decoder("exec-reply", body)
@@ -378,6 +393,21 @@ func (m ModelReply) Marshal() ([]byte, error) {
 	return c.bytes()
 }
 
+// Size is the length of the encoded body, from its layout alone.
+func (m ModelReply) Size() int {
+	var c cursor
+	m.fields(&c)
+	return c.n
+}
+
+// AppendTo appends the encoded body to dst, which only reallocates when
+// dst has less than Size bytes of spare capacity.
+func (m ModelReply) AppendTo(dst []byte) ([]byte, error) {
+	c := cursor{mode: encoding, buf: dst}
+	m.fields(&c)
+	return c.bytes()
+}
+
 // UnmarshalModelReply decodes a ModelReply body. Data aliases body.
 func UnmarshalModelReply(body []byte) (m ModelReply, err error) {
 	c := decoder("model-reply", body)
@@ -432,6 +462,21 @@ func (p PanoReply) Marshal() ([]byte, error) {
 	var c cursor
 	p.fields(&c)
 	p.fields(c.encoder())
+	return c.bytes()
+}
+
+// Size is the length of the encoded body, from its layout alone.
+func (p PanoReply) Size() int {
+	var c cursor
+	p.fields(&c)
+	return c.n
+}
+
+// AppendTo appends the encoded body to dst, which only reallocates when
+// dst has less than Size bytes of spare capacity.
+func (p PanoReply) AppendTo(dst []byte) ([]byte, error) {
+	c := cursor{mode: encoding, buf: dst}
+	p.fields(&c)
 	return c.bytes()
 }
 

@@ -67,11 +67,12 @@ func TestPooledRead2MAllocatesNoBody(t *testing.T) {
 	}
 	r := bytes.NewReader(enc)
 	body := recycled(len(m.Body))
-	// The one allocation is the 20-byte header, which escapes into the
-	// io.Reader.
-	allocBudget(t, "ReadMessageInto", 1, func() {
+	// A connection reads through one Reader, whose header scratch lives
+	// as long as the connection: nothing is allocated per frame.
+	rd := NewReader(r)
+	allocBudget(t, "Reader.ReadMessageInto", 0, func() {
 		r.Reset(enc)
-		got, err := ReadMessageInto(r, body)
+		got, err := rd.ReadMessageInto(body)
 		if err != nil || len(got.Body) != len(m.Body) {
 			t.Fatalf("read %d bytes, %v", len(got.Body), err)
 		}
@@ -94,6 +95,42 @@ func TestPooledWriteMatchesEncode(t *testing.T) {
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("%d-byte body: WriteMessage and Encode differ", size)
+		}
+	}
+}
+
+// TestReplyAppendToMatchesMarshal: a reply body appended into a buffer,
+// whatever it held before, is byte for byte Marshal's, and Size is its
+// length without building it.
+func TestReplyAppendToMatchesMarshal(t *testing.T) {
+	payload := bytes.Repeat([]byte{7, 1, 9}, 20000)
+	scratch := bytes.Repeat([]byte{0xA5}, 1<<17)
+	for _, b := range []interface {
+		Marshal() ([]byte, error)
+		Size() int
+		AppendTo([]byte) ([]byte, error)
+	}{
+		ExecReply{Source: SourceEdge, Result: payload[:50]},
+		ModelReply{Format: FormatCMF, Source: SourceCloud, Data: payload},
+		PanoReply{Source: SourceEdge, Data: payload},
+		PanoReply{},
+	} {
+		want, err := b.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Size() != len(want) {
+			t.Errorf("%T: Size = %d, Marshal wrote %d bytes", b, b.Size(), len(want))
+		}
+		got, err := b.AppendTo(scratch[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%T: AppendTo and Marshal differ", b)
+		}
+		if &got[0] != &scratch[0] {
+			t.Errorf("%T: AppendTo reallocated a buffer with room", b)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import "testing"
 func msgN(n uint64) Message { return Message{Type: MsgExecReply, RequestID: n} }
 
 func TestReplyBufferInOrder(t *testing.T) {
-	b := NewReplyBuffer(1)
+	b := NewReplyBuffer[Message](1)
 	for seq := uint64(1); seq <= 5; seq++ {
 		out := b.Add(seq, msgN(seq))
 		if len(out) != 1 || out[0].RequestID != seq {
@@ -18,7 +18,7 @@ func TestReplyBufferInOrder(t *testing.T) {
 }
 
 func TestReplyBufferReorders(t *testing.T) {
-	b := NewReplyBuffer(1)
+	b := NewReplyBuffer[Message](1)
 	if out := b.Add(3, msgN(3)); len(out) != 0 {
 		t.Fatalf("early seq flushed: %v", out)
 	}
@@ -53,10 +53,10 @@ func TestReplyBufferPanicsOnMisuse(t *testing.T) {
 		}()
 		fn()
 	}
-	b := NewReplyBuffer(1)
+	b := NewReplyBuffer[Message](1)
 	b.Add(1, msgN(1))
 	assertPanics("stale sequence", func() { b.Add(1, msgN(1)) })
-	b2 := NewReplyBuffer(1)
+	b2 := NewReplyBuffer[Message](1)
 	b2.Add(2, msgN(2))
 	assertPanics("duplicate sequence", func() { b2.Add(2, msgN(2)) })
 }
