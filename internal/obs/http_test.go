@@ -161,3 +161,32 @@ func TestRequestLogSkipsAdmissionRefusals(t *testing.T) {
 		t.Fatalf("error event not logged: %q", out)
 	}
 }
+
+// TestRequestLogFilesCancelsOnlyWhenSlow: a client cancel passes the slow
+// threshold check a success passes, so a fast one is neither filed nor
+// logged and a slow one is both; an error is filed whatever its duration.
+func TestRequestLogFilesCancelsOnlyWhenSlow(t *testing.T) {
+	var buf strings.Builder
+	l := NewRequestLog(4, 10*time.Millisecond, slog.New(slog.NewTextHandler(&buf, nil)))
+	l.Record(RequestEvent{ReqID: 1, Outcome: "canceled", Duration: time.Millisecond})
+	if evs := l.Recent(); len(evs) != 0 {
+		t.Fatalf("fast cancel filed in the ring: %v", evs)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("fast cancel logged: %s", buf.String())
+	}
+	l.Record(RequestEvent{ReqID: 2, Outcome: "canceled", Duration: 20 * time.Millisecond})
+	if evs := l.Recent(); len(evs) != 1 || evs[0].ReqID != 2 {
+		t.Fatalf("ring = %v, want the slow cancel", evs)
+	}
+	if out := buf.String(); !strings.Contains(out, "outcome=canceled") || !strings.Contains(out, "req_id=2") {
+		t.Fatalf("slow cancel not logged: %q", out)
+	}
+	l.Record(RequestEvent{ReqID: 3, Outcome: "error", Duration: time.Microsecond})
+	if evs := l.Recent(); len(evs) != 2 || evs[1].ReqID != 3 {
+		t.Fatalf("ring = %v, want the fast error filed after the slow cancel", evs)
+	}
+	if out := buf.String(); !strings.Contains(out, "outcome=error") {
+		t.Fatalf("fast error not logged: %q", out)
+	}
+}

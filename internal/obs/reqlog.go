@@ -55,10 +55,10 @@ type RequestLog struct {
 }
 
 // NewRequestLog builds a log holding up to capacity events. Events with
-// Outcome "ok" are recorded only when Duration >= slow (slow <= 0 keeps
-// successes out entirely); admission refusals ("overloaded", "quota") are
-// never recorded; every other outcome always is. logger may be nil to
-// keep the ring without emitting log lines.
+// Outcome "ok" or "canceled" are recorded only when Duration >= slow
+// (slow <= 0 keeps them out entirely); admission refusals ("overloaded",
+// "quota") are never recorded; every other outcome always is. logger may
+// be nil to keep the ring without emitting log lines.
 func NewRequestLog(capacity int, slow time.Duration, logger *slog.Logger) *RequestLog {
 	if capacity <= 0 {
 		capacity = 64
@@ -70,7 +70,10 @@ func NewRequestLog(capacity int, slow time.Duration, logger *slog.Logger) *Reque
 // threshold). An admission refusal does not qualify: a tenant flooding
 // past its quota would otherwise log one line per refused request and
 // evict every useful entry from the ring, and coic_requests_total already
-// counts refusals by outcome. Safe for concurrent use.
+// counts refusals by outcome. A client's cancel is not a server fault, so
+// it qualifies only past the threshold, as a success does: a stream
+// closed with a full window in flight would otherwise log one line per
+// request it abandoned. Safe for concurrent use.
 func (l *RequestLog) Record(ev RequestEvent) {
 	if l == nil {
 		return
@@ -78,7 +81,7 @@ func (l *RequestLog) Record(ev RequestEvent) {
 	switch ev.Outcome {
 	case "overloaded", "quota":
 		return
-	case "ok":
+	case "ok", "canceled":
 		if l.slow <= 0 || ev.Duration < l.slow {
 			return
 		}
