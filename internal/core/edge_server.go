@@ -199,12 +199,12 @@ func (s *EdgeServer) dispatch(ctx context.Context, msg wire.Message, mode Mode, 
 	if k := kindOf(msg.Type); k != nil {
 		return s.cacheOrFetch(ctx, k, msg, mode, tenant)
 	}
-	return reply{msg: s.federation(msg)}
+	return reply{msg: s.dispatchPeer(msg)}
 }
 
-// federation answers the edge↔edge frames: peer probes and publishes,
+// dispatchPeer answers the edge↔edge frames: peer probes and publishes,
 // and membership gossip.
-func (s *EdgeServer) federation(msg wire.Message) wire.Message {
+func (s *EdgeServer) dispatchPeer(msg wire.Message) wire.Message {
 	switch msg.Type {
 	case wire.MsgPeerLookup:
 		// A federated peer probing this edge: answer from the local cache

@@ -66,9 +66,9 @@ func BenchmarkExecRequestUnmarshal(b *testing.B) {
 }
 
 // BenchmarkReadMessage2M reads a 2 MB exec frame, the size of a 720×720
-// camera upload: fresh is ReadMessage's new body per frame, recycled is
-// ReadMessageInto with one buffer reused, as a server connection reads
-// exec frames.
+// camera upload, through one Reader as a connection does: fresh is a new
+// body per frame, recycled is one buffer reused, as a server connection
+// reads exec frames.
 func BenchmarkReadMessage2M(b *testing.B) {
 	enc, err := execFrame2M().Encode()
 	if err != nil {
@@ -83,11 +83,12 @@ func BenchmarkReadMessage2M(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			r := bytes.NewReader(enc)
+			rd := NewReader(r)
 			b.SetBytes(int64(len(enc)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r.Reset(enc)
-				if _, err := ReadMessageInto(r, bc.body); err != nil {
+				if _, err := rd.ReadMessageInto(bc.body); err != nil {
 					b.Fatal(err)
 				}
 			}
