@@ -239,9 +239,8 @@ func (sc *SimilarityCache) Lookup(desc feature.Descriptor) ([]byte, LookupResult
 // count the query and resolve the neighbour's key, once to count the hit.
 //
 // A hit's value is the resident bytes themselves (Store.Get), not a copy:
-// read-only, with its capacity clipped to its length. Serving a hit
-// therefore copies its payload once, into the reply, and never writes
-// the cache's.
+// read-only, with its capacity clipped to its length. The caller copies
+// what it keeps, and writes none of it.
 func (sc *SimilarityCache) LookupAs(tenant string, desc feature.Descriptor) ([]byte, LookupResult) {
 	if tenant == "" {
 		tenant = DefaultOwner
