@@ -50,6 +50,30 @@ func BenchmarkConv2D(b *testing.B) {
 	}
 }
 
+// BenchmarkReLU measures the clamp on conv1's output in a 64x64 pass:
+// ReLU.Forward, which copies its input, and the in-place clamp a serial
+// pass applies to a tensor it owns. Every iteration clamps the same
+// random signs.
+func BenchmarkReLU(b *testing.B) {
+	in := tensor.New(16, 64, 64)
+	in.RandNormal(newTestRNG(), 1)
+	r := &ReLU{LayerName: "relu1"}
+	b.Run("copy", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r.Forward(in)
+		}
+	})
+	b.Run("in_place", func(b *testing.B) {
+		x := in.Clone()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			copy(x.Data, in.Data)
+			b.StartTimer()
+			clampNegatives(x.Data)
+		}
+	})
+}
+
 // BenchmarkCachedRunnerHit measures a fully-memoised pass (the A-layer
 // upper bound).
 func BenchmarkCachedRunnerHit(b *testing.B) {

@@ -81,11 +81,17 @@ func sameBits(a, b []float32) int {
 // over channel counts that leave a remainder after blocks of four output
 // channels, strides above one, paddings wider than the kernel (so some
 // outputs see only padding), non-square inputs, a one-column input (so
-// some taps miss it entirely) and a -0 bias.
+// some taps miss it entirely) and a -0 bias. The input widths 1–9, 16,
+// 17, 31 and 64 give stride-1 rows of every length modulo the four-lane
+// vector step, rows too short for one vector step, and EdgeNet's own
+// 64-wide rows.
 func TestConv2DMatchesReference(t *testing.T) {
 	rng := newTestRNG()
 	negZero := math.Float32frombits(1 << 31)
 	inputs := [][2]int{{7, 5}, {4, 9}, {5, 1}}
+	for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 64} {
+		inputs = append(inputs, [2]int{3, w})
+	}
 	for _, inC := range []int{1, 3, 6} {
 		for _, outC := range []int{1, 3, 4, 5, 9} {
 			for _, k := range []int{1, 2, 3, 5} {
@@ -119,7 +125,7 @@ func TestConv2DMatchesReference(t *testing.T) {
 
 	// EdgeNet's own descriptor and output against the same network with
 	// every conv layer swapped for the oracle.
-	net := NewEdgeNet(testClasses, 32, 1)
+	net := NewEdgeNet(testClasses, 64, 1)
 	ref := *net
 	ref.Layers = append([]Layer(nil), net.Layers...)
 	for i, l := range ref.Layers {
@@ -127,12 +133,58 @@ func TestConv2DMatchesReference(t *testing.T) {
 			ref.Layers[i] = refConvLayer{c}
 		}
 	}
-	in := tensor.New(3, 32, 32)
+	in := tensor.New(3, 64, 64)
 	in.RandNormal(rng, 1)
 	if i := sameBits(net.Features(in), ref.Features(in)); i >= 0 {
 		t.Fatalf("EdgeNet Features differs from the reference trunk at %d", i)
 	}
 	if i := sameBits(net.Forward(in).Data, ref.Forward(in).Data); i >= 0 {
 		t.Fatalf("EdgeNet Forward differs from the reference network at %d", i)
+	}
+}
+
+// TestAddTap4SpanOutsideSlicePanics checks that a stride-1 tap span
+// reaching past any of its slices panics before the kernel runs, whether
+// its last row, its last column or its input falls outside, and that an
+// empty span touches nothing.
+func TestAddTap4SpanOutsideSlicePanics(t *testing.T) {
+	const outW, inW = 8, 8
+	ok := tapSpan{outW: outW, inW: inW, stride: 1, y0: 0, y1: 8, x0: 0, x1: 8}
+	run := func(g tapSpan, srcLen int) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		d := make([]float32, 4*outW*outW)
+		addTap4(d[:64], d[64:128], d[128:192], d[192:], 1, 2, 3, 4, make([]float32, srcLen), g)
+		return false
+	}
+	if run(ok, inW*inW) {
+		t.Fatal("an in-range span panicked")
+	}
+	lastRow, lastCol := ok, ok
+	lastRow.y1++
+	lastCol.x1++
+	for name, c := range map[string]struct {
+		g      tapSpan
+		srcLen int
+	}{
+		"last row":    {lastRow, inW*inW + inW},
+		"last column": {lastCol, inW*inW + inW},
+		"input":       {ok, inW*inW - 1},
+	} {
+		if !run(c.g, c.srcLen) {
+			t.Errorf("a span whose %s falls outside its slice did not panic", name)
+		}
+	}
+
+	empty := ok
+	empty.x1 = empty.x0
+	d, src := make([]float32, outW*outW), make([]float32, inW*inW)
+	for i := range src {
+		src[i] = 1
+	}
+	addTap4(d, d, d, d, 1, 1, 1, 1, src, empty)
+	for i, v := range d {
+		if v != 0 {
+			t.Fatalf("a zero-column span wrote %v to cell %d", v, i)
+		}
 	}
 }

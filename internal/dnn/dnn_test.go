@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/edge-immersion/coic/internal/tensor"
@@ -109,6 +110,69 @@ func TestReLU(t *testing.T) {
 	}
 	if in.Data[0] != -1 {
 		t.Fatal("ReLU mutated its input")
+	}
+}
+
+// TestForwardAndFeaturesLeaveInputUnchanged checks that the serial
+// passes, which clamp a ReLU's input in place when a layer before made
+// it, never clamp the caller's tensor, even when a ReLU comes first, and
+// that the in-place clamp gives ReLU.Forward's bits, -0 included.
+func TestForwardAndFeaturesLeaveInputUnchanged(t *testing.T) {
+	negZero := math.Float32frombits(1 << 31)
+	in := tensor.New(3, 32, 32)
+	in.RandNormal(newTestRNG(), 1)
+	in.Data[0], in.Data[1] = negZero, -1
+	want := in.Clone()
+	reluFirst := &Network{
+		NetName:    "relu-first",
+		InputShape: []int{3, 32, 32},
+		Layers: []Layer{
+			&ReLU{LayerName: "relu0"},
+			&Flatten{LayerName: "flat"},
+			&ReLU{LayerName: "relu1"},
+		},
+		FeatureLayer: 2,
+	}
+	for _, n := range []*Network{NewEdgeNet(testClasses, 32, 1), reluFirst} {
+		n.Features(in)
+		n.Forward(in)
+		if i := sameBits(in.Data, want.Data); i >= 0 {
+			t.Fatalf("%s: input[%d] became %v, was %v", n.NetName, i, in.Data[i], want.Data[i])
+		}
+	}
+	relu := (&ReLU{}).Forward(in)
+	if i := sameBits(reluFirst.Forward(in).Data, relu.Data); i >= 0 {
+		t.Fatalf("in-place ReLU differs from ReLU.Forward at %d", i)
+	}
+	if math.Float32bits(relu.Data[0]) != 1<<31 || relu.Data[1] != 0 {
+		t.Fatalf("ReLU(-0, -1) = (%v, %v), want (-0, 0)", relu.Data[0], relu.Data[1])
+	}
+}
+
+// TestFeaturesAllocationBudget pins what one 64×64 descriptor pass puts on
+// the heap: each layer's output and little else (34 allocations, 558 KB),
+// since a ReLU clamps the convolution's output in place instead of
+// copying it (1017 KB when it copied).
+func TestFeaturesAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes what a pass allocates")
+	}
+	n := NewEdgeNet(testClasses, 64, 1)
+	in := tensor.New(3, 64, 64)
+	in.RandNormal(newTestRNG(), 1)
+	const runs = 5
+	allocs := testing.AllocsPerRun(runs, func() { n.Features(in) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		n.Features(in)
+	}
+	runtime.ReadMemStats(&after)
+	perPass := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("64×64 Features: %.0f allocations, %d B", allocs, perPass)
+	if allocs > 34 || perPass >= 600<<10 {
+		t.Fatalf("a 64×64 Features pass makes %.0f allocations and %d B, want ≤ 34 and < 600 KiB",
+			allocs, perPass)
 	}
 }
 

@@ -20,7 +20,9 @@ import (
 type Layer interface {
 	// Name identifies the layer within its network (unique per network).
 	Name() string
-	// Forward computes the layer output for one input tensor.
+	// Forward computes the layer output for one input tensor. It leaves
+	// in unchanged and returns a new tensor that it keeps no reference
+	// to, so the caller may modify it.
 	Forward(in *tensor.Tensor) *tensor.Tensor
 	// OutputShape reports the output shape for a given input shape
 	// without running the layer.
@@ -83,6 +85,14 @@ func (c *Conv2D) FLOPs(in []int) int64 {
 // therefore bit-identical to the naive per-cell loop kept as a test
 // oracle. It runs on the calling goroutine only: no fan-out, so
 // concurrent requests keep one core each.
+//
+// On amd64 a stride-1 tap over four output channels, which is every tap
+// EdgeNet runs, is SSE assembly (tapRows4). Its four lanes are four
+// adjacent output cells of one row, so each lane does exactly the scalar
+// loop's work for its cell: one rounded multiply, then one rounded add,
+// in the same tap order. It uses no fused multiply-add, which rounds once
+// where the scalar loop rounds twice and so would change the bits, and no
+// AVX, so the one path runs on every amd64 CPU without a feature check.
 func (c *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	shape := in.Shape()
 	if len(shape) != 3 || shape[0] != c.InC {
@@ -164,23 +174,18 @@ func addTap(dst []float32, w float32, src []float32, g tapSpan) {
 	}
 }
 
-// addTap4 is addTap for four output planes sharing one input plane.
+// addTap4 is addTap for four output planes sharing one input plane. The
+// stride-1 case, which is every tap EdgeNet runs, goes to addRows4.
 func addTap4(d0, d1, d2, d3 []float32, w0, w1, w2, w3 float32, src []float32, g tapSpan) {
+	if g.stride == 1 {
+		addRows4(d0, d1, d2, d3, w0, w1, w2, w3, src, g)
+		return
+	}
 	n := g.x1 - g.x0
 	for oy := g.y0; oy < g.y1; oy++ {
 		at := oy*g.outW + g.x0
 		r0, r1, r2, r3 := d0[at:][:n], d1[at:][:n], d2[at:][:n], d3[at:][:n]
 		x := src[oy*g.stride*g.inW+g.x0*g.stride+g.off:]
-		if g.stride == 1 {
-			x = x[:n]
-			for i, v := range x {
-				r0[i] += w0 * v
-				r1[i] += w1 * v
-				r2[i] += w2 * v
-				r3[i] += w3 * v
-			}
-			continue
-		}
 		for i := range r0 {
 			v := x[i*g.stride]
 			r0[i] += w0 * v
@@ -220,15 +225,21 @@ func (r *ReLU) OutputShape(in []int) []int { return append([]int(nil), in...) }
 // FLOPs implements Layer: one compare per element.
 func (r *ReLU) FLOPs(in []int) int64 { return prod(in) }
 
-// Forward implements Layer.
+// Forward implements Layer on a copy: in is left unchanged.
 func (r *ReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
 	out := in.Clone()
-	for i, v := range out.Data {
+	clampNegatives(out.Data)
+	return out
+}
+
+// clampNegatives sets every negative value to zero in place. It is not
+// max(v, 0), which would turn -0 into +0.
+func clampNegatives(d []float32) {
+	for i, v := range d {
 		if v < 0 {
-			out.Data[i] = 0
+			d[i] = 0
 		}
 	}
-	return out
 }
 
 // MaxPool2D is a max-pooling layer over CHW tensors.

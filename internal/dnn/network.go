@@ -30,12 +30,24 @@ type Network struct {
 }
 
 // Forward runs the full network on input and returns the final output.
+// It leaves in unchanged.
 func (n *Network) Forward(in *tensor.Tensor) *tensor.Tensor {
 	x := in
 	for _, l := range n.Layers {
-		x = l.Forward(x)
+		x = forwardOwned(l, x, x != in)
 	}
 	return x
+}
+
+// forwardOwned runs one layer of a serial pass. owned says x came from
+// the layer before, so nothing else holds it: a ReLU then clamps x in
+// place instead of cloning it. The caller's input is never owned.
+func forwardOwned(l Layer, x *tensor.Tensor, owned bool) *tensor.Tensor {
+	if _, ok := l.(*ReLU); ok && owned {
+		clampNegatives(x.Data)
+		return x
+	}
+	return l.Forward(x)
 }
 
 // Features runs the trunk (layers up to and including FeatureLayer) and
@@ -43,14 +55,14 @@ func (n *Network) Forward(in *tensor.Tensor) *tensor.Tensor {
 // matters: ReLU activations are non-negative, so uncentred descriptors
 // crowd into one orthant and lose angular separation between classes;
 // subtracting the per-vector mean restores it. This is the client-side
-// descriptor extraction step of the CoIC protocol.
+// descriptor extraction step of the CoIC protocol. It leaves in unchanged.
 func (n *Network) Features(in *tensor.Tensor) []float32 {
 	if n.FeatureLayer < 0 || n.FeatureLayer >= len(n.Layers) {
 		panic(fmt.Sprintf("dnn: network %s has no feature layer", n.NetName))
 	}
 	x := in
-	for i := 0; i <= n.FeatureLayer; i++ {
-		x = n.Layers[i].Forward(x)
+	for _, l := range n.Layers[:n.FeatureLayer+1] {
+		x = forwardOwned(l, x, x != in)
 	}
 	return featureVector(x)
 }
