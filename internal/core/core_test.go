@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -38,6 +40,21 @@ func testRig(t *testing.T, cond netsim.Condition, p Params) (*Session, *Edge, *C
 }
 
 var testCond = netsim.Condition{Name: "200/20", MobileEdge: 200, EdgeCloud: 20}
+
+// TestPanoDescriptorKeyBytes pins the bytes a panorama's cache key hashes
+// to the "pano:<video>:<frame>" form every earlier build hashed, so a
+// cache or peer keyed by one build is hit by the next.
+func TestPanoDescriptorKeyBytes(t *testing.T) {
+	long := string(make([]byte, 100)) // past PanoDescriptor's stack buffer
+	for _, video := range []string{"v", "window-video", long} {
+		for _, frame := range []int{-1, 0, 63, math.MaxInt32} {
+			want := feature.NewHash([]byte(fmt.Sprintf("pano:%s:%d", video, frame)))
+			if got := PanoDescriptor(video, frame); got.Key() != want.Key() {
+				t.Errorf("PanoDescriptor(%.12q, %d) hashes other bytes than %q", video, frame, "pano:<video>:<frame>")
+			}
+		}
+	}
+}
 
 func TestRecognizeMissThenSimilarHit(t *testing.T) {
 	p := testParams()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"sync"
 	"time"
@@ -80,17 +79,50 @@ func (j *schedJob) before(k *schedJob) bool {
 	}
 }
 
-// jobHeap is one tenant's EDF queue within one class.
+// jobHeap is one tenant's EDF queue within one class: a binary heap
+// ordered by before. It sifts schedJob values in place, where
+// container/heap would box each one into an interface on push and pop.
 type jobHeap []schedJob
 
-func (h jobHeap) Len() int            { return len(h) }
-func (h jobHeap) Less(i, j int) bool  { return h[i].before(&h[j]) }
-func (h jobHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)         { *h = append(*h, x.(schedJob)) }
-func (h *jobHeap) Pop() any           { old := *h; n := len(old); j := old[n-1]; *h = old[:n-1]; return j }
-func (h jobHeap) peek() *schedJob     { return &h[0] }
-func (h *jobHeap) popJob() schedJob   { return heap.Pop(h).(schedJob) }
-func (h *jobHeap) pushJob(j schedJob) { heap.Push(h, j) }
+func (h jobHeap) peek() *schedJob { return &h[0] }
+
+func (h *jobHeap) pushJob(j schedJob) {
+	*h = append(*h, j)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s[i].before(&s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *jobHeap) popJob() schedJob {
+	s := *h
+	n := len(s) - 1
+	j := s[0]
+	s[0] = s[n]
+	s[n] = schedJob{} // the backing array outlives the job: drop its references
+	s = s[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && s[r].before(&s[m]) {
+			m = r
+		}
+		if !s[m].before(&s[i]) {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return j
+}
 
 // classQueue is one QoS class's queue: an EDF heap per tenant, drained
 // deficit-round-robin across the tenants that have work queued. The ring
@@ -99,6 +131,8 @@ func (h *jobHeap) pushJob(j schedJob) { heap.Push(h, j) }
 // quantum is the tenant's weight). Invariants between calls: every ring
 // member's heap is non-empty, and credit > 0 whenever the ring is
 // non-empty — so head() is pure and always agrees with the next pop().
+// A tenant that leaves the ring keeps its emptied heap in byTenant for
+// when it returns; a connection's queue sees one tenant, so they are few.
 type classQueue struct {
 	byTenant map[string]*jobHeap
 	ring     []string
@@ -115,6 +149,8 @@ func (c *classQueue) push(j schedJob, weightOf func(string) int) {
 		}
 		h = new(jobHeap)
 		c.byTenant[j.tenant] = h
+	}
+	if len(*h) == 0 {
 		c.ring = append(c.ring, j.tenant)
 		if len(c.ring) == 1 {
 			c.cur = 0
@@ -137,7 +173,7 @@ func (c *classQueue) pop(weightOf func(string) int) schedJob {
 	h := c.byTenant[c.ring[c.cur]]
 	j := h.popJob()
 	c.size--
-	if h.Len() == 0 {
+	if len(*h) == 0 {
 		c.remove(c.cur, weightOf)
 	} else {
 		c.credit--
@@ -161,7 +197,6 @@ func (c *classQueue) advance(weightOf func(string) int) {
 // tenant being served — or, when the served tenant itself left, at its
 // successor with a fresh deficit.
 func (c *classQueue) remove(i int, weightOf func(string) int) {
-	delete(c.byTenant, c.ring[i])
 	c.ring = append(c.ring[:i], c.ring[i+1:]...)
 	if len(c.ring) == 0 {
 		c.cur, c.credit = 0, 0
@@ -183,11 +218,11 @@ func (c *classQueue) remove(i int, weightOf func(string) int) {
 func (c *classQueue) evictExpired(now time.Time, weightOf func(string) int, shed []schedJob) []schedJob {
 	for i := 0; i < len(c.ring); {
 		h := c.byTenant[c.ring[i]]
-		for h.Len() > 0 && h.peek().expired(now) {
+		for len(*h) > 0 && h.peek().expired(now) {
 			shed = append(shed, h.popJob())
 			c.size--
 		}
-		if h.Len() == 0 {
+		if len(*h) == 0 {
 			c.remove(i, weightOf)
 			continue
 		}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/edge-immersion/coic/internal/cache"
@@ -154,5 +154,7 @@ func ModelDescriptor(modelID string) feature.Descriptor {
 // PanoDescriptor is the cache key for a VR streaming task: the hash of
 // the required panoramic frame's identity.
 func PanoDescriptor(videoID string, frameIdx int) feature.Descriptor {
-	return feature.NewHash([]byte(fmt.Sprintf("pano:%s:%d", videoID, frameIdx)))
+	var buf [64]byte // on the stack for any video ID up to 37 bytes
+	key := append(append(append(buf[:0], "pano:"...), videoID...), ':')
+	return feature.NewHash(strconv.AppendInt(key, int64(frameIdx), 10))
 }
