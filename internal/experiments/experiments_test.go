@@ -270,8 +270,10 @@ func cellFloat(t *testing.T, row []string, idx int) float64 {
 // 2x of its uncontended floor, while the pooled (tenantless) edge lets
 // the flood own every upstream slot. Thresholds carry slack for -race
 // and loaded CI hosts; the structural gap they witness is ~5x vs ~1x.
+// victimN is the smallest count whose nearest-rank p99 is not the
+// slowest sample, so one stalled request cannot fail the bound alone.
 func TestTenantFairShareUnderFlood(t *testing.T) {
-	const victimN = 20
+	const victimN = 100
 	rows := noisyRows(t, victimN, 150*time.Millisecond)
 	const (
 		p99Col      = 3
