@@ -17,12 +17,15 @@ all: build
 build:
 	$(GO) build ./...
 
-# lint = gofmt + go vet + explicit example builds + staticcheck (skipped
+# lint = gofmt + go vet + an arm64 vet and build (the portable Go path
+# beside amd64 assembly) + explicit example builds + staticcheck (skipped
 # with a notice if the tool is not installed; CI always runs it).
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/dnn
+	GOARCH=arm64 $(GO) build ./...
 	$(GO) build ./examples/...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
