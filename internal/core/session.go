@@ -154,7 +154,7 @@ func ModelDescriptor(modelID string) feature.Descriptor {
 // PanoDescriptor is the cache key for a VR streaming task: the hash of
 // the required panoramic frame's identity.
 func PanoDescriptor(videoID string, frameIdx int) feature.Descriptor {
-	var buf [64]byte // on the stack for any video ID up to 37 bytes
+	var buf [64]byte // holds the key without a heap allocation for IDs up to 38 bytes
 	key := append(append(append(buf[:0], "pano:"...), videoID...), ':')
 	return feature.NewHash(strconv.AppendInt(key, int64(frameIdx), 10))
 }

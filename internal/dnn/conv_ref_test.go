@@ -82,9 +82,9 @@ func sameBits(a, b []float32) int {
 // channels, strides above one, paddings wider than the kernel (so some
 // outputs see only padding), non-square inputs, a one-column input (so
 // some taps miss it entirely) and a -0 bias. The input widths 1–9, 16,
-// 17, 31 and 64 give stride-1 rows of every length modulo the four-lane
-// vector step, rows too short for one vector step, and EdgeNet's own
-// 64-wide rows.
+// 17, 31 and 64 give stride-1 rows that end in every mix of the SSE
+// kernel's eight-, four-, two- and one-column steps, rows too short for
+// a vector step, and EdgeNet's own 64-wide rows.
 func TestConv2DMatchesReference(t *testing.T) {
 	rng := newTestRNG()
 	negZero := math.Float32frombits(1 << 31)
@@ -148,12 +148,13 @@ func TestConv2DMatchesReference(t *testing.T) {
 // its last row, its last column or its input falls outside, and that an
 // empty span touches nothing.
 func TestAddTap4SpanOutsideSlicePanics(t *testing.T) {
-	const outW, inW = 8, 8
+	const outW, inW, plane = 8, 8, 64
 	ok := tapSpan{outW: outW, inW: inW, stride: 1, y0: 0, y1: 8, x0: 0, x1: 8}
 	run := func(g tapSpan, srcLen int) (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		d := make([]float32, 4*outW*outW)
-		addTap4(d[:64], d[64:128], d[128:192], d[192:], 1, 2, 3, 4, make([]float32, srcLen), g)
+		d := make([]float32, 4*plane)
+		addTap4(d[:plane], d[plane:2*plane], d[2*plane:3*plane], d[3*plane:], 1, 2, 3, 4,
+			make([]float32, srcLen), g)
 		return false
 	}
 	if run(ok, inW*inW) {
@@ -177,7 +178,7 @@ func TestAddTap4SpanOutsideSlicePanics(t *testing.T) {
 
 	empty := ok
 	empty.x1 = empty.x0
-	d, src := make([]float32, outW*outW), make([]float32, inW*inW)
+	d, src := make([]float32, plane), make([]float32, inW*inW)
 	for i := range src {
 		src[i] = 1
 	}
