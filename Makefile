@@ -76,12 +76,12 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzBodyRoundTrip -fuzztime=$(FUZZ_TIME) ./internal/wire/
 
 # smoke = the CI ops-smoke job: boot the real daemons with the ops
-# sidecar and the shared -batch / -tenant-quota flags, probe /healthz and
+# sidecar and the shared -tenant-quota flag, probe /healthz and
 # /readyz, push client traffic through, and lint the live /metrics
 # payload (nonzero request counters and cache gauges required).
 smoke:
 	@$(GO) build -o bin/ ./cmd/coic-cloud ./cmd/coic-edge ./cmd/coic-client ./cmd/coic-promlint
-	@./bin/coic-cloud -listen 127.0.0.1:19090 -batch 4 -tenant-quota "default:weight=2" & cloud=$$!; \
+	@./bin/coic-cloud -listen 127.0.0.1:19090 -tenant-quota "default:weight=2" & cloud=$$!; \
 	./bin/coic-edge -listen 127.0.0.1:19091 -cloud 127.0.0.1:19090 -http 127.0.0.1:19191 \
 		-tenant-quota "default:weight=2,cache=67108864" & edge=$$!; \
 	trap 'kill $$edge $$cloud 2>/dev/null || true' EXIT; \

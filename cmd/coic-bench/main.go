@@ -31,7 +31,7 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"comma-separated experiments to run: all, fig2a, fig2b, hitratio, policy, threshold, index, coop, federation, churn, burst, qos, noisy, finegrained, batch, pano, privacy, qoe, scene")
+		"comma-separated experiments to run: all, fig2a, fig2b, hitratio, policy, threshold, index, coop, federation, churn, burst, qos, noisy, finegrained, pano, privacy, qoe, scene")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	jsonOut := flag.Bool("json", false, "emit a JSON array of {title, columns, rows, notes} objects")
 	seed := flag.Uint64("seed", 0, "override the reproduction seed (0 = default)")
@@ -153,9 +153,6 @@ func runners(p core.Params) []runner {
 		}},
 		{"finegrained", func() (*metrics.Table, error) {
 			return experiments.RunFinegrained(p, []int{1, 4, 16, 64}, 256), nil
-		}},
-		{"batch", func() (*metrics.Table, error) {
-			return experiments.RunBatch(small, []int{1, 2, 4, 8, 16}, 12), nil
 		}},
 		{"pano", func() (*metrics.Table, error) {
 			return experiments.RunPanoStreaming(small, 8, 40)

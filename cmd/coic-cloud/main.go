@@ -42,8 +42,5 @@ func main() {
 	// its shed counters show deadline pressure that reached the WAN.
 	fmt.Printf("coic-cloud: served %d interactive + %d best-effort requests, shed %d expired deadlines, %d overloads\n",
 		st.AdmittedInteractive, st.AdmittedBestEffort, st.DeadlineSheds, st.Overloads)
-	if st.Batches > 0 {
-		fmt.Printf("coic-cloud: executed %d batches carrying %d requests\n", st.Batches, st.BatchedRequests)
-	}
 	fmt.Println("coic-cloud: shut down cleanly")
 }

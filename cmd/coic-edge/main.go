@@ -136,9 +136,6 @@ func main() {
 	}
 	fmt.Printf("coic-edge: served %d interactive + %d best-effort requests, %d cloud fetches, shed %d expired deadlines, %d overloads\n",
 		st.AdmittedInteractive, st.AdmittedBestEffort, st.CloudFetches, st.DeadlineSheds, st.Overloads)
-	if st.Batches > 0 {
-		fmt.Printf("coic-edge: executed %d batches carrying %d requests\n", st.Batches, st.BatchedRequests)
-	}
 	if len(seedAddrs) > 0 {
 		fmt.Printf("coic-edge: decommissioned at ring version %d, %d keys migrated\n", st.RingVersion, st.MigratedKeys)
 	}

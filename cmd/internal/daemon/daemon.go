@@ -26,7 +26,6 @@ type Flags struct {
 	listen   string
 	workers  int
 	queue    int
-	batch    int
 	httpAddr string
 	slow     time.Duration
 	tenants  []coic.ServerOption
@@ -39,7 +38,6 @@ func NewFlags(fs *flag.FlagSet, listen string) *Flags {
 	fs.StringVar(&f.listen, "listen", listen, "address to serve on")
 	fs.IntVar(&f.workers, "workers", 0, "concurrent requests per connection (0 = default); an edge sends all its misses over one connection, so on the cloud this bounds that edge's fetch parallelism")
 	fs.IntVar(&f.queue, "queue", 0, "requests buffered per connection before overload replies (0 = default)")
-	fs.IntVar(&f.batch, "batch", 0, "max exec requests one worker runs together: one batched DNN pass on the cloud, coalesced duplicates and a burst of misses on the edge; a best-effort head waits up to 2ms for batchmates (0 or 1 = serial)")
 	fs.StringVar(&f.httpAddr, "http", "", "ops sidecar address for /metrics, /healthz, /readyz, /debug (empty = disabled)")
 	fs.DurationVar(&f.slow, "slow", time.Second, "latency above which a successful request enters /debug/requests and the log")
 	fs.Func("tenant-quota", `tenant limits as "name:key=value,..." with keys token, rate, burst, weight, cache, members (cache and members are edge-only); repeatable`, func(spec string) error {
@@ -71,7 +69,6 @@ func (f *Flags) Run(name, detail string, newServer func(...coic.ServerOption) *c
 		coic.WithListener(ln),
 		coic.WithWorkers(f.workers),
 		coic.WithQueueDepth(f.queue),
-		coic.WithBatch(f.batch),
 		coic.WithSlowRequestThreshold(f.slow),
 	}
 	srv := newServer(append(append(shared, f.tenants...), opts...)...)

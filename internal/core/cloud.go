@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -13,7 +11,6 @@ import (
 	"github.com/edge-immersion/coic/internal/feature"
 	"github.com/edge-immersion/coic/internal/mesh"
 	"github.com/edge-immersion/coic/internal/pano"
-	"github.com/edge-immersion/coic/internal/tensor"
 	"github.com/edge-immersion/coic/internal/vision"
 	"github.com/edge-immersion/coic/internal/wire"
 	"github.com/edge-immersion/coic/internal/xrand"
@@ -179,56 +176,6 @@ func (c *Cloud) Recognize(payload []byte) ([]byte, time.Duration, error) {
 	}
 	cost := c.Params.flopsTime(c.Net.TotalFLOPs(), c.Params.CloudGFLOPS)
 	return body, cost, nil
-}
-
-// RecognizeBatch executes recognition over a batch of raw frames in one
-// batched trunk pass (dnn.FeaturesBatch): bit-identical frames share
-// trunk passes, distinct frames run the trunk independently. Each
-// result is byte-identical to a serial Recognize of that payload; errs
-// is per-payload (one bad frame never fails its batchmates). The virtual
-// compute cost charges one full pass per *unique* payload — the batch
-// savings the serving stack actually sees.
-func (c *Cloud) RecognizeBatch(payloads [][]byte) (results [][]byte, errs []error, cost time.Duration) {
-	results = make([][]byte, len(payloads))
-	errs = make([]error, len(payloads))
-	inputs := make([]*tensor.Tensor, 0, len(payloads))
-	members := make([]int, 0, len(payloads))
-	unique := 0
-	for i, payload := range payloads {
-		frame, err := vision.FromBytes(c.Params.CameraW, c.Params.CameraH, payload)
-		if err != nil {
-			errs[i] = fmt.Errorf("core: cloud recognize: %w", err)
-			continue
-		}
-		inputs = append(inputs, vision.ToTensor(frame, c.Params.DNNInput))
-		// A batch holds a few frames: comparing against the earlier
-		// members beats copying each 2 MB payload into a map key.
-		if !slices.ContainsFunc(members, func(k int) bool { return bytes.Equal(payloads[k], payload) }) {
-			unique++
-		}
-		members = append(members, i)
-	}
-	if len(inputs) == 0 {
-		return results, errs, 0
-	}
-	feats := c.Net.FeaturesBatch(inputs)
-	for fi, i := range members {
-		idx, conf := c.classify(feats[fi])
-		label := c.Params.Classes()[idx]
-		body, err := (wire.RecognitionResult{
-			ClassIndex:        int32(idx),
-			Label:             label,
-			Confidence:        conf,
-			AnnotationModelID: AnnotationModelID(label),
-		}).Marshal()
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		results[i] = body
-	}
-	cost = time.Duration(unique) * c.Params.flopsTime(c.Net.TotalFLOPs(), c.Params.CloudGFLOPS)
-	return results, errs, cost
 }
 
 // classify returns the nearest centroid and a softmax-over-similarity

@@ -51,7 +51,6 @@ type conn struct {
 	tier   tier
 	scenes *scene.Registry
 	nc     net.Conn
-	batch  *batchPlan
 
 	workers int
 	budget  int // workers + queue depth: the most requests admitted at once
@@ -185,7 +184,7 @@ func (s *ServerCore) newConn(nc net.Conn, t tier, scenes *scene.Registry) *conn 
 		depth = DefaultQueueDepth
 	}
 	c := &conn{
-		srv: s, tier: t, scenes: scenes, nc: nc, batch: s.batchPlan(),
+		srv: s, tier: t, scenes: scenes, nc: nc,
 		workers: workers, budget: workers + depth,
 		cancels: map[uint64]context.CancelFunc{},
 		sched:   newSchedQueueWeighted(depth, s.Tenants.Weight),
@@ -326,7 +325,7 @@ func (c *conn) answer(seq uint64, m wire.Message) {
 
 // finishJob releases a job's cancel registration and pooled frame,
 // accounts it and hands its reply to the writer — every admitted job
-// exits through here exactly once, serial or batched, executed or shed.
+// exits through here exactly once, executed or shed.
 // No reply aliases its request's body, so the frame goes back to the
 // pool before the reply is written. The ledger reads the reply's type
 // and code, never its body.
@@ -381,90 +380,12 @@ func (c *conn) work() {
 		}
 		picked := time.Now()
 		obsv.observeSchedWait(picked.Sub(j.admitted))
-		switch {
-		case c.skip(j, picked):
-		case c.batch.batchable(&j):
-			c.runBatch(c.fillBatch(j, picked))
-		default:
-			m := c.dispatch(j.ctx, j.msg, j.mode, j.tenant)
-			obsv.observeExec(time.Since(picked))
-			c.finishJob(j, m)
+		if c.skip(j, picked) {
+			continue
 		}
-	}
-}
-
-// fillBatch assembles a batch around a live, batchable head job: first
-// every compatible job already queued (strictly in scheduler order —
-// tryDrain stops at the first incompatible head), then, for a best-effort
-// head only, whatever arrives inside the deadline-capped slack window.
-func (c *conn) fillBatch(head schedJob, picked time.Time) []schedJob {
-	plan, sched := c.batch, c.sched
-	jobs := []schedJob{head}
-	drained, _ := sched.tryDrain(plan.max-1, execJob)
-	jobs = append(jobs, drained...)
-	var waited time.Duration
-	if budget := plan.waitBudget(&head, picked); budget > 0 && len(jobs) < plan.max {
-		waitStart := time.Now()
-		timer := time.NewTimer(budget)
-		// The sweep after the window closes (or the queue does) catches
-		// anything that raced the timer.
-		for closed := false; len(jobs) < plan.max; {
-			more, blocked := sched.tryDrain(plan.max-len(jobs), execJob)
-			jobs = append(jobs, more...)
-			if blocked || closed {
-				break
-			}
-			select {
-			case <-sched.arrivals:
-			case <-timer.C:
-				closed = true
-			case <-sched.done:
-				closed = true
-			}
-		}
-		timer.Stop()
-		waited = time.Since(waitStart)
-	}
-	c.srv.Obs.observeBatchWait(waited)
-	return jobs
-}
-
-// runBatch executes an assembled batch. Members that were cancelled or
-// expired while the batch formed are skipped individually, exactly as the
-// serial path would have skipped them.
-func (c *conn) runBatch(jobs []schedJob) {
-	obsv := c.srv.Obs
-	now := time.Now()
-	live := jobs[:0]
-	for i, j := range jobs {
-		if i > 0 {
-			// Drained members left the queue here, not via pop.
-			obsv.observeSchedWait(now.Sub(j.admitted))
-		}
-		if !c.skip(j, now) {
-			live = append(live, j)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	obsv.observeBatchSize(len(live))
-	if len(live) > 1 {
-		c.srv.batches.Add(1)
-		c.srv.batched.Add(uint64(len(live)))
-	}
-	execStart := time.Now()
-	replies := c.tier.runBatch(live)
-	execDur := time.Since(execStart)
-	for i, j := range live {
-		r := replies[i]
-		if r.msg.Type == 0 {
-			// A dispatcher that misses a member is a server bug, but
-			// the client still deserves an answer over a hang.
-			r = reply{msg: errorReply(j.msg.RequestID, wire.CodeInternal, "batch dispatcher produced no reply")}
-		}
-		obsv.observeExec(execDur)
-		c.finishJob(j, r)
+		m := c.dispatch(j.ctx, j.msg, j.mode, j.tenant)
+		obsv.observeExec(time.Since(picked))
+		c.finishJob(j, m)
 	}
 }
 

@@ -343,22 +343,6 @@ func TestPooledFrameReleasedOnceOnEveryPath(t *testing.T) {
 		ledger.check(t, 3)
 	})
 
-	t.Run("batched", func(t *testing.T) {
-		es, c, ledger, _, release := stack(t, func(es *EdgeServer) {
-			es.Workers, es.Batch, es.BatchSlack = 1, 4, 200*time.Millisecond
-		})
-		release()
-		send(t, c, exec(1, 0, time.Time{}), exec(2, 1, time.Time{}), exec(3, 2, time.Time{}), exec(4, 3, time.Time{}))
-		got := readReplies(t, c, 4)
-		for i := uint64(1); i <= 4; i++ {
-			wantLabel(t, p, got[i], vision.Class(i-1))
-		}
-		if es.Batches() == 0 {
-			t.Fatal("no multi-request batch formed")
-		}
-		ledger.check(t, 4)
-	})
-
 	t.Run("overloaded", func(t *testing.T) {
 		es, c, ledger, received, release := stack(t, func(es *EdgeServer) { es.Workers, es.QueueDepth = 1, 1 })
 		send(t, c, exec(1, 0, time.Time{}))

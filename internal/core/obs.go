@@ -17,13 +17,8 @@ const (
 	StageExec        = "exec"         // worker dispatch end to end
 	StageCloudFetch  = "cloud_fetch"  // upstream round trip (incl. coalesced wait)
 	StageReplyWrite  = "reply_write"  // frame write back to the client
-	StageBatchWait   = "batch_wait"   // slack a batch head spent waiting for fill
 	StageSceneFanout = "scene_fanout" // scene publish to push frame on a member's socket
 )
-
-// batchSizeBuckets bound the coic_batch_size histogram: executed batch
-// sizes in requests (powers of two up to the largest sane -batch).
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
 // Request outcomes counted in coic_requests_total{tenant,class,outcome}.
 const (
@@ -50,8 +45,6 @@ type ServerObs struct {
 	exec        *obs.Histogram
 	cloudFetch  *obs.Histogram
 	replyWrite  *obs.Histogram
-	batchWait   *obs.Histogram
-	batchSize   *obs.Histogram
 	sceneFanout *obs.Histogram
 
 	// Per-tenant counter sets, registered lazily on a tenant's first
@@ -91,10 +84,7 @@ func NewServerObs(reg *obs.Registry, rlog *obs.RequestLog) *ServerObs {
 	o.exec = stage(StageExec)
 	o.cloudFetch = stage(StageCloudFetch)
 	o.replyWrite = stage(StageReplyWrite)
-	o.batchWait = stage(StageBatchWait)
 	o.sceneFanout = stage(StageSceneFanout)
-	o.batchSize = reg.Histogram("coic_batch_size",
-		"Executed batch sizes, in requests per batch.", batchSizeBuckets)
 	o.reg = reg
 	o.byTenant = map[string]*tenantObs{}
 	o.registerTenant(DefaultTenant)
@@ -208,24 +198,12 @@ func (o *ServerObs) observeReplyWrite(d time.Duration) {
 	}
 }
 
-func (o *ServerObs) observeBatchWait(d time.Duration) {
-	if o != nil {
-		o.batchWait.Observe(d)
-	}
-}
-
 // observeSceneFanout records one pushed scene event's fan-out delay: the
 // time from the publisher's worker handing the event to a member's
 // outbox until the frame is on that member's socket.
 func (o *ServerObs) observeSceneFanout(d time.Duration) {
 	if o != nil {
 		o.sceneFanout.Observe(d)
-	}
-}
-
-func (o *ServerObs) observeBatchSize(n int) {
-	if o != nil {
-		o.batchSize.ObserveValue(float64(n))
 	}
 }
 

@@ -100,11 +100,11 @@ func (c *gatedWrites) Write([]byte) (int, error) {
 }
 
 // TestReplyBodyReleasedOnceOnEveryPath drives every way a pooled reply
-// leaves a connection — in order, in completion order, beside batches,
-// into a dead connection and through a graceful shutdown — and asserts
-// that each body taken is released exactly once, after the client got
-// it intact: released bodies are poisoned, so one released before its
-// write would reach the client as garbage.
+// leaves a connection — in order, in completion order, into a dead
+// connection and through a graceful shutdown — and asserts that each
+// body taken is released exactly once, after the client got it intact:
+// released bodies are poisoned, so one released before its write would
+// reach the client as garbage.
 func TestReplyBodyReleasedOnceOnEveryPath(t *testing.T) {
 	p := panoParams()
 	cloud := NewCloud(p)
@@ -192,33 +192,6 @@ func TestReplyBodyReleasedOnceOnEveryPath(t *testing.T) {
 		ledger.settle(t, 4)
 		stop()
 		ledger.check(t, 4)
-	})
-
-	t.Run("batched", func(t *testing.T) {
-		es, addr, ledger, stop := stack(t, func(es *EdgeServer) {
-			es.Workers, es.Batch, es.BatchSlack = 1, 4, 200*time.Millisecond
-		})
-		cli := NewClient(0, p)
-		c := unorderedEdgeConn(t, addr)
-		var execs []wire.Message
-		for i := range 4 {
-			m, _ := execMsg(t, cli, uint64(1+i), vision.Class(i), 5)
-			execs = append(execs, m)
-		}
-		send(t, c, execs...)
-		send(t, c, fetch(5, 0), fetch(6, 1))
-		got := readReplies(t, c, 6)
-		for i := range 4 {
-			wantLabel(t, p, got[uint64(1+i)], vision.Class(i))
-		}
-		wantPano(t, got[5], frames[0])
-		wantPano(t, got[6], frames[1])
-		if es.Batches() == 0 {
-			t.Fatal("no multi-request batch formed")
-		}
-		ledger.settle(t, 2)
-		stop()
-		ledger.check(t, 2)
 	})
 
 	t.Run("dead connection", func(t *testing.T) {

@@ -130,7 +130,7 @@ func (h *jobHeap) popJob() schedJob {
 // being served and credit its remaining deficit (in requests — the DRR
 // quantum is the tenant's weight). Invariants between calls: every ring
 // member's heap is non-empty, and credit > 0 whenever the ring is
-// non-empty — so head() is pure and always agrees with the next pop().
+// non-empty — so pop() always finds its job at ring[cur].
 // A tenant that leaves the ring keeps its emptied heap in byTenant for
 // when it returns; a connection's queue sees one tenant, so they are few.
 type classQueue struct {
@@ -159,14 +159,6 @@ func (c *classQueue) push(j schedJob, weightOf func(string) int) {
 	}
 	h.pushJob(j)
 	c.size++
-}
-
-// head returns the job the next pop would dispatch, without side effects.
-func (c *classQueue) head() *schedJob {
-	if c.size == 0 {
-		return nil
-	}
-	return c.byTenant[c.ring[c.cur]].peek()
 }
 
 func (c *classQueue) pop(weightOf func(string) int) schedJob {
@@ -243,13 +235,6 @@ type schedQueue struct {
 	depth    int
 	closed   bool
 	order    uint64
-
-	// arrivals gets a non-blocking token per push so a batching worker
-	// can wait out its slack window in a select (sync.Cond has no timed
-	// wait); done closes with the queue so that wait never outlives
-	// shutdown.
-	arrivals chan struct{}
-	done     chan struct{}
 }
 
 func newSchedQueue(depth int) *schedQueue {
@@ -267,8 +252,6 @@ func newSchedQueueWeighted(depth int, weightOf func(string) int) *schedQueue {
 	q := &schedQueue{
 		depth:    depth,
 		weightOf: func(t string) int { return max(1, weightOf(t)) },
-		arrivals: make(chan struct{}, 1),
-		done:     make(chan struct{}),
 	}
 	q.cond = sync.NewCond(&q.mu)
 	return q
@@ -311,10 +294,6 @@ func (q *schedQueue) push(j schedJob) (shed []schedJob, ok bool) {
 	q.classes[classIndex(j.class)].push(j, q.weightOf)
 	q.size++
 	q.cond.Signal()
-	select {
-	case q.arrivals <- struct{}{}:
-	default:
-	}
 	return shed, true
 }
 
@@ -339,46 +318,11 @@ func (q *schedQueue) pop() (schedJob, bool) {
 	return schedJob{}, false // unreachable: size > 0 implies a non-empty class
 }
 
-// tryDrain pops up to max additional jobs for a batch without blocking.
-// It only ever takes the queue's current head — the highest non-empty
-// class, the DRR tenant within it, EDF within that tenant — and stops at
-// the first head match fails on, so a drained batch is exactly the
-// prefix a sequence of pop calls would have returned: batching never
-// lets a lower-priority job overtake a higher-priority one it is
-// incompatible with (and never lets one tenant raid another's DRR
-// share). blocked reports that a non-matching head (not an empty queue)
-// ended the drain, which tells a slack-waiting worker to stop waiting
-// and free its slot for that job.
-func (q *schedQueue) tryDrain(max int, match func(*schedJob) bool) (jobs []schedJob, blocked bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(jobs) < max && q.size > 0 {
-		var c *classQueue
-		for i := len(q.classes) - 1; i >= 0; i-- {
-			if q.classes[i].size > 0 {
-				c = &q.classes[i]
-				break
-			}
-		}
-		if !match(c.head()) {
-			return jobs, true
-		}
-		jobs = append(jobs, c.pop(q.weightOf))
-		q.size--
-	}
-	return jobs, false
-}
-
 // close stops admission and wakes every waiting worker; queued jobs are
 // still drained by pop (graceful shutdown completes admitted work).
 func (q *schedQueue) close() {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
 	q.closed = true
-	close(q.done)
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }

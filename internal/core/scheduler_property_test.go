@@ -11,12 +11,11 @@ import (
 
 // This file model-checks the scheduler against a reference
 // implementation and audits its accounting under concurrency. The
-// invariants the batch executor leans on:
+// invariants the connection's workers lean on:
 //
-//  1. pop and tryDrain dispatch in strict class-then-EDF order — a
-//     drained batch is exactly the prefix a run of pops would return;
+//  1. pop dispatches in strict class-then-EDF order;
 //  2. no admitted job is ever lost or dispatched twice, whatever mix of
-//     pop, tryDrain and close races over the queue.
+//     push, pop and close races over the queue.
 
 // schedModel is the obviously-correct reference: a flat slice scanned
 // for the scheduling-best job on every take.
@@ -55,9 +54,8 @@ func (m *schedModel) pop() (schedJob, bool) {
 	return j, true
 }
 
-// TestSchedQueuePropertyModelCheck drives randomized push / pop /
-// tryDrain traces through the real queue and the reference model in
-// lockstep; every dispatched job must match the model's choice exactly
+// TestSchedQueuePropertyModelCheck drives randomized push / pop traces
+// through the real queue and the reference model in lockstep; every dispatched job must match the model's choice exactly
 // (identified by trace, which the test uses as a job serial).
 func TestSchedQueuePropertyModelCheck(t *testing.T) {
 	rng := xrand.New(20260808)
@@ -66,18 +64,13 @@ func TestSchedQueuePropertyModelCheck(t *testing.T) {
 		q := newSchedQueue(1 << 20) // effectively unbounded: no shed path here
 		model := &schedModel{}
 		var serial uint64
-		matchExec := func(j *schedJob) bool { return j.msg.Type == wire.MsgExec }
 		for step := 0; step < 200; step++ {
 			switch op := rng.Intn(10); {
 			case op < 5: // push
 				serial++
 				j := schedJob{
-					msg:   wire.Message{Type: wire.MsgExec},
 					class: wire.QoS(rng.Intn(wire.NumQoSClasses)),
 					trace: serial,
-				}
-				if rng.Intn(4) == 0 {
-					j.msg.Type = wire.MsgModelFetch // non-batchable oddball
 				}
 				if rng.Intn(3) > 0 {
 					j.deadline = base.Add(time.Duration(rng.Intn(5)) * time.Second)
@@ -86,7 +79,7 @@ func TestSchedQueuePropertyModelCheck(t *testing.T) {
 					t.Fatal("push rejected below depth")
 				}
 				model.push(j)
-			case op < 8: // pop (only when non-empty: pop blocks)
+			default: // pop (only when non-empty: pop blocks)
 				if len(model.jobs) == 0 {
 					continue
 				}
@@ -94,25 +87,6 @@ func TestSchedQueuePropertyModelCheck(t *testing.T) {
 				want, _ := model.pop()
 				if !ok || got.trace != want.trace {
 					t.Fatalf("trial %d step %d: pop = job %d, model says %d", trial, step, got.trace, want.trace)
-				}
-			default: // tryDrain
-				max := 1 + rng.Intn(4)
-				jobs, blocked := q.tryDrain(max, matchExec)
-				for i, got := range jobs {
-					want, _ := model.pop()
-					if got.trace != want.trace {
-						t.Fatalf("trial %d step %d: drain[%d] = job %d, model says %d", trial, step, i, got.trace, want.trace)
-					}
-					if got.msg.Type != wire.MsgExec {
-						t.Fatalf("trial %d step %d: drained a non-matching job", trial, step)
-					}
-				}
-				// blocked iff a non-matching head stopped a non-full drain.
-				if i := model.headIdx(); len(jobs) < max {
-					wantBlocked := i >= 0 && model.jobs[i].msg.Type != wire.MsgExec
-					if blocked != wantBlocked {
-						t.Fatalf("trial %d step %d: blocked = %v, want %v", trial, step, blocked, wantBlocked)
-					}
 				}
 			}
 		}
@@ -124,16 +98,16 @@ func TestSchedQueuePropertyModelCheck(t *testing.T) {
 				t.Fatalf("trial %d final drain: pop = job %d, model says %d", trial, got.trace, want.trace)
 			}
 		}
-		if j, ok := q.tryDrain(1, matchExec); len(j) != 0 || ok {
-			t.Fatal("queue non-empty after model emptied")
+		if q.size != 0 {
+			t.Fatalf("queue holds %d jobs after the model emptied", q.size)
 		}
 	}
 }
 
 // TestSchedQueuePropertyNoJobLost hammers one queue with concurrent
-// producers, poppers and batch drainers, then audits the accounting:
-// every job a producer pushed is dispatched exactly once (popped or
-// drained), shed by admission, or rejected — never lost, never doubled.
+// producers and poppers, then audits the accounting: every job a
+// producer pushed is dispatched exactly once, shed by admission, or
+// rejected — never lost, never doubled.
 func TestSchedQueuePropertyNoJobLost(t *testing.T) {
 	const (
 		producers   = 4
@@ -156,7 +130,6 @@ func TestSchedQueuePropertyNoJobLost(t *testing.T) {
 			rng := xrand.New(uint64(1000 + pr))
 			for i := 0; i < jobsPerProd; i++ {
 				j := schedJob{
-					msg:   wire.Message{Type: wire.MsgExec},
 					class: wire.QoS(rng.Intn(wire.NumQoSClasses)),
 					trace: uint64(pr*jobsPerProd + i + 1),
 				}
@@ -183,40 +156,18 @@ func TestSchedQueuePropertyNoJobLost(t *testing.T) {
 	var cons sync.WaitGroup
 	for c := 0; c < consumers; c++ {
 		cons.Add(1)
-		go func(c int) {
+		go func() {
 			defer cons.Done()
-			rng := xrand.New(uint64(2000 + c))
-			match := func(j *schedJob) bool { return j.msg.Type == wire.MsgExec }
 			for {
-				if rng.Intn(2) == 0 {
-					j, ok := q.pop()
-					if !ok {
-						return
-					}
-					mu.Lock()
-					dispatched[j.trace]++
-					mu.Unlock()
-				} else {
-					jobs, _ := q.tryDrain(1+rng.Intn(8), match)
-					mu.Lock()
-					for _, j := range jobs {
-						dispatched[j.trace]++
-					}
-					mu.Unlock()
-					if len(jobs) == 0 {
-						// Blocking pop is the only wait primitive; cycle
-						// through it so the goroutine parks until close.
-						j, ok := q.pop()
-						if !ok {
-							return
-						}
-						mu.Lock()
-						dispatched[j.trace]++
-						mu.Unlock()
-					}
+				j, ok := q.pop()
+				if !ok {
+					return
 				}
+				mu.Lock()
+				dispatched[j.trace]++
+				mu.Unlock()
 			}
-		}(c)
+		}()
 	}
 	prod.Wait()
 	q.close()
@@ -243,28 +194,5 @@ func TestSchedQueuePropertyNoJobLost(t *testing.T) {
 	}
 	if pushed+rejected != producers*jobsPerProd {
 		t.Fatalf("pushed %d + rejected %d != %d offered", pushed, rejected, producers*jobsPerProd)
-	}
-}
-
-// TestSchedQueueTryDrainStopsAtMismatch pins the priority-preserving
-// property directly: a drain must never take a best-effort job past a
-// non-matching interactive head.
-func TestSchedQueueTryDrainStopsAtMismatch(t *testing.T) {
-	q := newSchedQueue(8)
-	q.push(schedJob{msg: wire.Message{Type: wire.MsgExec}, class: wire.QoSBestEffort, trace: 1})
-	q.push(schedJob{msg: wire.Message{Type: wire.MsgModelFetch}, class: wire.QoSInteractive, trace: 2})
-	q.push(schedJob{msg: wire.Message{Type: wire.MsgExec}, class: wire.QoSBestEffort, trace: 3})
-
-	match := func(j *schedJob) bool { return j.msg.Type == wire.MsgExec }
-	jobs, blocked := q.tryDrain(4, match)
-	if len(jobs) != 0 || !blocked {
-		t.Fatalf("drain took %d jobs past an interactive non-exec head (blocked=%v)", len(jobs), blocked)
-	}
-	if j, ok := q.pop(); !ok || j.trace != 2 {
-		t.Fatalf("head = job %d, want the interactive fetch", j.trace)
-	}
-	jobs, blocked = q.tryDrain(4, match)
-	if len(jobs) != 2 || blocked {
-		t.Fatalf("post-head drain = %d jobs (blocked=%v), want both exec jobs", len(jobs), blocked)
 	}
 }

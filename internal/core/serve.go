@@ -43,14 +43,11 @@ import (
 // processes concurrently; QueueDepth bounds how many more may be buffered
 // awaiting a worker before the server sheds load with CodeOverloaded;
 // FetchTimeout bounds one upstream (cloud) round trip so a hung cloud
-// fails its coalesced waiters instead of wedging them. DefaultBatchSlack
-// is the ServerCore.BatchSlack every server built by the root package
-// runs with.
+// fails its coalesced waiters instead of wedging them.
 const (
 	DefaultWorkers      = 8
 	DefaultQueueDepth   = 32
 	DefaultFetchTimeout = 15 * time.Second
-	DefaultBatchSlack   = 2 * time.Millisecond
 )
 
 // ConnWrapper optionally wraps accepted/dialed connections (e.g. with a
@@ -77,12 +74,10 @@ func errorReply(reqID uint64, code uint16, format string, args ...any) wire.Mess
 }
 
 // tier is what differs between the two servers behind the shared core:
-// how one admitted request is answered, and how a drained batch of live
-// exec requests is (one reply per job, in order). mode and tenant are the
+// how one admitted request is answered. mode and tenant are the
 // connection's, as of the request's admission.
 type tier interface {
 	dispatch(ctx context.Context, msg wire.Message, mode Mode, tenant string) reply
-	runBatch(jobs []schedJob) []reply
 }
 
 // ServerCore is what CloudServer and EdgeServer have in common: the
@@ -96,14 +91,6 @@ type ServerCore struct {
 	// parallel.
 	Workers    int
 	QueueDepth int
-	// Batch, when > 1, lets a worker drain up to Batch compatible exec
-	// requests from the scheduler and run them as one batch — cloud-side
-	// one batched DNN pass; edge-side the members run concurrently so
-	// identical descriptors coalesce and misses burst upstream together.
-	// BatchSlack bounds how long a best-effort batch head may wait for
-	// the batch to fill (interactive heads never wait). See batch.go.
-	Batch      int
-	BatchSlack time.Duration
 	// Tenants, when non-nil, authenticates tenants on the hello
 	// handshake and meters their admission (token buckets) and
 	// fair-share (DRR weights); nil is the open single-tenant policy.
@@ -122,11 +109,6 @@ type ServerCore struct {
 	sheds     atomic.Uint64
 	overloads atomic.Uint64
 	quota     atomic.Uint64
-	// batches counts multi-request batches executed; batched counts the
-	// requests that rode them (size-1 batch-path dispatches count in
-	// neither — they are serial work that found no companions).
-	batches atomic.Uint64
-	batched atomic.Uint64
 
 	// Per-tenant ledger: one mutex acquisition plus a map hit per count.
 	mu      sync.Mutex
@@ -188,11 +170,6 @@ func (s *ServerCore) Admitted(q wire.QoS) uint64 { return s.admitted[classIndex(
 // QuotaRejections reports how many requests per-tenant admission control
 // rejected with CodeQuotaExceeded.
 func (s *ServerCore) QuotaRejections() uint64 { return s.quota.Load() }
-
-// Batches reports how many multi-request batches this server executed;
-// BatchedRequests reports how many requests those batches carried.
-func (s *ServerCore) Batches() uint64         { return s.batches.Load() }
-func (s *ServerCore) BatchedRequests() uint64 { return s.batched.Load() }
 
 // TenantCounts snapshots the per-tenant admission ledger: every tenant
 // that has had a request admitted or quota-rejected.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -251,6 +252,137 @@ func panoFetchMsg(t testing.TB, reqID uint64, video string, frame int) wire.Mess
 		t.Fatal(err)
 	}
 	return wire.Message{Type: wire.MsgPanoFetch, RequestID: reqID, Body: body}
+}
+
+func execMsg(t testing.TB, cli *Client, reqID uint64, class vision.Class, viewSeed uint64) (wire.Message, []byte) {
+	t.Helper()
+	frame := cli.CaptureFrame(class, viewSeed)
+	desc, _ := cli.Extract(frame)
+	body, err := (wire.ExecRequest{
+		Task:    wire.TaskRecognize,
+		Desc:    desc,
+		Payload: frame.Bytes(),
+		QoS:     wire.QoSBestEffort,
+	}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.Message{Type: wire.MsgExec, RequestID: reqID, Body: body}, frame.Bytes()
+}
+
+// TestTCPCloudPipelinedBurstMatchesSerial pipelines a burst of exec
+// requests at a cloud: the worker pool runs them concurrently, and the
+// replies must still come back in order, byte-identical to serial
+// Recognize.
+func TestTCPCloudPipelinedBurstMatchesSerial(t *testing.T) {
+	p := testParams()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go (&CloudServer{Cloud: NewCloud(p)}).Serve(ln)
+
+	golden := NewCloud(p)
+	cli := NewClient(0, p)
+	conn := rawEdgeConn(t, ln.Addr().String(), ModeCoIC)
+	defer conn.Close()
+
+	const requests = 8
+	payloads := make([][]byte, requests)
+	for i := 0; i < requests; i++ {
+		// Pairs of bit-identical frames: co-located users.
+		msg, payload := execMsg(t, cli, uint64(i+1), vision.Class((i/2)%int(vision.NumClasses)), uint64(7+i/2))
+		payloads[i] = payload
+		if err := wire.WriteMessage(conn, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < requests; i++ {
+		reply, err := wire.ReadMessage(conn)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if reply.RequestID != uint64(i+1) {
+			t.Fatalf("reply %d carries request id %d — out of order", i, reply.RequestID)
+		}
+		if reply.Type != wire.MsgExecReply {
+			t.Fatalf("reply %d type = %v", i, reply.Type)
+		}
+		er, err := wire.UnmarshalExecReply(reply.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := golden.Recognize(payloads[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(er.Result, want) {
+			t.Fatalf("reply %d result diverges from serial Recognize", i)
+		}
+	}
+}
+
+// TestTCPEdgePipelinedDuplicatesCoalesce pipelines identical recognize
+// requests on one connection at an edge with the default worker pool:
+// the workers dispatch them concurrently, so their identical descriptors
+// must coalesce into a single cloud fetch in the in-flight table (or hit
+// the entry it inserted).
+func TestTCPEdgePipelinedDuplicatesCoalesce(t *testing.T) {
+	p := testParams()
+	cloudLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloudLn.Close()
+	go (&CloudServer{Cloud: NewCloud(p)}).Serve(cloudLn)
+
+	es := &EdgeServer{Edge: NewEdge(p), CloudAddr: cloudLn.Addr().String()}
+	edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edgeLn.Close()
+	go es.Serve(edgeLn)
+
+	cli := NewClient(0, p)
+	conn := rawEdgeConn(t, edgeLn.Addr().String(), ModeCoIC)
+	defer conn.Close()
+
+	const requests = 4
+	for i := 0; i < requests; i++ {
+		// The same frame every time: one descriptor, one cloud answer.
+		msg, _ := execMsg(t, cli, uint64(i+1), vision.ClassStopSign, 11)
+		if err := wire.WriteMessage(conn, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var label string
+	for i := 0; i < requests; i++ {
+		reply, err := wire.ReadMessage(conn)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if reply.Type != wire.MsgExecReply {
+			t.Fatalf("reply %d type = %v", i, reply.Type)
+		}
+		er, err := wire.UnmarshalExecReply(reply.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := wire.UnmarshalRecognitionResult(er.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if label == "" {
+			label = res.Label
+		} else if res.Label != label {
+			t.Fatalf("reply %d label %q diverges from %q", i, res.Label, label)
+		}
+	}
+	if got := es.CloudFetches(); got != 1 {
+		t.Fatalf("cloud fetches = %d, want 1 (pipelined duplicates must coalesce)", got)
+	}
 }
 
 // TestTCPPipelinedRepliesInOrder writes a burst of requests back-to-back

@@ -258,8 +258,8 @@ func (k *taskKind) replyWith(reqID uint64, source uint8, payload []byte) wire.Me
 // reply, without building it.
 func (k *taskKind) replySize(payload []byte) int { return wire.HeaderSize + k.size(payload) }
 
-// recognizePayload decodes an exec request — serial or batched — down to
-// the camera frame the cloud is to recognise.
+// recognizePayload decodes an exec request down to the camera frame the
+// cloud is to recognise.
 func recognizePayload(o *ServerObs, body []byte) ([]byte, error) {
 	decodeStart := time.Now()
 	req, err := wire.UnmarshalExecRequest(body)

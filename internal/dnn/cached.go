@@ -18,14 +18,12 @@ import (
 // and only the divergent suffix is recomputed.
 //
 // Concurrency contract: a CachedRunner is safe for concurrent use by
-// multiple goroutines — batch workers share one runner so intra-batch
-// dedup composes with cross-request reuse. The contract rests on two
-// invariants guarded by TestCachedRunnerConcurrencyContract:
+// multiple goroutines. The contract rests on two invariants guarded by
+// TestCachedRunnerConcurrencyContract:
 //
 //   - every access to entries/hits/misses happens inside a single
 //     critical section per layer step, so a concurrent Reset can never
-//     interleave between a lookup and its counter update (the tear the
-//     pre-batching code risked with split lock acquisitions);
+//     interleave between a lookup and its counter update;
 //   - memoised tensors are write-once — inserted as private clones and
 //     never mutated after — which is what makes cloning a fetched entry
 //     *outside* the lock sound.
@@ -83,31 +81,27 @@ func hashTensor(t *tensor.Tensor) uint64 {
 func (c *CachedRunner) Forward(in *tensor.Tensor) *tensor.Tensor {
 	x := in
 	for i, l := range c.Net.Layers {
-		out, fromCache := c.step(i, l, x, hashTensor(x))
-		if fromCache {
-			out = out.Clone()
-		}
-		x = out
+		x = c.step(i, l, x)
 	}
 	return x
 }
 
-// step advances one layer: a hit returns the memo entry itself (the
-// caller must clone before exposing it — fromCache reports this), a miss
-// computes, memoises a private clone and returns the freshly computed
-// tensor. The lookup and its counter update share one critical section;
-// the layer compute and the hit clone deliberately run outside the lock
-// (entries are write-once, so the pointer stays valid across Reset).
-func (c *CachedRunner) step(layer int, l Layer, x *tensor.Tensor, hash uint64) (out *tensor.Tensor, fromCache bool) {
-	key := layerKey{layer: layer, hash: hash}
+// step advances one layer: a hit returns a clone of the memo entry, a
+// miss computes, memoises a private clone and returns the freshly
+// computed tensor. The lookup and its counter update share one critical
+// section; the layer compute and the hit clone deliberately run outside
+// the lock (entries are write-once, so the pointer stays valid across
+// Reset).
+func (c *CachedRunner) step(layer int, l Layer, x *tensor.Tensor) *tensor.Tensor {
+	key := layerKey{layer: layer, hash: hashTensor(x)}
 	c.mu.Lock()
 	if cached, ok := c.entries[key]; ok {
 		c.hits++
 		c.mu.Unlock()
-		return cached, true
+		return cached.Clone()
 	}
 	c.mu.Unlock()
-	out = l.Forward(x)
+	out := l.Forward(x)
 	c.mu.Lock()
 	c.misses++
 	if len(c.entries) < c.maxEnts {
@@ -116,7 +110,7 @@ func (c *CachedRunner) step(layer int, l Layer, x *tensor.Tensor, hash uint64) (
 		}
 	}
 	c.mu.Unlock()
-	return out, false
+	return out
 }
 
 // Stats reports cumulative layer-level hits and misses.

@@ -10,9 +10,9 @@ import (
 
 // TestCachedRunnerConcurrencyContract guards the documented contract
 // (the counterpart of metrics.Histogram's contract test, with the
-// opposite polarity): CachedRunner IS safe for concurrent use, so batch
-// workers may share one runner. The test hammers Forward, ForwardBatch,
-// Stats and Entries from many goroutines under -race, then checks the
+// opposite polarity): CachedRunner IS safe for concurrent use, so a
+// server's workers may share one runner. The test hammers Forward, Stats
+// and Entries from many goroutines under -race, then checks the
 // counters add up — a torn lookup/counter pair or a mutated memo entry
 // shows up as a count mismatch or a race report.
 func TestCachedRunnerConcurrencyContract(t *testing.T) {
@@ -41,31 +41,9 @@ func TestCachedRunnerConcurrencyContract(t *testing.T) {
 			var mySteps uint64
 			layers := uint64(len(net.Layers))
 			for i := 0; i < iters; i++ {
-				in := distinct[(g+i)%len(distinct)]
-				if g%2 == 0 {
-					out := cr.Forward(in)
-					mySteps += layers
-					requireBitEqual(t, "concurrent Forward", out, want[(g+i)%len(distinct)])
-				} else {
-					batch := []*tensor.Tensor{in, distinct[i%len(distinct)], in}
-					outs := cr.ForwardBatch(batch)
-					// One step per unique activation group per layer: the
-					// duplicated member never adds steps.
-					uniq := uint64(1)
-					if batch[1] != in {
-						uniq = 2
-					}
-					mySteps += uniq * layers
-					for bi, b := range batch {
-						wi := 0
-						for di, d := range distinct {
-							if d == b {
-								wi = di
-							}
-						}
-						requireBitEqual(t, "concurrent ForwardBatch", outs[bi], want[wi])
-					}
-				}
+				k := (g + i) % len(distinct)
+				mySteps += layers
+				requireBitEqual(t, "concurrent Forward", cr.Forward(distinct[k]), want[k])
 				cr.Stats()
 				cr.Entries()
 			}
@@ -83,8 +61,8 @@ func TestCachedRunnerConcurrencyContract(t *testing.T) {
 }
 
 // TestCachedRunnerStaysSynchronised fails if someone removes the mutex:
-// that would silently change the documented concurrent-use contract the
-// batch path relies on (and defeat go vet's copylocks guard). The inverse
+// that would silently change the documented concurrent-use contract
+// (and defeat go vet's copylocks guard). The inverse
 // of metrics.TestHistogramStaysUnsynchronised — these two types document
 // opposite contracts, and each test pins its own.
 func TestCachedRunnerStaysSynchronised(t *testing.T) {
@@ -96,7 +74,7 @@ func TestCachedRunnerStaysSynchronised(t *testing.T) {
 			return
 		}
 	}
-	t.Fatal("CachedRunner has no mutex field: it is documented safe for concurrent use by batch workers; restore the lock or rewrite the contract (and this test) deliberately")
+	t.Fatal("CachedRunner has no mutex field: it is documented safe for concurrent use; restore the lock or rewrite the contract (and this test) deliberately")
 }
 
 // TestCachedRunnerResetDuringTraffic verifies Reset can interleave with

@@ -326,6 +326,12 @@ func TestCachedRunnerHitsOnIdenticalInput(t *testing.T) {
 			t.Fatal("cached runner output diverges from plain forward")
 		}
 	}
+	// Outputs must not alias memo entries: mutating one cannot change a
+	// later run's result.
+	for i := range out2.Data {
+		out2.Data[i] = -99
+	}
+	requireBitEqual(t, "rerun after output mutation", cr.Forward(in), base)
 }
 
 func TestCachedRunnerDistinguishesInputs(t *testing.T) {

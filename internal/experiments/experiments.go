@@ -451,54 +451,6 @@ func RunFinegrained(p core.Params, poolSizes []int, requests int) *metrics.Table
 	return t
 }
 
-// RunBatch measures the batched DNN executor against serial dispatch:
-// batches of camera frames (every other frame a bit-identical duplicate,
-// the co-located-users workload batching targets) run through N serial
-// Forward passes and one ForwardBatch pass. Workers are pinned to one so
-// the speedup column is per-core algorithmic gain — blocked matmuls plus
-// intra-batch sharing — not parallelism.
-func RunBatch(p core.Params, batchSizes []int, rounds int) *metrics.Table {
-	t := metrics.NewTable("Batched DNN execution — serial vs ForwardBatch (per core)",
-		"batch", "rounds", "serial_ms", "batched_ms", "serial_fps", "batched_fps", "speedup")
-	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
-	net := dnn.NewEdgeNet(vision.ClassNames, p.DNNInput, p.Seed)
-	for _, bs := range batchSizes {
-		inputs := make([]*tensor.Tensor, bs)
-		for i := range inputs {
-			// Every other member duplicates the previous frame exactly —
-			// co-located users viewing the same object.
-			src := i
-			if i%2 == 1 {
-				src = i - 1
-			}
-			frame := vision.RenderObject(vision.Class(src%int(vision.NumClasses)), vision.CanonicalView(), 64, 64)
-			inputs[i] = vision.ToTensor(frame, p.DNNInput)
-		}
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			for _, in := range inputs {
-				net.Forward(in)
-			}
-		}
-		serial := time.Since(start)
-
-		start = time.Now()
-		for r := 0; r < rounds; r++ {
-			net.ForwardBatch(inputs)
-		}
-		batched := time.Since(start)
-
-		items := float64(bs * rounds)
-		t.AddRow(bs, rounds,
-			msCol(serial), msCol(batched),
-			fmt.Sprintf("%.1f", items/serial.Seconds()),
-			fmt.Sprintf("%.1f", items/batched.Seconds()),
-			fmt.Sprintf("%.2fx", float64(serial)/float64(batched)))
-	}
-	t.AddNote("single tensor worker; half of each batch duplicates the other half bit-exactly")
-	return t
-}
-
 // RunPanoStreaming measures the VR path: N users watching the same video
 // through one edge, CoIC vs Origin.
 func RunPanoStreaming(p core.Params, users, framesPerUser int) (*metrics.Table, error) {

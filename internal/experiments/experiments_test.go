@@ -144,10 +144,6 @@ func TestWallClockTableShapes(t *testing.T) {
 			"A-noisy — victim interactive latency under a competing tenant's flood (budget ",
 			[]string{"isolation", "victim_n", "p50_ms", "p99_ms", "over_budget", "victim_admitted", "noisy_admitted", "noisy_quota_rejected", "noisy_completed"},
 			[]string{"solo", "pooled", "fair", "quota"}},
-		{"batch", func() (*metrics.Table, error) { return RunBatch(p, []int{1, 2}, 1), nil },
-			"Batched DNN execution — serial vs ForwardBatch (per core)",
-			[]string{"batch", "rounds", "serial_ms", "batched_ms", "serial_fps", "batched_fps", "speedup"},
-			[]string{"1", "2"}},
 		{"scene", func() (*metrics.Table, error) { return RunSharedScene(p, []int{2, 3}, 2) },
 			"A-scene — shared-scene update propagation vs room size",
 			[]string{"members", "updates", "deliveries", "p50_ms", "p99_ms", "converged"},

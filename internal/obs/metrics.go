@@ -94,21 +94,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(int64(d))
 }
 
-// ObserveValue records one dimensionless sample — e.g. a batch size —
-// against the same bounds/count/sum machinery. Bounds are then plain
-// values rather than seconds, and the rendered _sum accumulates the
-// plain value (stored at nanosecond scale so the exposition path divides
-// it back out). Negative samples clamp to zero like Observe.
-func (h *Histogram) ObserveValue(v float64) {
-	if v < 0 {
-		v = 0
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(v * float64(time.Second)))
-}
-
 // Count reports the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

@@ -38,7 +38,6 @@ type serverConfig struct {
 	replication  int
 	workers      int
 	queueDepth   int
-	batch        int
 	fetchTimeout time.Duration
 	maxUpstream  int
 
@@ -133,16 +132,6 @@ func WithWorkers(n int) ServerOption {
 // when unset).
 func WithQueueDepth(n int) ServerOption {
 	return func(c *serverConfig) error { c.queueDepth = n; return nil }
-}
-
-// WithBatch lets a worker execute up to n compatible exec requests as
-// one batch (cloud: a single batched DNN pass; edge: concurrent
-// dispatch that coalesces identical descriptors). Zero or one disables
-// batching. A best-effort batch head waits up to 2ms (capped by its
-// deadline) for batchmates; an interactive head never waits. Batching
-// is server-local — the wire protocol and reply ordering are unchanged.
-func WithBatch(n int) ServerOption {
-	return func(c *serverConfig) error { c.batch = n; return nil }
 }
 
 // WithFetchTimeout bounds one edge→cloud fetch end to end, failing any
@@ -332,11 +321,6 @@ type ServerStats struct {
 	// the scheduler per service class.
 	AdmittedInteractive uint64
 	AdmittedBestEffort  uint64
-	// Batches counts multi-request batches executed (batches of one are
-	// not counted); BatchedRequests is the total requests they carried.
-	// Both are zero unless WithBatch enabled batching.
-	Batches         uint64
-	BatchedRequests uint64
 	// QuotaRejections is how many requests per-tenant admission quotas
 	// rejected, summed over tenants. Zero unless WithTenantQuota set a
 	// rate for some tenant.
@@ -397,8 +381,6 @@ func (s *Server) Stats() ServerStats {
 		DeadlineSheds:       sc.DeadlineSheds(),
 		AdmittedInteractive: sc.Admitted(QoSInteractive),
 		AdmittedBestEffort:  sc.Admitted(QoSBestEffort),
-		Batches:             sc.Batches(),
-		BatchedRequests:     sc.BatchedRequests(),
 		QuotaRejections:     sc.QuotaRejections(),
 		Tenants:             tenantStats(sc.TenantCounts()),
 	}
@@ -525,8 +507,6 @@ func (s *Server) Serve(ctx context.Context) error {
 func (s *Server) configureCore(sc *core.ServerCore) {
 	sc.Workers = s.cfg.workers
 	sc.QueueDepth = s.cfg.queueDepth
-	sc.Batch = s.cfg.batch
-	sc.BatchSlack = core.DefaultBatchSlack // inert unless Batch > 1
 	sc.Tenants = s.tenantPolicy()
 	sc.Obs = core.NewServerObs(s.reg, s.rlog)
 	s.registerSchedBridges(sc)

@@ -32,8 +32,6 @@ type StoreStats struct {
 	// Insertions / Evictions count store churn.
 	Insertions uint64
 	Evictions  uint64
-	// Deprecated: the edge cache has no expiry, so Expirations is always 0.
-	Expirations uint64
 }
 
 // QueryStats counts logical cache lookups — one outcome per query, which
