@@ -17,15 +17,24 @@ all: build
 build:
 	$(GO) build ./...
 
+# FMA_PKGS are the packages whose float results must be the same bits on
+# every GOARCH: EdgeNet's weights, camera frames and descriptors.
+FMA_PKGS := ./internal/xrand ./internal/tensor ./internal/dnn ./internal/feature ./internal/vision
+
 # lint = gofmt + go vet + an arm64 vet and build (the portable Go path
-# beside amd64 assembly) + explicit example builds + staticcheck (skipped
-# with a notice if the tool is not installed; CI always runs it).
+# beside amd64 assembly) + no fused multiply-add in FMA_PKGS' arm64 code
+# + explicit example builds + staticcheck (skipped with a notice if the
+# tool is not installed; CI always runs it).
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/dnn
 	GOARCH=arm64 $(GO) build ./...
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1 | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB'); \
+	if [ -n "$$out" ]; then \
+		echo "fused multiply-adds in the arm64 build (round each product apart: float32(a*b), float64(a*b)):"; \
+		echo "$$out"; exit 1; fi
 	$(GO) build ./examples/...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

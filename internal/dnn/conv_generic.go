@@ -11,10 +11,10 @@ func addRows4(d0, d1, d2, d3 []float32, w0, w1, w2, w3 float32, src []float32, g
 		r0, r1, r2, r3 := d0[at:][:n], d1[at:][:n], d2[at:][:n], d3[at:][:n]
 		x := src[oy*g.inW+g.x0+g.off:][:n]
 		for i, v := range x {
-			r0[i] += w0 * v
-			r1[i] += w1 * v
-			r2[i] += w2 * v
-			r3[i] += w3 * v
+			r0[i] += float32(w0 * v)
+			r1[i] += float32(w1 * v)
+			r2[i] += float32(w2 * v)
+			r3[i] += float32(w3 * v)
 		}
 	}
 }

@@ -164,12 +164,12 @@ func addTap(dst []float32, w float32, src []float32, g tapSpan) {
 		if g.stride == 1 {
 			x = x[:n]
 			for i, v := range x {
-				d[i] += w * v
+				d[i] += float32(w * v)
 			}
 			continue
 		}
 		for i := range d {
-			d[i] += w * x[i*g.stride]
+			d[i] += float32(w * x[i*g.stride])
 		}
 	}
 }
@@ -188,10 +188,10 @@ func addTap4(d0, d1, d2, d3 []float32, w0, w1, w2, w3 float32, src []float32, g 
 		x := src[oy*g.stride*g.inW+g.x0*g.stride+g.off:]
 		for i := range r0 {
 			v := x[i*g.stride]
-			r0[i] += w0 * v
-			r1[i] += w1 * v
-			r2[i] += w2 * v
-			r3[i] += w3 * v
+			r0[i] += float32(w0 * v)
+			r1[i] += float32(w1 * v)
+			r2[i] += float32(w2 * v)
+			r3[i] += float32(w3 * v)
 		}
 	}
 }

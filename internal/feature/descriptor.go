@@ -34,7 +34,7 @@ func NewVector(v []float32) Descriptor {
 	copy(c, v)
 	var n float64
 	for _, x := range c {
-		n += float64(x) * float64(x)
+		n += float64(float64(x) * float64(x)) // rounded apart: no FMA on any GOARCH
 	}
 	if n > 0 {
 		inv := float32(1 / math.Sqrt(n))
@@ -80,7 +80,7 @@ func L2Distance(a, b []float32) float64 {
 	var s float64
 	for i := range a {
 		d := float64(a[i]) - float64(b[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }

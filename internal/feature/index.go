@@ -137,7 +137,7 @@ func (l *LSH) signature(t int, vec []float32) uint64 {
 	for b, plane := range l.planes[t] {
 		var dot float32
 		for i, p := range plane {
-			dot += p * vec[i]
+			dot += float32(p * vec[i]) // rounded apart: no FMA on any GOARCH
 		}
 		if dot >= 0 {
 			sig |= 1 << uint(b)

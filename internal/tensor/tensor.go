@@ -127,7 +127,7 @@ func Dot(a, b *Tensor) float32 {
 	}
 	var s float32
 	for i := range a.Data {
-		s += a.Data[i] * b.Data[i]
+		s += float32(a.Data[i] * b.Data[i]) // rounded apart: no FMA on any GOARCH
 	}
 	return s
 }
@@ -136,7 +136,7 @@ func Dot(a, b *Tensor) float32 {
 func (t *Tensor) L2Norm() float32 {
 	var s float64
 	for _, v := range t.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return float32(math.Sqrt(s))
 }
@@ -199,7 +199,7 @@ func MatVec(w *Tensor, x *Tensor) *Tensor {
 		row := w.Data[o*in : (o+1)*in]
 		var s float32
 		for i, xv := range x.Data {
-			s += row[i] * xv
+			s += float32(row[i] * xv)
 		}
 		y.Data[o] = s
 	}

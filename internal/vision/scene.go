@@ -108,8 +108,12 @@ func RenderObject(c Class, v View, w, h int) *Frame {
 	bg, fg, accent := classPalette(c)
 	f.Fill(bg)
 
-	cx := float64(w)/2 + v.OffsetX*float64(w)
-	cy := float64(h)/2 + v.OffsetY*float64(h)
+	// Each float64(...) rounds a product (or a halving, which the
+	// compiler makes one) on its own, so no architecture fuses it into an
+	// add (an FMA rounds once): every GOARCH draws the same pixels.
+	fw, fh := float64(w), float64(h)
+	cx := float64(fw/2) + float64(v.OffsetX*fw)
+	cy := float64(fh/2) + float64(v.OffsetY*fh)
 	r := 0.3 * v.Scale * float64(min(w, h))
 	cosA, sinA := math.Cos(v.Angle), math.Sin(v.Angle)
 
@@ -136,7 +140,7 @@ func RenderObject(c Class, v View, w, h int) *Frame {
 			}
 		case ClassAvatar:
 			// Round head over triangular torso.
-			if u*u+(q+0.45)*(q+0.45) < 0.3*0.3 {
+			if sumSq(u, q+0.45) < 0.3*0.3 {
 				return true, accent
 			}
 			if q > -0.2 && q < 1 && math.Abs(u) < (q+0.2)*0.7 {
@@ -144,7 +148,7 @@ func RenderObject(c Class, v View, w, h int) *Frame {
 			}
 		case ClassTree:
 			// Canopy disc over a trunk.
-			if u*u+(q+0.25)*(q+0.25) < 0.65*0.65 {
+			if sumSq(u, q+0.25) < 0.65*0.65 {
 				return true, fg
 			}
 			if math.Abs(u) < 0.12 && q >= 0.2 && q < 1 {
@@ -164,8 +168,8 @@ func RenderObject(c Class, v View, w, h int) *Frame {
 			// Narrow housing with three stacked lamps.
 			if math.Abs(u) < 0.3 && math.Abs(q) < 1 {
 				for i, lamp := range []color.RGBA{{220, 50, 50, 255}, {230, 200, 50, 255}, {60, 200, 80, 255}} {
-					ly := -0.6 + float64(i)*0.6
-					if u*u+(q-ly)*(q-ly) < 0.2*0.2 {
+					ly := -0.6 + float64(float64(i)*0.6)
+					if sumSq(u, q-ly) < 0.2*0.2 {
 						return true, lamp
 					}
 				}
@@ -173,7 +177,7 @@ func RenderObject(c Class, v View, w, h int) *Frame {
 			}
 		case ClassPerson:
 			// Head over rectangular body.
-			if u*u+(q+0.6)*(q+0.6) < 0.25*0.25 {
+			if sumSq(u, q+0.6) < 0.25*0.25 {
 				return true, accent
 			}
 			if math.Abs(u) < 0.35 && q > -0.35 && q < 1 {
@@ -184,7 +188,7 @@ func RenderObject(c Class, v View, w, h int) *Frame {
 			if math.Abs(u) < 0.8 && math.Abs(q) < 0.35 {
 				return true, fg
 			}
-			if (u-0.8)*(u-0.8)+(q+0.25)*(q+0.25) < 0.3*0.3 {
+			if sumSq(u-0.8, q+0.25) < 0.3*0.3 {
 				return true, accent
 			}
 			if q >= 0.35 && q < 0.85 && (math.Abs(u-0.55) < 0.1 || math.Abs(u+0.55) < 0.1) {
@@ -198,8 +202,8 @@ func RenderObject(c Class, v View, w, h int) *Frame {
 		for x := 0; x < w; x++ {
 			// Frame coords -> object-local rotated coords.
 			dx, dy := float64(x)-cx, float64(y)-cy
-			u := (dx*cosA + dy*sinA) / r
-			q := (-dx*sinA + dy*cosA) / r
+			u := (float64(dx*cosA) + float64(dy*sinA)) / r
+			q := (float64(-dx*sinA) + float64(dy*cosA)) / r
 			if ok, col := inShape(u, q); ok {
 				f.Set(x, y, col)
 			}
@@ -210,6 +214,10 @@ func RenderObject(c Class, v View, w, h int) *Frame {
 	applyNoise(f, v.Noise, v.Seed)
 	return f
 }
+
+// sumSq is a*a + b*b with each product rounded on its own (see
+// RenderObject).
+func sumSq(a, b float64) float64 { return float64(a*a) + float64(b*b) }
 
 func applyBrightness(f *Frame, b float64) {
 	if b == 1 || b <= 0 {

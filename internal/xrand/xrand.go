@@ -57,9 +57,11 @@ func (r *RNG) Uint64() uint64 {
 // Uint32 returns the next 32 uniformly distributed bits.
 func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
-// Float64 returns a uniform value in [0, 1).
+// Float64 returns a uniform value in [0, 1). The outer conversion keeps
+// the scaling, which the compiler turns into a multiply, from fusing into
+// a caller's add once inlined (see NormFloat64).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
@@ -72,7 +74,7 @@ func (r *RNG) Intn(n int) int {
 
 // Range returns a uniform float64 in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // NormFloat64 returns a standard normal variate (Box-Muller).
@@ -83,9 +85,12 @@ func (r *RNG) NormFloat64() float64 {
 	}
 	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		// Each float64(...) rounds a product on its own, so no
+		// architecture fuses it into the add (an FMA rounds once): the
+		// draws, and every weight built from them, match on all GOARCHes.
+		u = float64(2*r.Float64()) - 1
+		v = float64(2*r.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
