@@ -809,23 +809,9 @@ func runQoSRow(p core.Params, t *metrics.Table, name string, load, qos bool, int
 // requests carry no wire deadline, so p99 reflects true service time,
 // never an early shed).
 func RunNoisyNeighbor(p core.Params, victimN int, budget time.Duration) (*metrics.Table, error) {
-	t := metrics.NewTable(
-		fmt.Sprintf("A-noisy — victim interactive latency under a competing tenant's flood (budget %v)", budget),
-		"isolation", "victim_n", "p50_ms", "p99_ms", "over_budget",
-		"victim_admitted", "noisy_admitted", "noisy_quota_rejected", "noisy_completed")
-	rows := []struct {
-		name    string
-		load    bool // run the noisy tenant's flood
-		tenants bool // authenticate tenants and weight the upstream gate
-		quota   bool // rate-limit the noisy tenant's admission
-	}{
-		{"solo", false, true, false},
-		{"pooled", true, false, false},
-		{"fair", true, true, false},
-		{"quota", true, true, true},
-	}
-	for _, row := range rows {
-		if err := runNoisyRow(p, t, row.name, row.load, row.tenants, row.quota, victimN, budget); err != nil {
+	t := newNoisyTable(budget)
+	for _, row := range noisyRows {
+		if err := runNoisyRow(p, t, row, victimN, budget); err != nil {
 			return nil, err
 		}
 	}
@@ -835,18 +821,42 @@ func RunNoisyNeighbor(p core.Params, victimN int, budget time.Duration) (*metric
 	return t, nil
 }
 
-func runNoisyRow(p core.Params, t *metrics.Table, name string, load, tenants, quota bool, victimN int, budget time.Duration) error {
+// noisyRow is one isolation setting of the noisy-neighbour table.
+type noisyRow struct {
+	name    string
+	load    bool // run the noisy tenant's flood
+	tenants bool // authenticate tenants and weight the upstream gate
+	quota   bool // rate-limit the noisy tenant's admission
+}
+
+// noisyRows are the table's rows in order; the first, solo, is the
+// uncontended floor the others are read against.
+var noisyRows = []noisyRow{
+	{"solo", false, true, false},
+	{"pooled", true, false, false},
+	{"fair", true, true, false},
+	{"quota", true, true, true},
+}
+
+func newNoisyTable(budget time.Duration) *metrics.Table {
+	return metrics.NewTable(
+		fmt.Sprintf("A-noisy — victim interactive latency under a competing tenant's flood (budget %v)", budget),
+		"isolation", "victim_n", "p50_ms", "p99_ms", "over_budget",
+		"victim_admitted", "noisy_admitted", "noisy_quota_rejected", "noisy_completed")
+}
+
+func runNoisyRow(p core.Params, t *metrics.Table, row noisyRow, victimN int, budget time.Duration) error {
 	// Eight workers per connection let the flood actually reach the
 	// upstream gate concurrently; three slots make the gate — not the
 	// per-connection pool — the contended resource, as it is when many
 	// connections share one uplink.
 	serverOpts := []coic.ServerOption{coic.WithWorkers(8), coic.WithMaxUpstream(3)}
-	if tenants {
+	if row.tenants {
 		serverOpts = append(serverOpts,
 			coic.WithTenantQuota("victim", coic.TenantConfig{Weight: 4}),
 			coic.WithTenantQuota("noisy", coic.TenantConfig{Weight: 1}))
 	}
-	if quota {
+	if row.quota {
 		serverOpts = append(serverOpts,
 			coic.WithTenantQuota("noisy", coic.TenantConfig{Rate: 10, Burst: 2, Weight: 1}))
 	}
@@ -858,7 +868,7 @@ func runNoisyRow(p core.Params, t *metrics.Table, name string, load, tenants, qu
 
 	victimTenant, noisyTenant := coic.DefaultTenant, coic.DefaultTenant
 	var victimDial, noisyDial []coic.DialOption
-	if tenants {
+	if row.tenants {
 		victimTenant, noisyTenant = "victim", "noisy"
 		victimDial = append(victimDial, coic.WithTenant("victim", ""))
 		noisyDial = append(noisyDial, coic.WithTenant("noisy", ""))
@@ -875,11 +885,11 @@ func runNoisyRow(p core.Params, t *metrics.Table, name string, load, tenants, qu
 	if _, _, err := h.paced(victim, 1, 0, func(int) coic.Request {
 		return coic.PanoTask("noisy-warm", 0, coic.Viewport{FOV: 1.6})
 	}); err != nil {
-		return fmt.Errorf("experiments: noisy row %s warmup: %w", name, err)
+		return fmt.Errorf("experiments: noisy row %s warmup: %w", row.name, err)
 	}
 
 	stopBG := noFlood
-	if load {
+	if row.load {
 		noisy, err := h.dial(noisyDial...)
 		if err != nil {
 			return err
@@ -897,12 +907,12 @@ func runNoisyRow(p core.Params, t *metrics.Table, name string, load, tenants, qu
 		return coic.PanoTask("noisy-fg", i, coic.Viewport{FOV: 1.6}).WithQoS(coic.QoSInteractive)
 	})
 	if err != nil {
-		return fmt.Errorf("experiments: noisy row %s: %w", name, err)
+		return fmt.Errorf("experiments: noisy row %s: %w", row.name, err)
 	}
 
 	bgCompleted := stopBG() // drain the flood so noisy_completed is final
 	stats := h.edge.Stats()
-	t.AddRow(name, victimN,
+	t.AddRow(row.name, victimN,
 		msCol(hist.Median()), msCol(hist.P99()), over,
 		stats.Tenants[victimTenant].AdmittedInteractive,
 		stats.Tenants[noisyTenant].AdmittedBestEffort,
