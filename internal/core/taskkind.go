@@ -108,11 +108,16 @@ var taskKinds = [...]taskKind{
 			return req.Task, req.Desc, err
 		},
 		compute: func(cloud *Cloud, o *ServerObs, body []byte) ([]byte, time.Duration, uint16, error) {
-			frame, err := recognizePayload(o, body)
+			decodeStart := time.Now()
+			req, err := wire.UnmarshalExecRequest(body)
+			o.observeDecode(time.Since(decodeStart))
 			if err != nil {
-				return nil, 0, wire.CodeBadRequest, err
+				return nil, 0, wire.CodeBadRequest, fmt.Errorf("bad exec: %v", err)
 			}
-			result, cost, err := cloud.Recognize(frame)
+			if req.Task != wire.TaskRecognize {
+				return nil, 0, wire.CodeBadRequest, fmt.Errorf("cloud exec supports recognition only, got %v", req.Task)
+			}
+			result, cost, err := cloud.Recognize(req.Payload)
 			if err != nil {
 				return nil, 0, wire.CodeInternal, fmt.Errorf("recognize: %w", err)
 			}
@@ -257,18 +262,3 @@ func (k *taskKind) replyWith(reqID uint64, source uint8, payload []byte) wire.Me
 // the body's layout alone: what virtual time charges a link for the
 // reply, without building it.
 func (k *taskKind) replySize(payload []byte) int { return wire.HeaderSize + k.size(payload) }
-
-// recognizePayload decodes an exec request down to the camera frame the
-// cloud is to recognise.
-func recognizePayload(o *ServerObs, body []byte) ([]byte, error) {
-	decodeStart := time.Now()
-	req, err := wire.UnmarshalExecRequest(body)
-	o.observeDecode(time.Since(decodeStart))
-	if err != nil {
-		return nil, fmt.Errorf("bad exec: %v", err)
-	}
-	if req.Task != wire.TaskRecognize {
-		return nil, fmt.Errorf("cloud exec supports recognition only, got %v", req.Task)
-	}
-	return req.Payload, nil
-}
