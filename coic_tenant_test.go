@@ -1,13 +1,14 @@
 package coic
 
-// Multi-tenant tests at the public surface: legacy-hello interop (a
-// pre-tenant client against a tenant-aware edge) and token
+// Multi-tenant tests at the public surface: a tenantless hello against a
+// tenant-aware edge, the hellos the edge refuses, and token
 // authentication on the handshake. All run under -race in CI. The
 // fairness ablation's ordering is pinned in internal/experiments.
 
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -15,15 +16,12 @@ import (
 	"github.com/edge-immersion/coic/internal/wire"
 )
 
-// TestLegacyHelloRunsAsDefaultTenant speaks the pre-tenant wire protocol
-// by hand — a version-0 one-byte hello, then a pano fetch — against an
-// edge with tenants configured, and asserts the connection runs as the
-// default tenant with its traffic admitted and accounted there.
-func TestLegacyHelloRunsAsDefaultTenant(t *testing.T) {
-	p := testParams()
+// startTenantEdge serves a cloud and an edge on which tenant "victim"
+// needs a token, until the test ends.
+func startTenantEdge(t *testing.T, p Params) (*Server, string) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
+	t.Cleanup(cancel)
 	cloudLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -41,26 +39,30 @@ func TestLegacyHelloRunsAsDefaultTenant(t *testing.T) {
 		WithTenantQuota("victim", TenantConfig{Token: "tok", Weight: 4}),
 	)
 	go edge.Serve(ctx)
+	return edge, edgeLn.Addr().String()
+}
 
-	conn, err := net.Dial("tcp", edgeLn.Addr().String())
+// TestTenantlessHelloRunsAsDefaultTenant speaks the wire protocol by hand
+// — a structured hello naming no tenant, then a pano fetch — against an
+// edge with tenants configured, and asserts the connection runs as the
+// default tenant with its traffic admitted and accounted there.
+func TestTenantlessHelloRunsAsDefaultTenant(t *testing.T) {
+	edge, addr := startTenantEdge(t, testParams())
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 
-	// The legacy preamble: exactly the bytes a pre-tenant client sent.
-	helloBody, err := wire.Hello{Version: 0, Mode: wire.HelloModeCoIC}.Marshal()
+	helloBody, err := wire.Hello{Version: wire.HelloVersion, Mode: wire.HelloModeCoIC}.Marshal()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(helloBody) > 2 {
-		t.Fatalf("legacy hello body is %d bytes, want the old 0-2 byte form", len(helloBody))
 	}
 	if err := wire.WriteMessage(conn, wire.Message{Type: wire.MsgHello, RequestID: 1, Body: helloBody}); err != nil {
 		t.Fatal(err)
 	}
-	fetch, err := wire.PanoFetch{VideoID: "legacy-vid", FrameIndex: 3}.Marshal()
+	fetch, err := wire.PanoFetch{VideoID: "tenantless-vid", FrameIndex: 3}.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,45 @@ func TestLegacyHelloRunsAsDefaultTenant(t *testing.T) {
 	stats := edge.Stats()
 	def := stats.Tenants[DefaultTenant]
 	if def.AdmittedBestEffort+def.AdmittedInteractive == 0 {
-		t.Fatalf("legacy connection's traffic not accounted to %q: %+v", DefaultTenant, stats.Tenants)
+		t.Fatalf("tenantless connection's traffic not accounted to %q: %+v", DefaultTenant, stats.Tenants)
+	}
+}
+
+// TestBadFirstHelloClosesConnection: a first hello the edge refuses is
+// answered CodeBadRequest and the connection closes before any request
+// is served. That covers the retired 1-byte version-0 hello, and a hello
+// with a wrong token whose unknown mode would otherwise be refused
+// without closing.
+func TestBadFirstHelloClosesConnection(t *testing.T) {
+	_, addr := startTenantEdge(t, testParams())
+	structured, err := wire.Hello{Version: wire.HelloVersion, Mode: 7, Tenant: "victim", Token: "guess"}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"version-0":               {wire.HelloModeCoIC},
+		"unknown mode, bad token": structured,
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := wire.WriteMessage(conn, wire.Message{Type: wire.MsgHello, RequestID: 1, Body: body}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := wire.ReadMessage(conn)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		er, err := wire.UnmarshalErrorReply(reply.Body)
+		if reply.Type != wire.MsgError || err != nil || er.Code != wire.CodeBadRequest {
+			t.Fatalf("%s: hello answered %v %+v (%v), want CodeBadRequest", name, reply.Type, er, err)
+		}
+		if m, err := wire.ReadMessage(conn); err != io.EOF {
+			t.Fatalf("%s: after the refusal read %v, %v; want EOF", name, m.Type, err)
+		}
 	}
 }
 

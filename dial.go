@@ -59,8 +59,7 @@ func WithClientID(id int) DialOption {
 // claim travels in the versioned hello and the server validates it
 // before serving any request: a bad token fails NewClient with the
 // server's error. Connections without WithTenant run as the server's
-// default tenant, which is also where every legacy (pre-hello-v1)
-// client lands — so tenanted and tenantless clients share one edge.
+// default tenant, so tenanted and tenantless clients share one edge.
 // The token is required only for tenants the server configured with
 // one (TenantConfig.Token); pass "" otherwise.
 func WithTenant(id, token string) DialOption {
@@ -106,7 +105,7 @@ func NewClient(ctx context.Context, edgeAddr string, opts ...DialOption) (*Clien
 	if err != nil {
 		return nil, err
 	}
-	mux, err := core.DialMuxEdgeTenant(ctx, edgeAddr, core.NewClient(cfg.clientID, cfg.params), cfg.mode, wrap,
+	mux, err := core.DialMuxEdge(ctx, edgeAddr, core.NewClient(cfg.clientID, cfg.params), cfg.mode, wrap,
 		cfg.tenant, cfg.tenantToken)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/edge-immersion/coic/internal/scene"
@@ -12,13 +11,15 @@ import (
 )
 
 // conn serves one connection with the reader → priority scheduler →
-// worker pool → ordered writer topology. MsgHello is handled inline on
-// the reader (its mode switch must stay ordered with the requests around
-// it), and so is MsgCancel (it must observe the registration of every
-// request read before it); every other message is admitted to the
-// schedQueue with its QoS class and wall-clock deadline peeked off the
-// wire, and workers pop strictly by class, then deficit-round-robin
-// across tenants within the class, then earliest-deadline-first. A
+// worker pool → writer topology. The writer sends each reply when it
+// completes; clients match replies to requests by RequestID. MsgHello is
+// handled inline on the reader (its mode switch must stay ordered with
+// the requests around it), and so is MsgCancel (it must observe the
+// registration of every request read before it); every other message is
+// admitted to the schedQueue with its QoS class and wall-clock deadline
+// peeked off the wire, and workers pop strictly by class, then
+// deficit-round-robin across tenants within the class, then
+// earliest-deadline-first. A
 // request whose deadline passes while queued is shed with
 // CodeDeadlineExceeded before any worker executes it. When the queue is
 // full of live work, the request is rejected with CodeOverloaded instead
@@ -26,14 +27,15 @@ import (
 // expired queued work is evicted first to make room.
 //
 // The server's Tenants policy (nil = open) governs the connection's
-// tenant identity: the first hello frame authenticates a tenant onto the
-// connection (structured hellos carry an explicit claim; legacy and
-// absent hellos run as DefaultTenant), a failed authentication answers
-// CodeBadRequest and closes the connection, and each subsequent request
-// spends a token from the tenant's bucket before entering the scheduler —
-// an empty bucket answers CodeQuotaExceeded without queueing. Peer
-// federation frames are quota-exempt: they spend another edge's client
-// budget, not this tenant's.
+// tenant identity: the connection's first frame must be a structured
+// hello, which authenticates a tenant onto the connection (an empty claim
+// runs as DefaultTenant); any other first frame, an undecodable hello or
+// a failed authentication answers CodeBadRequest and closes the
+// connection, and each subsequent request spends a token from the
+// tenant's bucket before entering the scheduler — an empty bucket
+// answers CodeQuotaExceeded without queueing. Peer federation frames are
+// quota-exempt: they spend another edge's client budget, not this
+// tenant's.
 //
 // Admissions, deadline sheds, overloads and quota rejections count into
 // the server's ledger; its Obs (nil-safe) feeds the live metrics plane —
@@ -66,24 +68,13 @@ type conn struct {
 	cancelMu sync.Mutex
 	cancels  map[uint64]context.CancelFunc
 
-	sched   *schedQueue
-	replies chan sequencedReply
-	// slots bounds replies outstanding anywhere in the pipeline — being
-	// processed, queued, or parked out-of-order in the reorder buffer.
-	// The reader acquires one per request and the writer releases one per
-	// reply flushed, so when the head-of-line request stalls (a slow
-	// fetch), a fast sender is eventually blocked at the reader (TCP
-	// backpressure) instead of growing the reorder buffer without bound
-	// on overload replies. The headroom beyond the admission budget is
-	// what keeps overload shedding responsive while the pool is merely
-	// full.
-	slots chan struct{}
-
-	// unordered is set by the connection's first hello frame
-	// (HelloFlagUnordered): clients that match replies by RequestID skip
-	// the reorder buffer, so a completed interactive reply is never
-	// head-of-line blocked behind a queued best-effort one.
-	unordered atomic.Bool
+	sched *schedQueue
+	// replies carries every answer to the writer. Its capacity, one more
+	// than the admission budget, and the scheduler's depth bound the
+	// pipeline: when the client stops reading, the writer blocks on the
+	// socket, then the workers and the reader's refusals block here, and
+	// TCP backpressure reaches the sender.
+	replies chan reply
 
 	// id and outbox are the connection's scene identity: the registry
 	// addresses pushes to the outbox, and the writer drains it.
@@ -91,11 +82,10 @@ type conn struct {
 	outbox *pushOutbox
 
 	// Reader-owned: the execution mode and tenant the next request is
-	// admitted under, the arrival sequence number of the last frame, and
-	// the pooled buffer the frame being read was given (see takeFrame).
+	// admitted under, and the pooled buffer the frame being read was
+	// given (see takeFrame).
 	mode   Mode
 	tenant string
-	seq    uint64
 	frame  *[]byte
 }
 
@@ -133,13 +123,6 @@ var replyPool sync.Pool
 type reply struct {
 	msg  wire.Message
 	body *[]byte
-}
-
-// sequencedReply pairs a reply with the arrival sequence number of the
-// request it answers.
-type sequencedReply struct {
-	seq uint64
-	reply
 }
 
 // packReply frames payload as k's answer to request reqID. A body of at
@@ -188,8 +171,7 @@ func (s *ServerCore) newConn(nc net.Conn, t tier, scenes *scene.Registry) *conn 
 		workers: workers, budget: workers + depth,
 		cancels: map[uint64]context.CancelFunc{},
 		sched:   newSchedQueueWeighted(depth, s.Tenants.Weight),
-		replies: make(chan sequencedReply, workers+depth+1),
-		slots:   make(chan struct{}, 2*(workers+depth)),
+		replies: make(chan reply, workers+depth+1),
 		id:      nextConnID.Add(1),
 		outbox:  newPushOutbox(),
 		mode:    ModeCoIC,
@@ -250,28 +232,19 @@ func (c *conn) serve(ctx context.Context) {
 	<-writerDone
 }
 
-// write is the connection's writer. Ordering contract: exactly ONE
-// goroutine — this one — ever writes to the socket or touches the
-// ReplyBuffer (which panics on misuse; see wire/sequence.go). It serves
-// two producers:
+// write is the connection's writer: exactly ONE goroutine — this one —
+// ever writes to the socket. It serves two producers:
 //
-//  1. In-order replies: the reader acquires a slot per request, and emit
-//     releases one per reply written, and the reply's pooled body with
-//     it. Ordered connections flow through the ReplyBuffer; unordered
-//     ones emit on completion.
+//  1. Replies, in the order they complete; each reply's pooled body is
+//     released once it is written.
 //  2. Scene pushes: server-minted frames enqueued on the outbox by any
-//     room member's publish. They consume NO slot (there is no request
-//     behind them) and never enter the ReplyBuffer (they have no seq).
-//     They are only ever sent on unordered connections — dispatchScene
-//     refuses joins without the flag — so interleaving them between
-//     reply frames cannot desynchronize a positional client.
+//     room member's publish, with no request behind them.
 //
 // Because both producers funnel through this single goroutine, frames
 // stay whole on the wire: a push can land between two replies, never
 // inside one.
 func (c *conn) write() {
 	obsv := c.srv.Obs
-	buf := wire.NewReplyBuffer[reply](1)
 	dead := false
 	write := func(m wire.Message) bool {
 		if dead {
@@ -286,27 +259,17 @@ func (c *conn) write() {
 		}
 		return true
 	}
-	emit := func(r reply) {
-		<-c.slots
-		start := time.Now()
-		if write(r.msg) {
-			obsv.observeReplyWrite(time.Since(start))
-		}
-		c.srv.releaseReply(r)
-	}
 	for {
 		select {
 		case r, ok := <-c.replies:
 			if !ok {
 				return
 			}
-			if c.unordered.Load() {
-				emit(r.reply)
-				continue
+			start := time.Now()
+			if write(r.msg) {
+				obsv.observeReplyWrite(time.Since(start))
 			}
-			for _, m := range buf.Add(r.seq, r.reply) {
-				emit(m)
-			}
+			c.srv.releaseReply(r)
 		case <-c.outbox.wake:
 			for _, p := range c.outbox.drain() {
 				if write(p.msg) {
@@ -317,10 +280,9 @@ func (c *conn) write() {
 	}
 }
 
-// answer hands the writer m, the reply to the frame that arrived seq-th,
-// whose body is not pooled.
-func (c *conn) answer(seq uint64, m wire.Message) {
-	c.replies <- sequencedReply{seq: seq, reply: reply{msg: m}}
+// answer hands the writer m, a reply whose body is not pooled.
+func (c *conn) answer(m wire.Message) {
+	c.replies <- reply{msg: m}
 }
 
 // finishJob releases a job's cancel registration and pooled frame,
@@ -333,12 +295,11 @@ func (c *conn) finishJob(j schedJob, r reply) {
 	j.finish()
 	c.srv.Obs.request(j.tenant, j.class, j.msg, j.trace, r.msg, time.Since(j.admitted))
 	c.releaseFrame(j.frame)
-	c.replies <- sequencedReply{seq: j.seq, reply: r}
+	c.replies <- r
 }
 
 // shed answers a job whose wall-clock deadline passed while it was
-// queued: no worker executed it, no upstream fetch was issued, and the
-// reply keeps its place in the connection's reply order.
+// queued: no worker executed it and no upstream fetch was issued.
 func (c *conn) shed(j schedJob) {
 	c.srv.sheds.Add(1)
 	c.finishJob(j, reply{msg: errorReply(j.msg.RequestID, wire.CodeDeadlineExceeded,
@@ -390,10 +351,12 @@ func (c *conn) work() {
 }
 
 // read is the connection's reader, until the connection closes, a frame
-// is corrupt, the shutdown deadline fires or a hello is fatally refused.
+// is corrupt, the shutdown deadline fires, the first frame is not a hello
+// or a hello is fatally refused.
 func (c *conn) read() {
 	rd := wire.NewReader(c.nc)
 	take := c.takeFrame // one method value, not one per frame
+	helloed := false
 	for {
 		msg, err := rd.ReadMessageInto(take)
 		frame := c.frame
@@ -402,13 +365,17 @@ func (c *conn) read() {
 			c.releaseFrame(frame)
 			return
 		}
-		c.slots <- struct{}{}
-		c.seq++
+		if !helloed && msg.Type != wire.MsgHello {
+			c.releaseFrame(frame)
+			c.answer(errorReply(msg.RequestID, wire.CodeBadRequest, "the first frame must be a hello, not %v", msg.Type))
+			return
+		}
 		switch msg.Type {
 		case wire.MsgHello:
-			if !c.hello(msg) {
+			if !c.hello(msg, !helloed) {
 				return
 			}
+			helloed = true
 		case wire.MsgCancel:
 			c.cancelRequest(msg)
 		default:
@@ -449,38 +416,36 @@ func (c *conn) releaseFrame(p *[]byte) {
 	framePool.Put(p)
 }
 
-// hello applies a hello frame and acks it; false means the preamble was
-// refused and the connection must be dropped.
+// hello applies a hello frame and acks it; false means the hello was
+// refused and the connection must be dropped. first marks the
+// connection's first frame.
 //
-// Every hello is a mode switch, in either direction. Tenant identity and
-// the unordered-replies flag are only honoured on the very first frame:
-// rebinding the tenant mid-connection would let a throttled tenant
-// launder requests through a cheap re-hello, and flipping the reply order
-// could strand replies parked in the reorder buffer.
-func (c *conn) hello(msg wire.Message) bool {
+// Every hello is a mode switch, in either direction. Tenant identity is
+// only bound on the first frame, before its mode is looked at, so that a
+// first hello naming an unknown mode cannot skip authentication; rebinding
+// the tenant mid-connection would let a throttled tenant launder requests
+// through a cheap re-hello.
+func (c *conn) hello(msg wire.Message, first bool) bool {
 	h, err := wire.UnmarshalHello(msg.Body)
 	if err != nil {
-		c.answer(c.seq, errorReply(msg.RequestID, wire.CodeBadRequest, "bad hello: %v", err))
+		c.answer(errorReply(msg.RequestID, wire.CodeBadRequest, "bad hello: %v", err))
 		return false // the preamble is garbage
 	}
-	if h.Mode != wire.HelloModeOrigin && h.Mode != wire.HelloModeCoIC {
-		// Refused, not fatal: the connection keeps the mode it had.
-		c.answer(c.seq, errorReply(msg.RequestID, wire.CodeBadRequest, "hello: unknown mode %d", h.Mode))
-		return true
-	}
-	if c.seq == 1 {
+	if first {
 		tenant, err := c.srv.Tenants.Authenticate(h.Tenant, h.Token)
 		if err != nil {
-			c.answer(c.seq, errorReply(msg.RequestID, wire.CodeBadRequest, "hello rejected: %v", err))
+			c.answer(errorReply(msg.RequestID, wire.CodeBadRequest, "hello rejected: %v", err))
 			return false // unauthenticated connections do not proceed
 		}
 		c.tenant = tenant
-		if h.Flags&wire.HelloFlagUnordered != 0 {
-			c.unordered.Store(true)
-		}
+	}
+	if h.Mode != wire.HelloModeOrigin && h.Mode != wire.HelloModeCoIC {
+		// Refused, not fatal: the connection keeps the mode it had.
+		c.answer(errorReply(msg.RequestID, wire.CodeBadRequest, "hello: unknown mode %d", h.Mode))
+		return true
 	}
 	c.mode = Mode(h.Mode) // the wire's mode bytes are core.Mode's values
-	c.answer(c.seq, wire.Message{Type: wire.MsgHello, RequestID: msg.RequestID})
+	c.answer(wire.Message{Type: wire.MsgHello, RequestID: msg.RequestID})
 	return true
 }
 
@@ -496,11 +461,11 @@ func (c *conn) cancelRequest(msg wire.Message) {
 			cancel()
 		}
 	}
-	c.answer(c.seq, wire.Message{Type: wire.MsgCancel, RequestID: msg.RequestID})
+	c.answer(wire.Message{Type: wire.MsgCancel, RequestID: msg.RequestID})
 }
 
 // admit offers one request to its tenant's token bucket and then the
-// scheduler; a refusal by either is answered in the request's reply slot.
+// scheduler; a refusal by either is answered at once.
 // frame, the pooled buffer msg.Body lives in (or nil), goes with the job,
 // or back to the pool on a refusal.
 func (c *conn) admit(msg wire.Message, frame *[]byte) {
@@ -537,7 +502,7 @@ func (c *conn) admit(msg wire.Message, frame *[]byte) {
 		finish()
 		obsv.request(tenant, class, msg, trace, m, 0)
 		c.releaseFrame(frame)
-		c.answer(c.seq, m)
+		c.answer(m)
 	}
 	// Per-tenant rationing runs before global admission: a request the
 	// tenant's token bucket rejects never competes for queue room.
@@ -548,12 +513,12 @@ func (c *conn) admit(msg wire.Message, frame *[]byte) {
 		return
 	}
 	evicted, ok := c.sched.push(schedJob{
-		seq: c.seq, msg: msg, frame: frame, mode: c.mode, ctx: jctx, finish: finish,
+		msg: msg, frame: frame, mode: c.mode, ctx: jctx, finish: finish,
 		class: class, deadline: deadline, tenant: tenant,
 		admitted: time.Now(), trace: trace,
 	})
-	// Expired queued work evicted to make room answers in its own
-	// reply slot; it never reaches a worker.
+	// Expired queued work evicted to make room is answered here; it
+	// never reaches a worker.
 	for _, j := range evicted {
 		c.shed(j)
 	}

@@ -162,28 +162,6 @@ func holdFirst() (hold func(int), release func()) {
 		}
 }
 
-// unorderedEdgeConn dials addr and says a CoIC hello asking for replies
-// in completion order, so a test reads them by RequestID.
-func unorderedEdgeConn(t *testing.T, addr string) net.Conn {
-	t.Helper()
-	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { nc.Close() })
-	body, err := (wire.Hello{Version: wire.HelloVersion, Mode: wire.HelloModeCoIC, Flags: wire.HelloFlagUnordered}).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteMessage(nc, wire.Message{Type: wire.MsgHello, RequestID: 1 << 40, Body: body}); err != nil {
-		t.Fatal(err)
-	}
-	if ack, err := wire.ReadMessage(nc); err != nil || ack.Type != wire.MsgHello {
-		t.Fatalf("hello ack = %v, %v", ack.Type, err)
-	}
-	return nc
-}
-
 // send writes msgs to nc in order.
 func send(t *testing.T, nc net.Conn, msgs ...wire.Message) {
 	t.Helper()
@@ -194,7 +172,8 @@ func send(t *testing.T, nc net.Conn, msgs ...wire.Message) {
 	}
 }
 
-// readReplies reads n frames from nc, keyed by RequestID.
+// readReplies reads n frames from nc, keyed by RequestID; a request
+// answered twice fails the test.
 func readReplies(t *testing.T, nc net.Conn, n int) map[uint64]wire.Message {
 	t.Helper()
 	nc.SetReadDeadline(time.Now().Add(20 * time.Second))
@@ -204,6 +183,9 @@ func readReplies(t *testing.T, nc net.Conn, n int) map[uint64]wire.Message {
 		m, err := wire.ReadMessage(nc)
 		if err != nil {
 			t.Fatalf("after %d of %d replies: %v", len(got), n, err)
+		}
+		if _, dup := got[m.RequestID]; dup {
+			t.Fatalf("request %d answered twice", m.RequestID)
 		}
 		got[m.RequestID] = m
 	}
@@ -265,14 +247,14 @@ func TestPooledFrameOutlivesDepartingLeader(t *testing.T) {
 	msgB := msgA
 	msgB.RequestID = 30
 
-	c := unorderedEdgeConn(t, addr)
+	c := rawEdgeConn(t, addr, ModeCoIC)
 	send(t, c, blocker)
 	waitFor(t, "the cloud to hold the first fetch", func() bool { return len(received()) == 1 })
 
-	a := unorderedEdgeConn(t, addr)
+	a := rawEdgeConn(t, addr, ModeCoIC)
 	send(t, a, msgA)
 	waitFor(t, "A to lead a flight", func() bool { return es.Edge.Inflight().Len() == 2 })
-	b := unorderedEdgeConn(t, addr)
+	b := rawEdgeConn(t, addr, ModeCoIC)
 	send(t, b, msgB)
 	waitFor(t, "B to join A's flight", func() bool { return es.Edge.Inflight().Stats().Coalesced == 1 })
 
@@ -328,7 +310,7 @@ func TestPooledFrameReleasedOnceOnEveryPath(t *testing.T) {
 		es := &EdgeServer{Edge: NewEdge(p), CloudAddr: cloudAddr}
 		tune(es)
 		es.frames = ledger.hooks()
-		return es, unorderedEdgeConn(t, serveEdge(t, es)), ledger, received, release
+		return es, rawEdgeConn(t, serveEdge(t, es), ModeCoIC), ledger, received, release
 	}
 
 	t.Run("served", func(t *testing.T) {

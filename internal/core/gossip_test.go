@@ -389,10 +389,7 @@ func TestMembershipFramesRejectedWithoutGossip(t *testing.T) {
 	srv := &EdgeServer{Edge: NewEdge(p)}
 	go srv.Serve(ln)
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := rawEdgeConn(t, ln.Addr().String(), ModeCoIC)
 	defer conn.Close()
 	body, err := (wire.Membership{From: "stranger:1", Epoch: 1}).Marshal()
 	if err != nil {
@@ -420,10 +417,7 @@ func TestMembershipFrameAnsweredWithAck(t *testing.T) {
 	go (&CloudServer{Cloud: NewCloud(p)}).Serve(cloudLn)
 	g := startGossipEdge(t, p, cloudLn.Addr().String(), nil, 1)
 
-	conn, err := net.Dial("tcp", g.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := rawEdgeConn(t, g.addr, ModeCoIC)
 	defer conn.Close()
 	body, err := (wire.Membership{
 		From:    "newcomer:1",

@@ -19,9 +19,10 @@ var ErrConnClosed = errors.New("core: connection closed")
 // client→edge (MuxClient), edge→cloud and edge↔edge. Any number of calls
 // ride one TCP stream concurrently; a read loop per connection
 // generation matches replies to waiters by RequestID. A generation opens
-// with a HelloFlagUnordered hello — matching by ID, the link must never
-// have a finished reply held behind an earlier slow one — whose ack is
-// awaited and whose rejection is the dial error.
+// with a hello whose ack is awaited and whose rejection is the dial
+// error. The hello sets HelloFlagUnordered, which current servers ignore
+// and older ones needed before they would write replies in completion
+// order.
 //
 // Failure policy: a call that times out retires the whole generation (a
 // hung far end must not wedge the calls queued behind it — they all fail

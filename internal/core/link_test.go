@@ -290,7 +290,7 @@ func TestLinkRejectedHelloSurfacesAsDialError(t *testing.T) {
 		}
 	}
 
-	_, err := DialMuxEdge(context.Background(), edgeAddr, NewClient(0, p), ModeCoIC, nil)
+	_, err := DialMuxEdge(context.Background(), edgeAddr, NewClient(0, p), ModeCoIC, nil, "", "")
 	wantRejected("client→edge", err)
 
 	es := &EdgeServer{Edge: NewEdge(p), CloudAddr: cloudAddr}
@@ -313,7 +313,7 @@ func TestLinkPushReachesHandlerNeverPendingSlot(t *testing.T) {
 		reply(wire.Message{Type: wire.MsgSceneEvent, RequestID: msg.RequestID, Body: []byte("pushed")})
 		reply(peerHit(msg.RequestID, 4))
 	})
-	m, err := DialMuxEdge(context.Background(), end.addr, NewClient(0, testParams()), ModeCoIC, nil)
+	m, err := DialMuxEdge(context.Background(), end.addr, NewClient(0, testParams()), ModeCoIC, nil, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestFederationUnderDefaultTenantQuota(t *testing.T) {
 		go srv.Serve(lns[i])
 	}
 	dial := func(i int) *taskClient {
-		m, err := DialMuxEdgeTenant(context.Background(), addrs[i], NewClient(i, p), ModeCoIC, nil, "alice", "")
+		m, err := DialMuxEdge(context.Background(), addrs[i], NewClient(i, p), ModeCoIC, nil, "alice", "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,18 +44,12 @@ func (e *RemoteError) Error() string {
 // the dial context carries no tighter deadline.
 const clientDialTimeout = 10 * time.Second
 
-// DialMuxEdge connects to an edge and announces the execution mode. ctx
-// bounds the dial and the hello exchange only. The connection runs as
-// the default tenant; see DialMuxEdgeTenant to authenticate one.
-func DialMuxEdge(ctx context.Context, addr string, client *Client, mode Mode, wrap ConnWrapper) (*MuxClient, error) {
-	return DialMuxEdgeTenant(ctx, addr, client, mode, wrap, "", "")
-}
-
-// DialMuxEdgeTenant is DialMuxEdge with a tenant claim: the versioned
+// DialMuxEdge connects to an edge and announces the execution mode and a
+// tenant claim. ctx bounds the dial and the hello exchange only. The
 // hello carries tenant and token, the server authenticates them before
 // any request is served, and a rejected claim fails the dial with the
 // server's error. An empty tenant runs as the default tenant.
-func DialMuxEdgeTenant(ctx context.Context, addr string, client *Client, mode Mode, wrap ConnWrapper, tenant, token string) (*MuxClient, error) {
+func DialMuxEdge(ctx context.Context, addr string, client *Client, mode Mode, wrap ConnWrapper, tenant, token string) (*MuxClient, error) {
 	l := &link{
 		addr: addr, name: "edge", wrap: wrap,
 		hello: wire.Hello{

@@ -22,7 +22,7 @@ func TestMuxClientTasksRoundTrip(t *testing.T) {
 	defer stop()
 
 	ctx := context.Background()
-	m, err := DialMuxEdge(ctx, addr, NewClient(0, p), ModeCoIC, nil)
+	m, err := DialMuxEdge(ctx, addr, NewClient(0, p), ModeCoIC, nil, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMuxClientCancelMidFlight(t *testing.T) {
 	addr, es, stop := startSlowStack(t, p, 400*time.Millisecond, nil)
 	defer stop()
 
-	m, err := DialMuxEdge(context.Background(), addr, NewClient(0, p), ModeCoIC, nil)
+	m, err := DialMuxEdge(context.Background(), addr, NewClient(0, p), ModeCoIC, nil, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMuxClientCloseFailsInflight(t *testing.T) {
 	addr, _, stop := startQoSEdge(t, cloudAddr, 1, 4)
 	defer stop()
 
-	m, err := DialMuxEdge(context.Background(), addr, NewClient(0, p), ModeCoIC, nil)
+	m, err := DialMuxEdge(context.Background(), addr, NewClient(0, p), ModeCoIC, nil, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestMuxClientForgetDropsReply(t *testing.T) {
 	addr, _, stop := startSlowStack(t, p, 100*time.Millisecond, nil)
 	defer stop()
 
-	m, err := DialMuxEdge(context.Background(), addr, NewClient(0, p), ModeCoIC, nil)
+	m, err := DialMuxEdge(context.Background(), addr, NewClient(0, p), ModeCoIC, nil, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func NewServerObs(reg *obs.Registry, rlog *obs.RequestLog) *ServerObs {
 	o := &ServerObs{reqLog: rlog}
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("coic_stage_duration_seconds",
-			"Serving-pipeline stage latency in seconds.", nil, obs.L("stage", name))
+			"Serving-pipeline stage latency in seconds.", obs.L("stage", name))
 	}
 	o.decode = stage(StageDecode)
 	o.cacheLookup = stage(StageCacheLookup)

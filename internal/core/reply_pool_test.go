@@ -100,8 +100,9 @@ func (c *gatedWrites) Write([]byte) (int, error) {
 }
 
 // TestReplyBodyReleasedOnceOnEveryPath drives every way a pooled reply
-// leaves a connection — in order, in completion order, into a dead
-// connection and through a graceful shutdown — and asserts that each
+// leaves a connection — to a client whose hello leaves HelloFlagUnordered
+// clear, to two clients that set it, into a dead connection and through a
+// graceful shutdown — and asserts that each
 // body taken is released exactly once, after the client got it intact:
 // released bodies are poisoned, so one released before its write would
 // reach the client as garbage.
@@ -153,23 +154,18 @@ func TestReplyBodyReleasedOnceOnEveryPath(t *testing.T) {
 	}
 	fetch := func(reqID uint64, f int) wire.Message { return panoFetchMsg(t, reqID, replyVideo, f) }
 
+	// The hello without the flag once asked for arrival order; the flag
+	// is ignored now, and the replies come in completion order.
 	t.Run("ordered", func(t *testing.T) {
 		_, addr, ledger, stop := stack(t, func(*EdgeServer) {})
-		c := rawEdgeConn(t, addr, ModeCoIC)
+		c := helloConn(t, addr, helloMsg(t, 1<<40, wire.HelloModeCoIC, 0))
 		order := []int{0, 1, 2, 0, 2, 1}
 		for i, f := range order {
 			send(t, c, fetch(uint64(10+i), f))
 		}
-		c.SetReadDeadline(time.Now().Add(20 * time.Second))
+		got := readReplies(t, c, len(order))
 		for i, f := range order {
-			m, err := wire.ReadMessage(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.RequestID != uint64(10+i) {
-				t.Fatalf("reply %d answers request %d, want %d", i, m.RequestID, 10+i)
-			}
-			wantPano(t, m, frames[f])
+			wantPano(t, got[uint64(10+i)], frames[f])
 		}
 		ledger.settle(t, len(order))
 		stop()
@@ -180,7 +176,7 @@ func TestReplyBodyReleasedOnceOnEveryPath(t *testing.T) {
 		_, addr, ledger, stop := stack(t, func(*EdgeServer) {})
 		// Two connections miss on frame 2 together: whether or not the
 		// second joins the first's flight, each packs its own reply.
-		a, b := unorderedEdgeConn(t, addr), unorderedEdgeConn(t, addr)
+		a, b := rawEdgeConn(t, addr, ModeCoIC), rawEdgeConn(t, addr, ModeCoIC)
 		send(t, a, fetch(1, 2), fetch(2, 0))
 		send(t, b, fetch(3, 2), fetch(4, 1))
 		got := readReplies(t, a, 2)
@@ -207,8 +203,9 @@ func TestReplyBodyReleasedOnceOnEveryPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer nc.Close()
-		// No hello: the connection is positional, and its first write is
-		// the first reply. Every reply is packed before that write fails.
+		// The hello's ack is the connection's first write, and it blocks
+		// at the gate. Every reply is packed before that write fails.
+		send(t, nc, helloMsg(t, 1<<40, wire.HelloModeCoIC, wire.HelloFlagUnordered))
 		const n = 4
 		for i := range n {
 			send(t, nc, fetch(uint64(1+i), i%2))
@@ -228,7 +225,7 @@ func TestReplyBodyReleasedOnceOnEveryPath(t *testing.T) {
 		es, addr, ledger, stop := stack(t, func(es *EdgeServer) {
 			es.WrapCloud = func(c net.Conn) net.Conn { return netsim.NewShaper(c, 0, 150*time.Millisecond) }
 		})
-		c := unorderedEdgeConn(t, addr)
+		c := rawEdgeConn(t, addr, ModeCoIC)
 		send(t, c, fetch(1, 2), fetch(2, 0), fetch(3, 2))
 		waitFor(t, "the miss to go upstream", func() bool { return es.Edge.Inflight().Len() == 1 })
 		waitFor(t, "every request to be admitted", func() bool { return es.Edge.Stats().Lookups[wire.TaskPano] == 3 })

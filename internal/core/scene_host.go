@@ -115,13 +115,6 @@ func scenePusher(out *pushOutbox) scene.Pusher {
 // than learning about scenes. It runs on a worker like any other dispatch, after the
 // reader has already spent the tenant's admission token — publish rates
 // are metered by the same bucket as every other request type.
-//
-// Joins are refused on connections that did not negotiate
-// HelloFlagUnordered: a positional client counts replies by arrival
-// order, and an interleaved push would corrupt that count. The flag is
-// the real capability gate — a version-0 hello without it never
-// receives a push, it just gets the join rejected up front instead of
-// silently missing events.
 func (c *conn) dispatchScene(msg wire.Message, tenant string) wire.Message {
 	reg := c.scenes
 	if reg == nil {
@@ -132,10 +125,6 @@ func (c *conn) dispatchScene(msg wire.Message, tenant string) wire.Message {
 		req, err := wire.UnmarshalSceneJoin(msg.Body)
 		if err != nil {
 			return errorReply(msg.RequestID, wire.CodeBadRequest, "bad scene join: %v", err)
-		}
-		if !c.unordered.Load() {
-			return errorReply(msg.RequestID, wire.CodeBadRequest,
-				"scene frames need completion-order replies: hello with HelloFlagUnordered first")
 		}
 		entries, version, err := reg.Join(tenant, req.Scene, c.id,
 			c.srv.Tenants.SceneMemberCap(tenant), scenePusher(c.outbox))

@@ -36,7 +36,6 @@ import (
 
 // schedJob is one admitted request waiting for (or holding) a worker.
 type schedJob struct {
-	seq    uint64
 	msg    wire.Message
 	frame  *[]byte // the pooled buffer msg.Body lives in (nil: a fresh body); see conn.takeFrame
 	mode   Mode

@@ -226,21 +226,41 @@ func TestTCPSimultaneousClientsOneCloudFetch(t *testing.T) {
 	}
 }
 
-// rawEdgeConn dials the edge and completes the legacy (version-0,
-// one-byte) hello exchange, returning the bare connection for pipelined
-// frame-level tests. Replies on such a connection are positional.
+// helloMsg is a structured hello for the default tenant announcing mode
+// with flags.
+func helloMsg(t testing.TB, reqID uint64, mode, flags uint8) wire.Message {
+	t.Helper()
+	body, err := (wire.Hello{Version: wire.HelloVersion, Mode: mode, Flags: flags}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.Message{Type: wire.MsgHello, RequestID: reqID, Body: body}
+}
+
+// rawEdgeConn dials the edge and completes the hello exchange the
+// module's clients send, returning the bare connection for frame-level
+// tests; the connection closes when the test ends. Replies come back in
+// completion order: a test with several requests in flight matches them
+// by RequestID (readReplies).
 func rawEdgeConn(t testing.TB, addr string, mode Mode) net.Conn {
+	t.Helper()
+	return helloConn(t, addr, helloMsg(t, 1<<40, uint8(mode), wire.HelloFlagUnordered))
+}
+
+// helloConn dials addr, sends hello as the first frame and checks that
+// it is acknowledged.
+func helloConn(t testing.TB, addr string, hello wire.Message) net.Conn {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := wire.Message{Type: wire.MsgHello, RequestID: 1, Body: []byte{byte(mode)}}
+	t.Cleanup(func() { conn.Close() })
 	if err := wire.WriteMessage(conn, hello); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadMessage(conn); err != nil {
-		t.Fatal(err)
+	if ack, err := wire.ReadMessage(conn); err != nil || ack.Type != wire.MsgHello {
+		t.Fatalf("hello ack = %v, %v", ack.Type, err)
 	}
 	return conn
 }
@@ -271,9 +291,8 @@ func execMsg(t testing.TB, cli *Client, reqID uint64, class vision.Class, viewSe
 }
 
 // TestTCPCloudPipelinedBurstMatchesSerial pipelines a burst of exec
-// requests at a cloud: the worker pool runs them concurrently, and the
-// replies must still come back in order, byte-identical to serial
-// Recognize.
+// requests at a cloud: the worker pool runs them concurrently, and every
+// request must get one reply, byte-identical to serial Recognize.
 func TestTCPCloudPipelinedBurstMatchesSerial(t *testing.T) {
 	p := testParams()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -298,13 +317,11 @@ func TestTCPCloudPipelinedBurstMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	replies := readReplies(t, conn, requests)
 	for i := 0; i < requests; i++ {
-		reply, err := wire.ReadMessage(conn)
-		if err != nil {
-			t.Fatalf("reply %d: %v", i, err)
-		}
-		if reply.RequestID != uint64(i+1) {
-			t.Fatalf("reply %d carries request id %d — out of order", i, reply.RequestID)
+		reply, ok := replies[uint64(i+1)]
+		if !ok {
+			t.Fatalf("request %d got no reply", i+1)
 		}
 		if reply.Type != wire.MsgExecReply {
 			t.Fatalf("reply %d type = %v", i, reply.Type)
@@ -385,51 +402,10 @@ func TestTCPEdgePipelinedDuplicatesCoalesce(t *testing.T) {
 	}
 }
 
-// TestTCPPipelinedRepliesInOrder writes a burst of requests back-to-back
-// before reading anything; the replies must come back complete and in
-// arrival order even though the misses resolve concurrently upstream.
-// Both positional dialects are covered: a connection that sent the
-// legacy version-0 hello and one that sent no hello at all.
-func TestTCPPipelinedRepliesInOrder(t *testing.T) {
-	p := testParams()
-	addr, _, stop := startSlowStack(t, p, 30*time.Millisecond, nil)
-	defer stop()
-
-	helloLess, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, conn := range map[string]net.Conn{
-		"version-0 hello": rawEdgeConn(t, addr, ModeCoIC),
-		"no hello":        helloLess,
-	} {
-		defer conn.Close()
-		const requests = 6
-		for i := 1; i <= requests; i++ {
-			// Distinct frames: every request is a miss with its own fetch.
-			if err := wire.WriteMessage(conn, panoFetchMsg(t, uint64(i), "pipeline-video/"+name, i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 1; i <= requests; i++ {
-			reply, err := wire.ReadMessage(conn)
-			if err != nil {
-				t.Fatalf("%s: reply %d: %v", name, i, err)
-			}
-			if reply.RequestID != uint64(i) {
-				t.Fatalf("%s: reply %d carries request id %d — out of order", name, i, reply.RequestID)
-			}
-			if reply.Type != wire.MsgPanoReply {
-				t.Fatalf("%s: reply %d type = %v", name, i, reply.Type)
-			}
-		}
-	}
-}
-
 // TestTCPOverloadReply floods a deliberately tiny worker pool backed by a
-// hung cloud: excess requests must be rejected with CodeOverloaded, in
-// order, while admitted ones fail with the fetch timeout instead of
-// wedging the connection.
+// hung cloud: excess requests must be rejected with CodeOverloaded
+// while admitted ones fail with the fetch timeout instead of wedging the
+// connection.
 func TestTCPOverloadReply(t *testing.T) {
 	p := testParams()
 	cloudAddr, stopCloud := startHungCloud(t)
@@ -458,13 +434,11 @@ func TestTCPOverloadReply(t *testing.T) {
 		}
 	}
 	overloaded, unavailable := 0, 0
-	for i := 1; i <= requests; i++ {
-		reply, err := wire.ReadMessage(conn)
-		if err != nil {
-			t.Fatalf("reply %d: %v", i, err)
-		}
-		if reply.RequestID != uint64(i) {
-			t.Fatalf("reply %d carries request id %d — out of order", i, reply.RequestID)
+	replies := readReplies(t, conn, requests)
+	for i := uint64(1); i <= requests; i++ {
+		reply, ok := replies[i]
+		if !ok {
+			t.Fatalf("request %d got no reply", i)
 		}
 		if reply.Type != wire.MsgError {
 			t.Fatalf("reply %d type = %v, want error", i, reply.Type)
@@ -483,10 +457,10 @@ func TestTCPOverloadReply(t *testing.T) {
 		}
 	}
 	// Every request gets exactly one of the two failure replies. The
-	// shed/timeout split is timing-dependent: once the reply-slot budget
-	// (2×(workers+queue)) is consumed the reader applies TCP backpressure
-	// instead of shedding further, so later requests are admitted as the
-	// stalled head drains. Both behaviours must be visible.
+	// shed/timeout split is timing-dependent: the request the worker
+	// holds and the one the queue holds wait out the fetch timeout, the
+	// rest are refused at once, and requests that arrive after a worker
+	// frees up are admitted again. Both behaviours must be visible.
 	if overloaded+unavailable != requests {
 		t.Fatalf("replies = %d overloaded + %d unavailable, want %d total", overloaded, unavailable, requests)
 	}
@@ -495,6 +469,127 @@ func TestTCPOverloadReply(t *testing.T) {
 	}
 	if unavailable == 0 {
 		t.Fatal("no admitted request surfaced the cloud fetch timeout")
+	}
+	if got := es.Overloads(); got != uint64(overloaded) {
+		t.Fatalf("server overload counter = %d, client saw %d", got, overloaded)
+	}
+}
+
+// TestTCPFirstFrameMustBeHello: a connection whose first frame is a
+// request, not a hello, is answered CodeBadRequest and closed.
+func TestTCPFirstFrameMustBeHello(t *testing.T) {
+	addr, es, stop := startSlowStack(t, testParams(), 0, nil)
+	defer stop()
+
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send(t, conn, panoFetchMsg(t, 7, "hello-less-video", 1))
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := wire.ReadMessage(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re := (*RemoteError)(nil); reply.RequestID != 7 || !errors.As(ReplyError(reply), &re) || re.Code != wire.CodeBadRequest {
+		t.Fatalf("hello-less request answered %v id %d (%v), want CodeBadRequest for id 7", reply.Type, reply.RequestID, ReplyError(reply))
+	}
+	if m, err := wire.ReadMessage(conn); err != io.EOF {
+		t.Fatalf("after the refusal read %v, %v; want EOF", m.Type, err)
+	}
+	if got := es.Edge.Stats().Lookups[wire.TaskPano]; got != 0 {
+		t.Fatalf("the refused request was served: %d pano lookups", got)
+	}
+}
+
+// heldWrites holds every write to the client until release is closed:
+// the server's side of a client that does not read, once the socket
+// buffers between them are full.
+type heldWrites struct {
+	net.Conn
+	release chan struct{}
+}
+
+func (c *heldWrites) Write(b []byte) (int, error) {
+	<-c.release
+	return c.Conn.Write(b)
+}
+
+// TestTCPUnreadRepliesBlockTheReader pipelines several admission budgets'
+// worth of requests into a 1-worker, depth-1 edge over a hung cloud from
+// a client that does not read. The server must stop reading once its
+// pipeline is full — a worker's job, the queue, the replies channel and
+// the refusal the reader is blocked on — so TCP backpressure reaches the
+// sender. Once the client reads, every request gets exactly one reply:
+// CodeOverloaded or the fetch timeout.
+func TestTCPUnreadRepliesBlockTheReader(t *testing.T) {
+	cloudAddr, stopCloud := startHungCloud(t)
+	defer stopCloud()
+
+	const workers, depth = 1, 1
+	held := make(chan *heldWrites, 1)
+	es := &EdgeServer{
+		Edge:         NewEdge(testParams()),
+		CloudAddr:    cloudAddr,
+		ServerCore:   ServerCore{Workers: workers, QueueDepth: depth},
+		FetchTimeout: 200 * time.Millisecond,
+		WrapClient: func(nc net.Conn) net.Conn {
+			h := &heldWrites{Conn: nc, release: make(chan struct{})}
+			held <- h
+			return h
+		},
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go es.Serve(ln)
+
+	conn, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send(t, conn, helloMsg(t, 1<<40, wire.HelloModeCoIC, wire.HelloFlagUnordered))
+	// The first request holds the worker before the rest arrive, so the
+	// one behind it is queued rather than refused.
+	send(t, conn, panoFetchMsg(t, 1, "unread-video", 1))
+	waitFor(t, "the first fetch to start", func() bool { return es.Edge.Inflight().Len() == 1 })
+	const requests = 8 * (workers + depth)
+	for i := uint64(2); i <= requests; i++ {
+		send(t, conn, panoFetchMsg(t, i, "unread-video", int(i)))
+	}
+
+	// The writer holds the hello's ack; the reader stops after this many
+	// requests.
+	read := func() uint64 { return es.Admitted(wire.QoSBestEffort) + es.Overloads() }
+	const pipeline = workers + depth + (workers + depth + 1) + 1
+	waitFor(t, "the pipeline to fill", func() bool { return read() >= pipeline })
+	time.Sleep(3 * es.FetchTimeout) // the fetches time out; nothing moves
+	if got := read(); got != pipeline {
+		t.Fatalf("the server read %d of %d requests from a client that does not read, want %d", got, requests, pipeline)
+	}
+
+	close((<-held).release)
+	replies := readReplies(t, conn, requests+1)
+	if ack := replies[1<<40]; ack.Type != wire.MsgHello {
+		t.Fatalf("hello answered %v, want its ack", ack.Type)
+	}
+	overloaded := 0
+	for i := uint64(1); i <= requests; i++ {
+		reply, ok := replies[i]
+		if !ok {
+			t.Fatalf("request %d got no reply", i)
+		}
+		var re *RemoteError
+		if !errors.As(ReplyError(reply), &re) || re.Code != wire.CodeOverloaded && re.Code != wire.CodeUnavailable {
+			t.Fatalf("request %d answered %v (%v), want CodeOverloaded or the fetch timeout", i, reply.Type, ReplyError(reply))
+		}
+		if re.Code == wire.CodeOverloaded {
+			overloaded++
+		}
 	}
 	if got := es.Overloads(); got != uint64(overloaded) {
 		t.Fatalf("server overload counter = %d, client saw %d", got, overloaded)
@@ -599,11 +694,11 @@ func TestTCPOriginModeStillForwards(t *testing.T) {
 		}
 		return pr.Source
 	}
-	// hello sends a legacy one-byte hello and returns the answer's type.
+	// hello sends a later hello and returns the answer.
 	hello := func(mode byte) wire.Message {
 		t.Helper()
 		nextID++
-		if err := wire.WriteMessage(conn, wire.Message{Type: wire.MsgHello, RequestID: nextID, Body: []byte{mode}}); err != nil {
+		if err := wire.WriteMessage(conn, helloMsg(t, nextID, mode, wire.HelloFlagUnordered)); err != nil {
 			t.Fatal(err)
 		}
 		reply, err := wire.ReadMessage(conn)
@@ -686,13 +781,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestTCPOrderedCancelAbortsFetchAndKeepsConnection: on a positional
-// (ordered) connection a MsgCancel naming an in-flight fetch aborts the
-// now-waiterless coalesced flight (last-waiter-cancels), the cancelled
-// request still answers in its own slot — CodeCanceled, before the
-// cancel's ack, in arrival order — and once a lock-step client has
-// drained those two frames the same connection serves the next request
-// cleanly.
+// TestTCPOrderedCancelAbortsFetchAndKeepsConnection: a MsgCancel naming
+// an in-flight fetch aborts the now-waiterless coalesced flight
+// (last-waiter-cancels), the cancelled request still gets its own reply —
+// CodeCanceled — beside the cancel's ack, and once a lock-step client
+// has drained those two frames the same connection serves the next
+// request cleanly.
 func TestTCPOrderedCancelAbortsFetchAndKeepsConnection(t *testing.T) {
 	p := testParams()
 	addr, es, stop := startSlowStack(t, p, 400*time.Millisecond, nil)
@@ -714,29 +808,22 @@ func TestTCPOrderedCancelAbortsFetchAndKeepsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drain, in order: the aborted request's reply, then the cancel ack.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	reply, err := wire.ReadMessage(conn)
-	if err != nil {
-		t.Fatalf("cancelled request's reply: %v", err)
-	}
-	if reply.RequestID != 2 || reply.Type != wire.MsgError {
-		t.Fatalf("first drained frame = %v id %d, want the cancelled request's error", reply.Type, reply.RequestID)
+	// Drain two frames, in completion order: the aborted request's reply
+	// and the cancel ack.
+	drained := readReplies(t, conn, 2)
+	reply, ok := drained[2]
+	if !ok || reply.Type != wire.MsgError {
+		t.Fatalf("drained %v, want the cancelled request's error under id 2", drained)
 	}
 	if er, err := wire.UnmarshalErrorReply(reply.Body); err != nil || er.Code != wire.CodeCanceled {
 		t.Fatalf("cancelled request answered %+v (%v), want CodeCanceled", er, err)
 	}
-	ack, err := wire.ReadMessage(conn)
-	if err != nil {
-		t.Fatalf("cancel ack: %v", err)
-	}
-	if ack.RequestID != 3 || ack.Type != wire.MsgCancel {
-		t.Fatalf("second drained frame = %v id %d, want the cancel ack", ack.Type, ack.RequestID)
+	if ack, ok := drained[3]; !ok || ack.Type != wire.MsgCancel {
+		t.Fatalf("drained %v, want the cancel ack under id 3", drained)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v — the edge waited out the fetch instead of aborting", elapsed)
 	}
-	conn.SetReadDeadline(time.Time{})
 	waitFor(t, "the abandoned flight to abort", func() bool {
 		return es.Edge.Inflight().Stats().Canceled == 1 && es.Edge.Inflight().Len() == 0
 	})

@@ -115,8 +115,6 @@ func TestTCPInteractiveJumpsBestEffortQueue(t *testing.T) {
 	waitFor(t, "the first fetch to reach the cloud", func() bool { return len(order()) == 1 })
 
 	// Two best-effort requests queue, then an interactive one arrives.
-	// (Ordered writes: this is an ordered-mode connection, so the reply
-	// stream mirrors the id sequence below.)
 	for id, frame := uint64(2), 101; id <= 3; id, frame = id+1, frame+1 {
 		if err := wire.WriteMessage(conn, qosPanoMsg(t, id, frame, wire.QoSBestEffort, time.Time{})); err != nil {
 			t.Fatal(err)
@@ -132,14 +130,11 @@ func TestTCPInteractiveJumpsBestEffortQueue(t *testing.T) {
 		return es.Admitted(wire.QoSInteractive) == 1
 	})
 
-	// Drain all four replies (arrival order on the wire, by protocol).
-	for i := 1; i <= 4; i++ {
-		reply, err := wire.ReadMessage(conn)
-		if err != nil {
-			t.Fatalf("reply %d: %v", i, err)
-		}
-		if reply.RequestID != uint64(i) || reply.Type != wire.MsgPanoReply {
-			t.Fatalf("reply %d = id %d type %v", i, reply.RequestID, reply.Type)
+	// Drain all four replies (completion order on the wire).
+	replies := readReplies(t, conn, 4)
+	for i := uint64(1); i <= 4; i++ {
+		if reply, ok := replies[i]; !ok || reply.Type != wire.MsgPanoReply {
+			t.Fatalf("request %d answered %v (present %v), want a pano reply", i, reply.Type, ok)
 		}
 	}
 	got := order()
@@ -174,16 +169,13 @@ func TestTCPExpiredDeadlineShedBeforeWork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reply1, err := wire.ReadMessage(conn)
-	if err != nil || reply1.Type != wire.MsgPanoReply || reply1.RequestID != 1 {
-		t.Fatalf("reply 1 = %v type %v err %v", reply1.RequestID, reply1.Type, err)
+	replies := readReplies(t, conn, 2)
+	if reply1, ok := replies[1]; !ok || reply1.Type != wire.MsgPanoReply {
+		t.Fatalf("request 1 answered %v (present %v), want a pano reply", reply1.Type, ok)
 	}
-	reply2, err := wire.ReadMessage(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply2.RequestID != 2 || reply2.Type != wire.MsgError {
-		t.Fatalf("reply 2 = id %d type %v, want an error reply", reply2.RequestID, reply2.Type)
+	reply2, ok := replies[2]
+	if !ok || reply2.Type != wire.MsgError {
+		t.Fatalf("request 2 answered %v (present %v), want an error reply", reply2.Type, ok)
 	}
 	er, err := wire.UnmarshalErrorReply(reply2.Body)
 	if err != nil || er.Code != wire.CodeDeadlineExceeded {

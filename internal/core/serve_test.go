@@ -43,7 +43,7 @@ func startStack(t *testing.T, p Params) (string, *Edge, func()) {
 type taskClient struct{ *MuxClient }
 
 func dialEdge(addr string, client *Client, mode Mode, wrap ConnWrapper) (*taskClient, error) {
-	m, err := DialMuxEdge(context.Background(), addr, client, mode, wrap)
+	m, err := DialMuxEdge(context.Background(), addr, client, mode, wrap, "", "")
 	if err != nil {
 		return nil, err
 	}

@@ -9,9 +9,8 @@ import (
 )
 
 // DefaultTenant is the identity of every connection that does not
-// authenticate an explicit tenant: legacy clients speaking the 0–2 byte
-// hello, tenantless dials of the current client, and the edge's own
-// upstream/peer connections. It exists so single-tenant deployments run
+// authenticate an explicit tenant: tenantless dials of the client, and
+// the edge's own upstream/peer connections. It exists so single-tenant deployments run
 // the exact pre-tenant fast path — one bucket, one DRR ring entry —
 // while still showing up under a tenant label in metrics and stats.
 const DefaultTenant = "default"

@@ -42,8 +42,8 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Value reports the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// DefLatencyBuckets are the default histogram bounds for request-latency
-// observations, in seconds: half a millisecond to ten seconds, roughly
+// DefLatencyBuckets are the bounds of every histogram, for latency
+// observations in seconds: half a millisecond to ten seconds, roughly
 // exponential. Everything above the last bound lands in the implicit +Inf
 // bucket.
 func DefLatencyBuckets() []float64 {
@@ -68,12 +68,8 @@ type Histogram struct {
 	sum     atomic.Int64 // nanoseconds
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefLatencyBuckets()
-	}
-	bounds = append([]float64(nil), bounds...)
-	sort.Float64s(bounds)
+func newHistogram() *Histogram {
+	bounds := DefLatencyBuckets()
 	return &Histogram{
 		bounds:  bounds,
 		buckets: make([]atomic.Uint64, len(bounds)+1), // +1 for +Inf

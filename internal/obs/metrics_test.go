@@ -24,31 +24,35 @@ func TestCounterGauge(t *testing.T) {
 }
 
 func TestHistogramObserve(t *testing.T) {
-	h := newHistogram([]float64{0.001, 0.01, 0.1})
-	h.Observe(500 * time.Microsecond) // <= 0.001
+	h := newHistogram()
+	h.Observe(300 * time.Microsecond) // <= 0.0005
 	h.Observe(1 * time.Millisecond)   // boundary: le=0.001 bucket
-	h.Observe(5 * time.Millisecond)   // <= 0.01
-	h.Observe(2 * time.Second)        // +Inf
+	h.Observe(4 * time.Millisecond)   // <= 0.005
+	h.Observe(20 * time.Second)       // beyond le=10: +Inf
 	h.Observe(-time.Second)           // clamps to 0, first bucket
 
 	cum, count, sum := h.snapshot()
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
 	}
-	want := []uint64{3, 4, 4, 5} // cumulative: le=0.001, le=0.01, le=0.1, +Inf
+	// cumulative: le=0.0005, 0.001, 0.0025, 0.005, 0.01, ..., 10, +Inf
+	want := []uint64{2, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5}
+	if len(cum) != len(want) {
+		t.Fatalf("%d cumulative buckets, want %d (all %v)", len(cum), len(want), cum)
+	}
 	for i, w := range want {
 		if cum[i] != w {
 			t.Fatalf("cum[%d] = %d, want %d (all %v)", i, cum[i], w, cum)
 		}
 	}
-	wantSum := 500*time.Microsecond + time.Millisecond + 5*time.Millisecond + 2*time.Second
+	wantSum := 300*time.Microsecond + time.Millisecond + 4*time.Millisecond + 20*time.Second
 	if sum != wantSum {
 		t.Fatalf("sum = %v, want %v", sum, wantSum)
 	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := newHistogram(nil)
+	h := newHistogram()
 	const goroutines, per = 8, 1000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

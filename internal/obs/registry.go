@@ -107,12 +107,12 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.entry(name, help, kindGauge, labels).fn = fn
 }
 
-// Histogram registers (or finds) the histogram series name{labels...}
-// with the given bucket bounds in seconds (DefLatencyBuckets when nil).
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
+// Histogram registers (or finds) the histogram series name{labels...},
+// bucketed by DefLatencyBuckets.
+func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	e := r.entry(name, help, kindHistogram, labels)
 	if e.hist == nil {
-		e.hist = newHistogram(bounds)
+		e.hist = newHistogram()
 	}
 	return e.hist
 }

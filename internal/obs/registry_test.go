@@ -67,19 +67,19 @@ func TestRegistryEscaping(t *testing.T) {
 
 func TestRegistryHistogramRendering(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("coic_stage_duration_seconds", "Stage latency.",
-		[]float64{0.001, 0.01}, L("stage", "exec"))
+	h := r.Histogram("coic_stage_duration_seconds", "Stage latency.", L("stage", "exec"))
 	h.Observe(500 * time.Microsecond)
 	h.Observe(5 * time.Millisecond)
-	h.Observe(time.Second)
+	h.Observe(20 * time.Second)
 
 	out := render(t, r)
 	for _, want := range []string{
 		"# TYPE coic_stage_duration_seconds histogram\n",
 		`coic_stage_duration_seconds_bucket{stage="exec",le="0.001"} 1` + "\n",
 		`coic_stage_duration_seconds_bucket{stage="exec",le="0.01"} 2` + "\n",
+		`coic_stage_duration_seconds_bucket{stage="exec",le="10"} 2` + "\n",
 		`coic_stage_duration_seconds_bucket{stage="exec",le="+Inf"} 3` + "\n",
-		`coic_stage_duration_seconds_sum{stage="exec"} 1.0055` + "\n",
+		`coic_stage_duration_seconds_sum{stage="exec"} 20.0055` + "\n",
 		`coic_stage_duration_seconds_count{stage="exec"} 3` + "\n",
 	} {
 		if !strings.Contains(out, want) {
@@ -115,7 +115,7 @@ func TestRegistryRenderPassesLint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("coic_requests_total", "Requests.", L("class", "interactive"), L("outcome", "ok")).Inc()
 	r.Gauge("coic_connections_active", "Open connections.").Set(2)
-	h := r.Histogram("coic_stage_duration_seconds", "Stage latency.", nil, L("stage", "decode"))
+	h := r.Histogram("coic_stage_duration_seconds", "Stage latency.", L("stage", "decode"))
 	h.Observe(time.Millisecond)
 
 	out := render(t, r)

@@ -57,10 +57,7 @@ const (
 	// Shared scenes (client<->edge). A scene is an edge-hosted room whose
 	// members mirror one versioned per-key document; MsgSceneEvent is the
 	// protocol's only server-initiated frame, pushed by the edge to every
-	// member when any member publishes. Pushes are delivered only on
-	// connections that negotiated HelloFlagUnordered — positional clients
-	// (and every version-0 hello) count replies by arrival order and never
-	// receive them.
+	// member when any member publishes.
 	MsgSceneJoin    MsgType = 15 // client->edge: join a named scene (reply: snapshot)
 	MsgScenePublish MsgType = 16 // client->edge: LWW write into the scene document (reply: ack)
 	MsgSceneEvent   MsgType = 17 // edge->client: server-push scene delta fan-out
@@ -78,14 +75,12 @@ const (
 	MsgMemberLeave  MsgType = 22 // edge->edge: graceful departure (sender marked dead)
 )
 
-// HelloFlagUnordered, carried in Hello.Flags (the second body byte of a
-// legacy version-0 hello), asks the server to write replies in
-// completion order instead of arrival order. Only clients that match
-// replies to requests by RequestID (the demultiplexed streaming client,
-// the edge's upstream mux) may set it; positional clients rely on
-// arrival order. The flag is honoured only on a connection's first
-// frame — a later mode-switch hello cannot strand replies parked in the
-// reorder buffer.
+// HelloFlagUnordered, carried in Hello.Flags, once asked the server to
+// write replies in completion order instead of arrival order. Servers now
+// always write replies in completion order, and accept and ignore the
+// flag; clients, which match replies to requests by RequestID, keep
+// setting it so that an older server answers them in completion order
+// too.
 const HelloFlagUnordered uint8 = 1 << 0
 
 // frameType is one row of the frame-type table.

@@ -54,7 +54,7 @@ var (
 )
 
 // goldenCases covers every body type at least once, the three trailer
-// forms, and the three hello forms. The values are fixed: the encoded
+// forms, and the structured hello. The values are fixed: the encoded
 // bytes in testdata/golden_bodies.txt were produced from them by the
 // hand-written encoders this package had before the field codec.
 var goldenCases = []goldenCase{
@@ -71,8 +71,6 @@ var goldenCases = []goldenCase{
 	golden("pano-fetch/qos", PanoFetch{VideoID: "vr/rollercoaster", FrameIndex: 1234, QoS: QoSInteractive}, UnmarshalPanoFetch, 9),
 	golden("pano-reply", PanoReply{Source: SourceEdge, Data: []byte{0x10, 0x20, 0x30}}, UnmarshalPanoReply, 0),
 	golden("error", ErrorReply{Code: CodeUnknownModel, Msg: "no such model"}, UnmarshalErrorReply, 0),
-	golden("hello/legacy-mode", Hello{Mode: HelloModeOrigin}, UnmarshalHello, 0),
-	golden("hello/legacy-flags", Hello{Mode: HelloModeCoIC, Flags: HelloFlagUnordered}, UnmarshalHello, 0),
 	golden("hello/structured", Hello{Version: HelloVersion, Mode: HelloModeCoIC, Flags: HelloFlagUnordered, Tenant: "acme", Token: "s3cr3t"}, UnmarshalHello, 0),
 	golden("peer-lookup", PeerLookup{Task: TaskRender, Desc: goldenHash}, UnmarshalPeerLookup, 0),
 	golden("peer-reply", PeerReply{Outcome: ProbeExact, Distance: 0.5, Result: []byte("peer-cached")}, UnmarshalPeerReply, 0),
@@ -201,7 +199,7 @@ func TestGoldenBodies(t *testing.T) {
 // or count prefix bumped by one or set to all-ones, must be rejected with
 // an ErrBadMessage-wrapped error and no panic. The exceptions are the
 // prefixes the protocol defines as well-formed — a trailer cut down to a
-// shorter form, and the 0–2 byte legacy hello — which must decode.
+// shorter form — which must decode.
 func TestGoldenBodiesRejectHostileBytes(t *testing.T) {
 	bodies := loadGoldenBodies(t)
 	for _, gc := range goldenCases {
@@ -214,9 +212,6 @@ func TestGoldenBodiesRejectHostileBytes(t *testing.T) {
 		case qosTrailerLen:
 			wellFormed[len(g.bytes)-qosTrailerLen] = true
 		}
-		if strings.HasPrefix(gc.name, "hello") {
-			wellFormed[0], wellFormed[1], wellFormed[2] = true, true, true
-		}
 		for n := 0; n < len(g.bytes); n++ {
 			_, err := gc.decode(g.bytes[:n:n])
 			switch {
@@ -226,7 +221,7 @@ func TestGoldenBodiesRejectHostileBytes(t *testing.T) {
 				t.Errorf("%s: %d-byte prefix of %d: err = %v, want ErrBadMessage", gc.name, n, len(g.bytes), err)
 			}
 		}
-		if len(g.lens) == 0 && hasVariableField(gc.value) && !strings.HasPrefix(gc.name, "hello/legacy") {
+		if len(g.lens) == 0 && hasVariableField(gc.value) {
 			t.Errorf("%s: golden_bodies.txt brackets no length prefix", gc.name)
 		}
 		for _, span := range g.lens {

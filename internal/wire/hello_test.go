@@ -6,56 +6,6 @@ import (
 	"testing"
 )
 
-// Legacy 0–2 byte bodies — everything a pre-tenant client can send — must
-// decode as version 0 with the historical semantics: empty means CoIC,
-// the first byte is the mode, the optional second byte carries flags.
-func TestUnmarshalHelloLegacy(t *testing.T) {
-	cases := []struct {
-		name string
-		body []byte
-		want Hello
-	}{
-		{"empty is coic", nil, Hello{Version: 0, Mode: HelloModeCoIC}},
-		{"origin", []byte{HelloModeOrigin}, Hello{Version: 0, Mode: HelloModeOrigin}},
-		{"coic", []byte{HelloModeCoIC}, Hello{Version: 0, Mode: HelloModeCoIC}},
-		{"coic unordered", []byte{HelloModeCoIC, HelloFlagUnordered},
-			Hello{Version: 0, Mode: HelloModeCoIC, Flags: HelloFlagUnordered}},
-		{"origin unordered", []byte{HelloModeOrigin, HelloFlagUnordered},
-			Hello{Version: 0, Mode: HelloModeOrigin, Flags: HelloFlagUnordered}},
-	}
-	for _, tc := range cases {
-		got, err := UnmarshalHello(tc.body)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got != tc.want {
-			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// A legacy marshal must be byte-identical to what the pre-tenant code
-// wrote inline: [mode] without flags, [mode, flags] with.
-func TestMarshalHelloLegacyBytes(t *testing.T) {
-	b, err := Hello{Version: 0, Mode: HelloModeOrigin}.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != 1 || b[0] != HelloModeOrigin {
-		t.Fatalf("legacy origin marshal = %v", b)
-	}
-	b, err = Hello{Version: 0, Mode: HelloModeCoIC, Flags: HelloFlagUnordered}.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != 2 || b[0] != HelloModeCoIC || b[1] != HelloFlagUnordered {
-		t.Fatalf("legacy flagged marshal = %v", b)
-	}
-	if _, err := (Hello{Version: 0, Tenant: "app"}).Marshal(); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("legacy marshal with tenant: err = %v, want ErrBadMessage", err)
-	}
-}
-
 func TestHelloRoundTrip(t *testing.T) {
 	cases := []Hello{
 		{Version: HelloVersion, Mode: HelloModeCoIC},
@@ -92,6 +42,9 @@ func TestHelloMarshalRejectsOversize(t *testing.T) {
 
 func TestUnmarshalHelloMalformed(t *testing.T) {
 	cases := [][]byte{
+		{},                        // the retired version-0 forms: empty,
+		{HelloModeOrigin},         // [mode]
+		{HelloModeCoIC, 1},        // and [mode, flags]
 		{0, 1, 0, 0, 0},           // structured framing with version 0
 		{1, 1, 0},                 // too short for a structured hello
 		{1, 1, 0, 0},              // missing token length
@@ -104,5 +57,8 @@ func TestUnmarshalHelloMalformed(t *testing.T) {
 		if _, err := UnmarshalHello(body); !errors.Is(err, ErrBadMessage) {
 			t.Errorf("body %v: err = %v, want ErrBadMessage", body, err)
 		}
+	}
+	if _, err := (Hello{Mode: HelloModeCoIC}).Marshal(); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("version-0 marshal: err = %v, want ErrBadMessage", err)
 	}
 }

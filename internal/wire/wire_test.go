@@ -344,13 +344,9 @@ func TestPeerInsertRoundTrip(t *testing.T) {
 
 // TestBodyDecodersRejectGarbage feeds every body decoder a few short
 // byte strings that are not prefixes of any golden body (those, and the
-// empty body, are TestGoldenBodiesRejectHostileBytes's). The hello decoder
-// is left out: its 0–2 byte legacy form accepts the first of them.
+// empty body, are TestGoldenBodiesRejectHostileBytes's).
 func TestBodyDecodersRejectGarbage(t *testing.T) {
 	for _, gc := range goldenCases {
-		if strings.HasPrefix(gc.name, "hello") {
-			continue
-		}
 		for _, b := range [][]byte{{1}, {1, 2, 3}, bytes.Repeat([]byte{0xFF}, 9)} {
 			if _, err := gc.decode(b); !errors.Is(err, ErrBadMessage) {
 				t.Errorf("%s: body %v: err = %v, want ErrBadMessage", gc.name, b, err)

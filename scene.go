@@ -224,10 +224,8 @@ func (b *sceneEventBox) drain() []SceneEvent {
 // JoinScene joins (creating on first join) the named scene on the
 // connection's tenant and returns its handle, seeded with the room's
 // current document. Scene names are scoped per tenant — two tenants'
-// "lobby" scenes never meet. Joining requires the connection's
-// completion-order reply mode (every Client negotiates it; only legacy
-// v1 clients cannot), and counts against the tenant's scene-member
-// quota when one is configured (TenantConfig.SceneMembers), failing
+// "lobby" scenes never meet. Joining counts against the tenant's
+// scene-member quota when one is configured (TenantConfig.SceneMembers), failing
 // with ErrQuotaExceeded beyond it. A client may join many scenes; one
 // JoinScene per scene per connection (rejoining an open handle's scene
 // is an error until it is left).

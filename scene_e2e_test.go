@@ -394,11 +394,10 @@ func TestSceneWriterInterleavingGuard(t *testing.T) {
 	})
 }
 
-// TestSceneOrderedClientRejected pins the compatibility contract: a
-// connection that did not negotiate completion-order replies
-// (HelloFlagUnordered) never receives a push — its join is rejected up
-// front with CodeBadRequest.
-func TestSceneOrderedClientRejected(t *testing.T) {
+// TestSceneFlaglessHelloJoins: HelloFlagUnordered is accepted and
+// ignored, so a hand-made client whose hello leaves it clear joins a
+// scene and receives another member's publish as a push.
+func TestSceneFlaglessHelloJoins(t *testing.T) {
 	_, addr, stop := sceneStack(t)
 	defer stop()
 
@@ -407,36 +406,57 @@ func TestSceneOrderedClientRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello, err := (wire.Hello{Version: wire.HelloVersion, Mode: uint8(ModeCoIC)}).Marshal() // Flags: 0 — ordered replies
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	hello, err := (wire.Hello{Version: wire.HelloVersion, Mode: uint8(ModeCoIC)}).Marshal() // Flags: 0
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteMessage(conn, wire.Message{Type: wire.MsgHello, RequestID: 1, Body: hello}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.ReadMessage(conn); err != nil { // hello ack
 		t.Fatal(err)
 	}
 	join, err := (wire.SceneJoin{Scene: "plaza"}).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteMessage(conn, wire.Message{Type: wire.MsgSceneJoin, RequestID: 2, Body: join}); err != nil {
-		t.Fatal(err)
+	for _, m := range []wire.Message{
+		{Type: wire.MsgHello, RequestID: 1, Body: hello},
+		{Type: wire.MsgSceneJoin, RequestID: 2, Body: join},
+	} {
+		if err := wire.WriteMessage(conn, m); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := wire.ReadMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Type != m.Type || reply.RequestID != m.RequestID {
+			t.Fatalf("%v answered %v id %d", m.Type, reply.Type, reply.RequestID)
+		}
 	}
-	reply, err := wire.ReadMessage(conn)
+
+	ctx := context.Background()
+	cli, err := NewClient(ctx, addr, WithDialParams(testParams()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Type != wire.MsgError {
-		t.Fatalf("ordered join got %v, want an error reply", reply.Type)
-	}
-	er, err := wire.UnmarshalErrorReply(reply.Body)
+	defer cli.Close()
+	sc, err := cli.JoinScene(ctx, "plaza")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if er.Code != wire.CodeBadRequest {
-		t.Fatalf("ordered join rejected with code %d, want CodeBadRequest (%d)", er.Code, wire.CodeBadRequest)
+	if _, err := sc.Publish(ctx, "lamp", []byte("on")); err != nil {
+		t.Fatal(err)
+	}
+	push, err := wire.ReadMessage(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if push.Type != wire.MsgSceneEvent {
+		t.Fatalf("the flagless member received %v, want a scene push", push.Type)
+	}
+	ev, err := wire.UnmarshalSceneEvent(push.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Scene != "plaza" || ev.Key != "lamp" || string(ev.Value) != "on" {
+		t.Fatalf("push = %+v, want plaza/lamp=on", ev)
 	}
 }
 

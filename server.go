@@ -148,9 +148,9 @@ func WithMaxUpstream(n int) ServerOption {
 }
 
 // DefaultTenant is the tenant identity of every connection that does
-// not authenticate an explicit one: tenantless NewClient dials and
-// legacy (pre-versioned-hello) clients. Per-tenant maps (ServerStats,
-// SystemStats, metric labels) file their traffic under this name.
+// not authenticate an explicit one, such as tenantless NewClient dials.
+// Per-tenant maps (ServerStats, SystemStats, metric labels) file their
+// traffic under this name.
 const DefaultTenant = core.DefaultTenant
 
 // TenantConfig describes one tenant's share of a server for
