@@ -105,13 +105,27 @@ func FuzzReadMessage(f *testing.F) {
 // trailer, PeekQoS/PeekTrace agree with the decoder on both the input and
 // the canonical form.
 //
-// The seeds are the golden bodies; testdata/fuzz/FuzzBodyRoundTrip also
-// holds the corpus of the exec-only target this one replaced.
+// The seeds are the golden bodies, then the retired version-0 hellos
+// ([mode[, flags]], every mode with and without HelloFlagUnordered) fed
+// to the hello decoder, which must reject them as an old client sends
+// them; testdata/fuzz/FuzzBodyRoundTrip also holds the corpus of the
+// exec-only target this one replaced.
 func FuzzBodyRoundTrip(f *testing.F) {
 	bodies := loadGoldenBodies(f)
+	hello := -1
 	for i, gc := range goldenCases {
 		f.Add(uint8(i), bodies[gc.name].bytes)
 		f.Add(uint8(i), []byte{})
+		if gc.name == "hello/structured" {
+			hello = i
+		}
+	}
+	if hello < 0 {
+		f.Fatal("no hello/structured golden case")
+	}
+	for _, mode := range []uint8{HelloModeOrigin, HelloModeCoIC} {
+		f.Add(uint8(hello), []byte{mode})
+		f.Add(uint8(hello), []byte{mode, HelloFlagUnordered})
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
 		gc := goldenCases[int(kind)%len(goldenCases)]
